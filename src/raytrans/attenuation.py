@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-from scipy import ndimage
 
-from .errors import GradientUnavailable, MissingDerivative, NotInH0
+from .errors import MissingDerivative, NotInH0
 from .fields import CoefficientSet, DiscreteField, GridSpec, leibniz_constant, mi_binom, sup_norm_estimate
 from .geometry import ConvexDomain, PhasePoint, escape_time_gradient, escape_times
 
@@ -82,27 +81,61 @@ class RayQuadrature:
         return np.maximum(1, np.ceil(self.panels_per_unit_length * np.asarray(T)).astype(int))
 
 
-def _ray_geometry(xs, omega, E, T, n_panels, quad, sigma_fn, shift):
-    """Nodes and attenuation-weighted quadrature for one panel-count group.
+def _ray_groups(xs, omega, T, quad):
+    """Backward-ray nodes of a point batch, one panel-count group at a time.
 
-    Returns (atten_weights, pts) with shapes (n_rays, n_panels, n_nodes) and
-    (..., 3): atten_weights already carry exp(-running integral of
-    sigma+shift), so integrating a source is a plain weighted sum.
+    Rays with T <= _T_FLOOR (inflow and tangential points) are skipped, so
+    their entries stay zero.  Yields (sel, s, pts, width): sel indexes the
+    group's rays in the batch, s (n_rays, n_panels, n_nodes) is the distance
+    of each node from its ray start, pts (..., 3) the nodes x - s omega, and
+    width (n_rays,) the panel width.
     """
-    xi, eta, B = quad.ref_nodes, quad.ref_weights, quad.partial_matrix
-    nr = xs.shape[0]
-    npan = int(n_panels)
-    width = T / npan
-    t = (np.arange(npan)[None, :, None] + xi[None, None, :]) * width[:, None, None]
-    pts = xs[:, None, None, :] - t[..., None] * omega[None, None, None, :]
-    flat = pts.reshape(-1, 3)
-    sig = np.asarray(sigma_fn(flat, omega, E), dtype=float).reshape(nr, npan, quad.nodes_per_panel) + shift
-    panel_int = np.einsum("ipq,q->ip", sig, eta) * width[:, None]
-    run_before = np.cumsum(panel_int, axis=1) - panel_int
-    partial = np.einsum("rq,ipq->ipr", B, sig) * width[:, None, None]
-    exponent = run_before[:, :, None] + partial
-    weights = eta[None, None, :] * width[:, None, None] * np.exp(-exponent)
-    return weights, pts
+    idx_active = np.flatnonzero(T > _T_FLOOR)
+    if idx_active.size == 0:
+        return
+    panel_counts = quad.n_panels(T[idx_active])
+    for npan in np.unique(panel_counts):
+        sel = idx_active[panel_counts == npan]
+        width = T[sel] / npan
+        s = (np.arange(npan)[None, :, None] + quad.ref_nodes[None, None, :]) * width[:, None, None]
+        pts = xs[sel][:, None, None, :] - s[..., None] * omega[None, None, None, :]
+        yield sel, s, pts, width
+
+
+def _running_integral(g, width, quad):
+    """Panel integrals (n_rays, n_panels) of node values g, and the running
+    integral from the ray start at every node."""
+    panel = np.einsum("ipq,q->ip", g, quad.ref_weights) * width[:, None]
+    before = np.cumsum(panel, axis=1) - panel
+    partial = np.einsum("rq,ipq->ipr", quad.partial_matrix, g) * width[:, None, None]
+    return panel, before[:, :, None] + partial
+
+
+def _ray_geometry(pts, width, omega, E, quad, sigma_fn, shift):
+    """Attenuation-weighted quadrature for one panel-count group.
+
+    Returns (weights, panel_int): the weights carry exp(-running integral of
+    sigma+shift), so integrating a source is a plain weighted sum, and
+    panel_int holds the per-panel integrals of sigma+shift.
+    """
+    sig = np.asarray(sigma_fn(pts.reshape(-1, 3), omega, E), dtype=float).reshape(pts.shape[:3]) + shift
+    panel_int, exponent = _running_integral(sig, width, quad)
+    return quad.ref_weights[None, None, :] * width[:, None, None] * np.exp(-exponent), panel_int
+
+
+def _attenuated_groups(coeffs, xs, omega, E, T, quad):
+    """(sel, flat nodes, attenuation weights) per panel-count group, lazily."""
+    for sel, _, pts, width in _ray_groups(xs, omega, T, quad):
+        w, _ = _ray_geometry(pts, width, omega, E, quad, coeffs.sigma_t, coeffs.shift)
+        yield sel, pts.reshape(-1, 3), w
+
+
+def _weighted_sums(n_points, groups, values):
+    """Ray integrals of ``values`` (flat nodes -> values) over the groups."""
+    out = np.zeros(n_points)
+    for sel, flat, w in groups:
+        out[sel] = np.einsum("ipq,ipq->i", w, values(flat).reshape(w.shape))
+    return out
 
 
 class RaySystem:
@@ -122,70 +155,39 @@ class RaySystem:
         self.n_points = xs.shape[0]
         if T is None:
             T = escape_times(domain, xs, self.omega)
-        self.groups = []
-        active = T > _T_FLOOR
-        if np.any(active):
-            idx_active = np.flatnonzero(active)
-            panel_counts = quad.n_panels(T[idx_active])
-            for npan in np.unique(panel_counts):
-                sel = idx_active[panel_counts == npan]
-                w, pts = _ray_geometry(xs[sel], self.omega, self.E, T[sel], npan,
-                                       quad, coeffs.sigma_t, coeffs.shift)
-                self.groups.append((sel, pts.reshape(-1, 3), w))
+        self.groups = list(_attenuated_groups(coeffs, xs, self.omega, self.E, T, quad))
 
     @property
     def n_nodes(self) -> int:
         return sum(p.shape[0] for _, p, _ in self.groups)
 
     def integrate_callable(self, f: Callable) -> np.ndarray:
-        out = np.zeros(self.n_points)
-        for sel, flat, w in self.groups:
-            fv = np.asarray(f(flat, self.omega, self.E), dtype=float).reshape(w.shape)
-            out[sel] = np.einsum("ipq,ipq->i", w, fv)
-        return out
+        return _weighted_sums(self.n_points, self.groups,
+                              lambda flat: np.asarray(f(flat, self.omega, self.E), dtype=float))
 
     def integrate_interp(self, interp: Callable) -> np.ndarray:
-        out = np.zeros(self.n_points)
-        for sel, flat, w in self.groups:
-            fv = interp(flat).reshape(w.shape)
-            out[sel] = np.einsum("ipq,ipq->i", w, fv)
-        return out
+        return _weighted_sums(self.n_points, self.groups, interp)
 
 
 def solve_attenuation_points(f: Callable, coeffs: CoefficientSet, domain: ConvexDomain,
                              xs: np.ndarray, omega: np.ndarray, E: float,
-                             quad: RayQuadrature, T: Optional[np.ndarray] = None,
-                             grid_interp: Optional[Callable] = None) -> np.ndarray:
+                             quad: RayQuadrature, T: Optional[np.ndarray] = None) -> np.ndarray:
     """Attenuation solution at a batch of positions for one direction/energy.
 
     Evaluates the backward characteristic integral
 
-        psi(x) = int_0^T exp(-int_0^t (Sigma+C)) (f + source)(x - t omega) dt,
+        psi(x) = int_0^T exp(-int_0^t (Sigma+C)) f(x - t omega) dt,
 
-    returning zero at inflow/tangential points (T = 0).  ``grid_interp``, if
-    given, maps ray points (m, 3) to additional source values (interpolated
-    scattering sources).
+    returning zero at inflow/tangential points (T = 0).  Unlike ``RaySystem``
+    the panel-count groups are built and integrated one at a time, so only
+    the largest group's nodes are held in memory.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     omega = np.asarray(omega, dtype=float).reshape(3)
     if T is None:
         T = escape_times(domain, xs, omega)
-    out = np.zeros(xs.shape[0])
-    active = T > _T_FLOOR
-    if not np.any(active):
-        return out
-    idx_active = np.flatnonzero(active)
-    groups = quad.n_panels(T[idx_active])
-    for npan in np.unique(groups):
-        sel = idx_active[groups == npan]
-        w, pts = _ray_geometry(xs[sel], omega, E, T[sel], npan,
-                               quad, coeffs.sigma_t, coeffs.shift)
-        flat = pts.reshape(-1, 3)
-        fv = np.asarray(f(flat, omega, E), dtype=float).reshape(w.shape)
-        if grid_interp is not None:
-            fv = fv + grid_interp(flat).reshape(w.shape)
-        out[sel] = np.einsum("ipq,ipq->i", w, fv)
-    return out
+    return _weighted_sums(xs.shape[0], _attenuated_groups(coeffs, xs, omega, E, T, quad),
+                          lambda flat: np.asarray(f(flat, omega, E), dtype=float))
 
 
 def solve_attenuation(f: Callable, coeffs: CoefficientSet, domain: ConvexDomain,
@@ -206,34 +208,16 @@ def attenuation_solution(f: Callable, coeffs: CoefficientSet, domain: ConvexDoma
 
 
 def solve_attenuation_grid(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
-                           quad: RayQuadrature,
-                           grid_source: Optional[DiscreteField] = None) -> DiscreteField:
-    """Attenuation solve at every grid node.
-
-    ``grid_source`` adds a lattice-sampled source (cubic-spline interpolated
-    along rays, zero outside the interior mask); accuracy of that extension
-    relies on the source vanishing near the boundary, which holds for
-    scattering sources with boundary-vanishing kernels.
-    """
-    domain = grid.domain
+                           quad: RayQuadrature) -> DiscreteField:
+    """Attenuation solve at every grid node."""
     t_cache = grid.escape_cache()
     out = np.empty(grid.phase_shape)
     for j in range(grid.n_omega):
         omega = grid.sphere_nodes[j]
         for k in range(grid.n_energy):
-            interp = None
-            if grid_source is not None:
-                box = grid.embed(grid_source.values[:, j, k])
-                filt = ndimage.spline_filter(box, order=3, mode="constant")
-
-                def interp(pts, _filt=filt):
-                    coords = ((pts - grid.origin) / grid.h).T
-                    return ndimage.map_coordinates(_filt, coords, order=3,
-                                                   prefilter=False, mode="constant", cval=0.0)
-
             out[:, j, k] = solve_attenuation_points(
-                f, coeffs, domain, grid.coords, omega, float(grid.energy_nodes[k]),
-                quad, T=t_cache[:, j], grid_interp=interp)
+                f, coeffs, grid.domain, grid.coords, omega, float(grid.energy_nodes[k]),
+                quad, T=t_cache[:, j])
     return DiscreteField(out, grid)
 
 
@@ -253,48 +237,31 @@ def solve_attenuation_gradient(f: Callable, grad_f: Callable, coeffs: Coefficien
     omega = p.omega
     E = p.E
     T = escape_times(domain, x, omega)
-    if T[0] <= _T_FLOOR:
+    group = next(_ray_groups(x, omega, T, quad), None)
+    if group is None:
         return np.zeros(3)
-    npan = int(quad.n_panels(T)[0])
+    _, _, pts, width = group
     if grad_sigma is None:
         grad_sigma = lambda xs, w, e: np.zeros((len(xs), 3))
 
-    xi, eta, B = quad.ref_nodes, quad.ref_weights, quad.partial_matrix
-    width = T / npan
-    t = (np.arange(npan)[None, :, None] + xi[None, None, :]) * width[:, None, None]
-    pts = x[:, None, None, :] - t[..., None] * omega[None, None, None, :]
+    atten, panel_int = _ray_geometry(pts, width, omega, E, quad, coeffs.sigma_t, coeffs.shift)
     flat = pts.reshape(-1, 3)
-    nshape = (1, npan, quad.nodes_per_panel)
-
-    sig = np.asarray(coeffs.sigma_t(flat, omega, E), dtype=float).reshape(nshape) + coeffs.shift
-    panel_int = np.einsum("ipq,q->ip", sig, eta) * width[:, None]
-    run_before = np.cumsum(panel_int, axis=1) - panel_int
-    exponent = run_before[:, :, None] + np.einsum("rq,ipq->ipr", B, sig) * width[:, None, None]
-    total_exponent = float(np.sum(panel_int))
-    w_plain = eta[None, None, :] * width[:, None, None]
-    atten = w_plain * np.exp(-exponent)
-
+    nshape = pts.shape[:3]
     fv = np.asarray(f(flat, omega, E), dtype=float).reshape(nshape)
     gf = np.asarray(grad_f(flat, omega, E), dtype=float).reshape(nshape + (3,))
     gs = np.asarray(grad_sigma(flat, omega, E), dtype=float).reshape(nshape + (3,))
 
     grad = np.empty(3)
     for jax in range(3):
-        comp = gs[..., jax]
-        panel_c = np.einsum("ipq,q->ip", comp, eta) * width[:, None]
-        run_c = np.cumsum(panel_c, axis=1) - panel_c
-        cum_c = run_c[:, :, None] + np.einsum("rq,ipq->ipr", B, comp) * width[:, None, None]
+        _, cum_c = _running_integral(gs[..., jax], width, quad)
         h1 = -float(np.sum(atten * cum_c * fv))
         h2 = float(np.sum(atten * gf[..., jax]))
         grad[jax] = h1 + h2
     if not inflow_vanishing:
-        try:
-            dt_dx = escape_time_gradient(domain, x, omega)[0]
-        except GradientUnavailable:
-            raise
+        dt_dx = escape_time_gradient(domain, x, omega)[0]
         y = (x - T[:, None] * omega)[0]
         f_y = float(np.asarray(f(y.reshape(1, 3), omega, E), dtype=float)[0])
-        grad += math.exp(-total_exponent) * f_y * dt_dx
+        grad += math.exp(-float(np.sum(panel_int))) * f_y * dt_dx
     return grad
 
 
@@ -361,13 +328,7 @@ def accretivity_functional(psi: DiscreteField, coeffs: CoefficientSet, m: int,
         raise NotInH0(f"inflow margin {eta:.3e} below twice the lattice spacing")
 
     # (P + C) psi with pure central streaming (commutes with the inner product)
-    pv = np.empty_like(psi.values)
-    for k in range(grid.n_energy):
-        box = grid.embed(psi.values[:, :, k])
-        stream = np.zeros_like(box)
-        for axis in range(3):
-            stream += grid.diff_central(box, axis) * grid.sphere_nodes[None, None, None, :, axis]
-        pv[:, :, k] = grid.extract(stream)
+    pv = grid.stream(psi.values)
     for j in range(grid.n_omega):
         omega = grid.sphere_nodes[j]
         for k in range(grid.n_energy):

@@ -2,11 +2,11 @@
 verification pipeline, and emit a machine-readable report plus field slices.
 
 Commands:
-    raytrans run <config.json> [--out DIR] [--seed N] [--threads N]
-    raytrans verify <suite>    [--out DIR] [--seed N] [--threads N]
+    raytrans run <config.json> [--out DIR] [--seed N]
+    raytrans verify <suite>    [--out DIR] [--seed N]
 
 Environment overrides mirror the flags with the RAYTRANS_ prefix
-(RAYTRANS_OUT, RAYTRANS_SEED, RAYTRANS_THREADS); explicit flags win.
+(RAYTRANS_OUT, RAYTRANS_SEED); explicit flags win.
 Exit status is zero iff every selected property passes.
 """
 
@@ -347,15 +347,15 @@ def run_scenario(config, out_dir: Optional[str] = None, seed: int = 0,
     if kind not in PROBLEM_KINDS:
         raise ConfigError(f"unknown problem kind '{kind}' (choose from {', '.join(PROBLEM_KINDS)})")
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     domain = build_domain(cfg["domain"])
     grid = build_grid(cfg["grid"], domain)
     coeffs = build_coefficients(cfg["coefficients"], grid)
     report = RunReport(command=f"run:{kind}", scenario=cfg, seed=seed,
                        grid_meta=_grid_meta(grid))
-    t_setup = time.time() - t0
+    t_setup = time.perf_counter() - t0
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     if kind == "attenuation":
         fld = _run_attenuation(cfg, grid, coeffs, report)
     elif kind == "scattering":
@@ -366,7 +366,7 @@ def run_scenario(config, out_dir: Optional[str] = None, seed: int = 0,
         fld = _run_csda(cfg, grid, coeffs, report)
     else:
         fld = _run_explicit_csda(cfg, grid, coeffs, report)
-    t_solve = time.time() - t0
+    t_solve = time.perf_counter() - t0
 
     for suite in cfg.get("verification", []):
         for r in run_suite(suite, seed):
@@ -412,16 +412,7 @@ def main(argv: Optional[list] = None) -> int:
     for p in (p_run, p_ver):
         p.add_argument("--out", default=_env_default("OUT", None), help="output directory")
         p.add_argument("--seed", type=int, default=int(_env_default("SEED", 0)))
-        p.add_argument("--threads", type=int, default=None,
-                       help="thread budget recorded in the report; exported to "
-                            "BLAS thread-count environment variables for child code")
     args = parser.parse_args(argv)
-
-    if args.threads is None and _env_default("THREADS", None) is not None:
-        args.threads = int(_env_default("THREADS", "1"))
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
 
     try:
         if args.cmd == "run":
@@ -432,8 +423,6 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
-    if args.threads is not None:
-        report.timings["threads"] = args.threads
     for p in report.properties:
         status = "PASS" if p["pass"] else "FAIL"
         print(f"{status} {p['name']}: value={p['value']:.6g} tolerance={p['tolerance']:.6g}")

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .attenuation import RayQuadrature, solve_attenuation_points
+from .attenuation import RayQuadrature, _ray_groups, solve_attenuation_points
 from .errors import (
     InsufficientEnergyResolution,
     ShiftTooSmall,
@@ -243,17 +243,8 @@ def explicit_csda_points(f: Callable, sigma_const: float, interval: EnergyInterv
     omega = np.asarray(omega, dtype=float).reshape(3)
     T = np.minimum(escape_times(domain, xs, omega), interval.Em - E)
     out = np.zeros(xs.shape[0])
-    active = T > 1e-14
-    if not np.any(active):
-        return out
-    idx = np.flatnonzero(active)
-    counts = quad.n_panels(T[idx])
-    xi, eta = quad.ref_nodes, quad.ref_weights
-    for npan in np.unique(counts):
-        sel = idx[counts == npan]
-        width = T[sel] / npan
-        s = (np.arange(npan)[None, :, None] + xi[None, None, :]) * width[:, None, None]
-        pts = xs[sel][:, None, None, :] - s[..., None] * omega[None, None, None, :]
+    eta = quad.ref_weights
+    for sel, s, pts, width in _ray_groups(xs, omega, T, quad):
         fv = np.asarray(f(pts.reshape(-1, 3), omega, (E + s).reshape(-1)), dtype=float).reshape(s.shape)
         w = eta[None, None, :] * width[:, None, None] * np.exp(-sigma_const * s)
         out[sel] = np.einsum("ipq,ipq->i", w, fv)

@@ -281,6 +281,19 @@ class GridSpec:
                                                   np.where(use_b1, bwd1, 0.0)))))
         return np.where(mb, out, 0.0)
 
+    def stream(self, values: np.ndarray, masked: bool = False) -> np.ndarray:
+        """omega . grad of phase-space values (n_interior, n_omega, n_energy),
+        with ``diff_masked`` stencils if ``masked``, else ``diff_central``."""
+        op = self.diff_masked if masked else self.diff_central
+        out = np.empty_like(values)
+        for k in range(values.shape[2]):
+            box = self.embed(values[:, :, k])
+            acc = np.zeros_like(box)
+            for axis in range(3):
+                acc += op(box, axis) * self.sphere_nodes[None, None, None, :, axis]
+            out[:, :, k] = self.extract(acc)
+        return out
+
     def derivative_multi(self, box: np.ndarray, alpha, masked: bool = True) -> np.ndarray:
         """Apply the composed spatial derivative of multi-index alpha."""
         op = self.diff_masked if masked else self.diff_central

@@ -407,14 +407,6 @@ def support_margin(domain: ConvexDomain, points: Sequence[PhasePoint]) -> float:
     return float(np.min(escape_times(domain, xs, oms)))
 
 
-def support_margin_arrays(domain: ConvexDomain, xs, omegas) -> float:
-    """Array-based variant of ``support_margin``."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    if xs.size == 0:
-        raise EmptyInput("support_margin needs at least one phase point")
-    return float(np.min(escape_times(domain, xs, omegas)))
-
-
 # -- boundary surface triangulation ---------------------------------------
 
 

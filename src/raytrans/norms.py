@@ -23,24 +23,16 @@ _MAX_SPATIAL_ORDER = 3
 
 @dataclass(frozen=True)
 class NormOrder:
-    """Differentiation orders (spatial, angular, energy).
-
-    Only spatial regularity is computed here; angular and energy orders are
-    carried for interface completeness and must be zero.
-    """
+    """Spatial differentiation order of the discrete Sobolev norms."""
 
     m1: int
-    m2: int = 0
-    m3: int = 0
 
     def __post_init__(self):
-        if min(self.m1, self.m2, self.m3) < 0:
+        if self.m1 < 0:
             raise ValueError("orders must be nonnegative")
 
 
 def _check_order(order: NormOrder) -> None:
-    if order.m2 != 0 or order.m3 != 0:
-        raise OrderTooHigh("angular/energy differentiation orders are not supported")
     if order.m1 > _MAX_SPATIAL_ORDER:
         raise OrderTooHigh(f"spatial order {order.m1} exceeds {_MAX_SPATIAL_ORDER}")
 
@@ -259,19 +251,15 @@ def green_residual(psi: DiscreteField, v: DiscreteField, subdivisions: int = 3,
     dots = mesh.normals @ grid.sphere_nodes.T
     vol = 0.0
     surf = 0.0
+    stream_p = grid.stream(psi.values, masked=True)
+    stream_v = grid.stream(v.values, masked=True)
     for k in range(grid.n_energy):
         E = float(grid.energy_nodes[k])
-        box_p = grid.embed(psi.values[:, :, k])
-        box_v = grid.embed(v.values[:, :, k])
-        stream_p = np.zeros_like(box_p)
-        stream_v = np.zeros_like(box_v)
-        for axis in range(3):
-            stream_p += grid.diff_masked(box_p, axis) * grid.sphere_nodes[None, None, None, :, axis]
-            stream_v += grid.diff_masked(box_v, axis) * grid.sphere_nodes[None, None, None, :, axis]
-        integrand = grid.extract(stream_p * box_v + stream_v * box_p)
+        p_k, v_k = psi.values[:, :, k], v.values[:, :, k]
+        integrand = stream_p[:, :, k] * v_k + stream_v[:, :, k] * p_k
         vol += float(np.sum(grid.vol_weights[:, None] * integrand * grid.sphere_weights[None, :])
                      * grid.energy_weights[k])
-        prod_box = box_p * box_v
+        prod_box = grid.embed(p_k * v_k)
         for j in range(grid.n_omega):
             omega = grid.sphere_nodes[j]
             if psi_trace is not None and v_trace is not None:

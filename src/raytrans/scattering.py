@@ -326,23 +326,9 @@ def lift_values(g: Callable, lam: float, domain: ConvexDomain, xs, omega,
     return vals
 
 
-def lift_inflow(g: Callable, lam: float, domain: ConvexDomain, p: PhasePoint,
-                return_flag: bool = False):
-    """Lift of inflow data at a single phase point.
-
-    With ``return_flag`` the second element reports whether the point sits on
-    the tangential boundary set, where the lift is zero by convention rather
-    than by backtracking.
-    """
-    value = float(lift_values(g, lam, domain, p.x.reshape(1, 3), p.omega, p.E)[0])
-    if not return_flag:
-        return value
-    from .geometry import BOUNDARY_TOL, BoundarySide, classify_boundary
-
-    tangential = False
-    if abs(float(domain.level(p.x.reshape(1, 3))[0])) <= BOUNDARY_TOL:
-        tangential = classify_boundary(domain, p.x, p.omega).side is BoundarySide.TANGENTIAL
-    return value, tangential
+def lift_inflow(g: Callable, lam: float, domain: ConvexDomain, p: PhasePoint) -> float:
+    """Lift of inflow data at a single phase point."""
+    return float(lift_values(g, lam, domain, p.x.reshape(1, 3), p.omega, p.E)[0])
 
 
 def lift_field(g: Callable, lam: float, domain: ConvexDomain) -> Callable:

@@ -364,8 +364,8 @@ def norms_suite(seed: int = 0) -> list[PropertyResult]:
     fld = sample_field(psi_fn, ggrid)
     # mask-aware one-sided stencils carry the outflow flux; zero-embedded
     # central differences telescope to zero and cannot see it
-    stream = _stream_field(fld, masked=True)
-    lhs = 2.0 * float(np.sum(ggrid.vol_weights[:, None, None] * stream.values * fld.values
+    stream = ggrid.stream(fld.values, masked=True)
+    lhs = 2.0 * float(np.sum(ggrid.vol_weights[:, None, None] * stream * fld.values
                              * ggrid.sphere_weights[None, :, None]
                              * ggrid.energy_weights[None, None, :]))
     rhs = nm.boundary_h_norm(psi_fn, ggrid, 0) ** 2
@@ -375,19 +375,6 @@ def norms_suite(seed: int = 0) -> list[PropertyResult]:
     eta, okm = nm.h0_margin(bump_p)
     out.append(PropertyResult("margin_of_interior_bump", okm and eta > 0.3, eta, 0.3))
     return out
-
-
-def _stream_field(psi: DiscreteField, masked: bool = False) -> DiscreteField:
-    grid = psi.grid
-    op = grid.diff_masked if masked else grid.diff_central
-    pv = np.empty_like(psi.values)
-    for k in range(grid.n_energy):
-        box = grid.embed(psi.values[:, :, k])
-        stream = np.zeros_like(box)
-        for axis in range(3):
-            stream += op(box, axis) * grid.sphere_nodes[None, None, None, :, axis]
-        pv[:, :, k] = grid.extract(stream)
-    return DiscreteField(pv, grid)
 
 
 def run_suite(name: str, seed: int = 0) -> list[PropertyResult]:

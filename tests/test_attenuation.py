@@ -70,6 +70,26 @@ class TestPointSolve:
                                    PhasePoint(np.array([1.0, 0, 0]), np.array([-1.0, 0, 0])), quad)
         assert psi == 0.0
 
+    def test_streamed_solve_equals_ray_system(self, ball, quad):
+        # interior points of several panel counts plus inflow boundary points
+        # (T = 0): the streamed one-shot solve and the materialised ray system
+        # share one engine and must agree exactly
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: 0.5 + 0.3 * x[:, 0], shift=0.2)
+        f = lambda x, w, E: np.cos(x[:, 1]) + E
+        w = np.array([0.0, 0.6, 0.8])
+        rng = np.random.default_rng(31)
+        xs, _ = random_phase(rng, 60)
+        inflow = -w + 0.3 * rng.normal(size=(5, 3))
+        inflow /= np.linalg.norm(inflow, axis=1, keepdims=True)
+        xs = np.vstack([xs, inflow, -w])
+        T = escape_times(ball, xs, w)
+        assert np.all(T[60:] <= 1e-14)
+        assert np.unique(quad.n_panels(T[:60])).size > 5
+        psi = at.solve_attenuation_points(f, coeffs, ball, xs, w, 0.4, quad)
+        ref = at.RaySystem(coeffs, ball, xs, w, 0.4, quad).integrate_callable(f)
+        assert np.array_equal(psi, ref)
+        assert np.all(psi[60:] == 0.0) and np.all(psi[:60] > 0.0)
+
     def test_linearity(self, ball, quad):
         coeffs = CoefficientSet(sigma_t=lambda x, w, E: 0.5 + 0.3 * x[:, 0])
         f1 = lambda x, w, E: np.sin(x[:, 0])
@@ -166,10 +186,9 @@ class TestGradient:
                                           quad, inflow_vanishing=True)
         assert np.allclose(g, 0.0)
 
-    def test_gradient_vs_finite_differences(self, ball, quad):
+    @staticmethod
+    def _check_vs_finite_differences(ball, quad, coeffs, grad_sigma):
         # inflow-vanishing bump source: boundary term absent
-        sig0 = 0.7
-        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), sig0), shift=0.3)
         c = np.array([0.1, -0.05, 0.2])
         f = lambda x, w, E: smooth_bump(np.linalg.norm(x - c, axis=1), 0.5)
 
@@ -198,11 +217,25 @@ class TestGradient:
         rng = np.random.default_rng(17)
         xs, oms = random_phase(rng, 25, rmax=0.7)
         for x, w in zip(xs, oms):
-            g = at.solve_attenuation_gradient(f, grad_f, coeffs, None, ball,
+            g = at.solve_attenuation_gradient(f, grad_f, coeffs, grad_sigma, ball,
                                               PhasePoint(x, w), quad, inflow_vanishing=True)
             gn = max(np.max(np.abs(g)), 1e-3)
             for j in range(3):
                 assert abs(fd_richardson(x, w, j) - g[j]) / gn < 1e-4
+
+    def test_gradient_vs_finite_differences(self, ball, quad):
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.7), shift=0.3)
+        self._check_vs_finite_differences(ball, quad, coeffs, None)
+
+    def test_gradient_with_sigma_gradient_vs_finite_differences(self, ball, quad):
+        # non-constant sigma: the differentiated attenuation factor contributes
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: 0.6 + 0.3 * x[:, 0] + 0.2 * x[:, 1] ** 2,
+                                shift=0.3)
+
+        def grad_sigma(x, w, E):
+            return np.stack([np.full(len(x), 0.3), 0.4 * x[:, 1], np.zeros(len(x))], axis=1)
+
+        self._check_vs_finite_differences(ball, quad, coeffs, grad_sigma)
 
     def test_boundary_term_reproduces_exit_time_gradient(self, ball, quad):
         # f = 1, Sigma = C = 0: psi = T, so grad psi = grad T, all from h3
@@ -276,11 +309,8 @@ class TestSupportPreservation:
         T = escape_times(ball, xs, oms)
         short = T < 0.29
         assert np.any(short)
-        vals = at.solve_attenuation_points(f, coeffs, ball, xs[short], None, 0.0, quad) \
-            if False else np.array([
-                at.solve_attenuation(f, coeffs, ball, PhasePoint(x, w), quad)
-                for x, w in zip(xs[short], oms[short])
-            ])
+        vals = np.array([at.solve_attenuation(f, coeffs, ball, PhasePoint(x, w), quad)
+                         for x, w in zip(xs[short], oms[short])])
         assert np.max(np.abs(vals)) < 1e-12
 
     def test_grid_solution_keeps_margin(self, ball, quad):

@@ -240,7 +240,7 @@ class TestSupportAndHyperplane:
         rng = np.random.default_rng(41)
         xs = random_interior(rng, 2000, rmax=0.3)
         oms = random_directions(rng, 2000)
-        m = geo.support_margin_arrays(ball, xs, oms)
+        m = geo.support_margin(ball, [geo.PhasePoint(x, w) for x, w in zip(xs, oms)])
         assert m >= 0.7 - 1e-6
 
     def test_empty_raises(self, ball):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from raytrans import norms as nm
-from raytrans.errors import EmptyTrace, OrderTooHigh
+from raytrans.errors import EmptyTrace
 from raytrans.fields import EnergyInterval, GridSpec, sample_field
 from raytrans.geometry import BoundarySide, ConvexDomain
 
@@ -56,11 +56,6 @@ class TestHNorm:
         assert v[0] <= v[1] <= v[2]
         f3 = f.with_values(3.0 * f.values)
         assert nm.h_norm(f3, nm.NormOrder(2)) == pytest.approx(3.0 * v[2], rel=1e-12)
-
-    def test_angular_orders_rejected(self, grid):
-        f = sample_field(lambda x, w, E: np.ones(len(x)), grid)
-        with pytest.raises(OrderTooHigh):
-            nm.h_norm(f, nm.NormOrder(0, 1, 0))
 
 
 class TestTraceNorm:

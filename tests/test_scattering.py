@@ -217,11 +217,9 @@ class TestLift:
     def test_tangential_point_flagged_zero(self, ball):
         g1 = lambda y, w, E: np.ones(len(y)) + y[:, 0]
         p = PhasePoint(np.array([1.0, 0, 0]), np.array([0.0, 0, 1.0]))
-        value, tangential = sc.lift_inflow(g1, 0.0, ball, p, return_flag=True)
-        assert value == 0.0 and tangential
+        assert sc.lift_inflow(g1, 0.0, ball, p) == 0.0
         p_in = PhasePoint(np.array([1.0, 0, 0]), np.array([-1.0, 0, 0]))
-        value, tangential = sc.lift_inflow(g1, 0.0, ball, p_in, return_flag=True)
-        assert value == pytest.approx(2.0, abs=1e-9) and not tangential
+        assert sc.lift_inflow(g1, 0.0, ball, p_in) == pytest.approx(2.0, abs=1e-9)
 
     def test_inflow_trace_matches_data(self, ball):
         g1 = lambda y, w, E: y[:, 0] + 2.0
