@@ -60,7 +60,7 @@ def _check_stopping(coeffs: CoefficientSet, grid: GridSpec) -> None:
         raise StoppingPowerViolation("continuous slowing down needs a stopping power")
     if coeffs.kappa <= 0.0:
         raise StoppingPowerViolation("kappa must be positive")
-    for E in grid.energy_nodes[:: max(1, grid.n_energy // 4)]:
+    for E in grid.energy_nodes:
         a = np.asarray(coeffs.stopping(grid.coords, float(E)), dtype=float)
         if np.any(-a < coeffs.kappa):
             raise StoppingPowerViolation("-a >= kappa violated on grid nodes")

@@ -157,6 +157,7 @@ class GridSpec:
 
         self._escape = None
         self._fill_idx = None
+        self._stencils = [None, None, None]
         for arr in (self.coords, self.vol_weights, self.boundary_dist,
                     self.sphere_nodes, self.sphere_weights,
                     self.energy_nodes, self.energy_weights):
@@ -235,51 +236,50 @@ class GridSpec:
         out = (up - dn) / (2.0 * self.h[axis])
         return out
 
+    def _stencil_table(self, axis: int) -> tuple[np.ndarray, ...]:
+        """Flat box indices of the mask nodes that take each ``diff_masked``
+        stencil along ``axis``, in priority order: central, 2nd-order
+        forward, 2nd-order backward, 1st-order forward, 1st-order backward.
+        A neighbor beyond a box face counts as outside the mask.  Built on
+        first use and cached per axis."""
+        if self._stencils[axis] is None:
+            m, n = self.mask, self.shape[axis]
+
+            def neighbor(k):
+                s = np.zeros_like(m)
+                dst = [slice(None)] * 3
+                src = [slice(None)] * 3
+                dst[axis] = slice(max(0, -k), n - max(0, k))
+                src[axis] = slice(max(0, k), n + min(0, k))
+                s[tuple(dst)] = m[tuple(src)]
+                return s
+
+            p1, m1, p2, m2 = neighbor(1), neighbor(-1), neighbor(2), neighbor(-2)
+            taken = ~m
+            table = []
+            for use in (p1 & m1, p1 & p2, m1 & m2, p1, m1):
+                use = use & ~taken
+                taken |= use
+                table.append(np.flatnonzero(use))
+            self._stencils[axis] = tuple(table)
+        return self._stencils[axis]
+
     def diff_masked(self, box: np.ndarray, axis: int) -> np.ndarray:
         """Mask-aware first derivative: central in the bulk, second-order
-        one-sided where a neighbor leaves the interior mask."""
-        m = self.mask
-        extra = box.ndim - 3
-        mb = m.reshape(m.shape + (1,) * extra) if extra else m
-
-        def shift(arr, k):
-            s = np.roll(arr, -k, axis=axis)
-            idx = [slice(None)] * arr.ndim
-            if k > 0:
-                idx[axis] = slice(arr.shape[axis] - k, arr.shape[axis])
-            else:
-                idx[axis] = slice(0, -k)
-            s[tuple(idx)] = 0 if arr.dtype != bool else False
-            return s
-
-        f_p1, f_m1 = shift(box, 1), shift(box, -1)
-        f_p2, f_m2 = shift(box, 2), shift(box, -2)
-        m_p1, m_m1 = shift(m, 1), shift(m, -1)
-        m_p2, m_m2 = shift(m, 2), shift(m, -2)
+        one-sided where a neighbor leaves the interior mask, first-order
+        one-sided where only one neighbor is left, zero off the mask.  Each
+        formula is evaluated only on the nodes of ``_stencil_table``."""
+        f = box.reshape(-1, *box.shape[3:])
+        s = int(np.prod(self.shape[axis + 1:]))
         h = self.h[axis]
-
-        central = (f_p1 - f_m1) / (2 * h)
-        fwd2 = (-3 * box + 4 * f_p1 - f_p2) / (2 * h)
-        bwd2 = (3 * box - 4 * f_m1 + f_m2) / (2 * h)
-        fwd1 = (f_p1 - box) / h
-        bwd1 = (box - f_m1) / h
-
-        def bc(cond):
-            c = cond
-            return c.reshape(c.shape + (1,) * extra) if extra else c
-
-        use_central = bc(m_p1 & m_m1)
-        use_f2 = bc(m_p1 & m_p2)
-        use_b2 = bc(m_m1 & m_m2)
-        use_f1 = bc(m_p1)
-        use_b1 = bc(m_m1)
-
-        out = np.where(use_central, central,
-                       np.where(use_f2, fwd2,
-                                np.where(use_b2, bwd2,
-                                         np.where(use_f1, fwd1,
-                                                  np.where(use_b1, bwd1, 0.0)))))
-        return np.where(mb, out, 0.0)
+        central, fwd2, bwd2, fwd1, bwd1 = self._stencil_table(axis)
+        out = np.zeros(f.shape)
+        out[central] = (f[central + s] - f[central - s]) / (2 * h)
+        out[fwd2] = (-3 * f[fwd2] + 4 * f[fwd2 + s] - f[fwd2 + 2 * s]) / (2 * h)
+        out[bwd2] = (3 * f[bwd2] - 4 * f[bwd2 - s] + f[bwd2 - 2 * s]) / (2 * h)
+        out[fwd1] = (f[fwd1 + s] - f[fwd1]) / h
+        out[bwd1] = (f[bwd1] - f[bwd1 - s]) / h
+        return out.reshape(box.shape)
 
     def stream(self, values: np.ndarray, masked: bool = False) -> np.ndarray:
         """omega . grad of phase-space values (n_interior, n_omega, n_energy),
@@ -438,21 +438,3 @@ def _central_derivative_callable(f: Callable, xs: np.ndarray, alpha, h) -> np.nd
     dn = _central_derivative_callable(f, xs - e, rest, h)
     return (up - dn) / (2.0 * h[axis])
 
-
-def validate_coefficients(coeffs: CoefficientSet, grid: GridSpec, n_check: int = 64) -> None:
-    """Spot-check coefficient invariants at sampled grid nodes."""
-    from .errors import StoppingPowerViolation
-
-    idx = np.unique(np.linspace(0, grid.n_interior - 1, min(n_check, grid.n_interior)).astype(int))
-    xs = grid.coords[idx]
-    if coeffs.stopping is not None:
-        for E in grid.energy_nodes[:: max(1, grid.n_energy // 4)]:
-            a = np.asarray(coeffs.stopping(xs, float(E)), dtype=float)
-            if np.any(-a < coeffs.kappa) or coeffs.kappa <= 0.0:
-                raise StoppingPowerViolation("-a >= kappa > 0 violated at sampled nodes")
-    if coeffs.scatter is not None:
-        for j in range(0, grid.n_omega, max(1, grid.n_omega // 4)):
-            v = np.asarray(coeffs.scatter(xs, grid.sphere_nodes[j], grid.sphere_nodes[0],
-                                          float(grid.energy_nodes[0])), dtype=float)
-            if np.any(v < 0.0):
-                raise ValueError("scattering kernel must be nonnegative")

@@ -77,43 +77,36 @@ def apply_scatter(scatter: Callable, psi, x, omega, E: float, grid: GridSpec) ->
 
 
 class _KernelApplier:
-    """Applies the collision operator to grid fields, caching kernel values
-    when they fit in memory."""
+    """Applies the collision operator to grid fields one output direction at
+    a time.  The kernel column (n_x, n_omega) of each (energy node, output
+    direction) is cached while the cached floats, summed over all energies,
+    stay within ``_KERNEL_CACHE_LIMIT``; other columns are evaluated on use."""
 
     def __init__(self, scatter: Callable, grid: GridSpec):
         self.scatter = scatter
         self.grid = grid
         self._cache = {}
-        self._cacheable = grid.n_interior * grid.n_omega**2 <= _KERNEL_CACHE_LIMIT
+        self._budget = _KERNEL_CACHE_LIMIT
 
-    def _slab(self, k: int) -> Optional[np.ndarray]:
-        if not self._cacheable:
-            return None
-        if k not in self._cache:
+    def _column(self, k: int, jout: int) -> np.ndarray:
+        col = self._cache.get((k, jout))
+        if col is None:
             g = self.grid
             E = float(g.energy_nodes[k])
-            K = np.empty((g.n_interior, g.n_omega, g.n_omega))
+            col = np.empty((g.n_interior, g.n_omega))
             for jin in range(g.n_omega):
-                for jout in range(g.n_omega):
-                    K[:, jin, jout] = self.scatter(g.coords, g.sphere_nodes[jin],
-                                                   g.sphere_nodes[jout], E)
-            self._cache[k] = K
-        return self._cache[k]
+                col[:, jin] = self.scatter(g.coords, g.sphere_nodes[jin], g.sphere_nodes[jout], E)
+            if col.size <= self._budget:
+                self._budget -= col.size
+                self._cache[(k, jout)] = col
+        return col
 
     def apply_slice(self, psi_slice: np.ndarray, k: int) -> np.ndarray:
         """psi_slice: (n_x, n_omega) at energy node k -> scattered source."""
-        g = self.grid
-        K = self._slab(k)
-        if K is not None:
-            return np.einsum("xio,i,xi->xo", K, g.sphere_weights, psi_slice)
-        E = float(g.energy_nodes[k])
-        out = np.zeros_like(psi_slice)
-        for jout in range(g.n_omega):
-            acc = np.zeros(g.n_interior)
-            for jin in range(g.n_omega):
-                acc += g.sphere_weights[jin] * psi_slice[:, jin] \
-                    * self.scatter(g.coords, g.sphere_nodes[jin], g.sphere_nodes[jout], E)
-            out[:, jout] = acc
+        w = self.grid.sphere_weights
+        out = np.empty_like(psi_slice)
+        for jout in range(self.grid.n_omega):
+            out[:, jout] = np.einsum("xi,i,xi->x", self._column(k, jout), w, psi_slice)
         return out
 
 

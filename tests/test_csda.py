@@ -126,6 +126,16 @@ class TestMarch:
             csda.march_energy(lambda x, w, E: np.zeros(len(x)), coeffs, grid, quad)
 
 
+    def test_weak_stopping_at_last_energy_node_rejected(self, ball, quad):
+        grid = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 8)
+        coeffs = CoefficientSet(
+            sigma_t=lambda x, w, E: np.full(len(x), 0.5),
+            stopping=lambda x, E: np.full(len(np.atleast_2d(x)), -0.1 if E >= 1.0 else -1.0),
+            kappa=0.5,
+        )
+        with pytest.raises(StoppingPowerViolation):
+            csda.march_energy(lambda x, w, E: np.zeros(len(x)), coeffs, grid, quad, dE=1.0 / 7.0)
+
 class TestSolveCsda:
     def _setup(self, ball, n=21, n_e=3, span=0.3):
         grid = GridSpec(ball, n, 2, 4, EnergyInterval(0.0, span), n_e)

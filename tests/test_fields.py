@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from raytrans import fields as fl
-from raytrans.errors import NonFiniteValue, OrderTooHigh, StoppingPowerViolation
+from raytrans.errors import NonFiniteValue, OrderTooHigh
 from raytrans.geometry import ConvexDomain
 
 
@@ -176,21 +176,61 @@ class TestLeibniz:
                 assert lhs <= rhs * 1.02
 
 
-class TestCoefficientValidation:
-    def test_stopping_power_violation(self, grid):
-        coeffs = fl.CoefficientSet(
-            sigma_t=lambda x, w, E: np.zeros(len(x)),
-            stopping=lambda x, E: np.full(len(x), -0.1),
-            kappa=0.5,
-        )
-        with pytest.raises(StoppingPowerViolation):
-            fl.validate_coefficients(coeffs, grid)
 
-    def test_valid_set_passes(self, grid):
-        coeffs = fl.CoefficientSet(
-            sigma_t=lambda x, w, E: np.ones(len(x)),
-            stopping=lambda x, E: -np.ones(len(x)),
-            kappa=1.0,
-            shift=1.0,
-        )
-        fl.validate_coefficients(coeffs, grid)
+def _neighbor(mask, axis, k):
+    """mask at the node k steps along axis, False beyond the box faces."""
+    pad = [(0, 0)] * 3
+    pad[axis] = (2, 2)
+    return np.take(np.pad(mask, pad), np.arange(2 + k, 2 + k + mask.shape[axis]), axis=axis)
+
+
+def _box_coords(g):
+    axes = [g.origin[k] + g.h[k] * np.arange(g.shape[k]) for k in range(3)]
+    return np.meshgrid(*axes, indexing="ij")
+
+
+@pytest.fixture(scope="module", params=["ball", "ellipsoid"])
+def stencil_grid(request, grid):
+    if request.param == "ball":
+        return grid
+    domain = ConvexDomain.ellipsoid([0.1, -0.05, 0.0], [1.0, 0.7, 0.5])
+    return fl.GridSpec(domain, 17, 1, 2, fl.EnergyInterval(0.0, 1.0), 1)
+
+
+class TestMaskedStencil:
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_linear_field_gives_slope(self, stencil_grid, axis):
+        g = stencil_grid
+        X, Y, Z = _box_coords(g)
+        slope = [0.7, -1.3, 0.4]
+        d = g.diff_masked(0.2 + slope[0] * X + slope[1] * Y + slope[2] * Z, axis)
+        has_nb = g.mask & (_neighbor(g.mask, axis, 1) | _neighbor(g.mask, axis, -1))
+        assert np.any(has_nb & ~(_neighbor(g.mask, axis, 1) & _neighbor(g.mask, axis, -1)))
+        assert np.allclose(d[has_nb], slope[axis], rtol=0.0, atol=1e-11)
+        assert np.all(d[g.mask & ~has_nb] == 0.0)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_quadratic_exact_at_second_order_nodes(self, stencil_grid, axis):
+        g = stencil_grid
+        coords = _box_coords(g)
+        p1, m1 = _neighbor(g.mask, axis, 1), _neighbor(g.mask, axis, -1)
+        p2, m2 = _neighbor(g.mask, axis, 2), _neighbor(g.mask, axis, -2)
+        second = g.mask & ((p1 & m1) | (p1 & p2) | (m1 & m2))
+        assert np.any(second & ~(p1 & m1))
+        d = g.diff_masked(coords[axis] ** 2 + coords[(axis + 1) % 3], axis)
+        assert np.allclose(d[second], 2.0 * coords[axis][second], rtol=0.0, atol=1e-11)
+
+    def test_zero_off_mask(self, stencil_grid):
+        g = stencil_grid
+        box = np.random.default_rng(3).standard_normal(g.shape)
+        for axis in range(3):
+            assert np.all(g.diff_masked(box, axis)[~g.mask] == 0.0)
+
+    def test_channels_differenced_independently(self, stencil_grid):
+        g = stencil_grid
+        box = g.embed(np.random.default_rng(4).standard_normal((g.n_interior, 2)))
+        for axis in range(3):
+            d = g.diff_masked(box, axis)
+            for c in range(2):
+                assert np.array_equal(d[..., c], g.diff_masked(box[..., c], axis))
+

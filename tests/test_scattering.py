@@ -170,6 +170,22 @@ class TestSolveScattering:
         assert err.value.report.iterations == 2
         assert len(err.value.report.residual_history) == 2
 
+    def test_cache_budgets_do_not_change_the_answer(self, ball, quad, monkeypatch):
+        g = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 2)
+        sigma_s = lambda x: 0.5 * smooth_bump(np.linalg.norm(x, axis=1), 0.75)
+        coeffs = CoefficientSet(
+            sigma_t=lambda x, w, E: np.full(len(x), 0.1),
+            scatter=lambda x, wi, wo, E: ISO * (1.0 + 0.5 * (wi @ wo) + 0.2 * E) * sigma_s(x),
+            shift=0.9,
+        )
+        f = lambda x, w, E: smooth_bump(np.linalg.norm(x - 0.1 * w, axis=1), 0.6)
+        cached, rep_cached = sc.solve_scattering(f, coeffs, g, quad, tol=1e-9)
+        monkeypatch.setattr(sc, "_KERNEL_CACHE_LIMIT", 0)
+        monkeypatch.setattr(sc, "_RAY_CACHE_LIMIT", 0)
+        uncached, rep_uncached = sc.solve_scattering(f, coeffs, g, quad, tol=1e-9)
+        assert np.array_equal(cached.values, uncached.values)
+        assert rep_cached.iterations == rep_uncached.iterations
+
     def test_output_keeps_support_margin(self, ball, quad):
         g = GridSpec(ball, 21, 4, 8, EnergyInterval(0.0, 1.0), 1)
         coeffs = CoefficientSet(
