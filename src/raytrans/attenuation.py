@@ -138,6 +138,93 @@ def _weighted_sums(n_points, groups, values):
     return out
 
 
+_OPERATOR_CHUNK = 256  # rays per sweep-operator build step
+
+
+def _bspline3(t):
+    """Cubic B-spline weights (n, 4) of the taps floor(c) - 1 .. floor(c) + 2
+    at fractional lattice offsets t = c - floor(c)."""
+    s = 1.0 - t
+    t2 = t * t
+    t3 = t2 * t
+    return np.stack([s * s * s, 4.0 - 6.0 * t2 + 3.0 * t3,
+                     1.0 + 3.0 * (t + t2 - t3), t3], axis=1) / 6.0
+
+
+@dataclass(frozen=True)
+class SweepOperator:
+    """Sparse map from cubic spline coefficients on the lattice box to the
+    ray integrals of their spline at every point of a ``RaySystem``.
+
+    Row r (point ``rows[r]``) holds the flat box indices
+    ``cols[starts[r]:starts[r+1]]`` and their weights ``data[...]``; points
+    not in ``rows`` get zero.
+    """
+
+    n_points: int
+    rows: np.ndarray     # int32
+    starts: np.ndarray   # int32
+    cols: np.ndarray     # smallest unsigned dtype that indexes the box
+    data: np.ndarray     # float64
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.starts.nbytes + self.cols.nbytes + self.data.nbytes
+
+    def apply(self, coef: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.n_points)
+        if self.rows.size:
+            out[self.rows] = np.add.reduceat(self.data * coef.reshape(-1)[self.cols], self.starts)
+        return out
+
+
+def _operator_chunk(grid, clamp, flat, w, n_rays):
+    """Merged (ray, flat box index, weight) triples of ``n_rays`` rays whose
+    nodes ``flat`` and weights ``w`` are stored ray after ray.
+
+    A node counts only if its nearest lattice node lies in ``clamp``.  Its
+    weight times the tensor cubic B-spline taps goes to the 4 x 4 x 4 box
+    indices from floor(c) - 1, folded into the box by whole-sample mirroring
+    (i -> -i, i -> 2 (n - 1) - i) as ``map_coordinates(mode="constant")``
+    does inside the box.  Taps are summed over runs of nodes that share a
+    ray and a base cell, then over equal indices within each ray.
+    """
+    shape = np.array(grid.shape)
+    strides = np.array([shape[1] * shape[2], shape[2], 1])
+    per_ray = flat.shape[0] // n_rays
+    c = (flat - grid.origin) / grid.h
+    near = np.floor(c + 0.5).astype(np.intp)
+    keep = np.all((near >= 0) & (near < shape), axis=1)
+    keep[keep] = clamp.reshape(-1)[near[keep] @ strides]
+    keep = np.flatnonzero(keep)
+    ray = keep // per_ray
+    c = c[keep]
+    cell = np.floor(c)
+    base = cell.astype(np.intp) - 1
+    new_run = np.ones(keep.size, dtype=bool)
+    new_run[1:] = (ray[1:] != ray[:-1]) | np.any(base[1:] != base[:-1], axis=1)
+    runs = np.flatnonzero(new_run)
+    if runs.size == 0:
+        return runs, runs, np.zeros(0)
+
+    t = c - cell
+    wx, wy, wz = _bspline3(t[:, 0]), _bspline3(t[:, 1]), _bspline3(t[:, 2])
+    taps = (w.reshape(-1)[keep][:, None, None, None] * wx[:, :, None, None]
+            * wy[:, None, :, None] * wz[:, None, None, :]).reshape(-1, 64)
+    taps = np.add.reduceat(taps, runs, axis=0)
+    idx = np.abs(base[runs][:, :, None] + np.arange(4))
+    top = (shape - 1)[None, :, None]
+    idx = np.where(idx > top, 2 * top - idx, idx) * strides[None, :, None]
+    cols = (idx[:, 0, :, None, None] + idx[:, 1, None, :, None] + idx[:, 2, None, None, :]).reshape(-1, 64)
+
+    size = int(np.prod(shape))
+    key = (ray[runs][:, None] * size + cols).reshape(-1)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    return key[first] // size, key[first] % size, np.add.reduceat(taps.reshape(-1)[order], first)
+
+
 class RaySystem:
     """Frozen backward-ray quadrature for one (direction, energy) pair.
 
@@ -167,6 +254,34 @@ class RaySystem:
 
     def integrate_interp(self, interp: Callable) -> np.ndarray:
         return _weighted_sums(self.n_points, self.groups, interp)
+
+    def sweep_operator(self, grid: GridSpec, clamp: np.ndarray) -> SweepOperator:
+        """``integrate_interp`` of the cubic spline interpolant of a lattice
+        box, clamped to the nodes whose nearest lattice node lies in the box
+        mask ``clamp``, as a ``SweepOperator`` on the spline coefficients
+        ``spline_filter(box, order=3, mode="constant")``.  Built
+        ``_OPERATOR_CHUNK`` rays at a time."""
+        col_type = np.min_scalar_type(int(np.prod(grid.shape)) - 1)
+        none = np.zeros(0, dtype=np.intp)
+        rows, counts, cols, data = [none], [none], [none.astype(col_type)], [np.zeros(0)]
+        for sel, flat, w in self.groups:
+            per_ray = flat.shape[0] // sel.size
+            for lo in range(0, sel.size, _OPERATOR_CHUNK):
+                hi = min(lo + _OPERATOR_CHUNK, sel.size)
+                ray, col, val = _operator_chunk(grid, clamp, flat[lo * per_ray:hi * per_ray],
+                                                w[lo:hi], hi - lo)
+                if ray.size == 0:
+                    continue
+                head = np.flatnonzero(np.r_[True, ray[1:] != ray[:-1]])
+                rows.append(sel[lo + ray[head]])
+                counts.append(np.diff(np.r_[head, ray.size]))
+                cols.append(col.astype(col_type))
+                data.append(val)
+        counts = np.concatenate(counts)
+        return SweepOperator(self.n_points,
+                             np.concatenate(rows).astype(np.int32),
+                             (np.cumsum(counts) - counts).astype(np.int32),
+                             np.concatenate(cols), np.concatenate(data))
 
 
 def solve_attenuation_points(f: Callable, coeffs: CoefficientSet, domain: ConvexDomain,

@@ -226,6 +226,7 @@ def _run_scattering(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: R
         "converged": rep.converged,
         "estimated_rate": None if np.isnan(rep.estimated_rate) else float(rep.estimated_rate),
     }
+    report.timings["sweep_cache"] = rep.cache
     report.properties.append(_prop("iteration_converged", rep.converged,
                                    rep.residual_history[-1], tol))
     if coeffs.scatter is not None and not np.isnan(rep.estimated_rate):
@@ -277,6 +278,7 @@ def _run_csda(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: RunRepo
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
     report.norms = _field_norms(fld)
     report.iteration = {"steps": rep.steps, "inner_iterations": rep.inner_iterations}
+    report.timings["sweep_cache"] = rep.cache
     report.properties.append(_prop("cutoff_energy_trace", rep.final_slice_sup < 1e-12,
                                    rep.final_slice_sup, 1e-12))
     report.properties.append(_prop("inflow_trace", rep.inflow_trace_sup < 1e-10,
@@ -372,7 +374,7 @@ def run_scenario(config, out_dir: Optional[str] = None, seed: int = 0,
         for r in run_suite(suite, seed):
             report.properties.append(r.as_dict())
 
-    report.timings = {"setup_s": t_setup, "solve_s": t_solve}
+    report.timings.update(setup_s=t_setup, solve_s=t_solve)
     out_block = cfg.get("output", {})
     target = out_dir if out_dir is not None else out_block.get("dir")
     if target is not None:

@@ -14,7 +14,8 @@ must broadcast over a per-node energy array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,6 +46,7 @@ class MarchReport:
     inner_iterations: int
     final_slice_sup: float
     inflow_trace_sup: float
+    cache: dict = field(default_factory=dict)   # IterationReport.cache summed over steps
 
 
 @dataclass(frozen=True)
@@ -110,13 +112,15 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     C = coeffs.shift
     mgrid = _march_grid(grid, n_steps)
 
-    # solvability of the implicit step: effective absorption must stay
-    # positive with room for the scattering kernel
+    # solvability of the implicit step at every march energy node and
+    # direction: -a >= kappa, and the effective absorption must stay positive
     sig_min = math.inf
-    for Ep in (0.0, 0.5 * L, L):
-        Ehat = Em - Ep
+    for n in range(n_steps + 1):
+        Ehat = Em - n * step
         a = np.asarray(coeffs.stopping(mgrid.coords, Ehat), dtype=float)
-        for j in range(0, mgrid.n_omega, max(1, mgrid.n_omega // 4)):
+        if np.any(-a < coeffs.kappa):
+            raise StoppingPowerViolation(f"-a >= kappa violated at march energy {Ehat:.6g}")
+        for j in range(mgrid.n_omega):
             s = np.asarray(coeffs.sigma_t(mgrid.coords, mgrid.sphere_nodes[j], Ehat), dtype=float)
             sig_min = min(sig_min, float(np.min(s + a * (C - 1.0 / step))))
     if sig_min <= 0.0:
@@ -137,6 +141,7 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
 
     phi = np.zeros((mgrid.n_interior, mgrid.n_omega, n_steps + 1))
     inner_total = 0
+    cache = Counter()
     trace_sup = 0.0
     prev = phi[:, :, 0]
     for n in range(1, n_steps + 1):
@@ -167,6 +172,7 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
         prev = out.values[:, :, 0]
         phi[:, :, n] = prev
         inner_total += rep.iterations
+        cache.update(rep.cache)
         for j in range(0, mgrid.n_omega, max(1, mgrid.n_omega // 8)):
             omega = mgrid.sphere_nodes[j]
             dots = mesh.normals[rng_idx] @ omega
@@ -179,7 +185,7 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
 
     report = MarchReport(steps=n_steps, inner_iterations=inner_total,
                          final_slice_sup=float(np.max(np.abs(phi[:, :, 0]))),
-                         inflow_trace_sup=trace_sup)
+                         inflow_trace_sup=trace_sup, cache=dict(cache))
     return DiscreteField(phi, mgrid), report
 
 

@@ -151,22 +151,21 @@ def trace_norm(tr: TraceField, weighting: str = "plain") -> float:
     sel = tr.selection()
     if not np.any(sel):
         raise EmptyTrace("trace restriction selected no boundary quadrature point")
-    w = np.abs(tr.dots) * sel
-    if weighting == "tau":
-        tau = np.empty_like(tr.dots)
-        for j in range(tr.grid.n_omega):
+    if weighting not in ("plain", "tau"):
+        raise ValueError("weighting must be 'plain' or 'tau'")
+    total = 0.0
+    for j in range(tr.grid.n_omega):
+        w = np.abs(tr.dots[:, j]) * sel[:, j]
+        if weighting == "tau":
             omega = tr.grid.sphere_nodes[j]
             fwd = escape_times(tr.grid.domain, tr.mesh.points, -omega)
             bwd = escape_times(tr.grid.domain, tr.mesh.points, omega)
             # tau_- is the forward chord from inflow points, tau_+ the
             # backward chord from outflow points; both vanish tangentially.
-            tau[:, j] = np.where(tr.dots[:, j] < 0.0, fwd, bwd)
-        w = w * tau
-    elif weighting != "plain":
-        raise ValueError("weighting must be 'plain' or 'tau'")
-    quad = (tr.mesh.areas[:, None, None] * w[:, :, None]
-            * tr.grid.sphere_weights[None, :, None] * tr.grid.energy_weights[None, None, :])
-    return float(np.sqrt(np.sum(quad * tr.values**2)))
+            w = w * np.where(tr.dots[:, j] < 0.0, fwd, bwd)
+        quad = (tr.mesh.areas * w * tr.grid.sphere_weights[j])[:, None] * tr.grid.energy_weights[None, :]
+        total += float(np.sum(quad * tr.values[:, j, :] ** 2))
+    return float(np.sqrt(total))
 
 
 def boundary_h_norm(psi, grid: GridSpec, m: int, subdivisions: int = 3,

@@ -32,17 +32,40 @@ from .fields import (
 )
 from .geometry import ConvexDomain, PhasePoint, escape_times
 
-_KERNEL_CACHE_LIMIT = 30_000_000
+_CACHE_BYTES = 512 * 2**20
+
+
+class _CacheBudget:
+    """Bytes left for the kernel columns and sweep operators that one solve
+    keeps; ``take`` reserves them if they fit."""
+
+    def __init__(self):
+        self.left = _CACHE_BYTES
+
+    def take(self, nbytes: int) -> bool:
+        if nbytes > self.left:
+            return False
+        self.left -= nbytes
+        return True
+
+
+def _cache_counts() -> dict:
+    return {"operators_built": 0, "operator_bytes": 0, "sweeps_rebuilt": 0}
 
 
 @dataclass
 class IterationReport:
-    """Contraction record of one source-iteration run."""
+    """Contraction record of one source-iteration run.
+
+    ``cache`` counts the sweep operators built, the bytes of those kept, and
+    the sweeps that rebuilt their operator because it was over budget.
+    """
 
     iterations: int = 0
     residual_history: list = field(default_factory=list)
     converged: bool = False
     estimated_rate: float = math.nan
+    cache: dict = field(default_factory=_cache_counts)
 
     def finish(self) -> "IterationReport":
         ratios = [b / a for a, b in zip(self.residual_history, self.residual_history[1:]) if a > 0]
@@ -78,35 +101,38 @@ def apply_scatter(scatter: Callable, psi, x, omega, E: float, grid: GridSpec) ->
 
 class _KernelApplier:
     """Applies the collision operator to grid fields one output direction at
-    a time.  The kernel column (n_x, n_omega) of each (energy node, output
-    direction) is cached while the cached floats, summed over all energies,
-    stay within ``_KERNEL_CACHE_LIMIT``; other columns are evaluated on use."""
+    a time.  The kernel column of each (energy node, output direction) is
+    kept as its non-zero rows and their (n_rows, n_omega) values; it is
+    cached while ``budget`` allows, otherwise evaluated on use."""
 
-    def __init__(self, scatter: Callable, grid: GridSpec):
+    def __init__(self, scatter: Callable, grid: GridSpec, budget: Optional[_CacheBudget] = None):
         self.scatter = scatter
         self.grid = grid
         self._cache = {}
-        self._budget = _KERNEL_CACHE_LIMIT
+        self._budget = budget if budget is not None else _CacheBudget()
 
-    def _column(self, k: int, jout: int) -> np.ndarray:
-        col = self._cache.get((k, jout))
-        if col is None:
+    def column(self, k: int, jout: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, values) of the kernel column at energy node k, out-direction jout."""
+        hit = self._cache.get((k, jout))
+        if hit is None:
             g = self.grid
             E = float(g.energy_nodes[k])
             col = np.empty((g.n_interior, g.n_omega))
             for jin in range(g.n_omega):
                 col[:, jin] = self.scatter(g.coords, g.sphere_nodes[jin], g.sphere_nodes[jout], E)
-            if col.size <= self._budget:
-                self._budget -= col.size
-                self._cache[(k, jout)] = col
-        return col
+            rows = np.flatnonzero(np.any(col != 0.0, axis=1))
+            hit = (rows, col[rows])
+            if self._budget.take(rows.nbytes + hit[1].nbytes):
+                self._cache[(k, jout)] = hit
+        return hit
 
     def apply_slice(self, psi_slice: np.ndarray, k: int) -> np.ndarray:
         """psi_slice: (n_x, n_omega) at energy node k -> scattered source."""
         w = self.grid.sphere_weights
-        out = np.empty_like(psi_slice)
+        out = np.zeros_like(psi_slice)
         for jout in range(self.grid.n_omega):
-            out[:, jout] = np.einsum("xi,i,xi->x", self._column(k, jout), w, psi_slice)
+            rows, col = self.column(k, jout)
+            out[rows, jout] = np.einsum("xi,i,xi->x", col, w, psi_slice[rows])
         return out
 
 
@@ -178,17 +204,24 @@ def solvability_threshold(coeffs: CoefficientSet, grid: GridSpec, m: int = 0) ->
     return c_sigma + c_kernel
 
 
-def _grid_interp_factory(grid: GridSpec, slab: np.ndarray) -> Callable:
-    """Cubic-spline evaluator for one spatial slab (zero outside the mask).
+def _support_clamp(support: np.ndarray) -> np.ndarray:
+    """Two-cell dilation of a box support: the nodes where a clamped cubic
+    interpolant of data on that support is evaluated.
 
-    The evaluation is clamped to the two-cell dilation of the slab support:
-    a local cubic interpolant of compactly supported data vanishes there, and
-    the clamp removes the global ringing that the spline prefilter would
-    otherwise spread across the box, preserving discrete support margins.
+    A local cubic interpolant of compactly supported data vanishes beyond
+    it, and the clamp removes the global ringing that the spline prefilter
+    would otherwise spread across the box, preserving discrete support
+    margins.
     """
+    return ndimage.binary_dilation(support, np.ones((3, 3, 3), bool), iterations=2)
+
+
+def _grid_interp_factory(grid: GridSpec, slab: np.ndarray) -> Callable:
+    """Cubic-spline evaluator for one spatial slab (zero outside the mask),
+    clamped to the ``_support_clamp`` of the slab support."""
     box = grid.embed(slab)
     filt = ndimage.spline_filter(box, order=3, mode="constant")
-    support = ndimage.binary_dilation(box != 0.0, np.ones((3, 3, 3), bool), iterations=2)
+    support = _support_clamp(box != 0.0)
 
     def interp(pts):
         coords = ((pts - grid.origin) / grid.h).T
@@ -201,7 +234,13 @@ def _grid_interp_factory(grid: GridSpec, slab: np.ndarray) -> Callable:
     return interp
 
 
-_RAY_CACHE_LIMIT = 60_000_000
+def _kernel_sweep_operator(system, applier: _KernelApplier, j: int, k: int):
+    """``system.sweep_operator`` clamped to the ``_support_clamp`` of the
+    kernel's non-zero rows at energy node k, out-direction j."""
+    grid = applier.grid
+    support = np.zeros(grid.shape, dtype=bool)
+    support.reshape(-1)[grid.interior_idx[applier.column(k, j)[0]]] = True
+    return system.sweep_operator(grid, _support_clamp(support))
 
 
 def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
@@ -214,13 +253,19 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
 
     By linearity each iterate is the fixed attenuation inverse of f plus the
     attenuation inverse of the scattered previous iterate, so the analytic
-    source is ray-integrated once and sweeps only re-integrate the
-    spline-interpolated lattice source.  Stops when the sup change between
-    iterates falls below tol.  ``grid_source`` adds a lattice source of shape
-    (n_x, n_omega, n_E); ``check_threshold`` verifies C > C'' first (callers
-    with their own solvability criterion, like the energy marcher, disable
-    it); ``t_cap`` truncates rays where strong absorption makes the tail
-    negligible.
+    source is ray-integrated once.  The sweep of each (direction, energy) is
+    built once as a ``SweepOperator`` on the cubic spline coefficients of the
+    scattered slab, clamped to the ``_support_clamp`` of the kernel's
+    non-zero rows there (which holds the support of every scattered slab);
+    each ray system is dropped once its operator is built.  Operators and
+    cached kernel columns share one ``_CACHE_BYTES`` budget; a sweep whose
+    operator is over budget rebuilds it, with the same arithmetic.  Stops
+    when the sup change between iterates falls below tol.  ``grid_source``
+    adds a lattice source of shape (n_x, n_omega, n_E), integrated once
+    through ``_grid_interp_factory``; ``check_threshold`` verifies C > C''
+    first (callers with their own solvability criterion, like the energy
+    marcher, disable it); ``t_cap`` truncates rays where strong absorption
+    makes the tail negligible.
     """
     from .attenuation import RaySystem
 
@@ -228,30 +273,18 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
         thr = solvability_threshold(coeffs, grid, m=0)
         if coeffs.shift <= thr:
             raise ShiftTooSmall(f"shift {coeffs.shift} <= threshold {thr:.6g}")
-    applier = _KernelApplier(coeffs.scatter, grid) if coeffs.scatter is not None else None
+    budget = _CacheBudget()
+    applier = _KernelApplier(coeffs.scatter, grid, budget) if coeffs.scatter is not None else None
     t_cache = grid.escape_cache()
     if t_cap is not None:
         t_cache = np.minimum(t_cache, t_cap)
-
-    systems = {}
-    cacheable = True
-    budget = _RAY_CACHE_LIMIT
+    report = IterationReport()
 
     def system(j: int, k: int) -> RaySystem:
-        nonlocal cacheable, budget
-        key = (j, k)
-        if key in systems:
-            return systems[key]
-        sys_jk = RaySystem(coeffs, grid.domain, grid.coords, grid.sphere_nodes[j],
-                           float(grid.energy_nodes[k]), quad, T=t_cache[:, j])
-        if cacheable:
-            budget -= 4 * sys_jk.n_nodes
-            if budget > 0:
-                systems[key] = sys_jk
-            else:
-                cacheable = False
-        return sys_jk
+        return RaySystem(coeffs, grid.domain, grid.coords, grid.sphere_nodes[j],
+                         float(grid.energy_nodes[k]), quad, T=t_cache[:, j])
 
+    operators = {}
     psi_fix = np.empty(grid.phase_shape)
     for j in range(grid.n_omega):
         for k in range(grid.n_energy):
@@ -260,9 +293,15 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
             if grid_source is not None:
                 interp = _grid_interp_factory(grid, grid_source[:, j, k])
                 psi_fix[:, j, k] += s.integrate_interp(interp)
+            if applier is not None:
+                op = _kernel_sweep_operator(s, applier, j, k)
+                report.cache["operators_built"] += 1
+                if budget.take(op.nbytes):
+                    operators[(j, k)] = op
+                    report.cache["operator_bytes"] += op.nbytes
+            del s
 
     psi = np.zeros(grid.phase_shape) if psi0 is None else np.array(psi0, dtype=float)
-    report = IterationReport()
     resid = math.inf
     for it in range(max_iter):
         if applier is None:
@@ -272,8 +311,12 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
             for k in range(grid.n_energy):
                 scattered = applier.apply_slice(psi[:, :, k], k)
                 for j in range(grid.n_omega):
-                    interp = _grid_interp_factory(grid, scattered[:, j])
-                    new[:, j, k] += system(j, k).integrate_interp(interp)
+                    op = operators.get((j, k))
+                    if op is None:
+                        op = _kernel_sweep_operator(system(j, k), applier, j, k)
+                        report.cache["sweeps_rebuilt"] += 1
+                    coef = ndimage.spline_filter(grid.embed(scattered[:, j]), order=3, mode="constant")
+                    new[:, j, k] += op.apply(coef)
         resid = float(np.max(np.abs(new - psi)))
         report.residual_history.append(resid)
         report.iterations = it + 1

@@ -64,6 +64,10 @@ class TestRunScenario:
         report = cli.run_scenario(cfg)
         assert report.iteration["converged"]
         assert report.all_passed
+        # one sweep operator per (direction, energy), counted outside the body
+        assert report.timings["sweep_cache"]["operators_built"] == 8
+        assert report.timings["sweep_cache"]["sweeps_rebuilt"] == 0
+        assert "sweep_cache" not in report.to_json(include_timings=False)
 
     def test_csda_halving_sweep(self, tmp_path):
         cfg = {

@@ -3,7 +3,7 @@ import pytest
 
 from raytrans import csda
 from raytrans.attenuation import RayQuadrature
-from raytrans.errors import InsufficientEnergyResolution, StoppingPowerViolation
+from raytrans.errors import InsufficientEnergyResolution, ShiftTooSmall, StoppingPowerViolation
 from raytrans.fields import CoefficientSet, DiscreteField, EnergyInterval, GridSpec
 from raytrans.geometry import ConvexDomain, PhasePoint
 from raytrans.norms import NormOrder, h_norm
@@ -135,6 +135,39 @@ class TestMarch:
         )
         with pytest.raises(StoppingPowerViolation):
             csda.march_energy(lambda x, w, E: np.zeros(len(x)), coeffs, grid, quad, dE=1.0 / 7.0)
+
+    # On 3 energy nodes over [0, 1] with dE = 1/4 the march nodes are
+    # E = 1, 3/4, 1/2, 1/4, 0; E = 3/4 and 1/4 are not grid nodes, and
+    # direction 1 of the 2 x 4 sphere rule lies between every other one.
+    def test_weak_stopping_at_march_node_rejected(self, ball, quad):
+        grid = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 3)
+        coeffs = CoefficientSet(
+            sigma_t=lambda x, w, E: np.full(len(x), 0.5),
+            stopping=lambda x, E: np.full(len(np.atleast_2d(x)), -0.1 if abs(E - 0.75) < 1e-9 else -1.0),
+            kappa=0.5,
+        )
+        with pytest.raises(StoppingPowerViolation):
+            csda.march_energy(lambda x, w, E: np.zeros(len(x)), coeffs, grid, quad, dE=0.25)
+
+    def test_negative_effective_absorption_at_one_direction_rejected(self, ball, quad):
+        grid = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 3)
+        bad = grid.sphere_nodes[1]
+        coeffs = CoefficientSet(
+            sigma_t=lambda x, w, E: np.full(len(x), -1e3 if np.allclose(w, bad) else 0.5),
+            stopping=unit_stopping, kappa=1.0,
+        )
+        with pytest.raises(ShiftTooSmall):
+            csda.march_energy(lambda x, w, E: np.zeros(len(x)), coeffs, grid, quad, dE=0.25)
+
+    def test_negative_effective_absorption_at_one_march_node_rejected(self, ball, quad):
+        grid = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 3)
+        coeffs = CoefficientSet(
+            sigma_t=lambda x, w, E: np.full(len(x), -1e3 if abs(E - 0.75) < 1e-9 else 0.5),
+            stopping=unit_stopping, kappa=1.0,
+        )
+        with pytest.raises(ShiftTooSmall):
+            csda.march_energy(lambda x, w, E: np.zeros(len(x)), coeffs, grid, quad, dE=0.25)
+
 
 class TestSolveCsda:
     def _setup(self, ball, n=21, n_e=3, span=0.3):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from raytrans import attenuation as at
 from raytrans import scattering as sc
@@ -180,11 +181,15 @@ class TestSolveScattering:
         )
         f = lambda x, w, E: smooth_bump(np.linalg.norm(x - 0.1 * w, axis=1), 0.6)
         cached, rep_cached = sc.solve_scattering(f, coeffs, g, quad, tol=1e-9)
-        monkeypatch.setattr(sc, "_KERNEL_CACHE_LIMIT", 0)
-        monkeypatch.setattr(sc, "_RAY_CACHE_LIMIT", 0)
+        monkeypatch.setattr(sc, "_CACHE_BYTES", 0)
         uncached, rep_uncached = sc.solve_scattering(f, coeffs, g, quad, tol=1e-9)
         assert np.array_equal(cached.values, uncached.values)
         assert rep_cached.iterations == rep_uncached.iterations
+        n_sweeps = g.n_omega * g.n_energy
+        assert rep_cached.cache["operators_built"] == n_sweeps
+        assert rep_cached.cache["sweeps_rebuilt"] == 0
+        assert rep_uncached.cache["operator_bytes"] == 0
+        assert rep_uncached.cache["sweeps_rebuilt"] == n_sweeps * rep_uncached.iterations
 
     def test_output_keeps_support_margin(self, ball, quad):
         g = GridSpec(ball, 21, 4, 8, EnergyInterval(0.0, 1.0), 1)
@@ -197,6 +202,57 @@ class TestSolveScattering:
         psi, _ = sc.solve_scattering(f, coeffs, g, quad, tol=1e-10)
         eta, ok = h0_margin(psi)
         assert ok and eta > 0.25
+
+
+def _kernel_sweep(grid, coeffs, quad, j, k, slab_rng):
+    """Operator and direct sweep of a random slab on the kernel's non-zero
+    rows at (k, j), as ``solve_scattering`` builds them."""
+    applier = sc._KernelApplier(coeffs.scatter, grid)
+    rows = applier.column(k, j)[0]
+    system = at.RaySystem(coeffs, grid.domain, grid.coords, grid.sphere_nodes[j],
+                          float(grid.energy_nodes[k]), quad, T=grid.escape_cache()[:, j])
+    op = sc._kernel_sweep_operator(system, applier, j, k)
+    slab = np.zeros(grid.n_interior)
+    slab[rows] = slab_rng.uniform(0.5, 1.5, rows.size)
+    coef = ndimage.spline_filter(grid.embed(slab), order=3, mode="constant")
+    return op, op.apply(coef), system.integrate_interp(sc._grid_interp_factory(grid, slab))
+
+
+class TestSweepOperator:
+    # The operator reorders the sums of the direct sweep; both see the same
+    # spline taps and ray weights, so they agree to round-off.
+    REL_TOL = 1e-13
+
+    def test_operator_matches_direct_sweep(self, ball, quad):
+        g = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 2)
+        coeffs = CoefficientSet(
+            sigma_t=lambda x, w, E: 0.3 + 0.2 * x[:, 0] + 0.1 * E,
+            scatter=lambda x, wi, wo, E: ISO * (1.0 + 0.3 * wo[2]) * smooth_bump(
+                np.linalg.norm(x - 0.2 * wo, axis=1), 0.55 + 0.1 * E),
+            shift=1.0,
+        )
+        rng = np.random.default_rng(3)
+        for j, k in [(0, 0), (3, 1), (5, 0), (7, 1)]:
+            op, fast, direct = _kernel_sweep(g, coeffs, quad, j, k, rng)
+            assert op.cols.dtype == np.uint16
+            assert np.max(np.abs(direct)) > 0.1
+            assert np.max(np.abs(fast - direct)) <= self.REL_TOL * np.max(np.abs(direct))
+        system = at.RaySystem(coeffs, ball, g.coords, g.sphere_nodes[0], 0.0, quad)
+        empty = system.sweep_operator(g, np.zeros(g.shape, dtype=bool))
+        assert empty.nbytes == 0
+        assert np.array_equal(empty.apply(np.ones(g.shape)), np.zeros(g.n_interior))
+
+    def test_wide_index_dtype(self, ball):
+        g = GridSpec(ball, 41, 1, 2, EnergyInterval(0.0, 1.0), 1)
+        coeffs = CoefficientSet(
+            sigma_t=lambda x, w, E: np.full(len(x), 0.3),
+            scatter=lambda x, wi, wo, E: ISO * smooth_bump(np.linalg.norm(x, axis=1), 0.3),
+            shift=1.0,
+        )
+        op, fast, direct = _kernel_sweep(g, coeffs, at.RayQuadrature(4, 2), 1, 0,
+                                         np.random.default_rng(4))
+        assert op.cols.dtype == np.uint32
+        assert np.max(np.abs(fast - direct)) <= self.REL_TOL * np.max(np.abs(direct))
 
 
 class TestLift:
