@@ -88,7 +88,9 @@ def _ray_groups(xs, omega, T, quad):
     their entries stay zero.  Yields (sel, s, pts, width): sel indexes the
     group's rays in the batch, s (n_rays, n_panels, n_nodes) is the distance
     of each node from its ray start, pts (..., 3) the nodes x - s omega, and
-    width (n_rays,) the panel width.
+    width (n_rays,) the panel width.  The nodes are filled one coordinate at
+    a time: a broadcast with a length-3 innermost axis is several times
+    slower for the same arithmetic.
     """
     idx_active = np.flatnonzero(T > _T_FLOOR)
     if idx_active.size == 0:
@@ -98,7 +100,11 @@ def _ray_groups(xs, omega, T, quad):
         sel = idx_active[panel_counts == npan]
         width = T[sel] / npan
         s = (np.arange(npan)[None, :, None] + quad.ref_nodes[None, None, :]) * width[:, None, None]
-        pts = xs[sel][:, None, None, :] - s[..., None] * omega[None, None, None, :]
+        pts = np.empty(s.shape + (3,))
+        flat_s = s.reshape(sel.size, -1)
+        flat_p = pts.reshape(sel.size, -1, 3)
+        for ax in range(3):
+            flat_p[:, :, ax] = xs[sel, ax][:, None] - flat_s * omega[ax]
         yield sel, s, pts, width
 
 
@@ -111,23 +117,22 @@ def _running_integral(g, width, quad):
     return panel, before[:, :, None] + partial
 
 
-def _ray_geometry(pts, width, omega, E, quad, sigma_fn, shift):
-    """Attenuation-weighted quadrature for one panel-count group.
+def _node_sigma(coeffs, pts, omega, E):
+    """sigma + shift at the nodes of one panel-count group, shaped like s."""
+    return np.asarray(coeffs.sigma_t(pts.reshape(-1, 3), omega, E),
+                      dtype=float).reshape(pts.shape[:3]) + coeffs.shift
+
+
+def _ray_geometry(sig, width, quad):
+    """Attenuation-weighted quadrature for one panel-count group with
+    sigma + shift values ``sig`` at its nodes.
 
     Returns (weights, panel_int): the weights carry exp(-running integral of
     sigma+shift), so integrating a source is a plain weighted sum, and
     panel_int holds the per-panel integrals of sigma+shift.
     """
-    sig = np.asarray(sigma_fn(pts.reshape(-1, 3), omega, E), dtype=float).reshape(pts.shape[:3]) + shift
     panel_int, exponent = _running_integral(sig, width, quad)
     return quad.ref_weights[None, None, :] * width[:, None, None] * np.exp(-exponent), panel_int
-
-
-def _attenuated_groups(coeffs, xs, omega, E, T, quad):
-    """(sel, flat nodes, attenuation weights) per panel-count group, lazily."""
-    for sel, _, pts, width in _ray_groups(xs, omega, T, quad):
-        w, _ = _ray_geometry(pts, width, omega, E, quad, coeffs.sigma_t, coeffs.shift)
-        yield sel, pts.reshape(-1, 3), w
 
 
 def _weighted_sums(n_points, groups, values):
@@ -149,6 +154,19 @@ def _bspline3(t):
     t3 = t2 * t
     return np.stack([s * s * s, 4.0 - 6.0 * t2 + 3.0 * t3,
                      1.0 + 3.0 * (t + t2 - t3), t3], axis=1) / 6.0
+
+
+def _in_clamp(c, clamp):
+    """Whether each lattice coordinate c (n, 3) is kept by the box mask
+    ``clamp``: it lies in the box and its nearest lattice node
+    floor(c + 1/2) is set, the rule of ``map_coordinates(order=0,
+    mode="constant")`` on the mask."""
+    nx, ny, nz = clamp.shape
+    inside = (c >= 0.0) & (c <= np.array([nx - 1, ny - 1, nz - 1]))
+    keep = inside[:, 0] & inside[:, 1] & inside[:, 2]
+    near = np.floor(c[keep] + 0.5).astype(np.intp)
+    keep[keep] = clamp.reshape(-1)[near @ np.array([ny * nz, nz, 1])]
+    return keep
 
 
 @dataclass(frozen=True)
@@ -182,21 +200,18 @@ def _operator_chunk(grid, clamp, flat, w, n_rays):
     """Merged (ray, flat box index, weight) triples of ``n_rays`` rays whose
     nodes ``flat`` and weights ``w`` are stored ray after ray.
 
-    A node counts only if its nearest lattice node lies in ``clamp``.  Its
-    weight times the tensor cubic B-spline taps goes to the 4 x 4 x 4 box
-    indices from floor(c) - 1, folded into the box by whole-sample mirroring
-    (i -> -i, i -> 2 (n - 1) - i) as ``map_coordinates(mode="constant")``
-    does inside the box.  Taps are summed over runs of nodes that share a
-    ray and a base cell, then over equal indices within each ray.
+    A node counts only if ``_in_clamp`` keeps it.  Its weight times the
+    tensor cubic B-spline taps goes to the 4 x 4 x 4 box indices from
+    floor(c) - 1, folded into the box by whole-sample mirroring (i -> -i,
+    i -> 2 (n - 1) - i) as ``map_coordinates(mode="constant")`` does inside
+    the box.  Taps are summed over runs of nodes that share a ray and a
+    base cell, then over equal indices within each ray.
     """
     shape = np.array(grid.shape)
     strides = np.array([shape[1] * shape[2], shape[2], 1])
     per_ray = flat.shape[0] // n_rays
     c = (flat - grid.origin) / grid.h
-    near = np.floor(c + 0.5).astype(np.intp)
-    keep = np.all((near >= 0) & (near < shape), axis=1)
-    keep[keep] = clamp.reshape(-1)[near[keep] @ strides]
-    keep = np.flatnonzero(keep)
+    keep = np.flatnonzero(_in_clamp(c, clamp))
     ray = keep // per_ray
     c = c[keep]
     cell = np.floor(c)
@@ -242,7 +257,10 @@ class RaySystem:
         self.n_points = xs.shape[0]
         if T is None:
             T = escape_times(domain, xs, self.omega)
-        self.groups = list(_attenuated_groups(coeffs, xs, self.omega, self.E, T, quad))
+        self.groups = []
+        for sel, _, pts, width in _ray_groups(xs, self.omega, T, quad):
+            w, _ = _ray_geometry(_node_sigma(coeffs, pts, self.omega, self.E), width, quad)
+            self.groups.append((sel, pts.reshape(-1, 3), w))
 
     @property
     def n_nodes(self) -> int:
@@ -257,10 +275,10 @@ class RaySystem:
 
     def sweep_operator(self, grid: GridSpec, clamp: np.ndarray) -> SweepOperator:
         """``integrate_interp`` of the cubic spline interpolant of a lattice
-        box, clamped to the nodes whose nearest lattice node lies in the box
-        mask ``clamp``, as a ``SweepOperator`` on the spline coefficients
-        ``spline_filter(box, order=3, mode="constant")``.  Built
-        ``_OPERATOR_CHUNK`` rays at a time."""
+        box, clamped by ``_in_clamp`` to the box mask ``clamp``, as a
+        ``SweepOperator`` on the spline coefficients ``spline_filter(box,
+        order=3, mode="constant")``.  Built ``_OPERATOR_CHUNK`` rays at a
+        time."""
         col_type = np.min_scalar_type(int(np.prod(grid.shape)) - 1)
         none = np.zeros(0, dtype=np.intp)
         rows, counts, cols, data = [none], [none], [none.astype(col_type)], [np.zeros(0)]
@@ -285,24 +303,38 @@ class RaySystem:
 
 
 def solve_attenuation_points(f: Callable, coeffs: CoefficientSet, domain: ConvexDomain,
-                             xs: np.ndarray, omega: np.ndarray, E: float,
+                             xs: np.ndarray, omega: np.ndarray, E: float | np.ndarray,
                              quad: RayQuadrature, T: Optional[np.ndarray] = None) -> np.ndarray:
-    """Attenuation solution at a batch of positions for one direction/energy.
+    """Attenuation solution at a batch of positions for one direction.
 
     Evaluates the backward characteristic integral
 
         psi(x) = int_0^T exp(-int_0^t (Sigma+C)) f(x - t omega) dt,
 
-    returning zero at inflow/tangential points (T = 0).  Unlike ``RaySystem``
-    the panel-count groups are built and integrated one at a time, so only
-    the largest group's nodes are held in memory.
+    returning zero at inflow/tangential points (T = 0).  ``E`` is one energy
+    (result (n,)) or a 1-D array of energies (result (n, n_E)).  Unlike
+    ``RaySystem`` the panel-count groups are built and integrated one at a
+    time, so only the largest group's nodes are held in memory.  The nodes
+    of a group serve every energy; its attenuation weights are recomputed
+    only when sigma at the nodes differs from the previous energy's.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     omega = np.asarray(omega, dtype=float).reshape(3)
+    energies = np.asarray(E, dtype=float)
     if T is None:
         T = escape_times(domain, xs, omega)
-    return _weighted_sums(xs.shape[0], _attenuated_groups(coeffs, xs, omega, E, T, quad),
-                          lambda flat: np.asarray(f(flat, omega, E), dtype=float))
+    out = np.zeros((xs.shape[0], energies.size))
+    for sel, _, pts, width in _ray_groups(xs, omega, T, quad):
+        flat = pts.reshape(-1, 3)
+        sig_prev = None
+        for k, Ek in enumerate(energies.reshape(-1).tolist()):
+            sig = _node_sigma(coeffs, pts, omega, Ek)
+            if sig_prev is None or not np.array_equal(sig, sig_prev):
+                w, _ = _ray_geometry(sig, width, quad)
+                sig_prev = sig
+            fv = np.asarray(f(flat, omega, Ek), dtype=float).reshape(w.shape)
+            out[sel, k] = np.einsum("ipq,ipq->i", w, fv)
+    return out[:, 0] if energies.ndim == 0 else out
 
 
 def solve_attenuation(f: Callable, coeffs: CoefficientSet, domain: ConvexDomain,
@@ -328,11 +360,9 @@ def solve_attenuation_grid(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     t_cache = grid.escape_cache()
     out = np.empty(grid.phase_shape)
     for j in range(grid.n_omega):
-        omega = grid.sphere_nodes[j]
-        for k in range(grid.n_energy):
-            out[:, j, k] = solve_attenuation_points(
-                f, coeffs, grid.domain, grid.coords, omega, float(grid.energy_nodes[k]),
-                quad, T=t_cache[:, j])
+        out[:, j, :] = solve_attenuation_points(f, coeffs, grid.domain, grid.coords,
+                                                grid.sphere_nodes[j], grid.energy_nodes,
+                                                quad, T=t_cache[:, j])
     return DiscreteField(out, grid)
 
 
@@ -359,7 +389,7 @@ def solve_attenuation_gradient(f: Callable, grad_f: Callable, coeffs: Coefficien
     if grad_sigma is None:
         grad_sigma = lambda xs, w, e: np.zeros((len(xs), 3))
 
-    atten, panel_int = _ray_geometry(pts, width, omega, E, quad, coeffs.sigma_t, coeffs.shift)
+    atten, panel_int = _ray_geometry(_node_sigma(coeffs, pts, omega, E), width, quad)
     flat = pts.reshape(-1, 3)
     nshape = pts.shape[:3]
     fv = np.asarray(f(flat, omega, E), dtype=float).reshape(nshape)

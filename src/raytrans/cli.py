@@ -93,12 +93,26 @@ def _get(block: dict, key: str, context: str):
     return block[key]
 
 
+def _number(block: dict, key: str, context: str, kind=float, default=None):
+    """``block[key]`` (``default`` when given and the key is absent) as a
+    ``kind`` number; a value that does not convert raises ``ConfigError``."""
+    value = _get(block, key, context) if default is None else block.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"'{key}' in {context} block must be {what}, got {value!r}") from None
+
+
 def build_domain(block: dict) -> ConvexDomain:
     kind = _get(block, "kind", "domain")
     if kind == "unit_ball":
         return ConvexDomain.unit_ball()
     if kind == "ball":
-        return ConvexDomain.ball(block.get("center", (0, 0, 0)), _get(block, "radius", "domain"))
+        radius = _number(block, "radius", "domain")
+        if not radius > 0.0:
+            raise ConfigError(f"'radius' in domain block must be positive, got {radius!r}")
+        return ConvexDomain.ball(block.get("center", (0, 0, 0)), radius)
     if kind == "ellipsoid":
         return ConvexDomain.ellipsoid(block.get("center", (0, 0, 0)),
                                       _get(block, "semi_axes", "domain"))
@@ -106,13 +120,18 @@ def build_domain(block: dict) -> ConvexDomain:
 
 
 def build_grid(block: dict, domain: ConvexDomain) -> GridSpec:
-    interval = EnergyInterval(float(block.get("E0", 0.0)), float(block.get("Em", 1.0)))
+    E0, Em = _number(block, "E0", "grid", default=0.0), _number(block, "Em", "grid", default=1.0)
+    try:
+        interval = EnergyInterval(E0, Em)
+    except ValueError:
+        raise ConfigError(f"'E0' and 'Em' in grid block must satisfy 0 <= E0 < Em, "
+                          f"got E0={E0!r}, Em={Em!r}") from None
     return GridSpec(domain,
-                    int(_get(block, "n_spatial", "grid")),
-                    int(block.get("n_polar", 4)),
-                    int(block.get("n_azimuth", 8)),
+                    _number(block, "n_spatial", "grid", int),
+                    _number(block, "n_polar", "grid", int, 4),
+                    _number(block, "n_azimuth", "grid", int, 8),
                     interval,
-                    int(block.get("n_energy", 1)))
+                    _number(block, "n_energy", "grid", int, 1))
 
 
 def build_coefficients(block: dict, grid: GridSpec) -> CoefficientSet:
@@ -135,8 +154,13 @@ def build_coefficients(block: dict, grid: GridSpec) -> CoefficientSet:
 
 def _quadrature(problem: dict) -> at.RayQuadrature:
     q = problem.get("quadrature", {})
-    return at.RayQuadrature(int(q.get("panels_per_unit_length", 16)),
-                            int(q.get("nodes_per_panel", 4)))
+    panels = _number(q, "panels_per_unit_length", "quadrature", int, 16)
+    nodes = _number(q, "nodes_per_panel", "quadrature", int, 4)
+    try:
+        return at.RayQuadrature(panels, nodes)
+    except ValueError:
+        raise ConfigError("quadrature block needs 'panels_per_unit_length' >= 1 and "
+                          f"'nodes_per_panel' >= 2, got {panels} and {nodes}") from None
 
 
 def _field_norms(fld: DiscreteField) -> dict:
@@ -299,7 +323,8 @@ def _run_csda(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: RunRepo
         nref = nm.h_norm(ref, nm.NormOrder(0))
         errs = []
         for step in (base_dE, base_dE / 2.0):
-            sol, _ = csda.solve_csda(f, coeffs, grid, quad, dE=step, tol=tol)
+            # the march above already solved the configured step
+            sol = fld if step == dE else csda.solve_csda(f, coeffs, grid, quad, dE=step, tol=tol)[0]
             err = nm.h_norm(sol.with_values(sol.values - ref.values), nm.NormOrder(0)) / nref
             errs.append({"dE": float(step), "l2_rel_error": float(err)})
         report.norms["halving_sweep"] = errs

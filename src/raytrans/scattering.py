@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import ndimage
 
-from .attenuation import RayQuadrature
+from .attenuation import RayQuadrature, _in_clamp
 from .errors import MaxIterationsExceeded, QuadratureMismatch, ShiftTooSmall
 from .fields import (
     CoefficientSet,
@@ -218,18 +218,19 @@ def _support_clamp(support: np.ndarray) -> np.ndarray:
 
 def _grid_interp_factory(grid: GridSpec, slab: np.ndarray) -> Callable:
     """Cubic-spline evaluator for one spatial slab (zero outside the mask),
-    clamped to the ``_support_clamp`` of the slab support."""
+    clamped by ``_in_clamp`` to the ``_support_clamp`` of the slab support;
+    the spline is evaluated only at the points the clamp keeps."""
     box = grid.embed(slab)
     filt = ndimage.spline_filter(box, order=3, mode="constant")
     support = _support_clamp(box != 0.0)
 
     def interp(pts):
-        coords = ((pts - grid.origin) / grid.h).T
-        vals = ndimage.map_coordinates(filt, coords, order=3, prefilter=False,
-                                       mode="constant", cval=0.0)
-        inside = ndimage.map_coordinates(support.astype(np.uint8), coords, order=0,
-                                         mode="constant", cval=0)
-        return vals * inside
+        c = (pts - grid.origin) / grid.h
+        keep = _in_clamp(c, support)
+        vals = np.zeros(len(c))
+        vals[keep] = ndimage.map_coordinates(filt, c[keep].T, order=3, prefilter=False,
+                                             mode="constant", cval=0.0)
+        return vals
 
     return interp
 

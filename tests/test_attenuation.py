@@ -150,6 +150,45 @@ class TestManufactured:
                 at.solve_attenuation(f, coeffs, ball, p, quad), abs=1e-12)
 
 
+class TestNodesPerDirection:
+    def test_ray_nodes_equal_broadcast_formula(self, ball, quad):
+        rng = np.random.default_rng(17)
+        xs, oms = random_phase(rng, 200)
+        for omega in oms[:5]:
+            T = escape_times(ball, xs, omega)
+            for sel, s, pts, _ in at._ray_groups(xs, omega, T, quad):
+                old = xs[sel][:, None, None, :] - s[..., None] * omega[None, None, None, :]
+                assert pts.shape == old.shape
+                assert pts.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize("sigma, recomputed_per_energy", [
+        (lambda x, w, E: 0.5 + 0.2 * x[:, 1], False),
+        (lambda x, w, E: 0.5 + 0.1 * E + 0.2 * x[:, 1], True),
+    ], ids=["sigma_without_E", "sigma_with_E"])
+    def test_grid_equals_per_energy_point_solves(self, ball, quad, monkeypatch,
+                                                  sigma, recomputed_per_energy):
+        grid = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 3)
+        coeffs = CoefficientSet(sigma_t=sigma, shift=0.25)
+        f = lambda x, w, E: 1.0 + x[:, 0] * E
+        t_cache = grid.escape_cache()
+        calls = []
+        geometry = at._ray_geometry
+        monkeypatch.setattr(at, "_ray_geometry", lambda *a: calls.append(1) or geometry(*a))
+
+        field = at.solve_attenuation_grid(f, coeffs, grid, quad)
+        batched = len(calls)
+        del calls[:]
+        for j in range(grid.n_omega):
+            for k in range(grid.n_energy):
+                single = at.solve_attenuation_points(f, coeffs, ball, grid.coords, grid.sphere_nodes[j],
+                                                     float(grid.energy_nodes[k]), quad, T=t_cache[:, j])
+                assert single.shape == (grid.n_interior,)
+                assert np.array_equal(field.values[:, j, k], single)
+        # weights are formed once per group, and again only when sigma changes
+        per_energy = len(calls)
+        assert batched == (per_energy if recomputed_per_energy else per_energy // grid.n_energy)
+
+
 class TestEllipsoidDomain:
     def test_manufactured_profile_on_ellipsoid(self, quad):
         # the exit-time profile trick is domain-independent: psi* = w(T) with

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from raytrans import cli
+from raytrans import cli, csda
+from raytrans import norms as nm
 from raytrans.errors import ConfigError
 
 
@@ -93,6 +94,40 @@ class TestRunScenario:
         assert names["cutoff_energy_trace"]["pass"]
         assert names["inflow_trace"]["pass"]
 
+    def test_halving_sweep_reuses_the_configured_step(self, monkeypatch):
+        cfg = {
+            "domain": {"kind": "unit_ball"},
+            "grid": {"n_spatial": 11, "n_polar": 2, "n_azimuth": 4, "n_energy": 3,
+                     "E0": 0.0, "Em": 0.3},
+            "coefficients": {
+                "sigma": {"name": "constant", "value": 0.6},
+                "stopping": {"name": "constant", "value": -1.0},
+                "shift": 0.0,
+            },
+            "problem": {"kind": "csda", "dE": 0.075, "halving_sweep": True,
+                        "source": {"name": "bump_cos_energy", "amplitude": 1.0,
+                                   "radius": 0.45, "freq": 3.0},
+                        "quadrature": {"panels_per_unit_length": 12, "nodes_per_panel": 4}},
+        }
+        march = csda.march_energy
+        steps = []
+        monkeypatch.setattr(csda, "march_energy",
+                            lambda *a, **kw: steps.append(kw["dE"]) or march(*a, **kw))
+        report = cli.run_scenario(cfg)
+        # the run's own march at dE, then only the halved step
+        assert steps == [0.075, 0.0375]
+
+        # the base-step entry is what a separate march at dE gives
+        grid = cli.build_grid(cfg["grid"], cli.build_domain(cfg["domain"]))
+        coeffs = cli.build_coefficients(cfg["coefficients"], grid)
+        quad = cli._quadrature(cfg["problem"])
+        f = cli.build_source(cfg["problem"]["source"])
+        ref = csda.explicit_csda_grid(f, 0.6, grid, quad)
+        sol, _ = csda.solve_csda(f, coeffs, grid, quad, dE=0.075, tol=1e-10)
+        err = nm.h_norm(sol.with_values(sol.values - ref.values), nm.NormOrder(0)) \
+            / nm.h_norm(ref, nm.NormOrder(0))
+        assert report.norms["halving_sweep"][0] == {"dE": 0.075, "l2_rel_error": float(err)}
+
     def test_scattering_with_inflow_kind(self, tmp_path):
         cfg = {
             "domain": {"kind": "unit_ball"},
@@ -151,6 +186,26 @@ class TestRunScenario:
         del cfg["coefficients"]
         with pytest.raises(ConfigError, match="coefficients"):
             cli.run_scenario(cfg)
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("grid", "E0", 2.0),
+    ("grid", "n_spatial", "abc"),
+    ("domain", "radius", -0.5),
+    ("quadrature", "nodes_per_panel", 1),
+])
+def test_bad_config_value_is_a_config_error_naming_the_key(tmp_path, capsys, block, key, value):
+    cfg = attenuation_config(tmp_path)
+    if block == "domain":
+        cfg["domain"] = {"kind": "ball", "radius": value}
+    elif block == "quadrature":
+        cfg["problem"]["quadrature"][key] = value
+    else:
+        cfg[block][key] = value
+    with pytest.raises(ConfigError, match=key):
+        cli.run_scenario(cfg)
+    assert cli.main(["run", str(write_cfg(tmp_path, cfg))]) == 1
+    assert "error: ConfigError" in capsys.readouterr().err
 
 
 def write_cfg(tmp_path, cfg):

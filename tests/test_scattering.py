@@ -223,6 +223,27 @@ class TestSweepOperator:
     # spline taps and ray weights, so they agree to round-off.
     REL_TOL = 1e-13
 
+    def test_interpolant_clamp_equals_map_coordinates(self, ball):
+        g = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 1)
+        rng = np.random.default_rng(11)
+        top = np.array(g.shape) - 1
+        for _ in range(4):
+            slab = np.where(rng.random(g.n_interior) < 0.2, rng.normal(size=g.n_interior), 0.0)
+            # lattice coordinates over and beyond the box, a quarter on half-integers
+            c = rng.uniform(-1.0, top + 1.0, size=(20000, 3))
+            c[:5000] = np.round(2.0 * c[:5000]) / 2.0
+            pts = g.origin + c * g.h
+            box = g.embed(slab)
+            filt = ndimage.spline_filter(box, order=3, mode="constant")
+            coords = ((pts - g.origin) / g.h).T
+            old = ndimage.map_coordinates(filt, coords, order=3, prefilter=False,
+                                          mode="constant", cval=0.0) \
+                * ndimage.map_coordinates(sc._support_clamp(box != 0.0).astype(np.uint8), coords,
+                                          order=0, mode="constant", cval=0)
+            new = sc._grid_interp_factory(g, slab)(pts)
+            assert np.count_nonzero(new) > 0
+            assert np.array_equal(new, old)
+
     def test_operator_matches_direct_sweep(self, ball, quad):
         g = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 2)
         coeffs = CoefficientSet(
