@@ -147,25 +147,35 @@ _OPERATOR_CHUNK = 256  # rays per sweep-operator build step
 
 
 def _bspline3(t):
-    """Cubic B-spline weights (n, 4) of the taps floor(c) - 1 .. floor(c) + 2
+    """Cubic B-spline weights (4, n) of the taps floor(c) - 1 .. floor(c) + 2
     at fractional lattice offsets t = c - floor(c)."""
     s = 1.0 - t
     t2 = t * t
     t3 = t2 * t
     return np.stack([s * s * s, 4.0 - 6.0 * t2 + 3.0 * t3,
-                     1.0 + 3.0 * (t + t2 - t3), t3], axis=1) / 6.0
+                     1.0 + 3.0 * (t + t2 - t3), t3]) / 6.0
+
+
+def _lattice_rows(grid, pts):
+    """Lattice coordinates (3, n) of points (n, 3): the node axis is last, so
+    the per-node arithmetic that follows runs over long contiguous rows."""
+    c = np.empty((3, pts.shape[0]))
+    for ax in range(3):
+        np.subtract(pts[:, ax], grid.origin[ax], out=c[ax])
+    c /= grid.h[:, None]
+    return c
 
 
 def _in_clamp(c, clamp):
-    """Whether each lattice coordinate c (n, 3) is kept by the box mask
-    ``clamp``: it lies in the box and its nearest lattice node
+    """Whether each lattice coordinate of the rows c (3, n) is kept by the
+    box mask ``clamp``: it lies in the box and its nearest lattice node
     floor(c + 1/2) is set, the rule of ``map_coordinates(order=0,
     mode="constant")`` on the mask."""
     nx, ny, nz = clamp.shape
-    inside = (c >= 0.0) & (c <= np.array([nx - 1, ny - 1, nz - 1]))
-    keep = inside[:, 0] & inside[:, 1] & inside[:, 2]
-    near = np.floor(c[keep] + 0.5).astype(np.intp)
-    keep[keep] = clamp.reshape(-1)[near @ np.array([ny * nz, nz, 1])]
+    inside = (c >= 0.0) & (c <= np.array([[nx - 1], [ny - 1], [nz - 1]]))
+    keep = inside[0] & inside[1] & inside[2]
+    near = np.floor(c[:, keep] + 0.5).astype(np.intp)
+    keep[keep] = clamp.reshape(-1)[np.array([ny * nz, nz, 1]) @ near]
     return keep
 
 
@@ -205,39 +215,40 @@ def _operator_chunk(grid, clamp, flat, w, n_rays):
     floor(c) - 1, folded into the box by whole-sample mirroring (i -> -i,
     i -> 2 (n - 1) - i) as ``map_coordinates(mode="constant")`` does inside
     the box.  Taps are summed over runs of nodes that share a ray and a
-    base cell, then over equal indices within each ray.
+    base cell, then over equal indices within each ray, run after run.
+    Every per-node array keeps the node axis last.
     """
     shape = np.array(grid.shape)
     strides = np.array([shape[1] * shape[2], shape[2], 1])
     per_ray = flat.shape[0] // n_rays
-    c = (flat - grid.origin) / grid.h
+    c = _lattice_rows(grid, flat)
     keep = np.flatnonzero(_in_clamp(c, clamp))
     ray = keep // per_ray
-    c = c[keep]
+    c = c[:, keep]
     cell = np.floor(c)
     base = cell.astype(np.intp) - 1
     new_run = np.ones(keep.size, dtype=bool)
-    new_run[1:] = (ray[1:] != ray[:-1]) | np.any(base[1:] != base[:-1], axis=1)
+    new_run[1:] = (ray[1:] != ray[:-1]) | np.any(base[:, 1:] != base[:, :-1], axis=0)
     runs = np.flatnonzero(new_run)
     if runs.size == 0:
         return runs, runs, np.zeros(0)
 
     t = c - cell
-    wx, wy, wz = _bspline3(t[:, 0]), _bspline3(t[:, 1]), _bspline3(t[:, 2])
-    taps = (w.reshape(-1)[keep][:, None, None, None] * wx[:, :, None, None]
-            * wy[:, None, :, None] * wz[:, None, None, :]).reshape(-1, 64)
-    taps = np.add.reduceat(taps, runs, axis=0)
-    idx = np.abs(base[runs][:, :, None] + np.arange(4))
-    top = (shape - 1)[None, :, None]
-    idx = np.where(idx > top, 2 * top - idx, idx) * strides[None, :, None]
-    cols = (idx[:, 0, :, None, None] + idx[:, 1, None, :, None] + idx[:, 2, None, None, :]).reshape(-1, 64)
+    wx, wy, wz = _bspline3(t[0]), _bspline3(t[1]), _bspline3(t[2])
+    taps = (((w.reshape(-1)[keep] * wx)[:, None, None, :] * wy[None, :, None, :])
+            * wz[None, None, :, :]).reshape(64, -1)
+    taps = np.add.reduceat(taps, runs, axis=1)
+    idx = np.abs(base[:, runs][:, None, :] + np.arange(4)[None, :, None])
+    top = (shape - 1)[:, None, None]
+    idx = np.where(idx > top, 2 * top - idx, idx) * strides[:, None, None]
+    cols = (idx[0, :, None, None] + idx[1, None, :, None] + idx[2, None, None, :]).reshape(64, -1)
 
     size = int(np.prod(shape))
-    key = (ray[runs][:, None] * size + cols).reshape(-1)
+    key = (ray[runs] * size + cols).T.reshape(-1)
     order = np.argsort(key, kind="stable")
     key = key[order]
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    return key[first] // size, key[first] % size, np.add.reduceat(taps.reshape(-1)[order], first)
+    return key[first] // size, key[first] % size, np.add.reduceat(taps.T.reshape(-1)[order], first)
 
 
 class RaySystem:

@@ -448,7 +448,8 @@ def main(argv: Optional[list] = None) -> int:
             report = run_verification_suite(args.suite, seed=args.seed, out_dir=args.out)
     except RayTransError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        # exit status: 1 a property failed, 2 a config error, 3 a solver error
+        return 2 if isinstance(exc, ConfigError) else 3
 
     for p in report.properties:
         status = "PASS" if p["pass"] else "FAIL"

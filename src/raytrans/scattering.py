@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import ndimage
 
-from .attenuation import RayQuadrature, _in_clamp
+from .attenuation import RayQuadrature, _in_clamp, _lattice_rows
 from .errors import MaxIterationsExceeded, QuadratureMismatch, ShiftTooSmall
 from .fields import (
     CoefficientSet,
@@ -50,15 +50,18 @@ class _CacheBudget:
 
 
 def _cache_counts() -> dict:
-    return {"operators_built": 0, "operator_bytes": 0, "sweeps_rebuilt": 0}
+    return {"operators_built": 0, "operator_entries": 0, "operator_bytes": 0,
+            "sweeps_rebuilt": 0, "ray_nodes": 0}
 
 
 @dataclass
 class IterationReport:
     """Contraction record of one source-iteration run.
 
-    ``cache`` counts the sweep operators built, the bytes of those kept, and
-    the sweeps that rebuilt their operator because it was over budget.
+    ``cache`` counts the sweep operators built, their stored entries, the
+    bytes of those kept, the sweeps that rebuilt their operator because it
+    was over budget, and the nodes of every ray system built (rebuilds
+    included).
     """
 
     iterations: int = 0
@@ -225,10 +228,10 @@ def _grid_interp_factory(grid: GridSpec, slab: np.ndarray) -> Callable:
     support = _support_clamp(box != 0.0)
 
     def interp(pts):
-        c = (pts - grid.origin) / grid.h
+        c = _lattice_rows(grid, pts)
         keep = _in_clamp(c, support)
-        vals = np.zeros(len(c))
-        vals[keep] = ndimage.map_coordinates(filt, c[keep].T, order=3, prefilter=False,
+        vals = np.zeros(c.shape[1])
+        vals[keep] = ndimage.map_coordinates(filt, c[:, keep], order=3, prefilter=False,
                                              mode="constant", cval=0.0)
         return vals
 
@@ -282,8 +285,10 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     report = IterationReport()
 
     def system(j: int, k: int) -> RaySystem:
-        return RaySystem(coeffs, grid.domain, grid.coords, grid.sphere_nodes[j],
-                         float(grid.energy_nodes[k]), quad, T=t_cache[:, j])
+        s = RaySystem(coeffs, grid.domain, grid.coords, grid.sphere_nodes[j],
+                      float(grid.energy_nodes[k]), quad, T=t_cache[:, j])
+        report.cache["ray_nodes"] += s.n_nodes
+        return s
 
     operators = {}
     psi_fix = np.empty(grid.phase_shape)
@@ -297,6 +302,7 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
             if applier is not None:
                 op = _kernel_sweep_operator(s, applier, j, k)
                 report.cache["operators_built"] += 1
+                report.cache["operator_entries"] += op.data.size
                 if budget.take(op.nbytes):
                     operators[(j, k)] = op
                     report.cache["operator_bytes"] += op.nbytes

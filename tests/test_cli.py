@@ -54,7 +54,7 @@ class TestRunScenario:
         cfg["coefficients"]["shift"] = 0.7
         cfg["problem"]["kind"] = "scattering"
         rc = cli.main(["run", str(write_cfg(tmp_path, cfg))])
-        assert rc == 1
+        assert rc == 3
 
     def test_scattering_with_auto_shift(self, tmp_path):
         cfg = attenuation_config(tmp_path)
@@ -66,9 +66,14 @@ class TestRunScenario:
         assert report.iteration["converged"]
         assert report.all_passed
         # one sweep operator per (direction, energy), counted outside the body
-        assert report.timings["sweep_cache"]["operators_built"] == 8
-        assert report.timings["sweep_cache"]["sweeps_rebuilt"] == 0
-        assert "sweep_cache" not in report.to_json(include_timings=False)
+        counts = report.timings["sweep_cache"]
+        assert counts["operators_built"] == 8
+        assert counts["sweeps_rebuilt"] == 0
+        assert counts["operator_entries"] > 0
+        assert counts["ray_nodes"] > 0
+        body = report.to_json(include_timings=False)
+        for key in ("sweep_cache", "operator_entries", "ray_nodes"):
+            assert key not in body
 
     def test_csda_halving_sweep(self, tmp_path):
         cfg = {
@@ -204,7 +209,7 @@ def test_bad_config_value_is_a_config_error_naming_the_key(tmp_path, capsys, blo
         cfg[block][key] = value
     with pytest.raises(ConfigError, match=key):
         cli.run_scenario(cfg)
-    assert cli.main(["run", str(write_cfg(tmp_path, cfg))]) == 1
+    assert cli.main(["run", str(write_cfg(tmp_path, cfg))]) == 2
     assert "error: ConfigError" in capsys.readouterr().err
 
 

@@ -190,6 +190,9 @@ class TestSolveScattering:
         assert rep_cached.cache["sweeps_rebuilt"] == 0
         assert rep_uncached.cache["operator_bytes"] == 0
         assert rep_uncached.cache["sweeps_rebuilt"] == n_sweeps * rep_uncached.iterations
+        assert rep_uncached.cache["operator_entries"] == rep_cached.cache["operator_entries"] > 0
+        # every rebuilt sweep places its ray nodes again
+        assert rep_uncached.cache["ray_nodes"] == rep_cached.cache["ray_nodes"] * (1 + rep_uncached.iterations)
 
     def test_output_keeps_support_margin(self, ball, quad):
         g = GridSpec(ball, 21, 4, 8, EnergyInterval(0.0, 1.0), 1)
@@ -274,6 +277,110 @@ class TestSweepOperator:
                                          np.random.default_rng(4))
         assert op.cols.dtype == np.uint32
         assert np.max(np.abs(fast - direct)) <= self.REL_TOL * np.max(np.abs(direct))
+
+    # The node-major build that the node-axis-last ``_operator_chunk``
+    # replaced, frozen as the reference for bit identity.
+    @staticmethod
+    def _ref_bspline3(t):
+        s = 1.0 - t
+        t2 = t * t
+        t3 = t2 * t
+        return np.stack([s * s * s, 4.0 - 6.0 * t2 + 3.0 * t3,
+                         1.0 + 3.0 * (t + t2 - t3), t3], axis=1) / 6.0
+
+    @staticmethod
+    def _ref_in_clamp(c, clamp):
+        nx, ny, nz = clamp.shape
+        inside = (c >= 0.0) & (c <= np.array([nx - 1, ny - 1, nz - 1]))
+        keep = inside[:, 0] & inside[:, 1] & inside[:, 2]
+        near = np.floor(c[keep] + 0.5).astype(np.intp)
+        keep[keep] = clamp.reshape(-1)[near @ np.array([ny * nz, nz, 1])]
+        return keep
+
+    @classmethod
+    def _ref_operator_chunk(cls, grid, clamp, flat, w, n_rays):
+        shape = np.array(grid.shape)
+        strides = np.array([shape[1] * shape[2], shape[2], 1])
+        per_ray = flat.shape[0] // n_rays
+        c = (flat - grid.origin) / grid.h
+        keep = np.flatnonzero(cls._ref_in_clamp(c, clamp))
+        ray = keep // per_ray
+        c = c[keep]
+        cell = np.floor(c)
+        base = cell.astype(np.intp) - 1
+        new_run = np.ones(keep.size, dtype=bool)
+        new_run[1:] = (ray[1:] != ray[:-1]) | np.any(base[1:] != base[:-1], axis=1)
+        runs = np.flatnonzero(new_run)
+        if runs.size == 0:
+            return runs, runs, np.zeros(0)
+        t = c - cell
+        wx, wy, wz = (cls._ref_bspline3(t[:, ax]) for ax in range(3))
+        taps = (w.reshape(-1)[keep][:, None, None, None] * wx[:, :, None, None]
+                * wy[:, None, :, None] * wz[:, None, None, :]).reshape(-1, 64)
+        taps = np.add.reduceat(taps, runs, axis=0)
+        idx = np.abs(base[runs][:, :, None] + np.arange(4))
+        top = (shape - 1)[None, :, None]
+        idx = np.where(idx > top, 2 * top - idx, idx) * strides[None, :, None]
+        cols = (idx[:, 0, :, None, None] + idx[:, 1, None, :, None]
+                + idx[:, 2, None, None, :]).reshape(-1, 64)
+        size = int(np.prod(shape))
+        key = (ray[runs][:, None] * size + cols).reshape(-1)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        return key[first] // size, key[first] % size, np.add.reduceat(taps.reshape(-1)[order], first)
+
+    def _assert_bit_identical(self, monkeypatch, system, grid, clamp):
+        new = system.sweep_operator(grid, clamp)
+        with monkeypatch.context() as m:
+            m.setattr(at, "_operator_chunk", self._ref_operator_chunk)
+            ref = system.sweep_operator(grid, clamp)
+        for name in ("rows", "starts", "cols", "data"):
+            a, b = getattr(new, name), getattr(ref, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+        return new
+
+    def test_build_is_bit_identical_to_node_major_reference(self, ball, quad, monkeypatch):
+        g = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 2)
+        coeffs = CoefficientSet(
+            sigma_t=lambda x, w, E: 0.3 + 0.2 * x[:, 0] + 0.1 * E,
+            scatter=lambda x, wi, wo, E: ISO * smooth_bump(np.linalg.norm(x - 0.2 * wo, axis=1), 0.6),
+            shift=1.0,
+        )
+        applier = sc._KernelApplier(coeffs.scatter, g)
+        rng = np.random.default_rng(5)
+        top = np.array(g.shape)[:, None] - 1
+        # j = 0 has an exact-zero y component: its taps at t = 0 are exactly 0
+        for j, k in [(0, 0), (3, 1), (6, 0)]:
+            system = at.RaySystem(coeffs, ball, g.coords, g.sphere_nodes[j],
+                                  float(g.energy_nodes[k]), quad, T=g.escape_cache()[:, j])
+            support = np.zeros(g.shape, dtype=bool)
+            support.reshape(-1)[g.interior_idx[applier.column(k, j)[0]]] = True
+            op = self._assert_bit_identical(monkeypatch, system, g, sc._support_clamp(support))
+            assert op.data.size > 0
+            if j == 0:
+                assert np.count_nonzero(op.data == 0.0) > 0
+            for _ in range(3):
+                clamp = rng.random(g.shape) < 0.6
+                op = self._assert_bit_identical(monkeypatch, system, g, clamp)
+                assert op.cols.dtype == np.uint16 and op.data.size > 0
+                # kept nodes within one cell of a box face fold taps by mirroring
+                c = np.concatenate([at._lattice_rows(g, flat) for _, flat, _ in system.groups], axis=1)
+                c = c[:, at._in_clamp(c, clamp)]
+                assert np.any((c < 1.0) | (c > top - 1.0))
+        empty = self._assert_bit_identical(monkeypatch, system, g, np.zeros(g.shape, dtype=bool))
+        assert empty.nbytes == 0
+
+    def test_wide_build_is_bit_identical_to_node_major_reference(self, ball, monkeypatch):
+        g = GridSpec(ball, 41, 1, 2, EnergyInterval(0.0, 1.0), 1)
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.3), shift=1.0)
+        system = at.RaySystem(coeffs, ball, g.coords, g.sphere_nodes[1], 0.0,
+                              at.RayQuadrature(4, 2), T=g.escape_cache()[:, 1])
+        clamp = np.zeros(g.shape, dtype=bool)
+        clamp[5:30, 10:36, 3:25] = True
+        op = self._assert_bit_identical(monkeypatch, system, g, clamp)
+        assert op.cols.dtype == np.uint32 and op.data.size > 0
 
 
 class TestLift:
