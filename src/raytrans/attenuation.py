@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import MissingDerivative, NotInH0
+from .errors import CoefficientShapeError, MissingDerivative, NonFiniteValue, NotInH0
 from .fields import CoefficientSet, DiscreteField, GridSpec, leibniz_constant, mi_binom, sup_norm_estimate
 from .geometry import ConvexDomain, PhasePoint, escape_time_gradient, escape_times
 
@@ -118,9 +118,27 @@ def _running_integral(g, width, quad):
 
 
 def _node_sigma(coeffs, pts, omega, E):
-    """sigma + shift at the nodes of one panel-count group, shaped like s."""
-    return np.asarray(coeffs.sigma_t(pts.reshape(-1, 3), omega, E),
-                      dtype=float).reshape(pts.shape[:3]) + coeffs.shift
+    """sigma + shift at the nodes of one panel-count group, shaped like s.
+
+    Fails fast on a sigma that breaks the callable contract: a result not
+    of shape (n,) raises ``CoefficientShapeError``, a non-finite value
+    ``NonFiniteValue`` naming the direction, the energy and the first bad
+    node."""
+    flat = pts.reshape(-1, 3)
+    sig = np.asarray(coeffs.sigma_t(flat, omega, E), dtype=float)
+    if sig.shape != (flat.shape[0],):
+        raise CoefficientShapeError(f"sigma returned shape {sig.shape} for {flat.shape[0]} "
+                                    f"ray nodes ({_where(omega, E)})")
+    finite = np.isfinite(sig)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise NonFiniteValue(f"sigma is {sig[bad]} at ray node "
+                             f"{np.array2string(flat[bad], precision=6)} ({_where(omega, E)})")
+    return sig.reshape(pts.shape[:3]) + coeffs.shift
+
+
+def _where(omega, E) -> str:
+    return f"direction {np.array2string(np.asarray(omega), precision=6)}, energy {float(E):.6g}"
 
 
 def _ray_geometry(sig, width, quad):
@@ -133,6 +151,12 @@ def _ray_geometry(sig, width, quad):
     """
     panel_int, exponent = _running_integral(sig, width, quad)
     return quad.ref_weights[None, None, :] * width[:, None, None] * np.exp(-exponent), panel_int
+
+
+def _node_weights(sigma, widths, quad):
+    """Attenuation weights of panel-count groups with sigma + shift values
+    ``sigma`` at their nodes and panel widths ``widths``."""
+    return [_ray_geometry(sig, width, quad)[0] for sig, width in zip(sigma, widths)]
 
 
 def _weighted_sums(n_points, groups, values):
@@ -263,15 +287,28 @@ class RaySystem:
                  omega: np.ndarray, E: float, quad: RayQuadrature,
                  T: Optional[np.ndarray] = None):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        self.omega = np.asarray(omega, dtype=float).reshape(3)
-        self.E = float(E)
-        self.n_points = xs.shape[0]
+        omega = np.asarray(omega, dtype=float).reshape(3)
         if T is None:
-            T = escape_times(domain, xs, self.omega)
-        self.groups = []
-        for sel, _, pts, width in _ray_groups(xs, self.omega, T, quad):
-            w, _ = _ray_geometry(_node_sigma(coeffs, pts, self.omega, self.E), width, quad)
-            self.groups.append((sel, pts.reshape(-1, 3), w))
+            T = escape_times(domain, xs, omega)
+        groups = []
+        for sel, _, pts, width in _ray_groups(xs, omega, T, quad):
+            w, _ = _ray_geometry(_node_sigma(coeffs, pts, omega, float(E)), width, quad)
+            groups.append((sel, pts.reshape(-1, 3), w))
+        self._assign(omega, E, xs.shape[0], groups)
+
+    @classmethod
+    def from_groups(cls, omega, E, n_points, groups) -> "RaySystem":
+        """A ray system from nodes already placed and weights already formed:
+        ``groups`` holds (sel, flat nodes, weights) per panel-count group."""
+        system = cls.__new__(cls)
+        system._assign(np.asarray(omega, dtype=float).reshape(3), E, n_points, groups)
+        return system
+
+    def _assign(self, omega, E, n_points, groups):
+        self.omega = omega
+        self.E = float(E)
+        self.n_points = n_points
+        self.groups = groups
 
     @property
     def n_nodes(self) -> int:

@@ -303,6 +303,7 @@ def _run_csda(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: RunRepo
     report.norms = _field_norms(fld)
     report.iteration = {"steps": rep.steps, "inner_iterations": rep.inner_iterations}
     report.timings["sweep_cache"] = rep.cache
+    report.timings["step_iterations"] = rep.step_iterations
     report.properties.append(_prop("cutoff_energy_trace", rep.final_slice_sup < 1e-12,
                                    rep.final_slice_sup, 1e-12))
     report.properties.append(_prop("inflow_trace", rep.inflow_trace_sup < 1e-10,

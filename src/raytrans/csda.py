@@ -28,7 +28,7 @@ from .errors import (
 )
 from .fields import CoefficientSet, DiscreteField, EnergyInterval, GridSpec
 from .geometry import ConvexDomain, PhasePoint, escape_times, triangulate_boundary
-from .scattering import solve_scattering
+from .scattering import SweepCache, solve_scattering
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,7 @@ class MarchReport:
     final_slice_sup: float
     inflow_trace_sup: float
     cache: dict = field(default_factory=dict)   # IterationReport.cache summed over steps
+    step_iterations: list = field(default_factory=list)   # inner iterations of each step
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,10 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
 
     with coefficients frozen at the step energy; the inflow condition is
     enforced by the characteristic integral itself (and sampled into the
-    report).  Returns the transformed field on the companion march grid.
+    report).  The steps share one ``SweepCache``: a direction's attenuation
+    weights, kernel sweep operators and lattice-source pieces are built
+    again only when their inputs change, and are freed when the march
+    returns.  Returns the transformed field on the companion march grid.
     """
     _check_stopping(coeffs, grid)
     n_steps = _steps_for(grid, dE)
@@ -140,7 +144,8 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     slice_grid = _march_grid(grid, 0)
 
     phi = np.zeros((mgrid.n_interior, mgrid.n_omega, n_steps + 1))
-    inner_total = 0
+    sweep_cache = SweepCache(slice_grid, step_quad, t_cap)
+    step_iterations = []
     cache = Counter()
     trace_sup = 0.0
     prev = phi[:, :, 0]
@@ -168,10 +173,10 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
         lattice = ((-a_vals / step)[:, None] * prev)[:, :, None]
         out, rep = solve_scattering(src, eff, slice_grid, step_quad, tol=tol, max_iter=max_iter,
                                     check_threshold=False, grid_source=lattice,
-                                    psi0=prev[:, :, None], t_cap=t_cap)
+                                    psi0=prev[:, :, None], t_cap=t_cap, cache=sweep_cache)
         prev = out.values[:, :, 0]
         phi[:, :, n] = prev
-        inner_total += rep.iterations
+        step_iterations.append(rep.iterations)
         cache.update(rep.cache)
         for j in range(0, mgrid.n_omega, max(1, mgrid.n_omega // 8)):
             omega = mgrid.sphere_nodes[j]
@@ -183,9 +188,10 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
         if snapshot_cb is not None:
             snapshot_cb(MarchState(Ep, prev, step))
 
-    report = MarchReport(steps=n_steps, inner_iterations=inner_total,
+    report = MarchReport(steps=n_steps, inner_iterations=sum(step_iterations),
                          final_slice_sup=float(np.max(np.abs(phi[:, :, 0]))),
-                         inflow_trace_sup=trace_sup, cache=dict(cache))
+                         inflow_trace_sup=trace_sup, cache=dict(cache),
+                         step_iterations=step_iterations)
     return DiscreteField(phi, mgrid), report
 
 
@@ -203,24 +209,17 @@ def transform_from_march(phi: DiscreteField, grid: GridSpec, C: float) -> Discre
     return DiscreteField(out, grid)
 
 
-def transform_roundtrip(psi: DiscreteField, C: float) -> DiscreteField:
-    """Flip-and-weight followed by its inverse (bookkeeping identity).
-
-    phi(E') = exp(C E') psi(Em - E') on the reversed node order, then
-    psi(E) = exp(-C (Em - E)) phi(Em - E) recovers the field exactly.
-    """
+def transform_to_march(psi: DiscreteField, C: float) -> DiscreteField:
+    """Inverse of ``transform_from_march`` on the grid's own energy nodes:
+    phi(E') = exp(C E') psi(Em - E') on the march grid with one step per
+    energy interval."""
     grid = psi.grid
-    Em = grid.interval.Em
-    N = grid.n_energy
-    phi = np.empty_like(psi.values)
-    for n in range(N):
-        Ep = Em - grid.energy_nodes[N - 1 - n]
-        phi[:, :, n] = math.exp(C * Ep) * psi.values[:, :, N - 1 - n]
-    back = np.empty_like(phi)
-    for k in range(N):
-        Ep = Em - grid.energy_nodes[k]
-        back[:, :, k] = math.exp(-C * Ep) * phi[:, :, N - 1 - k]
-    return psi.with_values(back)
+    mgrid = _march_grid(grid, grid.n_energy - 1)
+    out = np.empty(mgrid.phase_shape)
+    for k in range(grid.n_energy):
+        Ep = grid.interval.Em - grid.energy_nodes[k]
+        out[:, :, grid.n_energy - 1 - k] = math.exp(C * Ep) * psi.values[:, :, k]
+    return DiscreteField(out, mgrid)
 
 
 def solve_csda(f: Callable, coeffs: CoefficientSet, grid: GridSpec, quad: RayQuadrature,

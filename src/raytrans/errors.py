@@ -44,6 +44,11 @@ class NonFiniteValue(RayTransError):
     """Sampling produced a non-finite value; message carries the grid index."""
 
 
+class CoefficientShapeError(RayTransError):
+    """A coefficient callable returned an array that is not of shape (n,)
+    for a batch of n positions."""
+
+
 class OrderTooHigh(RayTransError):
     """Requested differentiation order exceeds the supported stencil width."""
 

@@ -283,15 +283,18 @@ class GridSpec:
 
     def stream(self, values: np.ndarray, masked: bool = False) -> np.ndarray:
         """omega . grad of phase-space values (n_interior, n_omega, n_energy),
-        with ``diff_masked`` stencils if ``masked``, else ``diff_central``."""
+        with ``diff_masked`` stencils if ``masked``, else ``diff_central``.
+        One (direction, energy) slab at a time, so the temporaries stay one
+        box in size."""
         op = self.diff_masked if masked else self.diff_central
         out = np.empty_like(values)
         for k in range(values.shape[2]):
-            box = self.embed(values[:, :, k])
-            acc = np.zeros_like(box)
-            for axis in range(3):
-                acc += op(box, axis) * self.sphere_nodes[None, None, None, :, axis]
-            out[:, :, k] = self.extract(acc)
+            for j in range(values.shape[1]):
+                box = self.embed(values[:, j, k])
+                acc = np.zeros_like(box)
+                for axis in range(3):
+                    acc += op(box, axis) * self.sphere_nodes[j, axis]
+                out[:, j, k] = self.extract(acc)
         return out
 
     def derivative_multi(self, box: np.ndarray, alpha, masked: bool = True) -> np.ndarray:

@@ -11,13 +11,23 @@ operator-norm bound.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import ndimage
 
-from .attenuation import RayQuadrature, _in_clamp, _lattice_rows
+from .attenuation import (
+    RayQuadrature,
+    RaySystem,
+    SweepOperator,
+    _in_clamp,
+    _lattice_rows,
+    _node_sigma,
+    _node_weights,
+    _ray_groups,
+)
 from .errors import MaxIterationsExceeded, QuadratureMismatch, ShiftTooSmall
 from .fields import (
     CoefficientSet,
@@ -36,11 +46,12 @@ _CACHE_BYTES = 512 * 2**20
 
 
 class _CacheBudget:
-    """Bytes left for the kernel columns and sweep operators that one solve
-    keeps; ``take`` reserves them if they fit."""
+    """Bytes left for the kernel columns, ray weights and sweep operators
+    kept by one solve or one energy march; ``take`` reserves them if they
+    fit, ``give`` returns them."""
 
-    def __init__(self):
-        self.left = _CACHE_BYTES
+    def __init__(self, nbytes: Optional[int] = None):
+        self.left = _CACHE_BYTES if nbytes is None else nbytes
 
     def take(self, nbytes: int) -> bool:
         if nbytes > self.left:
@@ -48,20 +59,26 @@ class _CacheBudget:
         self.left -= nbytes
         return True
 
+    def give(self, nbytes: int) -> None:
+        self.left += nbytes
+
 
 def _cache_counts() -> dict:
-    return {"operators_built": 0, "operator_entries": 0, "operator_bytes": 0,
-            "sweeps_rebuilt": 0, "ray_nodes": 0}
+    return {"operators_built": 0, "operators_reused": 0, "operator_entries": 0,
+            "operator_bytes": 0, "sweeps_rebuilt": 0, "ray_nodes": 0,
+            "ray_weights_reused": 0, "lattice_pieces": 0}
 
 
 @dataclass
 class IterationReport:
     """Contraction record of one source-iteration run.
 
-    ``cache`` counts the sweep operators built, their stored entries, the
-    bytes of those kept, the sweeps that rebuilt their operator because it
-    was over budget, and the nodes of every ray system built (rebuilds
-    included).
+    ``cache`` counts the kernel sweep operators built and reused from the
+    ``SweepCache``, their stored entries, the bytes of those kept, the
+    sweeps that rebuilt their operator because it was over budget, the ray
+    nodes placed (rebuilds included), the (direction, energy) pairs whose
+    attenuation weights came from the cache, and the lattice-source
+    operator pieces built.
     """
 
     iterations: int = 0
@@ -113,6 +130,7 @@ class _KernelApplier:
         self.grid = grid
         self._cache = {}
         self._budget = budget if budget is not None else _CacheBudget()
+        self._nbytes = 0
 
     def column(self, k: int, jout: int) -> tuple[np.ndarray, np.ndarray]:
         """(rows, values) of the kernel column at energy node k, out-direction jout."""
@@ -125,9 +143,17 @@ class _KernelApplier:
                 col[:, jin] = self.scatter(g.coords, g.sphere_nodes[jin], g.sphere_nodes[jout], E)
             rows = np.flatnonzero(np.any(col != 0.0, axis=1))
             hit = (rows, col[rows])
-            if self._budget.take(rows.nbytes + hit[1].nbytes):
+            nbytes = rows.nbytes + hit[1].nbytes
+            if self._budget.take(nbytes):
                 self._cache[(k, jout)] = hit
+                self._nbytes += nbytes
         return hit
+
+    def release(self) -> None:
+        """Drop the cached columns and return their bytes to the budget."""
+        self._cache.clear()
+        self._budget.give(self._nbytes)
+        self._nbytes = 0
 
     def apply_slice(self, psi_slice: np.ndarray, k: int) -> np.ndarray:
         """psi_slice: (n_x, n_omega) at energy node k -> scattered source."""
@@ -164,15 +190,47 @@ def combinatorial_constant(m: int) -> float:
     return best
 
 
+def _column_norms(applier: _KernelApplier) -> tuple[float, float]:
+    """N1 and N2 of the m = 0 bound over every interior node, from the
+    kernel columns: N1 is the largest incoming-direction quadrature of |K|
+    (a weighted row sum of one column), N2 the largest outgoing-direction
+    one (summed over the columns)."""
+    g = applier.grid
+    w = g.sphere_weights
+    n1 = n2 = 0.0
+    for k in range(g.n_energy):
+        acc_out = np.zeros((g.n_interior, g.n_omega))
+        for jout in range(g.n_omega):
+            rows, col = applier.column(k, jout)
+            mag = np.abs(col)
+            acc_in = np.zeros(rows.size)
+            for jin in range(g.n_omega):
+                acc_in += w[jin] * mag[:, jin]
+            n1 = max(n1, float(np.max(acc_in, initial=0.0)))
+            acc_out[rows] += w[jout] * mag
+        n2 = max(n2, float(np.max(acc_out)))
+    return n1, n2
+
+
 def scatter_norm_bound(scatter: Callable, m: int, grid: GridSpec,
-                       max_x_samples: int = 200) -> float:
+                       max_x_samples: int = 200,
+                       applier: Optional[_KernelApplier] = None) -> float:
     """Constructive upper bound sqrt(C_m N1 N2) for the collision-operator
     norm on the order-m space.
 
-    N1 and N2 are grid estimates of the two mixed sup/L1 kernel norms
+    N1 and N2 are grid values of the two mixed sup/L1 kernel norms
     (incoming- and outgoing-direction integrals); C_m is the enumerated
-    combinatorial constant.
+    combinatorial constant.  For m = 0 they cover every interior node,
+    from the kernel columns of ``applier`` (the solve's, so the threshold
+    and the solve evaluate the kernel once; a fresh uncached one if None).
+    For m >= 1 they are a sample: central differences of the kernel at no
+    more than ``max_x_samples`` evenly spaced interior nodes.
     """
+    if m == 0:
+        if applier is None:
+            applier = _KernelApplier(scatter, grid, _CacheBudget(0))
+        n1, n2 = _column_norms(applier)
+        return math.sqrt(combinatorial_constant(0) * n1 * n2)
     g = grid
     idx = np.unique(np.linspace(0, g.n_interior - 1, min(max_x_samples, g.n_interior)).astype(int))
     xs = g.coords[idx]
@@ -200,10 +258,13 @@ def scatter_norm_bound(scatter: Callable, m: int, grid: GridSpec,
     return math.sqrt(combinatorial_constant(m) * n1 * n2)
 
 
-def solvability_threshold(coeffs: CoefficientSet, grid: GridSpec, m: int = 0) -> float:
-    """C'' = c(m) |Sigma|_(W-inf,m) + collision norm bound."""
+def solvability_threshold(coeffs: CoefficientSet, grid: GridSpec, m: int = 0,
+                          applier: Optional[_KernelApplier] = None) -> float:
+    """C'' = c(m) |Sigma|_(W-inf,m) + collision norm bound (``applier``
+    as in ``scatter_norm_bound``)."""
     c_sigma = leibniz_constant(m) * sup_norm_estimate(coeffs.sigma_t, m, grid)
-    c_kernel = scatter_norm_bound(coeffs.scatter, m, grid) if coeffs.scatter is not None else 0.0
+    c_kernel = (scatter_norm_bound(coeffs.scatter, m, grid, applier=applier)
+                if coeffs.scatter is not None else 0.0)
     return c_sigma + c_kernel
 
 
@@ -238,13 +299,213 @@ def _grid_interp_factory(grid: GridSpec, slab: np.ndarray) -> Callable:
     return interp
 
 
-def _kernel_sweep_operator(system, applier: _KernelApplier, j: int, k: int):
-    """``system.sweep_operator`` clamped to the ``_support_clamp`` of the
-    kernel's non-zero rows at energy node k, out-direction j."""
+def _kernel_clamp(applier: _KernelApplier, j: int, k: int) -> np.ndarray:
+    """The ``_support_clamp`` of the kernel's non-zero rows at energy node
+    k, out-direction j."""
     grid = applier.grid
     support = np.zeros(grid.shape, dtype=bool)
     support.reshape(-1)[grid.interior_idx[applier.column(k, j)[0]]] = True
-    return system.sweep_operator(grid, _support_clamp(support))
+    return _support_clamp(support)
+
+
+def _kernel_sweep_operator(system: RaySystem, applier: _KernelApplier, j: int, k: int):
+    """``system.sweep_operator`` clamped to ``_kernel_clamp(applier, j, k)``."""
+    return system.sweep_operator(applier.grid, _kernel_clamp(applier, j, k))
+
+
+def _mapped(arrays: list) -> list:
+    """Copies of ``arrays`` in one anonymous memory map of their own.
+
+    A march keeps its cache while every step's builds allocate and free
+    large temporaries around it; kept in the allocator's heap, the cached
+    arrays pin it, and once the march drops them the heap stays resident
+    as holes.  A map of their own goes back to the system when the last
+    copy is dropped."""
+    starts = np.cumsum([0] + [-(-a.nbytes // 64) * 64 for a in arrays])
+    if starts[-1] == 0:
+        return list(arrays)
+    buf = memoryview(mmap.mmap(-1, int(starts[-1])))
+    out = []
+    for a, start in zip(arrays, starts):
+        if a.size == 0:
+            out.append(a)
+            continue
+        copy = np.frombuffer(buf, dtype=a.dtype, count=a.size, offset=int(start)).reshape(a.shape)
+        copy[...] = a
+        out.append(copy)
+    return out
+
+
+class _WeightSet:
+    """Attenuation weights of one direction for one sigma + shift at its ray
+    nodes, with the sweep operators built from them."""
+
+    def __init__(self, sigma: list, weights: list):
+        self.sigma = sigma          # per panel-count group, compared bitwise
+        self.weights = weights      # per panel-count group
+        self.kept = False           # whether the cache holds (and charged) the set
+        self.nbytes = 0             # bytes charged for the set and its operators
+        self.kernel_ops = {}        # packed clamp bits -> SweepOperator
+        self.pieces = []            # lattice-source operator pieces
+        self.covered = None         # box mask of the nodes the pieces cover
+        self.used = True            # used by the current solve
+
+    def matches(self, sigma: list) -> bool:
+        return self.sigma is not None and all(
+            np.array_equal(a, b) for a, b in zip(self.sigma, sigma))
+
+
+class SweepCache:
+    """Ray weights and sweep operators of each direction, kept across the
+    solves of one energy march (``march_energy`` makes one and passes it to
+    every step) or within one solve.
+
+    The ray nodes of direction j are those ``_ray_groups`` places on the
+    lattice with the exit times (capped at ``t_cap``) and ``quad``; they are
+    placed again on every use, with the same bits, and never stored.  For
+    each distinct sigma + shift at those nodes (compared bitwise) the cache
+    keeps the attenuation weights, the kernel sweep operators keyed by their
+    clamp bits, and the lattice-source operator as pieces that together
+    cover the nodes of a growing clamp.  Everything kept, and the kernel
+    columns of the solve, is charged to one ``_CACHE_BYTES`` budget; what
+    does not fit is used once and dropped.  A cache ``across_solves`` (a
+    march's) holds what it keeps in memory maps of its own (``_mapped``);
+    one held by a single solve drops a direction's weights once its
+    energies are done.
+    """
+
+    def __init__(self, grid: GridSpec, quad: RayQuadrature, t_cap: Optional[float] = None,
+                 across_solves: bool = True):
+        self.grid, self.quad, self.t_cap = grid, quad, t_cap
+        self.across_solves = across_solves
+        self.budget = _CacheBudget()
+        T = grid.escape_cache()
+        self.T = T if t_cap is None else np.minimum(T, t_cap)
+        self._sets = {}
+
+    def serves(self, grid: GridSpec, quad: RayQuadrature, t_cap: Optional[float]) -> bool:
+        return grid is self.grid and quad == self.quad and t_cap == self.t_cap
+
+    def nodes(self, j: int) -> list:
+        """(sel, nodes, width) of each panel-count group of direction j, from
+        ``_ray_groups``."""
+        return [(sel, pts, width) for sel, _, pts, width in
+                _ray_groups(self.grid.coords, self.grid.sphere_nodes[j], self.T[:, j], self.quad)]
+
+    def _keep(self, ws: _WeightSet, op: SweepOperator) -> Optional[SweepOperator]:
+        """``op`` as the kept set ``ws`` holds it, charged to the budget;
+        None if ``ws`` is not kept or ``op`` does not fit."""
+        if not (ws.kept and self.budget.take(op.nbytes)):
+            return None
+        ws.nbytes += op.nbytes
+        if self.across_solves:
+            op = SweepOperator(op.n_points, *_mapped([op.rows, op.starts, op.cols, op.data]))
+        return op
+
+    def system(self, j: int, nodes: list, coeffs: CoefficientSet, E: float,
+               counts: dict) -> tuple[RaySystem, _WeightSet]:
+        """The ray system of direction j at energy E on ``nodes``, with the
+        cached weights if sigma + shift at the nodes equals a kept set's."""
+        omega = self.grid.sphere_nodes[j]
+        sigma = [_node_sigma(coeffs, pts, omega, E) for _, pts, _ in nodes]
+        sets = self._sets.setdefault(j, [])
+        ws = next((s for s in sets if s.matches(sigma)), None)
+        if ws is None:
+            weights = _node_weights(sigma, [width for _, _, width in nodes], self.quad)
+            nbytes = sum(a.nbytes for a in sigma + weights)
+            kept = self.budget.take(nbytes)
+            if kept and self.across_solves:
+                both = _mapped(sigma + weights)
+                sigma, weights = both[:len(sigma)], both[len(sigma):]
+            ws = _WeightSet(sigma, weights)
+            if kept:
+                ws.kept, ws.nbytes = True, nbytes
+                sets.append(ws)
+        else:
+            ws.used = True
+            counts["ray_weights_reused"] += 1
+        groups = [(sel, pts.reshape(-1, 3), w) for (sel, pts, _), w in zip(nodes, ws.weights)]
+        return RaySystem.from_groups(omega, E, self.grid.n_interior, groups), ws
+
+    def kernel_operator(self, ws: _WeightSet, system: RaySystem, applier: _KernelApplier,
+                        j: int, k: int, counts: dict) -> tuple[SweepOperator, bool]:
+        """(operator, kept): the kernel sweep operator of ``system`` at
+        energy node k, from ``ws`` if one with the same clamp bits is kept."""
+        clamp = _kernel_clamp(applier, j, k)
+        key = np.packbits(clamp).tobytes()
+        op = ws.kernel_ops.get(key)
+        if op is not None:
+            counts["operators_reused"] += 1
+            return op, True
+        op = system.sweep_operator(self.grid, clamp)
+        counts["operators_built"] += 1
+        counts["operator_entries"] += op.data.size
+        kept = self._keep(ws, op)
+        if kept is None:
+            return op, False
+        ws.kernel_ops[key] = kept
+        counts["operator_bytes"] += op.nbytes
+        return kept, True
+
+    def lattice_integral(self, ws: _WeightSet, system: RaySystem, slab: np.ndarray,
+                         counts: dict) -> np.ndarray:
+        """``system``'s ray integrals of the clamped cubic spline of a lattice
+        slab (the ``_grid_interp_factory`` interpolant): the sum of the
+        applies of the pieces of ``ws`` on the spline coefficients.  When the
+        slab's ``_support_clamp`` holds every node the pieces cover, one
+        piece is built for the nodes it adds; otherwise the pieces are
+        dropped and built again."""
+        grid = self.grid
+        box = grid.embed(slab)
+        clamp = _support_clamp(box != 0.0)
+        if ws.covered is None or np.any(ws.covered & ~clamp):
+            dropped = sum(p.nbytes for p in ws.pieces)
+            self.budget.give(dropped)
+            ws.nbytes -= dropped
+            ws.pieces = []
+            ws.covered = np.zeros(grid.shape, dtype=bool)
+        pieces = ws.pieces
+        new = clamp & ~ws.covered
+        if new.any():
+            piece = system.sweep_operator(grid, new)
+            counts["lattice_pieces"] += 1
+            kept = self._keep(ws, piece)
+            if kept is None:
+                pieces = pieces + [piece]
+            else:
+                pieces.append(kept)
+                ws.covered |= new
+        out = np.zeros(grid.n_interior)
+        if pieces:
+            coef = ndimage.spline_filter(box, order=3, mode="constant")
+            for piece in pieces:
+                out += piece.apply(coef)
+        return out
+
+    def end_direction(self, j: int) -> None:
+        """The solve looks up no more weights of direction j: in a cache held
+        by one solve, drop them (its operators stay, and so do the weights of
+        ray systems already handed out)."""
+        if self.across_solves:
+            return
+        for ws in self._sets.get(j, []):
+            if ws.sigma is None:
+                continue
+            nbytes = sum(a.nbytes for a in ws.sigma + ws.weights)
+            self.budget.give(nbytes)
+            ws.nbytes -= nbytes
+            ws.sigma = ws.weights = None
+
+    def end_setup(self) -> None:
+        """Drop the weight sets the solve just set up did not use, returning
+        their bytes, and mark the others unused for the next solve."""
+        for sets in self._sets.values():
+            for ws in sets:
+                if not ws.used:
+                    self.budget.give(ws.nbytes)
+            sets[:] = [ws for ws in sets if ws.used]
+            for ws in sets:
+                ws.used = False
 
 
 def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
@@ -252,61 +513,61 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
                      check_threshold: bool = True,
                      grid_source: Optional[np.ndarray] = None,
                      psi0: Optional[np.ndarray] = None,
-                     t_cap: Optional[float] = None) -> tuple[DiscreteField, IterationReport]:
+                     t_cap: Optional[float] = None,
+                     cache: Optional[SweepCache] = None) -> tuple[DiscreteField, IterationReport]:
     """Source iteration for omega.grad psi + Sigma psi + C psi - K psi = f.
 
     By linearity each iterate is the fixed attenuation inverse of f plus the
     attenuation inverse of the scattered previous iterate, so the analytic
-    source is ray-integrated once.  The sweep of each (direction, energy) is
-    built once as a ``SweepOperator`` on the cubic spline coefficients of the
-    scattered slab, clamped to the ``_support_clamp`` of the kernel's
-    non-zero rows there (which holds the support of every scattered slab);
-    each ray system is dropped once its operator is built.  Operators and
-    cached kernel columns share one ``_CACHE_BYTES`` budget; a sweep whose
+    source is ray-integrated once.  The ray nodes of a direction are placed
+    once for all its energies, and its attenuation weights and sweep
+    operators come from ``cache`` (a ``SweepCache`` on this grid, ``quad``
+    and ``t_cap``, shared by the steps of an energy march; a new one that
+    keeps no weights if None).  The sweep of each (direction, energy) is a
+    ``SweepOperator`` on the cubic spline coefficients of the scattered
+    slab, clamped to the ``_support_clamp`` of the kernel's non-zero rows
+    there (which holds the support of every scattered slab); a sweep whose
     operator is over budget rebuilds it, with the same arithmetic.  Stops
     when the sup change between iterates falls below tol.  ``grid_source``
     adds a lattice source of shape (n_x, n_omega, n_E), integrated once
-    through ``_grid_interp_factory``; ``check_threshold`` verifies C > C''
-    first (callers with their own solvability criterion, like the energy
-    marcher, disable it); ``t_cap`` truncates rays where strong absorption
-    makes the tail negligible.
+    through the cache's lattice-source pieces; ``check_threshold`` verifies
+    C > C'' first, with the kernel columns the solve uses (callers with
+    their own solvability criterion, like the energy marcher, disable it);
+    ``t_cap`` truncates rays where strong absorption makes the tail
+    negligible.
     """
-    from .attenuation import RaySystem
-
+    if cache is None:
+        cache = SweepCache(grid, quad, t_cap, across_solves=False)
+    elif not cache.serves(grid, quad, t_cap):
+        raise ValueError("the sweep cache was made for another grid, quadrature or t_cap")
+    applier = (_KernelApplier(coeffs.scatter, grid, cache.budget)
+               if coeffs.scatter is not None else None)
     if check_threshold:
-        thr = solvability_threshold(coeffs, grid, m=0)
+        thr = solvability_threshold(coeffs, grid, m=0, applier=applier)
         if coeffs.shift <= thr:
             raise ShiftTooSmall(f"shift {coeffs.shift} <= threshold {thr:.6g}")
-    budget = _CacheBudget()
-    applier = _KernelApplier(coeffs.scatter, grid, budget) if coeffs.scatter is not None else None
-    t_cache = grid.escape_cache()
-    if t_cap is not None:
-        t_cache = np.minimum(t_cache, t_cap)
     report = IterationReport()
-
-    def system(j: int, k: int) -> RaySystem:
-        s = RaySystem(coeffs, grid.domain, grid.coords, grid.sphere_nodes[j],
-                      float(grid.energy_nodes[k]), quad, T=t_cache[:, j])
-        report.cache["ray_nodes"] += s.n_nodes
-        return s
+    counts = report.cache
 
     operators = {}
     psi_fix = np.empty(grid.phase_shape)
     for j in range(grid.n_omega):
+        nodes = cache.nodes(j)
+        counts["ray_nodes"] += sum(pts.size // 3 for _, pts, _ in nodes)
         for k in range(grid.n_energy):
-            s = system(j, k)
+            s, ws = cache.system(j, nodes, coeffs, float(grid.energy_nodes[k]), counts)
+            if k == grid.n_energy - 1:
+                cache.end_direction(j)
             psi_fix[:, j, k] = s.integrate_callable(f)
             if grid_source is not None:
-                interp = _grid_interp_factory(grid, grid_source[:, j, k])
-                psi_fix[:, j, k] += s.integrate_interp(interp)
+                psi_fix[:, j, k] += cache.lattice_integral(ws, s, grid_source[:, j, k], counts)
             if applier is not None:
-                op = _kernel_sweep_operator(s, applier, j, k)
-                report.cache["operators_built"] += 1
-                report.cache["operator_entries"] += op.data.size
-                if budget.take(op.nbytes):
+                op, kept = cache.kernel_operator(ws, s, applier, j, k, counts)
+                if kept:
                     operators[(j, k)] = op
-                    report.cache["operator_bytes"] += op.nbytes
             del s
+        del nodes
+    cache.end_setup()
 
     psi = np.zeros(grid.phase_shape) if psi0 is None else np.array(psi0, dtype=float)
     resid = math.inf
@@ -320,8 +581,11 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
                 for j in range(grid.n_omega):
                     op = operators.get((j, k))
                     if op is None:
-                        op = _kernel_sweep_operator(system(j, k), applier, j, k)
-                        report.cache["sweeps_rebuilt"] += 1
+                        s = RaySystem(coeffs, grid.domain, grid.coords, grid.sphere_nodes[j],
+                                      float(grid.energy_nodes[k]), quad, T=cache.T[:, j])
+                        counts["ray_nodes"] += s.n_nodes
+                        op = _kernel_sweep_operator(s, applier, j, k)
+                        counts["sweeps_rebuilt"] += 1
                     coef = ndimage.spline_filter(grid.embed(scattered[:, j]), order=3, mode="constant")
                     new[:, j, k] += op.apply(coef)
         resid = float(np.max(np.abs(new - psi)))
@@ -331,6 +595,8 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
         if resid < tol:
             report.converged = True
             break
+    if applier is not None:
+        applier.release()
     report.finish()
     if not report.converged:
         raise MaxIterationsExceeded(

@@ -71,8 +71,11 @@ class TestRunScenario:
         assert counts["sweeps_rebuilt"] == 0
         assert counts["operator_entries"] > 0
         assert counts["ray_nodes"] > 0
+        assert counts["operators_reused"] == counts["ray_weights_reused"] == 0
+        assert counts["lattice_pieces"] == 0
         body = report.to_json(include_timings=False)
-        for key in ("sweep_cache", "operator_entries", "ray_nodes"):
+        for key in ("sweep_cache", "operator_entries", "ray_nodes", "operators_reused",
+                    "ray_weights_reused", "lattice_pieces"):
             assert key not in body
 
     def test_csda_halving_sweep(self, tmp_path):
@@ -98,6 +101,17 @@ class TestRunScenario:
         names = {p["name"]: p for p in report.properties}
         assert names["cutoff_energy_trace"]["pass"]
         assert names["inflow_trace"]["pass"]
+        # the run's march: weights built once per direction, lattice-source
+        # pieces only while the clamp grows, per-step iterations in timings
+        counts = report.timings["sweep_cache"]
+        steps = report.iteration["steps"]
+        assert counts["ray_weights_reused"] == 8 * (steps - 1)
+        assert 0 < counts["lattice_pieces"] <= 8 * (steps - 1)
+        assert len(report.timings["step_iterations"]) == steps
+        assert sum(report.timings["step_iterations"]) == report.iteration["inner_iterations"]
+        body = report.to_json(include_timings=False)
+        for key in ("step_iterations", "ray_weights_reused", "lattice_pieces", "operators_reused"):
+            assert key not in body
 
     def test_halving_sweep_reuses_the_configured_step(self, monkeypatch):
         cfg = {

@@ -242,6 +242,13 @@ class TestSolveCsda:
             psi, rep = csda.solve_csda(f, coeffs, grid, quad, dE=dE, tol=1e-11)
             sols[dE] = psi
             assert rep.final_slice_sup < 1e-12 and rep.inflow_trace_sup < 1e-10
+            # sigma_eff and the kernel clamp repeat at every step: each
+            # direction builds its weights and its kernel operator once
+            reused = grid.n_omega * (rep.steps - 1)
+            assert rep.cache["operators_built"] == grid.n_omega
+            assert rep.cache["operators_reused"] == rep.cache["ray_weights_reused"] == reused
+            assert len(rep.step_iterations) == rep.steps
+            assert sum(rep.step_iterations) == rep.inner_iterations
         ref = sols[L / 16]
         e1 = h_norm(sols[L / 4].with_values(sols[L / 4].values - ref.values), NormOrder(0))
         e2 = h_norm(sols[L / 8].with_values(sols[L / 8].values - ref.values), NormOrder(0))
@@ -275,7 +282,10 @@ class TestTransform:
         rng = np.random.default_rng(7)
         vals = rng.normal(size=grid.phase_shape)
         psi = DiscreteField(vals, grid)
-        back = csda.transform_roundtrip(psi, C=1.7)
+        phi = csda.transform_to_march(psi, C=1.7)
+        # the cut-off energy Em lands on march node 0, E0 on the last one
+        assert np.array_equal(phi.values[:, :, 0], psi.values[:, :, -1])
+        back = csda.transform_from_march(phi, grid, C=1.7)
         assert np.max(np.abs(back.values - psi.values)) < 1e-12
 
 

@@ -4,7 +4,8 @@ from scipy import ndimage
 
 from raytrans import attenuation as at
 from raytrans import scattering as sc
-from raytrans.errors import QuadratureMismatch, ShiftTooSmall
+from raytrans.catalog import build_scatter
+from raytrans.errors import CoefficientShapeError, NonFiniteValue, QuadratureMismatch, ShiftTooSmall
 from raytrans.fields import CoefficientSet, EnergyInterval, GridSpec, sample_field
 from raytrans.geometry import ConvexDomain, PhasePoint
 from raytrans.norms import h0_margin
@@ -85,6 +86,34 @@ class TestApplyScatter:
         assert np.all(sc.apply_scatter_grid(scatter, pos).values >= 0.0)
 
 
+def _sampled_bound(scatter, grid, max_x_samples):
+    """The m = 0 ``scatter_norm_bound`` before the column bound: kernel calls
+    at no more than ``max_x_samples`` evenly spaced interior nodes, frozen
+    as the reference."""
+    g = grid
+    idx = np.unique(np.linspace(0, g.n_interior - 1, min(max_x_samples, g.n_interior)).astype(int))
+    xs = g.coords[idx]
+    n1 = n2 = 0.0
+    for k in range(g.n_energy):
+        E = float(g.energy_nodes[k])
+        for j in range(g.n_omega):
+            acc_in = np.zeros(len(xs))
+            acc_out = np.zeros(len(xs))
+            for jp in range(g.n_omega):
+                acc_in += g.sphere_weights[jp] * np.abs(np.asarray(
+                    scatter(xs, g.sphere_nodes[jp], g.sphere_nodes[j], E), dtype=float))
+                acc_out += g.sphere_weights[jp] * np.abs(np.asarray(
+                    scatter(xs, g.sphere_nodes[j], g.sphere_nodes[jp], E), dtype=float))
+            n1 = max(n1, float(np.max(acc_in)))
+            n2 = max(n2, float(np.max(acc_out)))
+    return np.sqrt(sc.combinatorial_constant(0) * n1 * n2)
+
+
+# off-centre kernels that 200 evenly spaced nodes of the 13^3 grid of
+# configs/scattering_ball.json miss almost entirely
+OFF_CENTRE = [(0.2, [0.0, 0.5, 0.4]), (0.12, [0.3, -0.3, 0.3])]
+
+
 class TestNormBound:
     def test_zero_kernel(self, grid):
         assert sc.scatter_norm_bound(lambda x, wi, wo, E: np.zeros(len(x)), 0, grid) == 0.0
@@ -92,6 +121,36 @@ class TestNormBound:
     def test_isotropic_unit(self, grid):
         v = sc.scatter_norm_bound(lambda x, wi, wo, E: np.full(len(x), ISO), 0, grid)
         assert v == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("kernel", ["centred", "anisotropic", "off_centre_0", "off_centre_1"])
+    def test_column_bound_equals_sampling_every_node(self, ball, kernel):
+        g = GridSpec(ball, 13, 2, 4, EnergyInterval(0.0, 1.0), 2)
+        if kernel == "centred":
+            kern = build_scatter({"name": "isotropic_bump", "sigma_s": 0.5, "radius": 0.7})
+        elif kernel == "anisotropic":
+            kern = lambda x, wi, wo, E: ISO * (1.0 + 0.6 * (wi @ wo) - 0.3 * E) * smooth_bump(
+                np.linalg.norm(x - 0.2 * wo, axis=1), 0.6)
+        else:
+            radius, center = OFF_CENTRE[int(kernel[-1])]
+            kern = build_scatter({"name": "isotropic_bump", "sigma_s": 0.5,
+                                  "radius": radius, "center": center})
+        bound = sc.scatter_norm_bound(kern, 0, g)
+        assert bound > 0.0
+        assert bound == _sampled_bound(kern, g, g.n_interior)
+
+    @pytest.mark.parametrize("radius, center", OFF_CENTRE)
+    def test_off_centre_kernel_below_true_threshold_raises(self, ball, quad, radius, center):
+        g = GridSpec(ball, 13, 4, 8, EnergyInterval(0.0, 1.0), 1)
+        kern = build_scatter({"name": "isotropic_bump", "sigma_s": 0.5,
+                              "radius": radius, "center": center})
+        sampled, exact = _sampled_bound(kern, g, 200), sc.scatter_norm_bound(kern, 0, g)
+        assert sampled < 1e-6 and exact > 0.3
+        # above the sampled threshold 0.1 + sampled, below the true one
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.1), scatter=kern,
+                                shift=0.1 + 0.5 * (sampled + exact))
+        assert sc.solvability_threshold(coeffs, g) == 0.1 + exact
+        with pytest.raises(ShiftTooSmall):
+            sc.solve_scattering(lambda x, w, E: np.ones(len(x)), coeffs, g, quad)
 
     def test_combinatorial_constant_m0(self):
         assert sc.combinatorial_constant(0) == pytest.approx(1.0)
@@ -186,13 +245,69 @@ class TestSolveScattering:
         assert np.array_equal(cached.values, uncached.values)
         assert rep_cached.iterations == rep_uncached.iterations
         n_sweeps = g.n_omega * g.n_energy
-        assert rep_cached.cache["operators_built"] == n_sweeps
+        reused = g.n_omega * (g.n_energy - 1)
+        # sigma ignores E and the kernel rows do not move with E: one weight
+        # set and one operator per direction serve both energies
+        assert rep_cached.cache["operators_built"] == g.n_omega
+        assert rep_cached.cache["operators_reused"] == rep_cached.cache["ray_weights_reused"] == reused
         assert rep_cached.cache["sweeps_rebuilt"] == 0
+        # with no budget nothing is kept, so nothing is reused
         assert rep_uncached.cache["operator_bytes"] == 0
+        assert rep_uncached.cache["operators_built"] == n_sweeps
+        assert rep_uncached.cache["operators_reused"] == rep_uncached.cache["ray_weights_reused"] == 0
         assert rep_uncached.cache["sweeps_rebuilt"] == n_sweeps * rep_uncached.iterations
-        assert rep_uncached.cache["operator_entries"] == rep_cached.cache["operator_entries"] > 0
-        # every rebuilt sweep places its ray nodes again
-        assert rep_uncached.cache["ray_nodes"] == rep_cached.cache["ray_nodes"] * (1 + rep_uncached.iterations)
+        assert rep_uncached.cache["operator_entries"] == g.n_energy * rep_cached.cache["operator_entries"] > 0
+        # nodes are placed once per direction, and again for every rebuilt sweep
+        assert rep_uncached.cache["ray_nodes"] == \
+            rep_cached.cache["ray_nodes"] * (1 + g.n_energy * rep_uncached.iterations)
+
+    @pytest.mark.parametrize("sigma_has_E", [False, True])
+    def test_energy_nodes_share_ray_nodes_and_weights(self, ball, quad, monkeypatch, sigma_has_E):
+        g = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 3)
+        coeffs = CoefficientSet(
+            sigma_t=lambda x, w, E: 0.3 + 0.1 * x[:, 0] + (0.1 * E if sigma_has_E else 0.0),
+            scatter=lambda x, wi, wo, E: ISO * (0.4 + 0.1 * E) * smooth_bump(
+                np.linalg.norm(x, axis=1), 0.7),
+            shift=1.0,
+        )
+        f = lambda x, w, E: smooth_bump(np.linalg.norm(x - 0.1 * w, axis=1), 0.6) * (1.0 + E)
+        psi, rep = sc.solve_scattering(f, coeffs, g, quad, tol=1e-10)
+        per_pair = sum(at.RaySystem(coeffs, ball, g.coords, g.sphere_nodes[j], float(E), quad,
+                                    T=g.escape_cache()[:, j]).n_nodes
+                       for j in range(g.n_omega) for E in g.energy_nodes)
+        assert 3 * rep.cache["ray_nodes"] == per_pair
+        reused = 0 if sigma_has_E else 2 * g.n_omega
+        assert rep.cache["ray_weights_reused"] == rep.cache["operators_reused"] == reused
+        # every (direction, energy) building its own weights and operator
+        monkeypatch.setattr(sc._WeightSet, "matches", lambda self, sigma: False)
+        ref, rep_ref = sc.solve_scattering(f, coeffs, g, quad, tol=1e-10)
+        assert rep_ref.cache["ray_weights_reused"] == rep_ref.cache["operators_reused"] == 0
+        assert rep_ref.cache["operators_built"] == g.n_omega * g.n_energy
+        assert rep_ref.iterations == rep.iterations
+        assert np.array_equal(psi.values, ref.values)
+
+    def test_non_finite_sigma_fails_before_the_solve_returns(self, ball, quad):
+        g = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 2)
+
+        def sigma(x, w, E):
+            out = np.full(len(x), 0.3)
+            if E > 0.5:
+                out[len(x) // 2] = np.nan
+            return out
+
+        calls = []
+        f = lambda x, w, E: calls.append(E) or np.ones(len(x))
+        coeffs = CoefficientSet(sigma_t=sigma, shift=1.0)
+        with pytest.raises(NonFiniteValue, match=r"sigma is nan at ray node \[.*\] \(direction \[.*\], energy 1\)"):
+            sc.solve_scattering(f, coeffs, g, quad, check_threshold=False)
+        # the source was integrated at the first energy node only
+        assert calls and set(calls) == {0.0}
+
+    def test_sigma_of_wrong_shape_is_named(self, ball, quad):
+        g = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 1)
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full((len(x), 1), 0.3), shift=1.0)
+        with pytest.raises(CoefficientShapeError, match=r"shape \(\d+, 1\) for \d+ ray nodes"):
+            sc.solve_scattering(lambda x, w, E: np.ones(len(x)), coeffs, g, quad)
 
     def test_output_keeps_support_margin(self, ball, quad):
         g = GridSpec(ball, 21, 4, 8, EnergyInterval(0.0, 1.0), 1)
@@ -265,6 +380,64 @@ class TestSweepOperator:
         empty = system.sweep_operator(g, np.zeros(g.shape, dtype=bool))
         assert empty.nbytes == 0
         assert np.array_equal(empty.apply(np.ones(g.shape)), np.zeros(g.n_interior))
+
+    def test_lattice_pieces_match_the_interpolant(self, ball, quad, monkeypatch):
+        g = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 1)
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: 0.3 + 0.2 * x[:, 0], shift=1.0)
+        r = np.linalg.norm(g.coords, axis=1)
+        # (support radius, pieces built): growing, repeated, growing,
+        # shrinking (start again), empty (start again), growing
+        steps = [(0.0, 0), (0.3, 1), (0.5, 1), (0.5, 0), (0.9, 1), (0.4, 1), (0.0, 0), (0.6, 1)]
+
+        def march(budget):
+            monkeypatch.setattr(sc, "_CACHE_BYTES", budget)
+            cache = sc.SweepCache(g, quad)
+            rng = np.random.default_rng(9)
+            for radius, built in steps:
+                for j in (0, 3):
+                    counts = sc._cache_counts()
+                    slab = np.where(r < radius, rng.uniform(0.5, 1.5, g.n_interior), 0.0)
+                    system, ws = cache.system(j, cache.nodes(j), coeffs, 0.0, counts)
+                    out = cache.lattice_integral(ws, system, slab, counts)
+                    ref = system.integrate_interp(sc._grid_interp_factory(g, slab))
+                    assert np.max(np.abs(out - ref)) <= self.REL_TOL * np.max(np.abs(ref), initial=0.0)
+                    yield radius, built, counts, ws
+                cache.end_setup()
+            kept = sum(ws.nbytes for sets in cache._sets.values() for ws in sets)
+            assert cache.budget.left == budget - kept
+
+        for i, (_, built, counts, ws) in enumerate(march(sc._CACHE_BYTES)):
+            assert counts["lattice_pieces"] == built
+            assert counts["ray_weights_reused"] == (i >= 2)
+            assert ws.kept
+        # over budget, each step builds one piece for its whole clamp,
+        # applies it and drops it
+        for radius, _, counts, ws in march(0):
+            assert counts["lattice_pieces"] == (radius > 0.0)
+            assert counts["ray_weights_reused"] == 0
+            assert not ws.kept and ws.pieces == []
+
+    def test_cache_keeps_the_sets_the_last_solve_used(self, ball, quad):
+        g = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 1)
+        cache = sc.SweepCache(g, quad)
+        slab = np.where(np.linalg.norm(g.coords, axis=1) < 0.5, 1.0, 0.0)
+        for a0 in (0.3, 0.3, 0.4, 0.4, 0.3):
+            # one march step per a0: sigma changes at the third and fifth
+            coeffs = CoefficientSet(sigma_t=lambda x, w, E, a0=a0: a0 + 0.1 * x[:, 1], shift=1.0)
+            counts = sc._cache_counts()
+            for j in range(g.n_omega):
+                system, ws = cache.system(j, cache.nodes(j), coeffs, 0.0, counts)
+                fresh = at.RaySystem(coeffs, ball, g.coords, g.sphere_nodes[j], 0.0, quad,
+                                     T=g.escape_cache()[:, j])
+                for (sel, flat, w), (sel_f, flat_f, w_f) in zip(system.groups, fresh.groups):
+                    assert np.array_equal(sel, sel_f) and np.array_equal(flat, flat_f)
+                    assert np.array_equal(w, w_f)
+                cache.lattice_integral(ws, system, slab, counts)
+            cache.end_setup()
+            assert all(len(sets) == 1 for sets in cache._sets.values())
+            kept = sum(ws.nbytes for sets in cache._sets.values() for ws in sets)
+            assert cache.budget.left == sc._CACHE_BYTES - kept
+        assert counts["ray_weights_reused"] == 0
 
     def test_wide_index_dtype(self, ball):
         g = GridSpec(ball, 41, 1, 2, EnergyInterval(0.0, 1.0), 1)
