@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -254,11 +255,7 @@ def _run_scattering(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: R
     report.properties.append(_prop("iteration_converged", rep.converged,
                                    rep.residual_history[-1], tol))
     if coeffs.scatter is not None and not np.isnan(rep.estimated_rate):
-        bound = sc.scatter_norm_bound(coeffs.scatter, 0, grid)
-        from .fields import leibniz_constant, sup_norm_estimate
-
-        c_prime = leibniz_constant(0) * sup_norm_estimate(coeffs.sigma_t, 0, grid)
-        cap = bound / max(coeffs.shift - c_prime, 1e-300) + 0.05
+        cap = rep.kernel_bound / max(coeffs.shift - rep.sigma_term, 1e-300) + 0.05
         report.properties.append(_prop("rate_below_bound", rep.estimated_rate <= cap,
                                        rep.estimated_rate, cap))
     if with_inflow:
@@ -322,13 +319,19 @@ def _run_csda(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: RunRepo
         base_dE = dE if dE is not None else grid.interval.length / 8.0
         ref = csda.explicit_csda_grid(f, float(sig_block["value"]), grid, quad)
         nref = nm.h_norm(ref, nm.NormOrder(0))
-        errs = []
+        errs, iterations, counts = [], [], Counter(rep.cache)
         for step in (base_dE, base_dE / 2.0):
             # the march above already solved the configured step
-            sol = fld if step == dE else csda.solve_csda(f, coeffs, grid, quad, dE=step, tol=tol)[0]
+            sol, step_rep = fld, rep
+            if step != dE:
+                sol, step_rep = csda.solve_csda(f, coeffs, grid, quad, dE=step, tol=tol)
+                counts.update(step_rep.cache)
+            iterations.append(step_rep.step_iterations)
             err = nm.h_norm(sol.with_values(sol.values - ref.values), nm.NormOrder(0)) / nref
             errs.append({"dE": float(step), "l2_rel_error": float(err)})
         report.norms["halving_sweep"] = errs
+        report.timings["sweep_cache"] = dict(counts)
+        report.timings["halving_step_iterations"] = iterations
         ratio = errs[1]["l2_rel_error"] / errs[0]["l2_rel_error"]
         report.properties.append(_prop("halving_error_ratio", 0.4 <= ratio <= 0.6, ratio, 0.6))
     return fld

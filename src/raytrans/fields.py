@@ -18,7 +18,6 @@ from itertools import product
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import GridTooCoarse, NonFiniteValue, OrderTooHigh
 from .geometry import ConvexDomain, escape_times
@@ -214,6 +213,8 @@ class GridSpec:
         extrapolation; the nearest-neighbor index map is cached per grid.
         """
         if self._fill_idx is None:
+            from scipy import ndimage
+
             idx = ndimage.distance_transform_edt(~self.mask, return_distances=False,
                                                  return_indices=True)
             self._fill_idx = tuple(idx)
@@ -310,6 +311,8 @@ class GridSpec:
         """Interior mask shrunk so that iterated central stencils stay inside."""
         if iterations <= 0:
             return self.mask
+        from scipy import ndimage
+
         structure = ndimage.generate_binary_structure(3, 1)
         return ndimage.binary_erosion(self.mask, structure, iterations=iterations)
 
@@ -352,18 +355,15 @@ def sample_field(field: Callable, grid: GridSpec) -> DiscreteField:
     return DiscreteField(out, grid)
 
 
-def sup_norm_estimate(field: Callable, m: int, grid: GridSpec,
-                      n_omega_samples: int = 4, n_energy_samples: int = 5) -> float:
+def sup_norm_estimate(field: Callable, m: int, grid: GridSpec) -> float:
     """Estimate of the spatial W-infinity norm of order m.
 
     Max over |alpha| <= m of the grid sup of central finite differences,
-    restricted to interior nodes more than m*h from the boundary.  Direction
-    and energy nodes are subsampled (coefficients rarely vary in omega).
+    restricted to interior nodes more than m*h from the boundary, over every
+    direction and energy node (one field call per pair).
     """
     if m > _MAX_ORDER:
         raise OrderTooHigh(f"order {m} exceeds supported stencil width {_MAX_ORDER}")
-    oj = np.unique(np.linspace(0, grid.n_omega - 1, min(n_omega_samples, grid.n_omega)).astype(int))
-    ek = np.unique(np.linspace(0, grid.n_energy - 1, min(n_energy_samples, grid.n_energy)).astype(int))
     hbar = float(np.mean(grid.h))
     safe = grid.eroded_mask(m)
     if m > 0:
@@ -373,10 +373,9 @@ def sup_norm_estimate(field: Callable, m: int, grid: GridSpec,
     if not np.any(safe):
         raise GridTooCoarse("no interior node is far enough from the boundary")
     best = 0.0
-    for j in oj:
-        omega = grid.sphere_nodes[j]
-        for k in ek:
-            vals = np.asarray(field(grid.coords, omega, float(grid.energy_nodes[k])), dtype=float)
+    for omega in grid.sphere_nodes:
+        for E in grid.energy_nodes:
+            vals = np.asarray(field(grid.coords, omega, float(E)), dtype=float)
             box = grid.embed(vals)
             for alpha in multi_indices(m):
                 d = grid.derivative_multi(box, alpha, masked=False)

@@ -145,15 +145,6 @@ class ConvexDomain:
             half = self.semi_axes
         return np.stack([self.center - half, self.center + half])
 
-    def contains(self, x, tol: float = BOUNDARY_TOL) -> np.ndarray:
-        return self.level(x) <= tol
-
-    def boundary_distance(self, x) -> np.ndarray:
-        """Approximate distance to the boundary via level / |grad level|."""
-        lv = self.level(x)
-        gn = np.linalg.norm(self.level_gradient(x), axis=-1)
-        return np.abs(lv) / np.maximum(gn, 1e-300)
-
     def boundary_points(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Sample n points on the boundary surface (area-biased for ellipsoids)."""
         v = rng.normal(size=(n, 3))

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .attenuation import (
     RayQuadrature,
@@ -78,7 +77,9 @@ class IterationReport:
     sweeps that rebuilt their operator because it was over budget, the ray
     nodes placed (rebuilds included), the (direction, energy) pairs whose
     attenuation weights came from the cache, and the lattice-source
-    operator pieces built.
+    operator pieces built.  ``sigma_term`` and ``kernel_bound`` are the two
+    terms of the m = 0 solvability threshold the solve checked, c(0)
+    |Sigma|_(W-inf,0) and the collision norm bound (NaN if it checked none).
     """
 
     iterations: int = 0
@@ -86,6 +87,8 @@ class IterationReport:
     converged: bool = False
     estimated_rate: float = math.nan
     cache: dict = field(default_factory=_cache_counts)
+    sigma_term: float = math.nan
+    kernel_bound: float = math.nan
 
     def finish(self) -> "IterationReport":
         ratios = [b / a for a, b in zip(self.residual_history, self.residual_history[1:]) if a > 0]
@@ -258,13 +261,19 @@ def scatter_norm_bound(scatter: Callable, m: int, grid: GridSpec,
     return math.sqrt(combinatorial_constant(m) * n1 * n2)
 
 
+def _threshold_terms(coeffs: CoefficientSet, grid: GridSpec, m: int,
+                     applier: Optional[_KernelApplier]) -> tuple[float, float]:
+    """The two terms of ``solvability_threshold``."""
+    return (leibniz_constant(m) * sup_norm_estimate(coeffs.sigma_t, m, grid),
+            scatter_norm_bound(coeffs.scatter, m, grid, applier=applier)
+            if coeffs.scatter is not None else 0.0)
+
+
 def solvability_threshold(coeffs: CoefficientSet, grid: GridSpec, m: int = 0,
                           applier: Optional[_KernelApplier] = None) -> float:
     """C'' = c(m) |Sigma|_(W-inf,m) + collision norm bound (``applier``
     as in ``scatter_norm_bound``)."""
-    c_sigma = leibniz_constant(m) * sup_norm_estimate(coeffs.sigma_t, m, grid)
-    c_kernel = (scatter_norm_bound(coeffs.scatter, m, grid, applier=applier)
-                if coeffs.scatter is not None else 0.0)
+    c_sigma, c_kernel = _threshold_terms(coeffs, grid, m, applier)
     return c_sigma + c_kernel
 
 
@@ -277,6 +286,8 @@ def _support_clamp(support: np.ndarray) -> np.ndarray:
     would otherwise spread across the box, preserving discrete support
     margins.
     """
+    from scipy import ndimage
+
     return ndimage.binary_dilation(support, np.ones((3, 3, 3), bool), iterations=2)
 
 
@@ -284,6 +295,8 @@ def _grid_interp_factory(grid: GridSpec, slab: np.ndarray) -> Callable:
     """Cubic-spline evaluator for one spatial slab (zero outside the mask),
     clamped by ``_in_clamp`` to the ``_support_clamp`` of the slab support;
     the spline is evaluated only at the points the clamp keeps."""
+    from scipy import ndimage
+
     box = grid.embed(slab)
     filt = ndimage.spline_filter(box, order=3, mode="constant")
     support = _support_clamp(box != 0.0)
@@ -455,6 +468,8 @@ class SweepCache:
         slab's ``_support_clamp`` holds every node the pieces cover, one
         piece is built for the nodes it adds; otherwise the pieces are
         dropped and built again."""
+        from scipy import ndimage
+
         grid = self.grid
         box = grid.embed(slab)
         clamp = _support_clamp(box != 0.0)
@@ -532,21 +547,25 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     adds a lattice source of shape (n_x, n_omega, n_E), integrated once
     through the cache's lattice-source pieces; ``check_threshold`` verifies
     C > C'' first, with the kernel columns the solve uses (callers with
-    their own solvability criterion, like the energy marcher, disable it);
+    their own solvability criterion, like the energy marcher, disable it;
+    the report keeps the threshold's two terms);
     ``t_cap`` truncates rays where strong absorption makes the tail
     negligible.
     """
+    from scipy import ndimage
+
     if cache is None:
         cache = SweepCache(grid, quad, t_cap, across_solves=False)
     elif not cache.serves(grid, quad, t_cap):
         raise ValueError("the sweep cache was made for another grid, quadrature or t_cap")
     applier = (_KernelApplier(coeffs.scatter, grid, cache.budget)
                if coeffs.scatter is not None else None)
+    report = IterationReport()
     if check_threshold:
-        thr = solvability_threshold(coeffs, grid, m=0, applier=applier)
+        report.sigma_term, report.kernel_bound = _threshold_terms(coeffs, grid, 0, applier)
+        thr = report.sigma_term + report.kernel_bound
         if coeffs.shift <= thr:
             raise ShiftTooSmall(f"shift {coeffs.shift} <= threshold {thr:.6g}")
-    report = IterationReport()
     counts = report.cache
 
     operators = {}
@@ -640,15 +659,6 @@ def lift_inflow(g: Callable, lam: float, domain: ConvexDomain, p: PhasePoint) ->
     return float(lift_values(g, lam, domain, p.x.reshape(1, 3), p.omega, p.E)[0])
 
 
-def lift_field(g: Callable, lam: float, domain: ConvexDomain) -> Callable:
-    """The lift as a vectorized callable field."""
-
-    def lg(xs, omega, E):
-        return lift_values(g, lam, domain, xs, omega, float(E))
-
-    return lg
-
-
 def solve_with_inflow(f: Callable, g: Callable, coeffs: CoefficientSet, grid: GridSpec,
                       quad: RayQuadrature, tol: float = 1e-8, max_iter: int = 200,
                       lam: float = 0.0) -> tuple[DiscreteField, IterationReport]:
@@ -658,7 +668,6 @@ def solve_with_inflow(f: Callable, g: Callable, coeffs: CoefficientSet, grid: Gr
     f - (Sigma L g - K L g + C L g) and returns psi = u + L g on the grid.
     """
     domain = grid.domain
-    lg = lift_field(g, lam, domain)
 
     def source(xs, omega, E):
         base = np.asarray(f(xs, omega, E), dtype=float)

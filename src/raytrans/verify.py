@@ -207,9 +207,7 @@ def scattering_suite(seed: int = 0) -> list[PropertyResult]:
     )
     f = lambda x, w, E: smooth_bump(np.linalg.norm(x, axis=1), 0.6)
     psi, rep = sc.solve_scattering(f, coeffs, grid, quad, tol=1e-9, max_iter=60)
-    bound = sc.scatter_norm_bound(coeffs.scatter, 0, grid)
-    c_prime = leibniz_constant(0) * sup_norm_estimate(coeffs.sigma_t, 0, grid)
-    cap = bound / (coeffs.shift - c_prime) + 0.05
+    cap = rep.kernel_bound / (coeffs.shift - rep.sigma_term) + 0.05
     out.append(PropertyResult("iteration_rate_below_bound", rep.estimated_rate <= cap,
                               rep.estimated_rate, cap))
 

@@ -5,7 +5,9 @@ import pytest
 
 from raytrans import cli, csda
 from raytrans import norms as nm
+from raytrans import scattering as sc
 from raytrans.errors import ConfigError
+from raytrans.fields import leibniz_constant, sup_norm_estimate
 
 
 def attenuation_config(tmp_path, sigma=0.0, value=1.0):
@@ -78,6 +80,31 @@ class TestRunScenario:
                     "ray_weights_reused", "lattice_pieces"):
             assert key not in body
 
+    def test_rate_cap_takes_the_threshold_of_the_solve(self, tmp_path, monkeypatch):
+        cfg = attenuation_config(tmp_path)
+        cfg["coefficients"]["scatter"] = {"name": "isotropic_bump", "sigma_s": 0.4, "radius": 0.5}
+        cfg["coefficients"]["shift"] = 1.0
+        cfg["problem"]["kind"] = "scattering"
+        cfg["problem"]["source"] = {"name": "radial_bump", "amplitude": 1.0, "radius": 0.5}
+        calls = []
+        build = cli.build_scatter
+
+        def counted(block):
+            kernel = build(block)
+            return lambda *args: calls.append(1) or kernel(*args)
+
+        monkeypatch.setattr(cli, "build_scatter", counted)
+        report = cli.run_scenario(cfg)
+        grid = cli.build_grid(cfg["grid"], cli.build_domain(cfg["domain"]))
+        # each kernel column evaluated once, for the threshold and the sweeps
+        assert len(calls) == grid.n_omega ** 2 * grid.n_energy
+        coeffs = cli.build_coefficients(cfg["coefficients"], grid)
+        bound = sc.scatter_norm_bound(coeffs.scatter, 0, grid)
+        c_prime = leibniz_constant(0) * sup_norm_estimate(coeffs.sigma_t, 0, grid)
+        cap = {p["name"]: p for p in report.properties}["rate_below_bound"]
+        assert cap["pass"]
+        assert cap["tolerance"] == bound / max(coeffs.shift - c_prime, 1e-300) + 0.05
+
     def test_csda_halving_sweep(self, tmp_path):
         cfg = {
             "domain": {"kind": "unit_ball"},
@@ -101,14 +128,19 @@ class TestRunScenario:
         names = {p["name"]: p for p in report.properties}
         assert names["cutoff_energy_trace"]["pass"]
         assert names["inflow_trace"]["pass"]
-        # the run's march: weights built once per direction, lattice-source
-        # pieces only while the clamp grows, per-step iterations in timings
+        # the run's march and the sweep's march at dE/2: weights built once
+        # per direction and march, lattice-source pieces only while the
+        # clamp grows, per-step iterations in timings
         counts = report.timings["sweep_cache"]
         steps = report.iteration["steps"]
-        assert counts["ray_weights_reused"] == 8 * (steps - 1)
-        assert 0 < counts["lattice_pieces"] <= 8 * (steps - 1)
+        all_steps = steps + 2 * steps
+        assert counts["ray_weights_reused"] == 8 * (all_steps - 2)
+        assert 0 < counts["lattice_pieces"] <= 8 * (all_steps - 2)
         assert len(report.timings["step_iterations"]) == steps
         assert sum(report.timings["step_iterations"]) == report.iteration["inner_iterations"]
+        halving = report.timings["halving_step_iterations"]
+        assert halving[0] == report.timings["step_iterations"]
+        assert len(halving[1]) == 2 * steps and min(halving[1]) > 0
         body = report.to_json(include_timings=False)
         for key in ("step_iterations", "ray_weights_reused", "lattice_pieces", "operators_reused"):
             assert key not in body

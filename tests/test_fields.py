@@ -106,6 +106,22 @@ class TestSupNorm:
         vals = [fl.sup_norm_estimate(f, m, grid) for m in range(3)]
         assert vals[0] <= vals[1] + 1e-12 and vals[1] <= vals[2] + 1e-12
 
+    def test_every_direction_and_energy_node(self, ball):
+        # peaks at direction 1 and energy node 1, between the nodes an even
+        # subsample of 4 directions and 5 energies would take
+        g = fl.GridSpec(ball, 9, 2, 4, fl.EnergyInterval(0.0, 1.0), 9)
+        calls = []
+
+        def sig(x, w, E):
+            calls.append(1)
+            return np.full(len(x), 1.0 + 2.0 * np.array_equal(w, g.sphere_nodes[1])
+                           + 3.0 * (E == g.energy_nodes[1]))
+
+        for m in (0, 1):
+            calls.clear()
+            assert fl.sup_norm_estimate(sig, m, g) == 6.0
+            assert len(calls) == g.n_omega * g.n_energy
+
     def test_order_too_high(self, grid):
         with pytest.raises(OrderTooHigh):
             fl.sup_norm_estimate(lambda x, w, E: x[:, 0], 5, grid)
