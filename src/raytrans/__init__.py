@@ -8,6 +8,8 @@ inflow lift (``scattering``), energy marching for continuous slowing down
 invariant suites (``verify``), and a scenario-running CLI (``cli``).
 """
 
+from types import ModuleType as _ModuleType
+
 from .attenuation import (
     AccretivityResult,
     RayQuadrature,
@@ -77,61 +79,6 @@ from .scattering import (
     solve_with_inflow,
 )
 
-__all__ = [
-    "AccretivityResult",
-    "BoundaryClass",
-    "BoundarySide",
-    "CoefficientSet",
-    "CompatibilityReport",
-    "ConvexDomain",
-    "DiscreteField",
-    "DomainKind",
-    "EnergyInterval",
-    "GridSpec",
-    "IterationReport",
-    "MarchReport",
-    "MarchState",
-    "NormOrder",
-    "PhasePoint",
-    "RayQuadrature",
-    "TraceField",
-    "accretivity_functional",
-    "apply_scatter",
-    "apply_scatter_grid",
-    "attenuation_solution",
-    "backtrack_to_inflow",
-    "ball_escape_closed_form",
-    "boundary_h_norm",
-    "classify_boundary",
-    "compatibility_check",
-    "derivative_source",
-    "escape_times",
-    "escape_times_rootfind",
-    "explicit_csda",
-    "explicit_csda_grid",
-    "extended_escape_time",
-    "green_residual",
-    "h0_margin",
-    "h_norm",
-    "kernel_support_check",
-    "leibniz_constant",
-    "lift_inflow",
-    "march_energy",
-    "outward_normal",
-    "sample_field",
-    "scatter_norm_bound",
-    "solvability_threshold",
-    "solve_attenuation",
-    "solve_attenuation_grid",
-    "solve_attenuation_gradient",
-    "solve_attenuation_points",
-    "solve_csda",
-    "solve_scattering",
-    "solve_with_inflow",
-    "support_margin",
-    "sup_norm_estimate",
-    "trace_from_callable",
-    "trace_from_grid_field",
-    "trace_norm",
-    "triangulate_boundary",
-]
+# every name imported above; the submodules are reached as attributes
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -17,7 +17,8 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 
 from .errors import CoefficientShapeError, MissingDerivative, NonFiniteValue, NotInH0
-from .fields import CoefficientSet, DiscreteField, GridSpec, leibniz_constant, mi_binom, sup_norm_estimate
+from .fields import (CoefficientSet, DiscreteField, GridSpec, leibniz_constant, mi_binom, sub_indices,
+                     sup_norm_estimate)
 from .geometry import ConvexDomain, PhasePoint, escape_time_gradient, escape_times
 
 _T_FLOOR = 1e-14
@@ -88,9 +89,10 @@ def _ray_groups(xs, omega, T, quad):
     their entries stay zero.  Yields (sel, s, pts, width): sel indexes the
     group's rays in the batch, s (n_rays, n_panels, n_nodes) is the distance
     of each node from its ray start, pts (..., 3) the nodes x - s omega, and
-    width (n_rays,) the panel width.  The nodes are filled one coordinate at
-    a time: a broadcast with a length-3 innermost axis is several times
-    slower for the same arithmetic.
+    width (n_rays,) the panel width.  The nodes are stored coordinate-major,
+    one contiguous (n_rays, n_panels, n_nodes) block per coordinate, so
+    ``pts.reshape(-1, 3)`` is a Fortran-ordered view whose columns the
+    callables and ``_lattice_rows`` read contiguously.
     """
     idx_active = np.flatnonzero(T > _T_FLOOR)
     if idx_active.size == 0:
@@ -100,12 +102,10 @@ def _ray_groups(xs, omega, T, quad):
         sel = idx_active[panel_counts == npan]
         width = T[sel] / npan
         s = (np.arange(npan)[None, :, None] + quad.ref_nodes[None, None, :]) * width[:, None, None]
-        pts = np.empty(s.shape + (3,))
-        flat_s = s.reshape(sel.size, -1)
-        flat_p = pts.reshape(sel.size, -1, 3)
+        rows = np.empty((3,) + s.shape)
         for ax in range(3):
-            flat_p[:, :, ax] = xs[sel, ax][:, None] - flat_s * omega[ax]
-        yield sel, s, pts, width
+            np.subtract(xs[sel, ax][:, None, None], s * omega[ax], out=rows[ax])
+        yield sel, s, np.moveaxis(rows, 0, -1), width
 
 
 def _running_integral(g, width, quad):
@@ -125,16 +125,40 @@ def _node_sigma(coeffs, pts, omega, E):
     ``NonFiniteValue`` naming the direction, the energy and the first bad
     node."""
     flat = pts.reshape(-1, 3)
-    sig = np.asarray(coeffs.sigma_t(flat, omega, E), dtype=float)
-    if sig.shape != (flat.shape[0],):
-        raise CoefficientShapeError(f"sigma returned shape {sig.shape} for {flat.shape[0]} "
-                                    f"ray nodes ({_where(omega, E)})")
-    finite = np.isfinite(sig)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise NonFiniteValue(f"sigma is {sig[bad]} at ray node "
-                             f"{np.array2string(flat[bad], precision=6)} ({_where(omega, E)})")
+    sig = _node_values(coeffs.sigma_t(flat, omega, E), flat, "sigma", omega, E)
+    if not np.isfinite(sig).all():
+        raise _non_finite(sig, flat, "sigma", omega, E)
     return sig.reshape(pts.shape[:3]) + coeffs.shift
+
+
+def _node_values(vals, flat, what, omega, E):
+    """A callable's result at the flat nodes (n, 3) as floats; one not of
+    shape (n,) raises ``CoefficientShapeError``."""
+    vals = np.asarray(vals, dtype=float)
+    if vals.shape != (flat.shape[0],):
+        raise CoefficientShapeError(f"{what} returned shape {vals.shape} for {flat.shape[0]} "
+                                    f"ray nodes ({_where(omega, E)})")
+    return vals
+
+
+def _non_finite(vals, flat, what, omega, E) -> NonFiniteValue:
+    """The error for values ``vals`` at the flat nodes that are, or whose ray
+    integrals are, not all finite: it names the first non-finite node."""
+    bad = int(np.argmin(np.isfinite(vals)))
+    if np.isfinite(vals[bad]):
+        return NonFiniteValue(f"{what} ray integral overflows ({_where(omega, E)})")
+    return NonFiniteValue(f"{what} is {vals[bad]} at ray node "
+                          f"{np.array2string(flat[bad], precision=6)} ({_where(omega, E)})")
+
+
+def _source_integrals(w, vals, flat, omega, E):
+    """Ray integrals of source values ``vals`` at the flat nodes with the
+    weights w (n_rays, n_panels, n_nodes).  A non-finite node value always
+    makes its ray's sum non-finite, so only the sums are checked."""
+    out = np.einsum("ipq,ipq->i", w, vals.reshape(w.shape))
+    if not np.isfinite(out).all():
+        raise _non_finite(vals, flat, "source", omega, E)
+    return out
 
 
 def _where(omega, E) -> str:
@@ -159,11 +183,13 @@ def _node_weights(sigma, widths, quad):
     return [_ray_geometry(sig, width, quad)[0] for sig, width in zip(sigma, widths)]
 
 
-def _weighted_sums(n_points, groups, values):
-    """Ray integrals of ``values`` (flat nodes -> values) over the groups."""
+def _weighted_sums(n_points, groups, values, omega, E):
+    """Ray integrals of ``values`` (flat nodes -> values) over the groups,
+    checked like a source at (omega, E)."""
     out = np.zeros(n_points)
     for sel, flat, w in groups:
-        out[sel] = np.einsum("ipq,ipq->i", w, values(flat).reshape(w.shape))
+        vals = _node_values(values(flat), flat, "source", omega, E)
+        out[sel] = _source_integrals(w, vals, flat, omega, E)
     return out
 
 
@@ -182,12 +208,11 @@ def _bspline3(t):
 
 def _lattice_rows(grid, pts):
     """Lattice coordinates (3, n) of points (n, 3): the node axis is last, so
-    the per-node arithmetic that follows runs over long contiguous rows."""
-    c = np.empty((3, pts.shape[0]))
-    for ax in range(3):
-        np.subtract(pts[:, ax], grid.origin[ax], out=c[ax])
-    c /= grid.h[:, None]
-    return c
+    the per-node arithmetic that follows runs over long rows, contiguous for
+    coordinate-major points such as the ray nodes."""
+    c = pts - grid.origin
+    c /= grid.h
+    return c.T
 
 
 def _in_clamp(c, clamp):
@@ -315,11 +340,11 @@ class RaySystem:
         return sum(p.shape[0] for _, p, _ in self.groups)
 
     def integrate_callable(self, f: Callable) -> np.ndarray:
-        return _weighted_sums(self.n_points, self.groups,
-                              lambda flat: np.asarray(f(flat, self.omega, self.E), dtype=float))
+        return _weighted_sums(self.n_points, self.groups, lambda flat: f(flat, self.omega, self.E),
+                              self.omega, self.E)
 
     def integrate_interp(self, interp: Callable) -> np.ndarray:
-        return _weighted_sums(self.n_points, self.groups, interp)
+        return _weighted_sums(self.n_points, self.groups, interp, self.omega, self.E)
 
     def sweep_operator(self, grid: GridSpec, clamp: np.ndarray) -> SweepOperator:
         """``integrate_interp`` of the cubic spline interpolant of a lattice
@@ -380,8 +405,8 @@ def solve_attenuation_points(f: Callable, coeffs: CoefficientSet, domain: Convex
             if sig_prev is None or not np.array_equal(sig, sig_prev):
                 w, _ = _ray_geometry(sig, width, quad)
                 sig_prev = sig
-            fv = np.asarray(f(flat, omega, Ek), dtype=float).reshape(w.shape)
-            out[sel, k] = np.einsum("ipq,ipq->i", w, fv)
+            fv = _node_values(f(flat, omega, Ek), flat, "source", omega, Ek)
+            out[sel, k] = _source_integrals(w, fv, flat, omega, Ek)
     return out[:, 0] if energies.ndim == 0 else out
 
 
@@ -440,7 +465,7 @@ def solve_attenuation_gradient(f: Callable, grad_f: Callable, coeffs: Coefficien
     atten, panel_int = _ray_geometry(_node_sigma(coeffs, pts, omega, E), width, quad)
     flat = pts.reshape(-1, 3)
     nshape = pts.shape[:3]
-    fv = np.asarray(f(flat, omega, E), dtype=float).reshape(nshape)
+    fv = _node_values(f(flat, omega, E), flat, "source", omega, E).reshape(nshape)
     gf = np.asarray(grad_f(flat, omega, E), dtype=float).reshape(nshape + (3,))
     gs = np.asarray(grad_sigma(flat, omega, E), dtype=float).reshape(nshape + (3,))
 
@@ -469,7 +494,7 @@ def derivative_source(f_derivs: Mapping[tuple, Callable], sigma_derivs: Mapping[
     if alpha not in f_derivs:
         raise MissingDerivative(f"source derivative table lacks order {alpha}")
     terms = []
-    for beta in _strict_sub_indices(alpha):
+    for beta in [b for b in sub_indices(alpha) if b != alpha]:
         gap = tuple(a - b for a, b in zip(alpha, beta))
         if gap not in sigma_derivs:
             raise MissingDerivative(f"attenuation derivative table lacks order {gap}")
@@ -486,12 +511,6 @@ def derivative_source(f_derivs: Mapping[tuple, Callable], sigma_derivs: Mapping[
         return out
 
     return source
-
-
-def _strict_sub_indices(alpha):
-    from .fields import sub_indices
-
-    return [b for b in sub_indices(alpha) if b != alpha]
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,15 @@ def smooth_bump(r: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
+def _distance(x, c: np.ndarray) -> np.ndarray:
+    """|x - c| at the points x (n, 3), summed one coordinate at a time as
+    (d0^2 + d1^2) + d2^2: the bits of ``np.linalg.norm(x - c, axis=1)`` in
+    either memory order of x, without a reduction over the length-3 axis."""
+    x = np.atleast_2d(x)
+    d = [x[:, ax] - c[ax] for ax in range(3)]
+    return np.sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2])
+
+
 def _require(block: dict, key: str, kind: str):
     if key not in block:
         raise ConfigError(f"{kind} block is missing '{key}'")
@@ -52,8 +61,7 @@ def build_sigma(block: dict) -> Callable:
         amp = float(_require(block, "amplitude", "sigma"))
         radius = float(_require(block, "radius", "sigma"))
         c = _center(block)
-        return lambda x, w, E: amp * smooth_bump(
-            np.linalg.norm(np.atleast_2d(x) - c, axis=1), radius)
+        return lambda x, w, E: amp * smooth_bump(_distance(x, c), radius)
     raise ConfigError(f"unknown sigma catalog name '{name}'")
 
 
@@ -67,20 +75,14 @@ def build_source(block: dict) -> Callable:
         amp = float(_require(block, "amplitude", "source"))
         radius = float(_require(block, "radius", "source"))
         c = _center(block)
-        return lambda x, w, E: amp * smooth_bump(
-            np.linalg.norm(np.atleast_2d(x) - c, axis=1), radius)
+        return lambda x, w, E: amp * smooth_bump(_distance(x, c), radius)
     if name == "bump_cos_energy":
         amp = float(_require(block, "amplitude", "source"))
         radius = float(_require(block, "radius", "source"))
         freq = float(block.get("freq", 1.0))
         c = _center(block)
-
-        def src(x, w, E):
-            x = np.atleast_2d(x)
-            return amp * smooth_bump(np.linalg.norm(x - c, axis=1), radius) \
-                * (1.0 + 0.8 * np.cos(freq * np.asarray(E)))
-
-        return src
+        return lambda x, w, E: amp * smooth_bump(_distance(x, c), radius) \
+            * (1.0 + 0.8 * np.cos(freq * np.asarray(E)))
     raise ConfigError(f"unknown source catalog name '{name}'")
 
 
@@ -94,8 +96,7 @@ def build_scatter(block: dict) -> Callable:
         s = float(_require(block, "sigma_s", "scatter"))
         radius = float(_require(block, "radius", "scatter"))
         c = _center(block)
-        return lambda x, wi, wo, E: (s / _FOUR_PI) * smooth_bump(
-            np.linalg.norm(np.atleast_2d(x) - c, axis=1), radius)
+        return lambda x, wi, wo, E: (s / _FOUR_PI) * smooth_bump(_distance(x, c), radius)
     if name == "linear_anisotropic_bump":
         s = float(_require(block, "sigma_s", "scatter"))
         b = float(block.get("b", 0.0))
@@ -103,13 +104,8 @@ def build_scatter(block: dict) -> Callable:
             raise ConfigError("scatter anisotropy 'b' must lie in [-1, 1] for a nonnegative kernel")
         radius = float(_require(block, "radius", "scatter"))
         c = _center(block)
-
-        def kern(x, wi, wo, E):
-            x = np.atleast_2d(x)
-            return (s / _FOUR_PI) * (1.0 + b * float(wi @ wo)) \
-                * smooth_bump(np.linalg.norm(x - c, axis=1), radius)
-
-        return kern
+        return lambda x, wi, wo, E: (s / _FOUR_PI) * (1.0 + b * float(wi @ wo)) \
+            * smooth_bump(_distance(x, c), radius)
     raise ConfigError(f"unknown scatter catalog name '{name}'")
 
 

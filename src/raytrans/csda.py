@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .attenuation import RayQuadrature, _ray_groups, solve_attenuation_points
+from .attenuation import RayQuadrature, _node_values, _ray_groups, _source_integrals, solve_attenuation_points
 from .errors import (
     InsufficientEnergyResolution,
     ShiftTooSmall,
@@ -250,9 +250,10 @@ def explicit_csda_points(f: Callable, sigma_const: float, interval: EnergyInterv
     out = np.zeros(xs.shape[0])
     eta = quad.ref_weights
     for sel, s, pts, width in _ray_groups(xs, omega, T, quad):
-        fv = np.asarray(f(pts.reshape(-1, 3), omega, (E + s).reshape(-1)), dtype=float).reshape(s.shape)
+        flat = pts.reshape(-1, 3)
+        fv = _node_values(f(flat, omega, (E + s).reshape(-1)), flat, "source", omega, E)
         w = eta[None, None, :] * width[:, None, None] * np.exp(-sigma_const * s)
-        out[sel] = np.einsum("ipq,ipq->i", w, fv)
+        out[sel] = _source_integrals(w, fv, flat, omega, E)
     return out
 
 

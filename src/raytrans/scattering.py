@@ -26,8 +26,10 @@ from .attenuation import (
     _node_sigma,
     _node_weights,
     _ray_groups,
+    _where,
 )
-from .errors import MaxIterationsExceeded, QuadratureMismatch, ShiftTooSmall
+from .errors import (CoefficientShapeError, MaxIterationsExceeded, NonFiniteValue, QuadratureMismatch,
+                     ShiftTooSmall)
 from .fields import (
     CoefficientSet,
     DiscreteField,
@@ -126,7 +128,10 @@ class _KernelApplier:
     """Applies the collision operator to grid fields one output direction at
     a time.  The kernel column of each (energy node, output direction) is
     kept as its non-zero rows and their (n_rows, n_omega) values; it is
-    cached while ``budget`` allows, otherwise evaluated on use."""
+    cached while ``budget`` allows, otherwise evaluated on use.  A kernel
+    call returns (n_interior,) values or one value for every node; other
+    shapes raise ``CoefficientShapeError``, non-finite values
+    ``NonFiniteValue``."""
 
     def __init__(self, scatter: Callable, grid: GridSpec, budget: Optional[_CacheBudget] = None):
         self.scatter = scatter
@@ -143,7 +148,16 @@ class _KernelApplier:
             E = float(g.energy_nodes[k])
             col = np.empty((g.n_interior, g.n_omega))
             for jin in range(g.n_omega):
-                col[:, jin] = self.scatter(g.coords, g.sphere_nodes[jin], g.sphere_nodes[jout], E)
+                kv = np.asarray(self.scatter(g.coords, g.sphere_nodes[jin], g.sphere_nodes[jout], E),
+                                dtype=float)
+                if kv.shape not in ((), (g.n_interior,)):
+                    raise CoefficientShapeError(f"kernel returned shape {kv.shape} for {g.n_interior} grid "
+                                                f"nodes ({_kernel_where(g, k, jin, jout)})")
+                col[:, jin] = kv
+            if not np.isfinite(col).all():
+                i, jin = np.unravel_index(int(np.argmin(np.isfinite(col))), col.shape)
+                raise NonFiniteValue(f"kernel is {col[i, jin]} at grid node {np.array2string(g.coords[i], precision=6)}"
+                                     f" ({_kernel_where(g, k, jin, jout)})")
             rows = np.flatnonzero(np.any(col != 0.0, axis=1))
             hit = (rows, col[rows])
             nbytes = rows.nbytes + hit[1].nbytes
@@ -166,6 +180,11 @@ class _KernelApplier:
             rows, col = self.column(k, jout)
             out[rows, jout] = np.einsum("xi,i,xi->x", col, w, psi_slice[rows])
         return out
+
+
+def _kernel_where(g: GridSpec, k: int, jin: int, jout: int) -> str:
+    return (f"energy node {k}, in-direction {np.array2string(g.sphere_nodes[jin], precision=6)}, "
+            f"out-{_where(g.sphere_nodes[jout], g.energy_nodes[k])}")
 
 
 def apply_scatter_grid(scatter: Callable, psi: DiscreteField) -> DiscreteField:
