@@ -14,9 +14,7 @@ from .attenuation import (
     AccretivityResult,
     RayQuadrature,
     accretivity_functional,
-    attenuation_solution,
     derivative_source,
-    solve_attenuation,
     solve_attenuation_grid,
     solve_attenuation_gradient,
     solve_attenuation_points,
@@ -26,7 +24,6 @@ from .csda import (
     MarchReport,
     MarchState,
     compatibility_check,
-    explicit_csda,
     explicit_csda_grid,
     march_energy,
     solve_csda,
@@ -72,7 +69,6 @@ from .scattering import (
     IterationReport,
     apply_scatter,
     apply_scatter_grid,
-    lift_inflow,
     scatter_norm_bound,
     solvability_threshold,
     solve_scattering,

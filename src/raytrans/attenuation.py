@@ -410,23 +410,6 @@ def solve_attenuation_points(f: Callable, coeffs: CoefficientSet, domain: Convex
     return out[:, 0] if energies.ndim == 0 else out
 
 
-def solve_attenuation(f: Callable, coeffs: CoefficientSet, domain: ConvexDomain,
-                      p: PhasePoint, quad: RayQuadrature) -> float:
-    """Attenuation solution at a single phase point."""
-    return float(solve_attenuation_points(f, coeffs, domain, p.x.reshape(1, 3),
-                                          p.omega, p.E, quad)[0])
-
-
-def attenuation_solution(f: Callable, coeffs: CoefficientSet, domain: ConvexDomain,
-                         quad: RayQuadrature) -> Callable:
-    """Return the solution as a vectorized callable field (x, omega, E) -> (n,)."""
-
-    def psi(xs, omega, E):
-        return solve_attenuation_points(f, coeffs, domain, xs, omega, float(E), quad)
-
-    return psi
-
-
 def solve_attenuation_grid(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
                            quad: RayQuadrature) -> DiscreteField:
     """Attenuation solve at every grid node."""

@@ -27,8 +27,8 @@ from .errors import (
     StoppingPowerViolation,
 )
 from .fields import CoefficientSet, DiscreteField, EnergyInterval, GridSpec
-from .geometry import ConvexDomain, PhasePoint, escape_times, triangulate_boundary
-from .scattering import SweepCache, solve_scattering
+from .geometry import ConvexDomain, escape_times, triangulate_boundary
+from .scattering import SweepCache, apply_scatter, solve_scattering
 
 
 @dataclass(frozen=True)
@@ -257,12 +257,6 @@ def explicit_csda_points(f: Callable, sigma_const: float, interval: EnergyInterv
     return out
 
 
-def explicit_csda(f: Callable, sigma_const: float, interval: EnergyInterval,
-                  domain: ConvexDomain, p: PhasePoint, quad: RayQuadrature) -> float:
-    return float(explicit_csda_points(f, sigma_const, interval, domain,
-                                      p.x.reshape(1, 3), p.omega, p.E, quad)[0])
-
-
 def explicit_csda_grid(f: Callable, sigma_const: float, grid: GridSpec,
                        quad: RayQuadrature) -> DiscreteField:
     out = np.empty(grid.phase_shape)
@@ -278,20 +272,17 @@ def kr_energy_derivative_gap(scatter: Callable, dscatter_dE: Callable, grid: Gri
                              phi: Callable, E: float, dE: float) -> float:
     """Sup gap between the difference quotient of the collision operator in
     energy and the operator with the energy-differentiated kernel; first
-    order in dE for smooth kernels."""
+    order in dE for smooth kernels.  ``phi(x, omega)`` does not depend on
+    energy."""
+    def quotient(xs, wi, wo, E):
+        return (np.asarray(scatter(xs, wi, wo, E + dE), dtype=float)
+                - np.asarray(scatter(xs, wi, wo, E), dtype=float)) / dE
+
+    psi = lambda xs, w, E: phi(xs, w)
     worst = 0.0
-    xs = grid.coords
-    for j in range(grid.n_omega):
-        wo = grid.sphere_nodes[j]
-        quot = np.zeros(len(xs))
-        deriv = np.zeros(len(xs))
-        for jp in range(grid.n_omega):
-            wi = grid.sphere_nodes[jp]
-            pv = np.asarray(phi(xs, wi), dtype=float)
-            hi = np.asarray(scatter(xs, wi, wo, E + dE), dtype=float)
-            lo = np.asarray(scatter(xs, wi, wo, E), dtype=float)
-            quot += grid.sphere_weights[jp] * (hi - lo) / dE * pv
-            deriv += grid.sphere_weights[jp] * np.asarray(dscatter_dE(xs, wi, wo, E), dtype=float) * pv
+    for wo in grid.sphere_nodes:
+        quot = apply_scatter(quotient, psi, grid.coords, wo, E, grid)
+        deriv = apply_scatter(dscatter_dE, psi, grid.coords, wo, E, grid)
         worst = max(worst, float(np.max(np.abs(quot - deriv))))
     return worst
 
@@ -351,13 +342,8 @@ def compatibility_check(g: Callable, F: Callable, order: int, grid: GridSpec,
                 stream += omega[ax] * (np.asarray(F(inward + e, omega, Em), dtype=float)
                                        - np.asarray(F(inward - e, omega, Em), dtype=float)) / (2 * fd_step)
             sig = np.asarray(coeffs.sigma_t(ys, omega, Em), dtype=float)
-            kf = np.zeros(len(ys))
-            if coeffs.scatter is not None:
-                for jp in range(grid.n_omega):
-                    wi = grid.sphere_nodes[jp]
-                    kf += grid.sphere_weights[jp] \
-                        * np.asarray(coeffs.scatter(ys, wi, omega, Em), dtype=float) \
-                        * np.asarray(F(ys, wi, Em), dtype=float)
+            kf = (apply_scatter(coeffs.scatter, F, ys, omega, Em, grid)
+                  if coeffs.scatter is not None else np.zeros(len(ys)))
             a = np.asarray(coeffs.stopping(ys, Em), dtype=float)
             PF = -(stream + sig * np.asarray(F(ys, omega, Em), dtype=float) - kf) / a
             res = np.abs(d2g - PF - dF)

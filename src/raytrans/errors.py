@@ -66,10 +66,6 @@ class NotInH0(RayTransError):
     required by the zero-trace function space surrogate."""
 
 
-class QuadratureMismatch(RayTransError):
-    """Field sample points do not match the requested quadrature nodes."""
-
-
 class ShiftTooSmall(RayTransError):
     """Shift constant does not exceed the solvability threshold."""
 

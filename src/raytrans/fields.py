@@ -392,38 +392,33 @@ class SupportCheckReport:
 
 
 def kernel_support_check(scatter: Callable, m: int, eta: float, grid: GridSpec,
-                         tol: float = 1e-10, max_pairs: int = 256) -> SupportCheckReport:
+                         tol: float = 1e-10) -> SupportCheckReport:
     """Check that the scattering kernel vanishes near the boundary.
 
     Passes iff |d^alpha scatter| < tol for |alpha| <= m-1 at all interior
-    nodes closer than eta to the boundary (central differences with the grid
-    step; the kernel must be evaluable in an h-neighborhood of the closure).
+    nodes closer than eta to the boundary, for every (in, out) direction
+    pair and energy node (central differences with the grid step; the
+    kernel must be evaluable in an h-neighborhood of the closure).
     """
     near = grid.boundary_dist < eta
     if m < 1 or not np.any(near):
         return SupportCheckReport(True, 0.0)
     xs = grid.coords[near]
     node_ids = np.flatnonzero(near)
-    pairs = [(a, b) for a in range(grid.n_omega) for b in range(grid.n_omega)]
-    if len(pairs) > max_pairs:
-        stride = max(1, len(pairs) // max_pairs)
-        pairs = pairs[::stride]
     alphas = multi_indices(m - 1)
     worst = 0.0
     worst_node = None
     worst_alpha = None
     h = grid.h
-    for a, b in pairs:
-        w_in, w_out = grid.sphere_nodes[a], grid.sphere_nodes[b]
-        for E in grid.energy_nodes:
-            for alpha in alphas:
-                vals = _central_derivative_callable(
-                    lambda p: np.asarray(scatter(p, w_in, w_out, float(E)), dtype=float),
-                    xs, alpha, h)
-                i = int(np.argmax(np.abs(vals)))
-                v = abs(float(vals[i]))
-                if v > worst:
-                    worst, worst_node, worst_alpha = v, int(node_ids[i]), alpha
+    for w_in, w_out, E in product(grid.sphere_nodes, grid.sphere_nodes, grid.energy_nodes):
+        for alpha in alphas:
+            vals = _central_derivative_callable(
+                lambda p: np.asarray(scatter(p, w_in, w_out, float(E)), dtype=float),
+                xs, alpha, h)
+            i = int(np.argmax(np.abs(vals)))
+            v = abs(float(vals[i]))
+            if v > worst:
+                worst, worst_node, worst_alpha = v, int(node_ids[i]), alpha
     return SupportCheckReport(worst < tol, worst, worst_node, worst_alpha)
 
 

@@ -224,10 +224,12 @@ def _quadric_escape(domain: ConvexDomain, xs: np.ndarray, omegas: np.ndarray) ->
 
     In scaled coordinates the level is |u|^2 - 1 and the backward crossing
     solves a quadratic; the positive-part form reproduces the boundary
-    extension (zero on inflow/tangential pairs) exactly.
+    extension (zero on inflow/tangential pairs) exactly.  The scaled
+    positions are made C-contiguous, so the row sums, and with them the
+    bits, do not depend on the memory order of xs.
     """
     scale = domain.semi_axes
-    u = (xs - domain.center) / scale
+    u = np.ascontiguousarray((xs - domain.center) / scale)
     v = omegas / scale
     uv = np.einsum("ij,ij->i", u, v)
     vv = np.einsum("ij,ij->i", v, v)

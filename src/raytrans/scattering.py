@@ -28,20 +28,18 @@ from .attenuation import (
     _ray_groups,
     _where,
 )
-from .errors import (CoefficientShapeError, MaxIterationsExceeded, NonFiniteValue, QuadratureMismatch,
-                     ShiftTooSmall)
+from .errors import CoefficientShapeError, MaxIterationsExceeded, NonFiniteValue, ShiftTooSmall
 from .fields import (
     CoefficientSet,
     DiscreteField,
     GridSpec,
-    _central_derivative_callable,
     leibniz_constant,
     mi_binom,
     multi_indices,
     sub_indices,
     sup_norm_estimate,
 )
-from .geometry import ConvexDomain, PhasePoint, escape_times
+from .geometry import ConvexDomain, escape_times
 
 _CACHE_BYTES = 512 * 2**20
 
@@ -100,38 +98,46 @@ class IterationReport:
         return self
 
 
-def apply_scatter(scatter: Callable, psi, x, omega, E: float, grid: GridSpec) -> float:
-    """Quadrature of the direction integral of the kernel against the field
-    at one (position, out-direction, energy)."""
-    x = np.asarray(x, dtype=float).reshape(3)
-    omega = np.asarray(omega, dtype=float).reshape(3)
-    if isinstance(psi, DiscreteField):
-        if psi.grid is not grid:
-            raise QuadratureMismatch("field lives on a different grid")
-        d = np.linalg.norm(grid.coords - x, axis=1)
-        i = int(np.argmin(d))
-        if d[i] > 1e-12:
-            raise QuadratureMismatch("position is not a grid node")
-        k = int(np.argmin(np.abs(grid.energy_nodes - E)))
-        if abs(grid.energy_nodes[k] - E) > 1e-12:
-            raise QuadratureMismatch("energy is not a grid node")
-        psi_vals = psi.values[i, :, k]
-    else:
-        psi_vals = np.array([float(np.asarray(psi(x.reshape(1, 3), grid.sphere_nodes[j], E))[0])
-                             for j in range(grid.n_omega)])
-    kern = np.array([float(np.asarray(scatter(x.reshape(1, 3), grid.sphere_nodes[j], omega, E))[0])
-                     for j in range(grid.n_omega)])
-    return float(np.sum(grid.sphere_weights * kern * psi_vals))
+def _kernel_values(scatter: Callable, xs: np.ndarray, wi: np.ndarray, wo: np.ndarray, E: float,
+                   k: Optional[int] = None) -> np.ndarray:
+    """The kernel at the positions xs (n, 3) for in-direction wi,
+    out-direction wo and energy E (energy node k of a grid, if given): one
+    value for every position or (n,) values.  Other shapes raise
+    ``CoefficientShapeError``, a non-finite value ``NonFiniteValue`` naming
+    the first bad position.  The collision operator and its norm bound call
+    kernels only through here."""
+    kv = np.asarray(scatter(xs, wi, wo, E), dtype=float)
+    shape_ok = kv.shape in ((), (len(xs),))
+    if shape_ok and np.isfinite(kv).all():
+        return kv
+    nodes = "grid node" if k is not None else "point"
+    where = (f"energy node {k}, " if k is not None else "") \
+        + f"in-direction {np.array2string(np.asarray(wi), precision=6)}, out-{_where(wo, E)}"
+    if not shape_ok:
+        raise CoefficientShapeError(f"kernel returned shape {kv.shape} for {len(xs)} {nodes}s ({where})")
+    vals = np.broadcast_to(kv, (len(xs),))
+    i = int(np.argmin(np.isfinite(vals)))
+    raise NonFiniteValue(f"kernel is {vals[i]} at {nodes} {np.array2string(xs[i], precision=6)} ({where})")
+
+
+def apply_scatter(scatter: Callable, psi: Callable, xs, omega, E: float, grid: GridSpec) -> np.ndarray:
+    """Collision operator at the positions xs (n, 3) for out-direction omega
+    and energy E, off the grid: the quadrature over the grid's directions
+    of the kernel against the field callable psi(xs, omega', E).  Returns
+    (n,) values; ``apply_scatter_grid`` applies it to grid fields."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    acc = np.zeros(xs.shape[0])
+    for wj, weight in zip(grid.sphere_nodes, grid.sphere_weights):
+        acc += weight * _kernel_values(scatter, xs, wj, omega, E) * np.asarray(psi(xs, wj, E), dtype=float)
+    return acc
 
 
 class _KernelApplier:
     """Applies the collision operator to grid fields one output direction at
     a time.  The kernel column of each (energy node, output direction) is
     kept as its non-zero rows and their (n_rows, n_omega) values; it is
-    cached while ``budget`` allows, otherwise evaluated on use.  A kernel
-    call returns (n_interior,) values or one value for every node; other
-    shapes raise ``CoefficientShapeError``, non-finite values
-    ``NonFiniteValue``."""
+    cached while ``budget`` allows, otherwise evaluated on use.  The kernel
+    values come from ``_kernel_values``, which checks them."""
 
     def __init__(self, scatter: Callable, grid: GridSpec, budget: Optional[_CacheBudget] = None):
         self.scatter = scatter
@@ -148,16 +154,8 @@ class _KernelApplier:
             E = float(g.energy_nodes[k])
             col = np.empty((g.n_interior, g.n_omega))
             for jin in range(g.n_omega):
-                kv = np.asarray(self.scatter(g.coords, g.sphere_nodes[jin], g.sphere_nodes[jout], E),
-                                dtype=float)
-                if kv.shape not in ((), (g.n_interior,)):
-                    raise CoefficientShapeError(f"kernel returned shape {kv.shape} for {g.n_interior} grid "
-                                                f"nodes ({_kernel_where(g, k, jin, jout)})")
-                col[:, jin] = kv
-            if not np.isfinite(col).all():
-                i, jin = np.unravel_index(int(np.argmin(np.isfinite(col))), col.shape)
-                raise NonFiniteValue(f"kernel is {col[i, jin]} at grid node {np.array2string(g.coords[i], precision=6)}"
-                                     f" ({_kernel_where(g, k, jin, jout)})")
+                col[:, jin] = _kernel_values(self.scatter, g.coords, g.sphere_nodes[jin],
+                                             g.sphere_nodes[jout], E, k)
             rows = np.flatnonzero(np.any(col != 0.0, axis=1))
             hit = (rows, col[rows])
             nbytes = rows.nbytes + hit[1].nbytes
@@ -180,11 +178,6 @@ class _KernelApplier:
             rows, col = self.column(k, jout)
             out[rows, jout] = np.einsum("xi,i,xi->x", col, w, psi_slice[rows])
         return out
-
-
-def _kernel_where(g: GridSpec, k: int, jin: int, jout: int) -> str:
-    return (f"energy node {k}, in-direction {np.array2string(g.sphere_nodes[jin], precision=6)}, "
-            f"out-{_where(g.sphere_nodes[jout], g.energy_nodes[k])}")
 
 
 def apply_scatter_grid(scatter: Callable, psi: DiscreteField) -> DiscreteField:
@@ -212,71 +205,53 @@ def combinatorial_constant(m: int) -> float:
     return best
 
 
-def _column_norms(applier: _KernelApplier) -> tuple[float, float]:
-    """N1 and N2 of the m = 0 bound over every interior node, from the
-    kernel columns: N1 is the largest incoming-direction quadrature of |K|
-    (a weighted row sum of one column), N2 the largest outgoing-direction
-    one (summed over the columns)."""
+def _column_norms(applier: _KernelApplier, m: int) -> tuple[float, float]:
+    """N1 and N2 of the order-m bound over every interior node, from the
+    kernel columns: N1 is the largest incoming-direction quadrature of
+    |d^alpha K| (a weighted row sum of one column), N2 the largest
+    outgoing-direction one (summed over the columns), both over |alpha| <= m.
+    For alpha != 0, d^alpha is the composed central lattice difference
+    (``GridSpec.derivative_multi``, unmasked) of the zero-embedded column."""
     g = applier.grid
     w = g.sphere_weights
+    alphas = multi_indices(m)
     n1 = n2 = 0.0
     for k in range(g.n_energy):
-        acc_out = np.zeros((g.n_interior, g.n_omega))
+        acc_out = np.zeros((len(alphas), g.n_interior, g.n_omega))
         for jout in range(g.n_omega):
             rows, col = applier.column(k, jout)
-            mag = np.abs(col)
-            acc_in = np.zeros(rows.size)
-            for jin in range(g.n_omega):
-                acc_in += w[jin] * mag[:, jin]
-            n1 = max(n1, float(np.max(acc_in, initial=0.0)))
-            acc_out[rows] += w[jout] * mag
+            if m > 0:
+                box = np.zeros(g.shape + (g.n_omega,))
+                box.reshape(-1, g.n_omega)[g.interior_idx[rows]] = col
+            for a, alpha in enumerate(alphas):
+                if any(alpha):
+                    rows_a = slice(None)
+                    mag = np.abs(g.extract(g.derivative_multi(box, alpha, masked=False)))
+                else:
+                    rows_a, mag = rows, np.abs(col)
+                acc_in = np.zeros(mag.shape[0])
+                for jin in range(g.n_omega):
+                    acc_in += w[jin] * mag[:, jin]
+                n1 = max(n1, float(np.max(acc_in, initial=0.0)))
+                acc_out[a, rows_a] += w[jout] * mag
         n2 = max(n2, float(np.max(acc_out)))
     return n1, n2
 
 
 def scatter_norm_bound(scatter: Callable, m: int, grid: GridSpec,
-                       max_x_samples: int = 200,
                        applier: Optional[_KernelApplier] = None) -> float:
     """Constructive upper bound sqrt(C_m N1 N2) for the collision-operator
     norm on the order-m space.
 
     N1 and N2 are grid values of the two mixed sup/L1 kernel norms
-    (incoming- and outgoing-direction integrals); C_m is the enumerated
-    combinatorial constant.  For m = 0 they cover every interior node,
-    from the kernel columns of ``applier`` (the solve's, so the threshold
-    and the solve evaluate the kernel once; a fresh uncached one if None).
-    For m >= 1 they are a sample: central differences of the kernel at no
-    more than ``max_x_samples`` evenly spaced interior nodes.
+    (incoming- and outgoing-direction integrals) over every interior node,
+    from the kernel columns of ``applier`` (``_column_norms``; the solve's,
+    so the threshold and the solve evaluate the kernel once; a fresh
+    uncached one if None); C_m is the enumerated combinatorial constant.
     """
-    if m == 0:
-        if applier is None:
-            applier = _KernelApplier(scatter, grid, _CacheBudget(0))
-        n1, n2 = _column_norms(applier)
-        return math.sqrt(combinatorial_constant(0) * n1 * n2)
-    g = grid
-    idx = np.unique(np.linspace(0, g.n_interior - 1, min(max_x_samples, g.n_interior)).astype(int))
-    xs = g.coords[idx]
-    n1 = 0.0
-    n2 = 0.0
-    for alpha in multi_indices(m):
-        for k in range(g.n_energy):
-            E = float(g.energy_nodes[k])
-            for j in range(g.n_omega):
-                w_fix = g.sphere_nodes[j]
-                acc_in = np.zeros(len(xs))
-                acc_out = np.zeros(len(xs))
-                for jp in range(g.n_omega):
-                    w_var = g.sphere_nodes[jp]
-                    d_in = _central_derivative_callable(
-                        lambda p: np.asarray(scatter(p, w_var, w_fix, E), dtype=float),
-                        xs, alpha, g.h)
-                    d_out = _central_derivative_callable(
-                        lambda p: np.asarray(scatter(p, w_fix, w_var, E), dtype=float),
-                        xs, alpha, g.h)
-                    acc_in += g.sphere_weights[jp] * np.abs(d_in)
-                    acc_out += g.sphere_weights[jp] * np.abs(d_out)
-                n1 = max(n1, float(np.max(acc_in)))
-                n2 = max(n2, float(np.max(acc_out)))
+    if applier is None:
+        applier = _KernelApplier(scatter, grid, _CacheBudget(0))
+    n1, n2 = _column_norms(applier, m)
     return math.sqrt(combinatorial_constant(m) * n1 * n2)
 
 
@@ -673,11 +648,6 @@ def lift_values(g: Callable, lam: float, domain: ConvexDomain, xs, omega,
     return vals
 
 
-def lift_inflow(g: Callable, lam: float, domain: ConvexDomain, p: PhasePoint) -> float:
-    """Lift of inflow data at a single phase point."""
-    return float(lift_values(g, lam, domain, p.x.reshape(1, 3), p.omega, p.E)[0])
-
-
 def solve_with_inflow(f: Callable, g: Callable, coeffs: CoefficientSet, grid: GridSpec,
                       quad: RayQuadrature, tol: float = 1e-8, max_iter: int = 200,
                       lam: float = 0.0) -> tuple[DiscreteField, IterationReport]:
@@ -686,28 +656,20 @@ def solve_with_inflow(f: Callable, g: Callable, coeffs: CoefficientSet, grid: Gr
     Solves the homogeneous-inflow problem for u with source
     f - (Sigma L g - K L g + C L g) and returns psi = u + L g on the grid.
     """
-    domain = grid.domain
+    def lift(xs, omega, E):
+        return lift_values(g, lam, grid.domain, xs, omega, E)
 
     def source(xs, omega, E):
         base = np.asarray(f(xs, omega, E), dtype=float)
-        lg_here = lift_values(g, lam, domain, xs, omega, E)
         sig = np.asarray(coeffs.sigma_t(xs, omega, E), dtype=float)
-        out = base - (sig + coeffs.shift) * lg_here
+        out = base - (sig + coeffs.shift) * lift(xs, omega, E)
         if coeffs.scatter is not None:
-            xs2 = np.atleast_2d(np.asarray(xs, dtype=float))
-            acc = np.zeros(xs2.shape[0])
-            for j in range(grid.n_omega):
-                wj = grid.sphere_nodes[j]
-                acc += grid.sphere_weights[j] \
-                    * np.asarray(coeffs.scatter(xs2, wj, omega, E), dtype=float) \
-                    * lift_values(g, lam, domain, xs2, wj, E)
-            out = out + acc
+            out = out + apply_scatter(coeffs.scatter, lift, xs, omega, E, grid)
         return out
 
     u, report = solve_scattering(source, coeffs, grid, quad, tol, max_iter)
     lifted = np.empty(grid.phase_shape)
     for j in range(grid.n_omega):
         for k in range(grid.n_energy):
-            lifted[:, j, k] = lift_values(g, lam, domain, grid.coords,
-                                          grid.sphere_nodes[j], float(grid.energy_nodes[k]))
+            lifted[:, j, k] = lift(grid.coords, grid.sphere_nodes[j], float(grid.energy_nodes[k]))
     return DiscreteField(u.values + lifted, grid), report

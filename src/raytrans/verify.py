@@ -16,7 +16,6 @@ from .errors import ConfigError
 from .fields import CoefficientSet, DiscreteField, EnergyInterval, GridSpec, leibniz_constant, sample_field, sup_norm_estimate
 from .geometry import (
     ConvexDomain,
-    PhasePoint,
     ball_escape_closed_form,
     escape_times,
     escape_times_rootfind,
@@ -100,10 +99,12 @@ def attenuation_suite(seed: int = 0) -> list[PropertyResult]:
     quad = _std_quad()
     out = []
 
+    def point(f, cs, x, w):
+        return at.solve_attenuation_points(f, cs, ball, x, w, 0.0, quad)[0]
+
     coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 1.0))
     xs, oms = _interior(rng, 200), _directions(rng, 200)
-    psi = np.array([at.solve_attenuation(lambda x, w, E: np.ones(len(x)), coeffs, ball,
-                                         PhasePoint(x, w), quad) for x, w in zip(xs, oms)])
+    psi = np.array([point(lambda x, w, E: np.ones(len(x)), coeffs, x, w) for x, w in zip(xs, oms)])
     T, _ = ball_escape_closed_form(xs, oms, with_gradient=False)
     gap = float(np.max(np.abs(psi - (1.0 - np.exp(-T)))))
     out.append(PropertyResult("attenuation_constant_closed_form", gap < 1e-8, gap, 1e-8))
@@ -117,29 +118,25 @@ def attenuation_suite(seed: int = 0) -> list[PropertyResult]:
         tt, _ = ball_escape_closed_form(x, w, with_gradient=False)
         return wp(tt) + (sshift.sigma_t(x, w, E) + sshift.shift) * wf(tt)
 
-    psi = np.array([at.solve_attenuation(fman, sshift, ball, PhasePoint(x, w), quad)
-                    for x, w in zip(xs[:100], oms[:100])])
+    psi = np.array([point(fman, sshift, x, w) for x, w in zip(xs[:100], oms[:100])])
     gap = float(np.max(np.abs(psi - wf(T[:100]))))
     out.append(PropertyResult("attenuation_manufactured_profile", gap < 1e-9, gap, 1e-9))
 
     f1 = lambda x, w, E: np.sin(x[:, 0])
     f2 = lambda x, w, E: np.cos(x[:, 1])
-    p = PhasePoint(np.array([0.2, -0.1, 0.3]), np.array([0.6, 0.8, 0.0]))
-    lin = abs(at.solve_attenuation(lambda x, w, E: 2 * f1(x, w, E) - 3 * f2(x, w, E), sshift, ball, p, quad)
-              - (2 * at.solve_attenuation(f1, sshift, ball, p, quad)
-                 - 3 * at.solve_attenuation(f2, sshift, ball, p, quad)))
+    solve = lambda f: point(f, sshift, np.array([0.2, -0.1, 0.3]), np.array([0.6, 0.8, 0.0]))
+    lin = abs(solve(lambda x, w, E: 2 * f1(x, w, E) - 3 * f2(x, w, E)) - (2 * solve(f1) - 3 * solve(f2)))
     out.append(PropertyResult("attenuation_linearity", lin < 1e-12, lin, 1e-12))
 
     fb = lambda x, w, E: smooth_bump(np.linalg.norm(x, axis=1), 0.7)
     T_all = escape_times(ball, xs, oms)
     short = T_all < 0.29
-    vals = np.array([at.solve_attenuation(fb, coeffs, ball, PhasePoint(x, w), quad)
-                     for x, w in zip(xs[short], oms[short])]) if np.any(short) else np.zeros(1)
+    vals = np.array([point(fb, coeffs, x, w) for x, w in zip(xs[short], oms[short])]) \
+        if np.any(short) else np.zeros(1)
     worst = float(np.max(np.abs(vals)))
     out.append(PropertyResult("support_preservation_margin", worst < 1e-12, worst, 1e-12))
 
-    mono = np.array([at.solve_attenuation(fb, coeffs, ball, PhasePoint(x, w), quad)
-                     for x, w in zip(xs[:100], oms[:100])])
+    mono = np.array([point(fb, coeffs, x, w) for x, w in zip(xs[:100], oms[:100])])
     out.append(PropertyResult("attenuation_monotone_nonnegative", bool(np.all(mono >= 0)), float(np.min(mono)), 0.0))
 
     grid = GridSpec(ball, 17, 2, 4, EnergyInterval(0.0, 1.0), 1)
@@ -169,13 +166,13 @@ def scattering_suite(seed: int = 0) -> list[PropertyResult]:
 
     iso = lambda x, wi, wo, E: np.full(len(np.atleast_2d(x)), _ISO)
     const_field = sample_field(lambda x, w, E: np.full(len(x), 2.5), grid)
-    gap = abs(sc.apply_scatter(iso, const_field, grid.coords[0], grid.sphere_nodes[0], 0.0, grid) - 2.5)
+    gap = float(np.max(np.abs(sc.apply_scatter_grid(iso, const_field).values - 2.5)))
     out.append(PropertyResult("scatter_isotropic_normalization", gap < 1e-12, gap, 1e-12))
 
     kern = lambda x, wi, wo, E: np.full(len(np.atleast_2d(x)), _ISO * (1.0 + wi @ wo))
     psi_fn = lambda x, w, E: np.full(len(np.atleast_2d(x)), w[2])
     omega = grid.sphere_nodes[3]
-    gap = abs(sc.apply_scatter(kern, psi_fn, grid.coords[0], omega, 0.0, grid) - omega[2] / 3.0)
+    gap = abs(sc.apply_scatter(kern, psi_fn, grid.coords[0], omega, 0.0, grid)[0] - omega[2] / 3.0)
     out.append(PropertyResult("scatter_linear_moment", gap < 1e-12, gap, 1e-12))
 
     worst = 0.0
@@ -186,16 +183,15 @@ def scattering_suite(seed: int = 0) -> list[PropertyResult]:
         r0 = rng.uniform(0.4, 0.8)
         k2 = lambda x, wi, wo, E: (a0 + a1 * (wi @ wo)) * _ISO \
             * smooth_bump(np.linalg.norm(np.atleast_2d(x), axis=1), r0)
-        bound = sc.scatter_norm_bound(k2, 0, grid)
-        observed = 0.0
-        for i in range(0, grid.n_interior, 37):
-            M = np.empty((grid.n_omega, grid.n_omega))
-            for jin in range(grid.n_omega):
-                col = np.array([k2(grid.coords[i].reshape(1, 3), grid.sphere_nodes[jin],
-                                   grid.sphere_nodes[jo], 0.0)[0] for jo in range(grid.n_omega)])
-                M[:, jin] = grid.sphere_weights[jin] * col
-            W = sq[:, None] * M / sq[None, :]
-            observed = max(observed, float(np.linalg.svd(W, compute_uv=False)[0]))
+        applier = sc._KernelApplier(k2, grid)
+        bound = sc.scatter_norm_bound(k2, 0, grid, applier=applier)
+        # M[x, out, in] = w_in K(x, in, out): the discrete operator at each node
+        M = np.zeros((grid.n_interior, grid.n_omega, grid.n_omega))
+        for jo in range(grid.n_omega):
+            rows, col = applier.column(0, jo)
+            M[rows, jo] = col * grid.sphere_weights
+        W = sq[:, None] * M / sq[None, :]
+        observed = float(np.max(np.linalg.svd(W, compute_uv=False)[:, 0]))
         worst = max(worst, observed - bound)
     out.append(PropertyResult("scatter_bound_dominates_observed", worst <= 1e-12, worst, 0.0))
 

@@ -24,7 +24,6 @@ from raytrans.fields import (
 )
 from raytrans.geometry import (
     ConvexDomain,
-    PhasePoint,
     ball_escape_closed_form,
     escape_times,
     outward_normal,
@@ -135,7 +134,7 @@ def test_c05_attenuation_closed_form():
     coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.ones(len(x)))
     one = lambda x, w, E: np.ones(len(x))
     psi = np.array([
-        at.solve_attenuation(one, coeffs, BALL, PhasePoint(x, w), quad)
+        at.solve_attenuation_points(one, coeffs, BALL, x, w, 0.0, quad)[0]
         for x, w in zip(xs, oms)
     ])
     T, _ = ball_escape_closed_form(xs, oms, with_gradient=False)
@@ -178,7 +177,7 @@ def test_c07_support_preservation():
     assert np.count_nonzero(short) > 200
     worst = 0.0
     for x, w in zip(xs[short], oms[short]):
-        worst = max(worst, abs(at.solve_attenuation(f, coeffs, BALL, PhasePoint(x, w), quad)))
+        worst = max(worst, abs(at.solve_attenuation_points(f, coeffs, BALL, x, w, 0.0, quad)[0]))
     report("C07", "support preservation (margin 0.3 source)", worst < 1e-12, worst, 1e-12, start)
 
 

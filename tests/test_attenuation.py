@@ -48,7 +48,7 @@ class TestPointSolve:
         rng = np.random.default_rng(3)
         xs, oms = random_phase(rng, 50)
         for x, w in zip(xs, oms):
-            psi = at.solve_attenuation(one_f, coeffs, ball, PhasePoint(x, w), quad)
+            psi = at.solve_attenuation_points(one_f, coeffs, ball, x, w, 0.0, quad)[0]
             t, _ = ball_escape_closed_form(x, w, with_gradient=False)
             assert psi == pytest.approx(t, abs=1e-11)
 
@@ -58,7 +58,7 @@ class TestPointSolve:
         rng = np.random.default_rng(5)
         xs, oms = random_phase(rng, 100)
         psi = np.array([
-            at.solve_attenuation(one_f, coeffs, ball, PhasePoint(x, w), quad)
+            at.solve_attenuation_points(one_f, coeffs, ball, x, w, 0.0, quad)[0]
             for x, w in zip(xs, oms)
         ])
         T, _ = ball_escape_closed_form(xs, oms, with_gradient=False)
@@ -66,8 +66,8 @@ class TestPointSolve:
 
     def test_inflow_point_returns_zero(self, ball, quad):
         coeffs = CoefficientSet(sigma_t=one_f)
-        psi = at.solve_attenuation(one_f, coeffs, ball,
-                                   PhasePoint(np.array([1.0, 0, 0]), np.array([-1.0, 0, 0])), quad)
+        psi = at.solve_attenuation_points(one_f, coeffs, ball, np.array([1.0, 0, 0]),
+                                          np.array([-1.0, 0, 0]), 0.0, quad)[0]
         assert psi == 0.0
 
     def test_streamed_solve_equals_ray_system(self, ball, quad):
@@ -95,10 +95,8 @@ class TestPointSolve:
         f1 = lambda x, w, E: np.sin(x[:, 0])
         f2 = lambda x, w, E: np.cos(x[:, 1]) * x[:, 2]
         fc = lambda x, w, E: 2.0 * f1(x, w, E) - 3.0 * f2(x, w, E)
-        p = PhasePoint(np.array([0.2, -0.3, 0.1]), np.array([0.6, 0.8, 0.0]))
-        a = at.solve_attenuation(f1, coeffs, ball, p, quad)
-        b = at.solve_attenuation(f2, coeffs, ball, p, quad)
-        c = at.solve_attenuation(fc, coeffs, ball, p, quad)
+        x, w = np.array([0.2, -0.3, 0.1]), np.array([0.6, 0.8, 0.0])
+        a, b, c = (at.solve_attenuation_points(f, coeffs, ball, x, w, 0.0, quad)[0] for f in (f1, f2, fc))
         assert c == pytest.approx(2 * a - 3 * b, abs=1e-12)
 
     def test_monotonicity(self, ball, quad):
@@ -107,7 +105,7 @@ class TestPointSolve:
         rng = np.random.default_rng(7)
         xs, oms = random_phase(rng, 50)
         for x, w in zip(xs, oms):
-            assert at.solve_attenuation(f, coeffs, ball, PhasePoint(x, w), quad) >= 0.0
+            assert at.solve_attenuation_points(f, coeffs, ball, x, w, 0.0, quad)[0] >= 0.0
 
 
 class TestManufactured:
@@ -129,7 +127,7 @@ class TestManufactured:
         rng = np.random.default_rng(11)
         xs, oms = random_phase(rng, 200)
         psi = np.array([
-            at.solve_attenuation(f, coeffs, ball, PhasePoint(x, w), quad)
+            at.solve_attenuation_points(f, coeffs, ball, x, w, 0.0, quad)[0]
             for x, w in zip(xs, oms)
         ])
         T, _ = ball_escape_closed_form(xs, oms, with_gradient=False)
@@ -145,9 +143,9 @@ class TestManufactured:
             i = rng.integers(grid.n_interior)
             j = rng.integers(grid.n_omega)
             k = rng.integers(grid.n_energy)
-            p = PhasePoint(grid.coords[i], grid.sphere_nodes[j], float(grid.energy_nodes[k]))
-            assert field.values[i, j, k] == pytest.approx(
-                at.solve_attenuation(f, coeffs, ball, p, quad), abs=1e-12)
+            assert field.values[i, j, k] == pytest.approx(at.solve_attenuation_points(
+                f, coeffs, ball, grid.coords[i], grid.sphere_nodes[j], float(grid.energy_nodes[k]), quad)[0],
+                abs=1e-12)
 
 
 class TestNodesPerDirection:
@@ -210,7 +208,7 @@ class TestEllipsoidDomain:
         oms = d / np.linalg.norm(d, axis=1, keepdims=True)
         worst = 0.0
         for x, w in zip(xs, oms):
-            got = at.solve_attenuation(f, coeffs, dom, PhasePoint(x, w), quad)
+            got = at.solve_attenuation_points(f, coeffs, dom, x, w, 0.0, quad)[0]
             T = escape_times(dom, x.reshape(1, 3), w)[0]
             worst = max(worst, abs(got - wfun(T)))
         assert worst < 1e-9
@@ -247,8 +245,8 @@ class TestGradient:
             def fd(h):
                 e = np.zeros(3)
                 e[j] = h
-                up = at.solve_attenuation(f, coeffs, ball, PhasePoint(x + e, w), quad)
-                dn = at.solve_attenuation(f, coeffs, ball, PhasePoint(x - e, w), quad)
+                up = at.solve_attenuation_points(f, coeffs, ball, x + e, w, 0.0, quad)[0]
+                dn = at.solve_attenuation_points(f, coeffs, ball, x - e, w, 0.0, quad)[0]
                 return (up - dn) / (2 * h)
 
             return (4 * fd(1e-4) - fd(2e-4)) / 3
@@ -320,14 +318,14 @@ class TestDerivativeSource:
             e = np.array([h, 0, 0])
             return (f(x + e, w, E) - f(x - e, w, E)) / (2 * h)
 
-        psi_fn = at.attenuation_solution(f, coeffs, ball, quad)
+        psi_fn = lambda xs, w, E: at.solve_attenuation_points(f, coeffs, ball, xs, w, float(E), quad)
         f_alpha = at.derivative_source(
             {(1, 0, 0): d1f},
             {(1, 0, 0): lambda x, w, E: np.full(len(x), 0.5)},
             {(0, 0, 0): psi_fn},
             (1, 0, 0),
         )
-        dpsi_fn = at.attenuation_solution(f_alpha, coeffs, ball, quad)
+        dpsi_fn = lambda xs, w, E: at.solve_attenuation_points(f_alpha, coeffs, ball, xs, w, float(E), quad)
         rng = np.random.default_rng(19)
         xs, oms = random_phase(rng, 10, rmax=0.6)
         h = 1e-4
@@ -348,7 +346,7 @@ class TestSupportPreservation:
         T = escape_times(ball, xs, oms)
         short = T < 0.29
         assert np.any(short)
-        vals = np.array([at.solve_attenuation(f, coeffs, ball, PhasePoint(x, w), quad)
+        vals = np.array([at.solve_attenuation_points(f, coeffs, ball, x, w, 0.0, quad)[0]
                          for x, w in zip(xs[short], oms[short])])
         assert np.max(np.abs(vals)) < 1e-12
 
@@ -374,7 +372,7 @@ class TestSupportPreservation:
                 w = -w  # make it inflow-ish
             if np.dot(w, y) >= -1e-6:
                 continue
-            psi = at.solve_attenuation(f, coeffs, ball, PhasePoint(y, w), quad)
+            psi = at.solve_attenuation_points(f, coeffs, ball, y, w, 0.0, quad)[0]
             assert psi == 0.0
 
 

@@ -5,7 +5,7 @@ from raytrans import csda
 from raytrans.attenuation import RayQuadrature
 from raytrans.errors import InsufficientEnergyResolution, ShiftTooSmall, StoppingPowerViolation
 from raytrans.fields import CoefficientSet, DiscreteField, EnergyInterval, GridSpec
-from raytrans.geometry import ConvexDomain, PhasePoint
+from raytrans.geometry import ConvexDomain
 from raytrans.norms import NormOrder, h_norm
 
 
@@ -35,8 +35,8 @@ class TestExplicit:
     def test_empty_range_at_cutoff(self, ball, quad):
         iv = EnergyInterval(0.0, 1.0)
         f = lambda x, w, E: np.ones(len(np.atleast_2d(x)))
-        p = PhasePoint(np.zeros(3), np.array([1.0, 0, 0]), iv.Em)
-        assert csda.explicit_csda(f, 0.5, iv, ball, p, quad) == 0.0
+        got = csda.explicit_csda_points(f, 0.5, iv, ball, np.zeros(3), np.array([1.0, 0, 0]), iv.Em, quad)
+        assert got[0] == 0.0
 
     def test_unit_source_no_attenuation(self, ball, quad):
         iv = EnergyInterval(0.0, 1.0)
@@ -51,7 +51,7 @@ class TestExplicit:
             from raytrans.geometry import extended_escape_time
 
             expect = min(iv.Em - E, extended_escape_time(ball, x, w))
-            got = csda.explicit_csda(f, 0.0, iv, ball, PhasePoint(x, w, E), quad)
+            got = csda.explicit_csda_points(f, 0.0, iv, ball, x, w, E, quad)[0]
             assert got == pytest.approx(expect, abs=1e-11)
 
     def test_energy_ramp_closed_form(self, ball, quad):
@@ -72,7 +72,7 @@ class TestExplicit:
             L = min(iv.Em - E, extended_escape_time(ball, x, w))
             expect = (E * (1 - np.exp(-sig * L)) / sig
                       + (1 - np.exp(-sig * L) * (1 + sig * L)) / sig**2)
-            got = csda.explicit_csda(f, sig, iv, ball, PhasePoint(x, w, E), quad)
+            got = csda.explicit_csda_points(f, sig, iv, ball, x, w, E, quad)[0]
             assert got == pytest.approx(expect, abs=1e-9)
 
 

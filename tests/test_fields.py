@@ -142,6 +142,14 @@ class TestKernelSupport:
         assert not rep.passed
         assert rep.worst_violation == pytest.approx(1.0)
 
+    def test_every_direction_pair_is_checked(self, grid):
+        # non-zero near the boundary for one (in, out) pair only
+        target = (grid.sphere_nodes[1], grid.sphere_nodes[grid.n_omega - 2])
+        k = lambda x, wi, wo, E: np.full(len(x), float(np.array_equal(wi, target[0])
+                                                     and np.array_equal(wo, target[1])))
+        rep = fl.kernel_support_check(k, 1, 0.1, grid)
+        assert not rep.passed and rep.worst_violation == 1.0
+
     def test_pass_is_monotone(self, grid):
         k = lambda x, wi, wo, E: smooth_bump(np.linalg.norm(x, axis=1), 0.5)
         assert fl.kernel_support_check(k, 2, 0.3, grid).passed

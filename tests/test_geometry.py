@@ -117,6 +117,19 @@ class TestEscapeTime:
         t = geo.escape_times(ball, random_interior(rng, 300), random_directions(rng, 300))
         assert np.all(t >= 0.0) and np.all(t <= ball.diameter + 1e-12)
 
+    @pytest.mark.parametrize("n", [7, 100, 200001])
+    def test_bits_do_not_depend_on_memory_order(self, n):
+        rng = np.random.default_rng(n)
+        for dom in (geo.ConvexDomain.unit_ball(), geo.ConvexDomain.ellipsoid([0.1, 0.0, -0.1], [1.4, 1.0, 0.8])):
+            u = rng.normal(size=(n, 3))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            xs = dom.center + u * dom.semi_axes * (0.99 * rng.uniform(0, 1, (n, 1)) ** (1 / 3))
+            w = rng.normal(size=3)
+            w /= np.linalg.norm(w)
+            c_order = geo.escape_times(dom, np.ascontiguousarray(xs), w)
+            f_order = geo.escape_times(dom, np.asfortranarray(xs), w)
+            assert np.array_equal(c_order, f_order)
+
     def test_ellipsoid_against_bisection(self):
         dom = geo.ConvexDomain.ellipsoid([0.1, -0.2, 0.0], [2.0, 1.0, 0.7])
         rng = np.random.default_rng(19)

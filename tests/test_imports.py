@@ -1,6 +1,8 @@
 """Attenuation-only processes never load scipy; a scattering solve loads it
-at its first sweep and gives the same field as in any other process."""
+at its first sweep and gives the same field as in any other process.  No
+package module keeps an import it does not use."""
 
+import ast
 import io
 import os
 import subprocess
@@ -49,3 +51,27 @@ def test_scipy_loads_only_with_the_first_sweep():
     exec(PROBLEM, ns)
     psi, _ = ns["solve_scattering"](ns["f"], ns["scattering"], ns["grid"], ns["quad"], tol=1e-10)
     assert np.array_equal(child, psi.values)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names bound by the module-level imports of ``path`` that its code
+    never loads (a string that is one name, as a quoted annotation, counts
+    as a use)."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    used = {n.id if isinstance(n, ast.Name) else n.value for n in ast.walk(tree)
+            if isinstance(n, ast.Name) or (isinstance(n, ast.Constant) and isinstance(n.value, str))}
+    return sorted(bound - used)
+
+
+def test_no_unused_module_imports():
+    # the package __init__ imports to re-export
+    modules = sorted(p for p in (SRC / "raytrans").glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = {p.name: names for p in modules if (names := _unused_imports(p))}
+    assert unused == {}

@@ -174,12 +174,12 @@ class TestTraceOfSolutions:
     def test_outflow_trace_of_attenuation_solution_stable(self, ball):
         # the outflow trace of a transport solve has a finite weighted norm
         # that is stable under surface-mesh refinement
-        from raytrans.attenuation import RayQuadrature, attenuation_solution
+        from raytrans.attenuation import RayQuadrature, solve_attenuation_points
         from raytrans.fields import CoefficientSet
 
         coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.8))
         f = lambda x, w, E: smooth_bump(np.linalg.norm(x, axis=1), 0.6)
-        psi = attenuation_solution(f, coeffs, ball, RayQuadrature(12, 4))
+        psi = lambda xs, w, E: solve_attenuation_points(f, coeffs, ball, xs, w, float(E), RayQuadrature(12, 4))
         g = GridSpec(ball, 9, 4, 8, EnergyInterval(0.0, 1.0), 1)
         vals = []
         for subdiv in (2, 3):

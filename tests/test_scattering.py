@@ -1,13 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from raytrans import attenuation as at
+from raytrans import csda
 from raytrans import scattering as sc
 from raytrans.catalog import build_scatter
-from raytrans.errors import CoefficientShapeError, NonFiniteValue, QuadratureMismatch, ShiftTooSmall
-from raytrans.fields import CoefficientSet, EnergyInterval, GridSpec, sample_field
-from raytrans.geometry import ConvexDomain, PhasePoint
+from raytrans.errors import CoefficientShapeError, NonFiniteValue, ShiftTooSmall
+from raytrans.fields import CoefficientSet, EnergyInterval, GridSpec, multi_indices, sample_field
+from raytrans.geometry import ConvexDomain
 from raytrans.norms import h0_margin
 
 
@@ -41,8 +44,8 @@ class TestApplyScatter:
     def test_isotropic_normalization(self, grid):
         scatter = lambda x, wi, wo, E: np.full(len(x), ISO)
         psi = sample_field(lambda x, w, E: np.full(len(x), 3.7), grid)
-        v = sc.apply_scatter(scatter, psi, grid.coords[0], grid.sphere_nodes[0], 0.0, grid)
-        assert v == pytest.approx(3.7, abs=1e-12)
+        v = sc.apply_scatter_grid(scatter, psi).values
+        assert np.max(np.abs(v - 3.7)) <= 1e-12
 
     def test_linear_anisotropy_moment(self, grid):
         # kernel (1 + w.w')/4pi against psi = w'.e3 integrates to (w.e3)/3
@@ -50,8 +53,9 @@ class TestApplyScatter:
         psi_fn = lambda x, w, E: np.full(len(x), w[2])
         for j in (0, 3, grid.n_omega - 1):
             omega = grid.sphere_nodes[j]
-            v = sc.apply_scatter(scatter, psi_fn, grid.coords[5], omega, 0.0, grid)
-            assert v == pytest.approx(omega[2] / 3.0, abs=1e-12)
+            v = sc.apply_scatter(scatter, psi_fn, grid.coords, omega, 0.0, grid)
+            assert v.shape == (grid.n_interior,)
+            assert np.max(np.abs(v - omega[2] / 3.0)) <= 1e-12
 
     def test_high_order_quadrature_oracle(self, ball):
         # same moment against a much finer product rule
@@ -59,19 +63,41 @@ class TestApplyScatter:
         scatter = lambda x, wi, wo, E: np.full(len(x), ISO * (1.0 + wi @ wo))
         psi_fn = lambda x, w, E: np.full(len(x), w[2])
         omega = fine.sphere_nodes[7]
-        v = sc.apply_scatter(scatter, psi_fn, fine.coords[0], omega, 0.0, fine)
-        assert v == pytest.approx(omega[2] / 3.0, abs=1e-12)
+        v = sc.apply_scatter(scatter, psi_fn, fine.coords, omega, 0.0, fine)
+        assert np.max(np.abs(v - omega[2] / 3.0)) <= 1e-12
 
     def test_zero_field(self, grid):
         scatter = lambda x, wi, wo, E: np.full(len(x), ISO)
         psi = sample_field(lambda x, w, E: np.zeros(len(x)), grid)
-        assert sc.apply_scatter(scatter, psi, grid.coords[0], grid.sphere_nodes[1], 0.0, grid) == 0.0
+        assert np.all(sc.apply_scatter_grid(scatter, psi).values == 0.0)
 
-    def test_off_node_raises(self, grid):
-        scatter = lambda x, wi, wo, E: np.full(len(x), ISO)
-        psi = sample_field(lambda x, w, E: np.ones(len(x)), grid)
-        with pytest.raises(QuadratureMismatch):
-            sc.apply_scatter(scatter, psi, grid.coords[0] + 0.001, grid.sphere_nodes[0], 0.0, grid)
+    def test_batched_equals_grid_apply_at_nodes(self, grid):
+        scatter = lambda x, wi, wo, E: ISO * (1.0 + 0.4 * (wi @ wo) + 0.3 * E) \
+            * smooth_bump(np.linalg.norm(x - 0.2 * wo, axis=1), 0.8)
+        psi_fn = lambda x, w, E: np.cos(x[:, 1]) + 0.5 * w[2] + x[:, 0] * E
+        on_grid = sc.apply_scatter_grid(scatter, sample_field(psi_fn, grid)).values
+        assert np.max(np.abs(on_grid)) > 0.1
+        for j in range(grid.n_omega):
+            for k, E in enumerate(grid.energy_nodes):
+                v = sc.apply_scatter(scatter, psi_fn, grid.coords, grid.sphere_nodes[j], float(E), grid)
+                assert np.max(np.abs(v - on_grid[:, j, k])) <= 1e-15
+
+    def test_scalar_kernel_and_named_errors(self, grid):
+        psi_fn = lambda x, w, E: np.ones(len(x))
+        v = sc.apply_scatter(lambda x, wi, wo, E: ISO, psi_fn, grid.coords[:4], grid.sphere_nodes[0], 0.0, grid)
+        assert np.max(np.abs(v - 1.0)) <= 1e-15
+        with pytest.raises(CoefficientShapeError, match=r"kernel returned shape \(4, 1\) for 4 points "
+                                                        r"\(in-direction \[.*\], out-direction \[.*\], energy 0\)"):
+            sc.apply_scatter(lambda x, wi, wo, E: np.ones((len(x), 1)), psi_fn, grid.coords[:4],
+                             grid.sphere_nodes[0], 0.0, grid)
+
+        def kernel(x, wi, wo, E):
+            out = np.full(len(x), ISO)
+            out[2] = np.inf
+            return out
+
+        with pytest.raises(NonFiniteValue, match=r"kernel is inf at point \[.*\] \(in-direction"):
+            sc.apply_scatter(kernel, psi_fn, grid.coords[:4], grid.sphere_nodes[0], 0.0, grid)
 
     def test_linear_and_monotone(self, grid):
         scatter = lambda x, wi, wo, E: ISO * (1.0 + 0.3 * wi @ wo)
@@ -107,6 +133,45 @@ def _sampled_bound(scatter, grid, max_x_samples):
             n1 = max(n1, float(np.max(acc_in)))
             n2 = max(n2, float(np.max(acc_out)))
     return np.sqrt(sc.combinatorial_constant(0) * n1 * n2)
+
+
+def _central_derivative(f, xs, alpha, h):
+    """Composed central differences of a vectorized callable at xs."""
+    if sum(alpha) == 0:
+        return f(xs)
+    axis = next(i for i, a in enumerate(alpha) if a > 0)
+    rest = tuple(a - (i == axis) for i, a in enumerate(alpha))
+    e = np.zeros(3)
+    e[axis] = h[axis]
+    return (_central_derivative(f, xs + e, rest, h) - _central_derivative(f, xs - e, rest, h)) / (2.0 * h[axis])
+
+
+def _sampled_bound_m(scatter, grid, m, max_x_samples=200):
+    """The m >= 1 ``scatter_norm_bound`` before the column bound: central
+    differences of the kernel callable at no more than ``max_x_samples``
+    evenly spaced interior nodes, frozen as the reference."""
+    g = grid
+    idx = np.unique(np.linspace(0, g.n_interior - 1, min(max_x_samples, g.n_interior)).astype(int))
+    xs = g.coords[idx]
+    n1 = n2 = 0.0
+    for alpha in multi_indices(m):
+        for k in range(g.n_energy):
+            E = float(g.energy_nodes[k])
+            for j in range(g.n_omega):
+                w_fix = g.sphere_nodes[j]
+                acc_in = np.zeros(len(xs))
+                acc_out = np.zeros(len(xs))
+                for jp in range(g.n_omega):
+                    w_var = g.sphere_nodes[jp]
+                    d_in = _central_derivative(lambda p: np.asarray(scatter(p, w_var, w_fix, E), dtype=float),
+                                               xs, alpha, g.h)
+                    d_out = _central_derivative(lambda p: np.asarray(scatter(p, w_fix, w_var, E), dtype=float),
+                                                xs, alpha, g.h)
+                    acc_in += g.sphere_weights[jp] * np.abs(d_in)
+                    acc_out += g.sphere_weights[jp] * np.abs(d_out)
+                n1 = max(n1, float(np.max(acc_in)))
+                n2 = max(n2, float(np.max(acc_out)))
+    return np.sqrt(sc.combinatorial_constant(m) * n1 * n2)
 
 
 # off-centre kernels that 200 evenly spaced nodes of the 13^3 grid of
@@ -152,6 +217,29 @@ class TestNormBound:
         with pytest.raises(ShiftTooSmall):
             sc.solve_scattering(lambda x, w, E: np.ones(len(x)), coeffs, g, quad)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("kernel", ["centred", "off_centre_0", "off_centre_1"])
+    def test_column_bound_dominates_sampled_bound(self, ball, kernel, m):
+        g = GridSpec(ball, 13, 2, 4, EnergyInterval(0.0, 1.0), 2)
+        radius, center = (0.7, [0.0, 0.0, 0.0]) if kernel == "centred" else OFF_CENTRE[int(kernel[-1])]
+        kern = build_scatter({"name": "isotropic_bump", "sigma_s": 0.5, "radius": radius, "center": center})
+        bound = sc.scatter_norm_bound(kern, m, g)
+        # where the sample holds the largest node the two agree to round-off:
+        # they difference the kernel at x +- h and at the lattice nodes
+        assert bound >= _sampled_bound_m(kern, g, m) * (1.0 - 1e-12)
+        assert bound > sc.scatter_norm_bound(kern, m - 1, g)
+
+    def test_order_one_bound_of_a_direction_free_kernel(self, ball):
+        # K = x_1: both direction integrals are 4 pi times the largest |K| or
+        # lattice difference of the zero-embedded K, which peaks at the mask edge
+        g = GridSpec(ball, 9, 1, 2, EnergyInterval(0.0, 1.0), 1)
+        box = g.embed(g.coords[:, 0])
+        sup = max([float(np.max(np.abs(g.coords[:, 0])))]
+                  + [float(np.max(np.abs(g.extract(g.diff_central(box, axis))))) for axis in range(3)])
+        assert sup > 1.0
+        expect = np.sqrt(sc.combinatorial_constant(1)) * 4 * np.pi * sup
+        assert sc.scatter_norm_bound(lambda x, wi, wo, E: x[:, 0], 1, g) == pytest.approx(expect, rel=1e-12)
+
     def test_combinatorial_constant_m0(self):
         assert sc.combinatorial_constant(0) == pytest.approx(1.0)
 
@@ -179,6 +267,36 @@ class TestNormBound:
                 W = sq[:, None] * M / sq[None, :]
                 observed = max(observed, float(np.linalg.svd(W, compute_uv=False)[0]))
             assert observed <= bound * (1.0 + 1e-9)
+
+
+class TestKernelPath:
+    def test_kernel_is_called_only_through_the_shared_function(self, ball, quad):
+        g = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 0.2), 2)
+        callers = []
+
+        def kern(x, wi, wo, E):
+            # the caller, or the caller of a kernel that only forwards to this one
+            up = sys._getframe(1)
+            callers.append(up.f_code.co_name if up.f_code.co_name == "_kernel_values"
+                           else (up.f_code.co_name, up.f_back.f_code.co_name))
+            return 0.4 * ISO * (1.0 + E) * smooth_bump(np.linalg.norm(x, axis=1), 0.6)
+
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.3), scatter=kern, shift=1.0,
+                                stopping=lambda x, E: -np.ones(len(np.atleast_2d(x))), kappa=1.0)
+        f = lambda x, w, E: smooth_bump(np.linalg.norm(x, axis=1), 0.5)
+        sc.solve_scattering(f, coeffs, g, quad, tol=1e-10)
+        # the threshold and the solve share the cached kernel columns
+        assert len(callers) == g.n_energy * g.n_omega ** 2
+        sc.scatter_norm_bound(kern, 1, g)
+        sc.apply_scatter_grid(kern, sample_field(f, g))
+        sc.apply_scatter(kern, f, g.coords, g.sphere_nodes[0], 0.0, g)
+        sc.solve_with_inflow(f, lambda y, w, E: np.ones(len(y)), coeffs, g, quad, tol=1e-8)
+        four_energies = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 0.2), 4)
+        csda.compatibility_check(lambda y, w, E: np.zeros(len(y)), f, 2, four_energies, coeffs)
+        csda.kr_energy_derivative_gap(kern, kern, g, lambda x, w: np.ones(len(x)), 0.1, 0.05)
+        csda.march_energy(f, coeffs, g, quad, dE=0.1)
+        assert set(callers) == {"_kernel_values", ("quotient", "_kernel_values"),
+                                ("scatter_eff", "_kernel_values")}
 
 
 class TestSolveScattering:
@@ -565,11 +683,11 @@ class TestLift:
             x *= rng.uniform(0, 0.95) ** (1 / 3) / np.linalg.norm(x)
             w = rng.normal(size=3)
             w /= np.linalg.norm(w)
-            assert sc.lift_inflow(g1, 0.0, ball, PhasePoint(x, w)) == pytest.approx(1.0, abs=1e-12)
+            assert sc.lift_values(g1, 0.0, ball, x, w, 0.0)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_decay_from_center(self, ball):
         g1 = lambda y, w, E: np.ones(len(y))
-        v = sc.lift_inflow(g1, 1.0, ball, PhasePoint(np.zeros(3), np.array([1.0, 0, 0])))
+        v = sc.lift_values(g1, 1.0, ball, np.zeros(3), np.array([1.0, 0, 0]), 0.0)[0]
         assert v == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_characteristic_constancy(self, ball):
@@ -589,10 +707,9 @@ class TestLift:
 
     def test_tangential_point_flagged_zero(self, ball):
         g1 = lambda y, w, E: np.ones(len(y)) + y[:, 0]
-        p = PhasePoint(np.array([1.0, 0, 0]), np.array([0.0, 0, 1.0]))
-        assert sc.lift_inflow(g1, 0.0, ball, p) == 0.0
-        p_in = PhasePoint(np.array([1.0, 0, 0]), np.array([-1.0, 0, 0]))
-        assert sc.lift_inflow(g1, 0.0, ball, p_in) == pytest.approx(2.0, abs=1e-9)
+        x = np.array([1.0, 0, 0])
+        assert sc.lift_values(g1, 0.0, ball, x, np.array([0.0, 0, 1.0]), 0.0)[0] == 0.0
+        assert sc.lift_values(g1, 0.0, ball, x, np.array([-1.0, 0, 0]), 0.0)[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_inflow_trace_matches_data(self, ball):
         g1 = lambda y, w, E: y[:, 0] + 2.0
