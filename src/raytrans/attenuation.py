@@ -177,12 +177,6 @@ def _ray_geometry(sig, width, quad):
     return quad.ref_weights[None, None, :] * width[:, None, None] * np.exp(-exponent), panel_int
 
 
-def _node_weights(sigma, widths, quad):
-    """Attenuation weights of panel-count groups with sigma + shift values
-    ``sigma`` at their nodes and panel widths ``widths``."""
-    return [_ray_geometry(sig, width, quad)[0] for sig, width in zip(sigma, widths)]
-
-
 def _weighted_sums(n_points, groups, values, omega, E):
     """Ray integrals of ``values`` (flat nodes -> values) over the groups,
     checked like a source at (omega, E)."""
@@ -300,40 +294,17 @@ def _operator_chunk(grid, clamp, flat, w, n_rays):
     return key[first] // size, key[first] % size, np.add.reduceat(taps.T.reshape(-1)[order], first)
 
 
+@dataclass(frozen=True, eq=False)
 class RaySystem:
-    """Frozen backward-ray quadrature for one (direction, energy) pair.
+    """Backward-ray quadrature of one (direction, energy) pair on a batch of
+    ``n_points`` points, as ``SweepCache.system`` assembles it: per
+    panel-count group, the indices ``sel`` of its rays in the batch, their
+    flat nodes and their attenuation-weighted quadrature weights."""
 
-    Stores node coordinates and attenuation-weighted quadrature weights for
-    every ray of a point batch, so repeated source integrations (source
-    iteration sweeps) cost one source evaluation plus a weighted sum.
-    """
-
-    def __init__(self, coeffs: CoefficientSet, domain: ConvexDomain, xs: np.ndarray,
-                 omega: np.ndarray, E: float, quad: RayQuadrature,
-                 T: Optional[np.ndarray] = None):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        omega = np.asarray(omega, dtype=float).reshape(3)
-        if T is None:
-            T = escape_times(domain, xs, omega)
-        groups = []
-        for sel, _, pts, width in _ray_groups(xs, omega, T, quad):
-            w, _ = _ray_geometry(_node_sigma(coeffs, pts, omega, float(E)), width, quad)
-            groups.append((sel, pts.reshape(-1, 3), w))
-        self._assign(omega, E, xs.shape[0], groups)
-
-    @classmethod
-    def from_groups(cls, omega, E, n_points, groups) -> "RaySystem":
-        """A ray system from nodes already placed and weights already formed:
-        ``groups`` holds (sel, flat nodes, weights) per panel-count group."""
-        system = cls.__new__(cls)
-        system._assign(np.asarray(omega, dtype=float).reshape(3), E, n_points, groups)
-        return system
-
-    def _assign(self, omega, E, n_points, groups):
-        self.omega = omega
-        self.E = float(E)
-        self.n_points = n_points
-        self.groups = groups
+    omega: np.ndarray
+    E: float
+    n_points: int
+    groups: list
 
     @property
     def n_nodes(self) -> int:
@@ -346,33 +317,42 @@ class RaySystem:
     def integrate_interp(self, interp: Callable) -> np.ndarray:
         return _weighted_sums(self.n_points, self.groups, interp, self.omega, self.E)
 
-    def sweep_operator(self, grid: GridSpec, clamp: np.ndarray) -> SweepOperator:
-        """``integrate_interp`` of the cubic spline interpolant of a lattice
-        box, clamped by ``_in_clamp`` to the box mask ``clamp``, as a
-        ``SweepOperator`` on the spline coefficients ``spline_filter(box,
-        order=3, mode="constant")``.  Built ``_OPERATOR_CHUNK`` rays at a
-        time."""
+    def _operator_chunks(self, grid: GridSpec, clamp: np.ndarray):
+        """(points, entries per point, box indices, weights) of the rows of
+        ``sweep_operator``, one chunk of ``_OPERATOR_CHUNK`` rays at a time."""
         col_type = np.min_scalar_type(int(np.prod(grid.shape)) - 1)
-        none = np.zeros(0, dtype=np.intp)
-        rows, counts, cols, data = [none], [none], [none.astype(col_type)], [np.zeros(0)]
         for sel, flat, w in self.groups:
             per_ray = flat.shape[0] // sel.size
             for lo in range(0, sel.size, _OPERATOR_CHUNK):
                 hi = min(lo + _OPERATOR_CHUNK, sel.size)
                 ray, col, val = _operator_chunk(grid, clamp, flat[lo * per_ray:hi * per_ray],
                                                 w[lo:hi], hi - lo)
-                if ray.size == 0:
-                    continue
-                head = np.flatnonzero(np.r_[True, ray[1:] != ray[:-1]])
-                rows.append(sel[lo + ray[head]])
-                counts.append(np.diff(np.r_[head, ray.size]))
-                cols.append(col.astype(col_type))
-                data.append(val)
+                if ray.size:
+                    head = np.flatnonzero(np.r_[True, ray[1:] != ray[:-1]])
+                    yield sel[lo + ray[head]], np.diff(np.r_[head, ray.size]), col.astype(col_type), val
+
+    def sweep_operator(self, grid: GridSpec, clamp: np.ndarray) -> SweepOperator:
+        """``integrate_interp`` of the cubic spline interpolant of a lattice
+        box, clamped by ``_in_clamp`` to the box mask ``clamp``, as a
+        ``SweepOperator`` on the spline coefficients ``spline_filter(box,
+        order=3, mode="constant")``: its chunks concatenated."""
+        none = np.zeros(0, dtype=np.intp)
+        col_type = np.min_scalar_type(int(np.prod(grid.shape)) - 1)
+        rows, counts, cols, data = zip((none, none, none.astype(col_type), np.zeros(0)),
+                                       *self._operator_chunks(grid, clamp))
         counts = np.concatenate(counts)
-        return SweepOperator(self.n_points,
-                             np.concatenate(rows).astype(np.int32),
+        return SweepOperator(self.n_points, np.concatenate(rows).astype(np.int32),
                              (np.cumsum(counts) - counts).astype(np.int32),
                              np.concatenate(cols), np.concatenate(data))
+
+    def sweep(self, grid: GridSpec, clamp: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """``sweep_operator(grid, clamp).apply(coef)`` bit for bit, each chunk
+        applied as it is built: chunks hold disjoint points."""
+        out = np.zeros(self.n_points)
+        coef = coef.reshape(-1)
+        for rows, counts, cols, data in self._operator_chunks(grid, clamp):
+            out[rows] = np.add.reduceat(data * coef[cols], np.cumsum(counts) - counts)
+        return out
 
 
 def solve_attenuation_points(f: Callable, coeffs: CoefficientSet, domain: ConvexDomain,

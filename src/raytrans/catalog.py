@@ -114,8 +114,8 @@ def build_stopping(block: dict) -> tuple[Callable, float]:
     name = _require(block, "name", "stopping")
     if name == "constant":
         v = float(_require(block, "value", "stopping"))
-        if v >= 0.0:
-            raise ConfigError("stopping power must be negative")
+        if not -math.inf < v < 0.0:
+            raise ConfigError(f"'value' in stopping block must be negative and finite, got {v!r}")
         return (lambda x, E: np.full(len(np.atleast_2d(x)), v)), -v
     raise ConfigError(f"unknown stopping catalog name '{name}'")
 

@@ -94,14 +94,19 @@ def _get(block: dict, key: str, context: str):
     return block[key]
 
 
+def _triple(value) -> np.ndarray:
+    return np.asarray(value, dtype=float).reshape(3)
+
+
 def _number(block: dict, key: str, context: str, kind=float, default=None):
     """``block[key]`` (``default`` when given and the key is absent) as a
-    ``kind`` number; a value that does not convert raises ``ConfigError``."""
+    ``kind`` number (or as 3 numbers for ``_triple``); a value that does not
+    convert raises ``ConfigError``."""
     value = _get(block, key, context) if default is None else block.get(key, default)
     try:
         return kind(value)
     except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
+        what = {int: "an integer", float: "a number"}.get(kind, "3 numbers")
         raise ConfigError(f"'{key}' in {context} block must be {what}, got {value!r}") from None
 
 
@@ -113,10 +118,12 @@ def build_domain(block: dict) -> ConvexDomain:
         radius = _number(block, "radius", "domain")
         if not radius > 0.0:
             raise ConfigError(f"'radius' in domain block must be positive, got {radius!r}")
-        return ConvexDomain.ball(block.get("center", (0, 0, 0)), radius)
+        return ConvexDomain.ball(_number(block, "center", "domain", _triple, (0, 0, 0)), radius)
     if kind == "ellipsoid":
-        return ConvexDomain.ellipsoid(block.get("center", (0, 0, 0)),
-                                      _get(block, "semi_axes", "domain"))
+        axes = _number(block, "semi_axes", "domain", _triple)
+        if not np.all(axes > 0.0):
+            raise ConfigError(f"'semi_axes' in domain block must be positive, got {block['semi_axes']!r}")
+        return ConvexDomain.ellipsoid(_number(block, "center", "domain", _triple, (0, 0, 0)), axes)
     raise ConfigError(f"unknown domain kind '{kind}'")
 
 

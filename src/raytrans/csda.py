@@ -22,7 +22,9 @@ import numpy as np
 
 from .attenuation import RayQuadrature, _node_values, _ray_groups, _source_integrals, solve_attenuation_points
 from .errors import (
+    CoefficientShapeError,
     InsufficientEnergyResolution,
+    NonFiniteValue,
     ShiftTooSmall,
     StoppingPowerViolation,
 )
@@ -58,15 +60,26 @@ class CompatibilityReport:
     tolerance: float
 
 
-def _check_stopping(coeffs: CoefficientSet, grid: GridSpec) -> None:
+def _check_stopping(coeffs: CoefficientSet) -> None:
     if coeffs.stopping is None:
         raise StoppingPowerViolation("continuous slowing down needs a stopping power")
     if coeffs.kappa <= 0.0:
         raise StoppingPowerViolation("kappa must be positive")
-    for E in grid.energy_nodes:
-        a = np.asarray(coeffs.stopping(grid.coords, float(E)), dtype=float)
-        if np.any(-a < coeffs.kappa):
-            raise StoppingPowerViolation("-a >= kappa violated on grid nodes")
+
+
+def _stopping_values(coeffs: CoefficientSet, xs: np.ndarray, E: float) -> np.ndarray:
+    """The stopping power at the grid nodes xs (n, 3) and energy E, checked
+    like sigma: ``CoefficientShapeError`` if not of shape (n,),
+    ``NonFiniteValue`` naming the energy and the first bad node."""
+    a = np.asarray(coeffs.stopping(xs, E), dtype=float)
+    if a.shape != (len(xs),):
+        raise CoefficientShapeError(f"stopping power returned shape {a.shape} for {len(xs)} grid nodes "
+                                    f"(energy {E:.6g})")
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise NonFiniteValue(f"stopping power is {a[bad[0]]} at grid node "
+                             f"{np.array2string(xs[bad[0]], precision=6)} (energy {E:.6g})")
+    return a
 
 
 def _march_grid(grid: GridSpec, n_steps: int) -> GridSpec:
@@ -108,7 +121,7 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     again only when their inputs change, and are freed when the march
     returns.  Returns the transformed field on the companion march grid.
     """
-    _check_stopping(coeffs, grid)
+    _check_stopping(coeffs)
     n_steps = _steps_for(grid, dE)
     L = grid.interval.length
     Em = grid.interval.Em
@@ -116,12 +129,13 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     C = coeffs.shift
     mgrid = _march_grid(grid, n_steps)
 
-    # solvability of the implicit step at every march energy node and
-    # direction: -a >= kappa, and the effective absorption must stay positive
+    # solvability of the implicit step at every march energy node (the grid's
+    # among them) and direction: a checked stopping power with -a >= kappa,
+    # and the effective absorption must stay positive
     sig_min = math.inf
     for n in range(n_steps + 1):
         Ehat = Em - n * step
-        a = np.asarray(coeffs.stopping(mgrid.coords, Ehat), dtype=float)
+        a = _stopping_values(coeffs, mgrid.coords, Ehat)
         if np.any(-a < coeffs.kappa):
             raise StoppingPowerViolation(f"-a >= kappa violated at march energy {Ehat:.6g}")
         for j in range(mgrid.n_omega):
@@ -152,7 +166,7 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     for n in range(1, n_steps + 1):
         Ep = n * step
         Ehat = Em - Ep
-        a_vals = np.asarray(coeffs.stopping(mgrid.coords, Ehat), dtype=float)
+        a_vals = _stopping_values(coeffs, mgrid.coords, Ehat)
 
         def sigma_eff(xs, omega, E, _Ehat=Ehat):
             a = np.asarray(coeffs.stopping(np.atleast_2d(xs), _Ehat), dtype=float)

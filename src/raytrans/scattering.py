@@ -24,7 +24,7 @@ from .attenuation import (
     _in_clamp,
     _lattice_rows,
     _node_sigma,
-    _node_weights,
+    _ray_geometry,
     _ray_groups,
     _where,
 )
@@ -74,9 +74,9 @@ class IterationReport:
 
     ``cache`` counts the kernel sweep operators built and reused from the
     ``SweepCache``, their stored entries, the bytes of those kept, the
-    sweeps that rebuilt their operator because it was over budget, the ray
-    nodes placed (rebuilds included), the (direction, energy) pairs whose
-    attenuation weights came from the cache, and the lattice-source
+    sweeps that streamed their operator because it was over budget, the ray
+    nodes placed (those sweeps included), the (direction, energy) pairs whose
+    attenuation weights came from the cache at set-up, and the lattice-source
     operator pieces built.  ``sigma_term`` and ``kernel_bound`` are the two
     terms of the m = 0 solvability threshold the solve checked, c(0)
     |Sigma|_(W-inf,0) and the collision norm bound (NaN if it checked none).
@@ -315,11 +315,6 @@ def _kernel_clamp(applier: _KernelApplier, j: int, k: int) -> np.ndarray:
     return _support_clamp(support)
 
 
-def _kernel_sweep_operator(system: RaySystem, applier: _KernelApplier, j: int, k: int):
-    """``system.sweep_operator`` clamped to ``_kernel_clamp(applier, j, k)``."""
-    return system.sweep_operator(applier.grid, _kernel_clamp(applier, j, k))
-
-
 def _mapped(arrays: list) -> list:
     """Copies of ``arrays`` in one anonymous memory map of their own.
 
@@ -418,7 +413,7 @@ class SweepCache:
         sets = self._sets.setdefault(j, [])
         ws = next((s for s in sets if s.matches(sigma)), None)
         if ws is None:
-            weights = _node_weights(sigma, [width for _, _, width in nodes], self.quad)
+            weights = [_ray_geometry(sig, width, self.quad)[0] for sig, (_, _, width) in zip(sigma, nodes)]
             nbytes = sum(a.nbytes for a in sigma + weights)
             kept = self.budget.take(nbytes)
             if kept and self.across_solves:
@@ -432,7 +427,7 @@ class SweepCache:
             ws.used = True
             counts["ray_weights_reused"] += 1
         groups = [(sel, pts.reshape(-1, 3), w) for (sel, pts, _), w in zip(nodes, ws.weights)]
-        return RaySystem.from_groups(omega, E, self.grid.n_interior, groups), ws
+        return RaySystem(omega, E, self.grid.n_interior, groups), ws
 
     def kernel_operator(self, ws: _WeightSet, system: RaySystem, applier: _KernelApplier,
                         j: int, k: int, counts: dict) -> tuple[SweepOperator, bool]:
@@ -492,9 +487,9 @@ class SweepCache:
         return out
 
     def end_direction(self, j: int) -> None:
-        """The solve looks up no more weights of direction j: in a cache held
+        """The set-up looks up no more weights of direction j: in a cache held
         by one solve, drop them (its operators stay, and so do the weights of
-        ray systems already handed out)."""
+        ray systems already handed out); a sweep over budget forms them again."""
         if self.across_solves:
             return
         for ws in self._sets.get(j, []):
@@ -535,8 +530,8 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     keeps no weights if None).  The sweep of each (direction, energy) is a
     ``SweepOperator`` on the cubic spline coefficients of the scattered
     slab, clamped to the ``_support_clamp`` of the kernel's non-zero rows
-    there (which holds the support of every scattered slab); a sweep whose
-    operator is over budget rebuilds it, with the same arithmetic.  Stops
+    there (which holds the support of every scattered slab); a sweep over
+    budget streams it (``RaySystem.sweep``), with the same arithmetic.  Stops
     when the sup change between iterates falls below tol.  ``grid_source``
     adds a lattice source of shape (n_x, n_omega, n_E), integrated once
     through the cache's lattice-source pieces; ``check_threshold`` verifies
@@ -592,15 +587,15 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
             for k in range(grid.n_energy):
                 scattered = applier.apply_slice(psi[:, :, k], k)
                 for j in range(grid.n_omega):
-                    op = operators.get((j, k))
-                    if op is None:
-                        s = RaySystem(coeffs, grid.domain, grid.coords, grid.sphere_nodes[j],
-                                      float(grid.energy_nodes[k]), quad, T=cache.T[:, j])
-                        counts["ray_nodes"] += s.n_nodes
-                        op = _kernel_sweep_operator(s, applier, j, k)
-                        counts["sweeps_rebuilt"] += 1
                     coef = ndimage.spline_filter(grid.embed(scattered[:, j]), order=3, mode="constant")
-                    new[:, j, k] += op.apply(coef)
+                    if (j, k) in operators:
+                        new[:, j, k] += operators[(j, k)].apply(coef)
+                        continue
+                    # over budget: stream the sweep; only set-up lookups count as weight reuse
+                    s, _ = cache.system(j, cache.nodes(j), coeffs, float(grid.energy_nodes[k]), _cache_counts())
+                    new[:, j, k] += s.sweep(grid, _kernel_clamp(applier, j, k), coef)
+                    counts["ray_nodes"] += s.n_nodes
+                    counts["sweeps_rebuilt"] += 1
         resid = float(np.max(np.abs(new - psi)))
         report.residual_history.append(resid)
         report.iterations = it + 1

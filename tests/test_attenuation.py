@@ -70,7 +70,7 @@ class TestPointSolve:
                                           np.array([-1.0, 0, 0]), 0.0, quad)[0]
         assert psi == 0.0
 
-    def test_streamed_solve_equals_ray_system(self, ball, quad):
+    def test_streamed_solve_equals_ray_system(self, ball, quad, ray_system):
         # interior points of several panel counts plus inflow boundary points
         # (T = 0): the streamed one-shot solve and the materialised ray system
         # share one engine and must agree exactly
@@ -86,7 +86,7 @@ class TestPointSolve:
         assert np.all(T[60:] <= 1e-14)
         assert np.unique(quad.n_panels(T[:60])).size > 5
         psi = at.solve_attenuation_points(f, coeffs, ball, xs, w, 0.4, quad)
-        ref = at.RaySystem(coeffs, ball, xs, w, 0.4, quad).integrate_callable(f)
+        ref = ray_system(coeffs, ball, xs, w, 0.4, quad).integrate_callable(f)
         assert np.array_equal(psi, ref)
         assert np.all(psi[60:] == 0.0) and np.all(psi[:60] > 0.0)
 

@@ -259,6 +259,28 @@ def test_bad_config_value_is_a_config_error_naming_the_key(tmp_path, capsys, blo
     assert "error: ConfigError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("domain, key", [
+    ({"kind": "ellipsoid", "semi_axes": [1, -1, 1]}, "semi_axes"),
+    ({"kind": "ellipsoid", "semi_axes": [1, 1]}, "semi_axes"),
+    ({"kind": "ball", "radius": 0.5, "center": [0, 0]}, "center"),
+    ({"kind": "ball", "radius": 0.5, "center": "abc"}, "center"),
+])
+def test_bad_domain_block_is_a_config_error_naming_the_key(tmp_path, capsys, domain, key):
+    cfg = attenuation_config(tmp_path)
+    cfg["domain"] = domain
+    assert cli.main(["run", str(write_cfg(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert "error: ConfigError" in err and f"'{key}' in domain block" in err
+
+
+def test_non_finite_stopping_power_is_a_config_error(tmp_path, capsys):
+    cfg = attenuation_config(tmp_path)
+    cfg["coefficients"]["stopping"] = {"name": "constant", "value": float("nan")}
+    assert cli.main(["run", str(write_cfg(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert "error: ConfigError" in err and "'value' in stopping block must be negative and finite" in err
+
+
 def write_cfg(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

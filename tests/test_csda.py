@@ -3,7 +3,8 @@ import pytest
 
 from raytrans import csda
 from raytrans.attenuation import RayQuadrature
-from raytrans.errors import InsufficientEnergyResolution, ShiftTooSmall, StoppingPowerViolation
+from raytrans.errors import (CoefficientShapeError, InsufficientEnergyResolution, NonFiniteValue, ShiftTooSmall,
+                             StoppingPowerViolation)
 from raytrans.fields import CoefficientSet, DiscreteField, EnergyInterval, GridSpec
 from raytrans.geometry import ConvexDomain
 from raytrans.norms import NormOrder, h_norm
@@ -148,6 +149,28 @@ class TestMarch:
         )
         with pytest.raises(StoppingPowerViolation):
             csda.march_energy(lambda x, w, E: np.zeros(len(x)), coeffs, grid, quad, dE=0.25)
+
+    def test_stopping_of_wrong_shape_or_non_finite_fails_before_the_first_step(self, ball, quad, monkeypatch):
+        grid = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 3)
+
+        def nan_at_march_node(x, E):
+            a = -np.ones(len(x))
+            if abs(E - 0.75) < 1e-9:
+                a[len(x) // 2] = np.nan
+            return a
+
+        steps = []
+        monkeypatch.setattr(csda, "solve_scattering", lambda *args, **kw: steps.append(1))
+        f = lambda x, w, E: np.zeros(len(x))
+        for stopping, error, message in [
+                (lambda x, E: -np.ones((len(x), 1)), CoefficientShapeError,
+                 r"stopping power returned shape \(\d+, 1\) for \d+ grid nodes \(energy 1\)"),
+                (nan_at_march_node, NonFiniteValue,
+                 r"stopping power is nan at grid node \[.*\] \(energy 0.75\)")]:
+            coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.5), stopping=stopping, kappa=1.0)
+            with pytest.raises(error, match=message):
+                csda.march_energy(f, coeffs, grid, quad, dE=0.25)
+        assert steps == []
 
     def test_negative_effective_absorption_at_one_direction_rejected(self, ball, quad):
         grid = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 3)

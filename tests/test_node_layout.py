@@ -101,7 +101,8 @@ class TestCoordinateMajorNodes:
         assert len(sig_calls) > 2 and len(src_calls) > 4
         assert all(sig_calls) and all(src_calls)
 
-    def test_ray_systems_and_operator_builds_read_fortran_batches(self, ball, quad, monkeypatch):
+    def test_ray_systems_and_operator_builds_read_fortran_batches(self, ball, quad, monkeypatch,
+                                                                  ray_system):
         g = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 1)
         sig_calls, src_calls, lattice_calls = [], [], []
         coeffs = CoefficientSet(sigma_t=_spy(sig_calls, _elementwise_sigma), shift=0.5)
@@ -113,7 +114,7 @@ class TestCoordinateMajorNodes:
             return rows(grid, pts)
 
         monkeypatch.setattr(at, "_lattice_rows", lattice_rows)
-        system = at.RaySystem(coeffs, ball, g.coords, g.sphere_nodes[1], 0.0, quad, T=g.escape_cache()[:, 1])
+        system = ray_system(coeffs, ball, g.coords, g.sphere_nodes[1], 0.0, quad, T=g.escape_cache()[:, 1])
         system.integrate_callable(_spy(src_calls, _elementwise_source))
         cache = sc.SweepCache(g, quad)
         cached, _ = cache.system(2, cache.nodes(2), coeffs, 0.0, sc._cache_counts())
@@ -185,7 +186,7 @@ class TestCallablesFailFast:
         assert groups[0] + groups[1] < len(seen) <= sum(groups)
 
     @pytest.mark.parametrize("solve", ["points", "system", "csda"])
-    def test_source_of_wrong_shape_is_named(self, ball, quad, solve):
+    def test_source_of_wrong_shape_is_named(self, ball, quad, ray_system, solve):
         xs = np.random.default_rng(37).uniform(-0.5, 0.5, size=(50, 3))
         omega = np.array([0.0, 0.6, 0.8])
         f = lambda x, w, E: np.ones((len(x), 1))
@@ -194,7 +195,7 @@ class TestCallablesFailFast:
             if solve == "points":
                 at.solve_attenuation_points(f, coeffs, ball, xs, omega, 0.0, quad)
             elif solve == "system":
-                at.RaySystem(coeffs, ball, xs, omega, 0.0, quad).integrate_callable(f)
+                ray_system(coeffs, ball, xs, omega, 0.0, quad).integrate_callable(f)
             else:
                 csda.explicit_csda_points(f, 0.3, EnergyInterval(0.0, 1.0), ball, xs, omega, 0.0, quad)
 

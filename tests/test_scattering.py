@@ -379,8 +379,55 @@ class TestSolveScattering:
         assert rep_uncached.cache["ray_nodes"] == \
             rep_cached.cache["ray_nodes"] * (1 + g.n_energy * rep_uncached.iterations)
 
+    def test_march_over_budget_streams_its_sweeps(self, ball, quad, monkeypatch):
+        grid = GridSpec(ball, 13, 2, 4, EnergyInterval(0.0, 0.3), 3)
+        coeffs = CoefficientSet(
+            sigma_t=lambda x, w, E: np.full(len(x), 0.4),
+            scatter=lambda x, wi, wo, E: 0.5 * ISO * smooth_bump(np.linalg.norm(x, axis=1), 0.5),
+            stopping=lambda x, E: -np.ones(len(np.atleast_2d(x))), kappa=1.0, shift=0.0,
+        )
+        f = lambda x, w, E: smooth_bump(np.linalg.norm(x, axis=1), 0.45) * (1.0 + 0.8 * np.cos(3.0 * E))
+        calls = {"sweep_operator": 0, "sweep": 0}
+
+        def spy(name):
+            method = getattr(at.RaySystem, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return method(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(at.RaySystem, name, spy(name))
+        # the march's cache counts at each budget: within budget nothing is
+        # rebuilt; at 4 MiB some directions keep their weights or operators
+        expected = {
+            sc._CACHE_BYTES: dict(operators_built=8, operators_reused=40, operator_entries=879480,
+                                  operator_bytes=8843056, sweeps_rebuilt=0, ray_nodes=1655904,
+                                  ray_weights_reused=40, lattice_pieces=8),
+            4 * 2**20: dict(operators_built=38, operators_reused=10, operator_entries=4176480,
+                            operator_bytes=2212896, sweeps_rebuilt=288, ray_nodes=11581920,
+                            ray_weights_reused=15, lattice_pieces=40),
+            0: dict(operators_built=48, operators_reused=0, operator_entries=5276880,
+                    operator_bytes=0, sweeps_rebuilt=384, ray_nodes=14903136,
+                    ray_weights_reused=0, lattice_pieces=40),
+        }
+        fields = []
+        for budget, counts in expected.items():
+            monkeypatch.setattr(sc, "_CACHE_BYTES", budget)
+            calls.update(sweep_operator=0, sweep=0)
+            phi, rep = csda.march_energy(f, coeffs, grid, quad, dE=0.05, tol=1e-12)
+            fields.append(phi.values)
+            assert rep.inner_iterations == 48
+            assert rep.cache == counts
+            # iterations stream their over-budget sweeps and build no operator
+            assert calls["sweep_operator"] == counts["operators_built"] + counts["lattice_pieces"]
+            assert calls["sweep"] == counts["sweeps_rebuilt"]
+        assert all(np.array_equal(fields[0], other) for other in fields[1:])
+
     @pytest.mark.parametrize("sigma_has_E", [False, True])
-    def test_energy_nodes_share_ray_nodes_and_weights(self, ball, quad, monkeypatch, sigma_has_E):
+    def test_energy_nodes_share_ray_nodes_and_weights(self, ball, quad, monkeypatch, ray_system,
+                                                      sigma_has_E):
         g = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 3)
         coeffs = CoefficientSet(
             sigma_t=lambda x, w, E: 0.3 + 0.1 * x[:, 0] + (0.1 * E if sigma_has_E else 0.0),
@@ -390,8 +437,8 @@ class TestSolveScattering:
         )
         f = lambda x, w, E: smooth_bump(np.linalg.norm(x - 0.1 * w, axis=1), 0.6) * (1.0 + E)
         psi, rep = sc.solve_scattering(f, coeffs, g, quad, tol=1e-10)
-        per_pair = sum(at.RaySystem(coeffs, ball, g.coords, g.sphere_nodes[j], float(E), quad,
-                                    T=g.escape_cache()[:, j]).n_nodes
+        per_pair = sum(ray_system(coeffs, ball, g.coords, g.sphere_nodes[j], float(E), quad,
+                                  T=g.escape_cache()[:, j]).n_nodes
                        for j in range(g.n_omega) for E in g.energy_nodes)
         assert 3 * rep.cache["ray_nodes"] == per_pair
         reused = 0 if sigma_has_E else 2 * g.n_omega
@@ -442,16 +489,20 @@ class TestSolveScattering:
 
 def _kernel_sweep(grid, coeffs, quad, j, k, slab_rng):
     """Operator and direct sweep of a random slab on the kernel's non-zero
-    rows at (k, j), as ``solve_scattering`` builds them."""
+    rows at (k, j), as ``solve_scattering`` builds them.  The streamed sweep
+    of an operator over budget equals its apply bit for bit."""
     applier = sc._KernelApplier(coeffs.scatter, grid)
     rows = applier.column(k, j)[0]
-    system = at.RaySystem(coeffs, grid.domain, grid.coords, grid.sphere_nodes[j],
-                          float(grid.energy_nodes[k]), quad, T=grid.escape_cache()[:, j])
-    op = sc._kernel_sweep_operator(system, applier, j, k)
+    cache = sc.SweepCache(grid, quad)
+    system, _ = cache.system(j, cache.nodes(j), coeffs, float(grid.energy_nodes[k]), sc._cache_counts())
+    clamp = sc._kernel_clamp(applier, j, k)
+    op = system.sweep_operator(grid, clamp)
     slab = np.zeros(grid.n_interior)
     slab[rows] = slab_rng.uniform(0.5, 1.5, rows.size)
     coef = ndimage.spline_filter(grid.embed(slab), order=3, mode="constant")
-    return op, op.apply(coef), system.integrate_interp(sc._grid_interp_factory(grid, slab))
+    fast = op.apply(coef)
+    assert np.array_equal(system.sweep(grid, clamp, coef), fast)
+    return op, fast, system.integrate_interp(sc._grid_interp_factory(grid, slab))
 
 
 class TestSweepOperator:
@@ -480,7 +531,7 @@ class TestSweepOperator:
             assert np.count_nonzero(new) > 0
             assert np.array_equal(new, old)
 
-    def test_operator_matches_direct_sweep(self, ball, quad):
+    def test_operator_matches_direct_sweep(self, ball, quad, monkeypatch, ray_system):
         g = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 2)
         coeffs = CoefficientSet(
             sigma_t=lambda x, w, E: 0.3 + 0.2 * x[:, 0] + 0.1 * E,
@@ -494,10 +545,15 @@ class TestSweepOperator:
             assert op.cols.dtype == np.uint16
             assert np.max(np.abs(direct)) > 0.1
             assert np.max(np.abs(fast - direct)) <= self.REL_TOL * np.max(np.abs(direct))
-        system = at.RaySystem(coeffs, ball, g.coords, g.sphere_nodes[0], 0.0, quad)
-        empty = system.sweep_operator(g, np.zeros(g.shape, dtype=bool))
+        system = ray_system(coeffs, ball, g.coords, g.sphere_nodes[0], 0.0, quad)
+        nothing = np.zeros(g.shape, dtype=bool)
+        empty = system.sweep_operator(g, nothing)
         assert empty.nbytes == 0
         assert np.array_equal(empty.apply(np.ones(g.shape)), np.zeros(g.n_interior))
+        assert np.array_equal(system.sweep(g, nothing, np.ones(g.shape)), np.zeros(g.n_interior))
+        # many chunks per panel-count group, each writing its own points
+        monkeypatch.setattr(at, "_OPERATOR_CHUNK", 7)
+        _kernel_sweep(g, coeffs, quad, 3, 1, rng)
 
     def test_lattice_pieces_match_the_interpolant(self, ball, quad, monkeypatch):
         g = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 1)
@@ -535,7 +591,7 @@ class TestSweepOperator:
             assert counts["ray_weights_reused"] == 0
             assert not ws.kept and ws.pieces == []
 
-    def test_cache_keeps_the_sets_the_last_solve_used(self, ball, quad):
+    def test_cache_keeps_the_sets_the_last_solve_used(self, ball, quad, ray_system):
         g = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 1)
         cache = sc.SweepCache(g, quad)
         slab = np.where(np.linalg.norm(g.coords, axis=1) < 0.5, 1.0, 0.0)
@@ -545,8 +601,8 @@ class TestSweepOperator:
             counts = sc._cache_counts()
             for j in range(g.n_omega):
                 system, ws = cache.system(j, cache.nodes(j), coeffs, 0.0, counts)
-                fresh = at.RaySystem(coeffs, ball, g.coords, g.sphere_nodes[j], 0.0, quad,
-                                     T=g.escape_cache()[:, j])
+                fresh = ray_system(coeffs, ball, g.coords, g.sphere_nodes[j], 0.0, quad,
+                                   T=g.escape_cache()[:, j])
                 for (sel, flat, w), (sel_f, flat_f, w_f) in zip(system.groups, fresh.groups):
                     assert np.array_equal(sel, sel_f) and np.array_equal(flat, flat_f)
                     assert np.array_equal(w, w_f)
@@ -632,7 +688,7 @@ class TestSweepOperator:
             assert np.array_equal(a, b), name
         return new
 
-    def test_build_is_bit_identical_to_node_major_reference(self, ball, quad, monkeypatch):
+    def test_build_is_bit_identical_to_node_major_reference(self, ball, quad, monkeypatch, ray_system):
         g = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 2)
         coeffs = CoefficientSet(
             sigma_t=lambda x, w, E: 0.3 + 0.2 * x[:, 0] + 0.1 * E,
@@ -644,8 +700,8 @@ class TestSweepOperator:
         top = np.array(g.shape)[:, None] - 1
         # j = 0 has an exact-zero y component: its taps at t = 0 are exactly 0
         for j, k in [(0, 0), (3, 1), (6, 0)]:
-            system = at.RaySystem(coeffs, ball, g.coords, g.sphere_nodes[j],
-                                  float(g.energy_nodes[k]), quad, T=g.escape_cache()[:, j])
+            system = ray_system(coeffs, ball, g.coords, g.sphere_nodes[j],
+                                float(g.energy_nodes[k]), quad, T=g.escape_cache()[:, j])
             support = np.zeros(g.shape, dtype=bool)
             support.reshape(-1)[g.interior_idx[applier.column(k, j)[0]]] = True
             op = self._assert_bit_identical(monkeypatch, system, g, sc._support_clamp(support))
@@ -663,11 +719,11 @@ class TestSweepOperator:
         empty = self._assert_bit_identical(monkeypatch, system, g, np.zeros(g.shape, dtype=bool))
         assert empty.nbytes == 0
 
-    def test_wide_build_is_bit_identical_to_node_major_reference(self, ball, monkeypatch):
+    def test_wide_build_is_bit_identical_to_node_major_reference(self, ball, monkeypatch, ray_system):
         g = GridSpec(ball, 41, 1, 2, EnergyInterval(0.0, 1.0), 1)
         coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.3), shift=1.0)
-        system = at.RaySystem(coeffs, ball, g.coords, g.sphere_nodes[1], 0.0,
-                              at.RayQuadrature(4, 2), T=g.escape_cache()[:, 1])
+        system = ray_system(coeffs, ball, g.coords, g.sphere_nodes[1], 0.0,
+                            at.RayQuadrature(4, 2), T=g.escape_cache()[:, 1])
         clamp = np.zeros(g.shape, dtype=bool)
         clamp[5:30, 10:36, 3:25] = True
         op = self._assert_bit_identical(monkeypatch, system, g, clamp)
