@@ -588,11 +588,12 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
                 scattered = applier.apply_slice(psi[:, :, k], k)
                 for j in range(grid.n_omega):
                     coef = ndimage.spline_filter(grid.embed(scattered[:, j]), order=3, mode="constant")
-                    if (j, k) in operators:
-                        new[:, j, k] += operators[(j, k)].apply(coef)
+                    op = operators.get((j, k))
+                    if op is not None:
+                        new[:, j, k] += op.apply(coef)
                         continue
                     # over budget: stream the sweep; only set-up lookups count as weight reuse
-                    s, _ = cache.system(j, cache.nodes(j), coeffs, float(grid.energy_nodes[k]), _cache_counts())
+                    s = cache.system(j, cache.nodes(j), coeffs, float(grid.energy_nodes[k]), _cache_counts())[0]
                     new[:, j, k] += s.sweep(grid, _kernel_clamp(applier, j, k), coef)
                     counts["ray_nodes"] += s.n_nodes
                     counts["sweeps_rebuilt"] += 1
