@@ -331,15 +331,24 @@ class RaySystem:
                     head = np.flatnonzero(np.r_[True, ray[1:] != ray[:-1]])
                     yield sel[lo + ray[head]], np.diff(np.r_[head, ray.size]), col.astype(col_type), val
 
-    def sweep_operator(self, grid: GridSpec, clamp: np.ndarray) -> SweepOperator:
+    def sweep_operator(self, grid: GridSpec, clamp: np.ndarray,
+                       max_bytes: float = math.inf) -> Optional[SweepOperator]:
         """``integrate_interp`` of the cubic spline interpolant of a lattice
         box, clamped by ``_in_clamp`` to the box mask ``clamp``, as a
         ``SweepOperator`` on the spline coefficients ``spline_filter(box,
-        order=3, mode="constant")``: its chunks concatenated."""
+        order=3, mode="constant")``: its chunks concatenated.  The build stops
+        with None at the first chunk that takes the operator's ``nbytes`` (an
+        int32 row and start per point) over ``max_bytes``."""
         none = np.zeros(0, dtype=np.intp)
         col_type = np.min_scalar_type(int(np.prod(grid.shape)) - 1)
-        rows, counts, cols, data = zip((none, none, none.astype(col_type), np.zeros(0)),
-                                       *self._operator_chunks(grid, clamp))
+        chunks = [(none, none, none.astype(col_type), np.zeros(0))]
+        nbytes = 0
+        for chunk in self._operator_chunks(grid, clamp):
+            nbytes += 8 * chunk[0].size + chunk[2].nbytes + chunk[3].nbytes
+            if nbytes > max_bytes:
+                return None
+            chunks.append(chunk)
+        rows, counts, cols, data = zip(*chunks)
         counts = np.concatenate(counts)
         return SweepOperator(self.n_points, np.concatenate(rows).astype(np.int32),
                              (np.cumsum(counts) - counts).astype(np.int32),

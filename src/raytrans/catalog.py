@@ -37,50 +37,66 @@ def _distance(x, c: np.ndarray) -> np.ndarray:
     return np.sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2])
 
 
-def _require(block: dict, key: str, kind: str):
+def _get(block: dict, key: str, context: str):
     if key not in block:
-        raise ConfigError(f"{kind} block is missing '{key}'")
+        raise ConfigError(f"missing key '{key}' in {context} block")
     return block[key]
 
 
-def _center(block: dict) -> np.ndarray:
-    return np.asarray(block.get("center", (0.0, 0.0, 0.0)), dtype=float).reshape(3)
+def _triple(value) -> np.ndarray:
+    return np.asarray(value, dtype=float).reshape(3)
+
+
+def _number(block: dict, key: str, context: str, kind=float, default=None, valid=None, what=None):
+    """``block[key]`` (``default`` when given and the key is absent) as a
+    finite ``kind`` number (or as 3 for ``_triple``).  A value that does not
+    convert, is not finite or fails the test ``valid`` raises
+    ``ConfigError``, naming the key, the block and ``what`` it must be."""
+    value = _get(block, key, context) if default is None else block.get(key, default)
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or not np.all(np.isfinite(out)) or (valid is not None and not valid(out)):
+        what = what or {int: "an integer", float: "a finite number"}.get(kind, "3 finite numbers")
+        raise ConfigError(f"'{key}' in {context} block must be {what}, got {value!r}")
+    return out
 
 
 def build_sigma(block: dict) -> Callable:
     """Attenuation coefficient by catalog name."""
-    name = _require(block, "name", "sigma")
+    name = _get(block, "name", "sigma")
     if name == "constant":
-        v = float(_require(block, "value", "sigma"))
+        v = _number(block, "value", "sigma")
         return lambda x, w, E: np.full(len(np.atleast_2d(x)), v)
     if name == "affine":
-        a0 = float(block.get("a0", 0.0))
-        grad = np.asarray(block.get("gradient", (0.0, 0.0, 0.0)), dtype=float).reshape(3)
+        a0 = _number(block, "a0", "sigma", default=0.0)
+        grad = _number(block, "gradient", "sigma", _triple, (0.0, 0.0, 0.0))
         return lambda x, w, E: a0 + np.atleast_2d(x) @ grad
     if name == "radial_bump":
-        amp = float(_require(block, "amplitude", "sigma"))
-        radius = float(_require(block, "radius", "sigma"))
-        c = _center(block)
+        amp = _number(block, "amplitude", "sigma")
+        radius = _number(block, "radius", "sigma")
+        c = _number(block, "center", "sigma", _triple, (0.0, 0.0, 0.0))
         return lambda x, w, E: amp * smooth_bump(_distance(x, c), radius)
     raise ConfigError(f"unknown sigma catalog name '{name}'")
 
 
 def build_source(block: dict) -> Callable:
     """Internal source by catalog name."""
-    name = _require(block, "name", "source")
+    name = _get(block, "name", "source")
     if name == "constant":
-        v = float(_require(block, "value", "source"))
+        v = _number(block, "value", "source")
         return lambda x, w, E: np.full(len(np.atleast_2d(x)), v)
     if name == "radial_bump":
-        amp = float(_require(block, "amplitude", "source"))
-        radius = float(_require(block, "radius", "source"))
-        c = _center(block)
+        amp = _number(block, "amplitude", "source")
+        radius = _number(block, "radius", "source")
+        c = _number(block, "center", "source", _triple, (0.0, 0.0, 0.0))
         return lambda x, w, E: amp * smooth_bump(_distance(x, c), radius)
     if name == "bump_cos_energy":
-        amp = float(_require(block, "amplitude", "source"))
-        radius = float(_require(block, "radius", "source"))
-        freq = float(block.get("freq", 1.0))
-        c = _center(block)
+        amp = _number(block, "amplitude", "source")
+        radius = _number(block, "radius", "source")
+        freq = _number(block, "freq", "source", default=1.0)
+        c = _number(block, "center", "source", _triple, (0.0, 0.0, 0.0))
         return lambda x, w, E: amp * smooth_bump(_distance(x, c), radius) \
             * (1.0 + 0.8 * np.cos(freq * np.asarray(E)))
     raise ConfigError(f"unknown source catalog name '{name}'")
@@ -88,22 +104,21 @@ def build_source(block: dict) -> Callable:
 
 def build_scatter(block: dict) -> Callable:
     """Scattering kernel by catalog name (nonnegative by construction)."""
-    name = _require(block, "name", "scatter")
+    name = _get(block, "name", "scatter")
     if name == "isotropic":
-        s = float(_require(block, "sigma_s", "scatter"))
+        s = _number(block, "sigma_s", "scatter")
         return lambda x, wi, wo, E: np.full(len(np.atleast_2d(x)), s / _FOUR_PI)
     if name == "isotropic_bump":
-        s = float(_require(block, "sigma_s", "scatter"))
-        radius = float(_require(block, "radius", "scatter"))
-        c = _center(block)
+        s = _number(block, "sigma_s", "scatter")
+        radius = _number(block, "radius", "scatter")
+        c = _number(block, "center", "scatter", _triple, (0.0, 0.0, 0.0))
         return lambda x, wi, wo, E: (s / _FOUR_PI) * smooth_bump(_distance(x, c), radius)
     if name == "linear_anisotropic_bump":
-        s = float(_require(block, "sigma_s", "scatter"))
-        b = float(block.get("b", 0.0))
-        if abs(b) > 1.0:
-            raise ConfigError("scatter anisotropy 'b' must lie in [-1, 1] for a nonnegative kernel")
-        radius = float(_require(block, "radius", "scatter"))
-        c = _center(block)
+        s = _number(block, "sigma_s", "scatter")
+        b = _number(block, "b", "scatter", default=0.0, valid=lambda b: abs(b) <= 1.0,
+                    what="in [-1, 1] for a nonnegative kernel")
+        radius = _number(block, "radius", "scatter")
+        c = _number(block, "center", "scatter", _triple, (0.0, 0.0, 0.0))
         return lambda x, wi, wo, E: (s / _FOUR_PI) * (1.0 + b * float(wi @ wo)) \
             * smooth_bump(_distance(x, c), radius)
     raise ConfigError(f"unknown scatter catalog name '{name}'")
@@ -111,26 +126,24 @@ def build_scatter(block: dict) -> Callable:
 
 def build_stopping(block: dict) -> tuple[Callable, float]:
     """Stopping power and its lower bound kappa for -a."""
-    name = _require(block, "name", "stopping")
+    name = _get(block, "name", "stopping")
     if name == "constant":
-        v = float(_require(block, "value", "stopping"))
-        if not -math.inf < v < 0.0:
-            raise ConfigError(f"'value' in stopping block must be negative and finite, got {v!r}")
+        v = _number(block, "value", "stopping", valid=lambda v: v < 0.0, what="negative and finite")
         return (lambda x, E: np.full(len(np.atleast_2d(x)), v)), -v
     raise ConfigError(f"unknown stopping catalog name '{name}'")
 
 
 def build_boundary(block: dict, Em: float) -> Callable:
     """Inflow boundary data by catalog name."""
-    name = _require(block, "name", "boundary")
+    name = _get(block, "name", "boundary")
     if name == "constant":
-        v = float(_require(block, "value", "boundary"))
+        v = _number(block, "value", "boundary")
         return lambda y, w, E: np.full(len(np.atleast_2d(y)), v)
     if name == "axis_affine":
-        a0 = float(block.get("a0", 0.0))
-        coef = np.asarray(block.get("gradient", (0.0, 0.0, 0.0)), dtype=float).reshape(3)
+        a0 = _number(block, "a0", "boundary", default=0.0)
+        coef = _number(block, "gradient", "boundary", _triple, (0.0, 0.0, 0.0))
         return lambda y, w, E: a0 + np.atleast_2d(y) @ coef
     if name == "energy_ramp":
-        factor = float(block.get("factor", 1.0))
+        factor = _number(block, "factor", "boundary", default=1.0)
         return lambda y, w, E: np.full(len(np.atleast_2d(y)), (Em - E) * factor)
     raise ConfigError(f"unknown boundary catalog name '{name}'")

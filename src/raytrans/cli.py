@@ -29,7 +29,7 @@ from . import attenuation as at
 from . import csda
 from . import norms as nm
 from . import scattering as sc
-from .catalog import build_boundary, build_scatter, build_sigma, build_source, build_stopping
+from .catalog import _get, _number, _triple, build_boundary, build_scatter, build_sigma, build_source, build_stopping
 from .errors import ConfigError, RayTransError
 from .fields import CoefficientSet, DiscreteField, EnergyInterval, GridSpec
 from .geometry import ConvexDomain, triangulate_boundary
@@ -88,41 +88,16 @@ def load_config(path) -> dict:
         raise ConfigError(f"configuration does not parse as JSON: {exc}")
 
 
-def _get(block: dict, key: str, context: str):
-    if key not in block:
-        raise ConfigError(f"missing key '{key}' in {context} block")
-    return block[key]
-
-
-def _triple(value) -> np.ndarray:
-    return np.asarray(value, dtype=float).reshape(3)
-
-
-def _number(block: dict, key: str, context: str, kind=float, default=None):
-    """``block[key]`` (``default`` when given and the key is absent) as a
-    ``kind`` number (or as 3 numbers for ``_triple``); a value that does not
-    convert raises ``ConfigError``."""
-    value = _get(block, key, context) if default is None else block.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        what = {int: "an integer", float: "a number"}.get(kind, "3 numbers")
-        raise ConfigError(f"'{key}' in {context} block must be {what}, got {value!r}") from None
-
-
 def build_domain(block: dict) -> ConvexDomain:
     kind = _get(block, "kind", "domain")
     if kind == "unit_ball":
         return ConvexDomain.unit_ball()
     if kind == "ball":
-        radius = _number(block, "radius", "domain")
-        if not radius > 0.0:
-            raise ConfigError(f"'radius' in domain block must be positive, got {radius!r}")
+        radius = _number(block, "radius", "domain", valid=lambda r: r > 0.0, what="positive and finite")
         return ConvexDomain.ball(_number(block, "center", "domain", _triple, (0, 0, 0)), radius)
     if kind == "ellipsoid":
-        axes = _number(block, "semi_axes", "domain", _triple)
-        if not np.all(axes > 0.0):
-            raise ConfigError(f"'semi_axes' in domain block must be positive, got {block['semi_axes']!r}")
+        axes = _number(block, "semi_axes", "domain", _triple, valid=lambda a: np.all(a > 0.0),
+                       what="3 positive finite numbers")
         return ConvexDomain.ellipsoid(_number(block, "center", "domain", _triple, (0, 0, 0)), axes)
     raise ConfigError(f"unknown domain kind '{kind}'")
 
@@ -155,7 +130,7 @@ def build_coefficients(block: dict, grid: GridSpec) -> CoefficientSet:
     if shift_spec == "auto":
         shift = sc.solvability_threshold(partial, grid, m=0) + 1.0
     else:
-        shift = float(shift_spec)
+        shift = _number(block, "shift", "coefficients", default=0.0)
     return CoefficientSet(sigma_t=sigma, scatter=scatter, stopping=stopping,
                           kappa=kappa, shift=shift)
 
@@ -196,29 +171,15 @@ def _prop(name: str, passed: bool, value: float, tolerance: float) -> dict:
             "tolerance": float(tolerance)}
 
 
-def _inflow_trace_property(f, coeffs, grid, quad) -> dict:
-    """Evaluate the solver at sampled inflow boundary pairs (exit time zero:
-    the characteristic integral is empty there)."""
-    mesh = triangulate_boundary(grid.domain, 2)
-    worst = 0.0
-    for j in range(0, grid.n_omega, max(1, grid.n_omega // 8)):
-        omega = grid.sphere_nodes[j]
-        ys = mesh.points[mesh.normals @ omega < -1e-3][:64]
-        if ys.size == 0:
-            continue
-        vals = at.solve_attenuation_points(f, coeffs, grid.domain, ys, omega,
-                                           float(grid.energy_nodes[0]), quad)
-        worst = max(worst, float(np.max(np.abs(vals))))
-    return _prop("inflow_trace_zero", worst < 1e-12, worst, 1e-12)
-
-
 def _run_attenuation(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: RunReport) -> DiscreteField:
     problem = cfg["problem"]
     quad = _quadrature(problem)
     f = build_source(_get(problem, "source", "problem"))
     fld = at.solve_attenuation_grid(f, coeffs, grid, quad)
     report.norms = _field_norms(fld)
-    report.properties.append(_inflow_trace_property(f, coeffs, grid, quad))
+    worst = csda.inflow_trace_sup(f, coeffs, grid, quad, triangulate_boundary(grid.domain, 2),
+                                  float(grid.energy_nodes[0]))
+    report.properties.append(_prop("inflow_trace_zero", worst < 1e-12, worst, 1e-12))
 
     src_block = problem["source"]
     sig_block = cfg["coefficients"]["sigma"]
@@ -243,12 +204,12 @@ def _run_scattering(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: R
     problem = cfg["problem"]
     quad = _quadrature(problem)
     f = build_source(_get(problem, "source", "problem"))
-    tol = float(problem.get("tol", 1e-8))
-    max_iter = int(problem.get("max_iter", 200))
+    tol = _number(problem, "tol", "problem", default=1e-8)
+    max_iter = _number(problem, "max_iter", "problem", int, 200)
     if with_inflow:
         g = build_boundary(_get(problem, "boundary", "problem"), grid.interval.Em)
         fld, rep = sc.solve_with_inflow(f, g, coeffs, grid, quad, tol=tol, max_iter=max_iter,
-                                        lam=float(problem.get("lambda", 0.0)))
+                                        lam=_number(problem, "lambda", "problem", default=0.0))
     else:
         fld, rep = sc.solve_scattering(f, coeffs, grid, quad, tol=tol, max_iter=max_iter)
     report.norms = _field_norms(fld)
@@ -266,7 +227,6 @@ def _run_scattering(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: R
         report.properties.append(_prop("rate_below_bound", rep.estimated_rate <= cap,
                                        rep.estimated_rate, cap))
     if with_inflow:
-        g = build_boundary(problem["boundary"], grid.interval.Em)
         tr = nm.trace_from_grid_field(fld, None, subdivisions=3)
         worst = 0.0
         for j in range(grid.n_omega):
@@ -285,9 +245,8 @@ def _run_csda(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: RunRepo
     problem = cfg["problem"]
     quad = _quadrature(problem)
     f = build_source(_get(problem, "source", "problem"))
-    dE = problem.get("dE")
-    dE = float(dE) if dE is not None else None
-    tol = float(problem.get("tol", 1e-10))
+    dE = _number(problem, "dE", "problem") if problem.get("dE") is not None else None
+    tol = _number(problem, "tol", "problem", default=1e-10)
     snapshots = []
     out_block = cfg.get("output", {})
     snapshot_cb = None

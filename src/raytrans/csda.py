@@ -29,7 +29,7 @@ from .errors import (
     StoppingPowerViolation,
 )
 from .fields import CoefficientSet, DiscreteField, EnergyInterval, GridSpec
-from .geometry import ConvexDomain, escape_times, triangulate_boundary
+from .geometry import ConvexDomain, SurfaceMesh, escape_times, triangulate_boundary
 from .scattering import SweepCache, apply_scatter, solve_scattering
 
 
@@ -102,11 +102,24 @@ def _steps_for(grid: GridSpec, dE: Optional[float]) -> int:
     return factor * n_seg
 
 
+def inflow_trace_sup(f: Callable, coeffs: CoefficientSet, grid: GridSpec, quad: RayQuadrature,
+                     mesh: SurfaceMesh, E: float) -> float:
+    """Largest |attenuation solution| at energy E over every inflow point
+    (normal . omega < -1e-3) of the boundary ``mesh`` on every direction of
+    ``grid``, where the characteristic integral is empty."""
+    worst = 0.0
+    for omega in grid.sphere_nodes:
+        ys = mesh.points[mesh.normals @ omega < -1e-3]
+        if ys.size:
+            vals = solve_attenuation_points(f, coeffs, grid.domain, ys, omega, E, quad)
+            worst = max(worst, float(np.max(np.abs(vals))))
+    return worst
+
+
 def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
                  quad: RayQuadrature, dE: Optional[float] = None,
                  tol: float = 1e-10, max_iter: int = 60,
-                 snapshot_cb: Optional[Callable] = None,
-                 n_trace_samples: int = 32) -> tuple[DiscreteField, MarchReport]:
+                 snapshot_cb: Optional[Callable] = None) -> tuple[DiscreteField, MarchReport]:
     """Backward-Euler march of the transformed evolution problem.
 
     Starts from the zero slice, and at each step solves the steady problem
@@ -115,11 +128,12 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
             = (-a^/dE) phi_prev + exp(C E') f^
 
     with coefficients frozen at the step energy; the inflow condition is
-    enforced by the characteristic integral itself (and sampled into the
-    report).  The steps share one ``SweepCache``: a direction's attenuation
-    weights, kernel sweep operators and lattice-source pieces are built
-    again only when their inputs change, and are freed when the march
-    returns.  Returns the transformed field on the companion march grid.
+    enforced by the characteristic integral itself (and checked into the
+    report by ``inflow_trace_sup``).  The steps share one ``SweepCache``: a
+    direction's attenuation weights, kernel sweep operators and
+    lattice-source pieces are built again only when their inputs change,
+    and are freed when the march returns.  Returns the transformed field on
+    the companion march grid.
     """
     _check_stopping(coeffs)
     n_steps = _steps_for(grid, dE)
@@ -153,8 +167,6 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     t_cap = 38.0 / sig_min
 
     mesh = triangulate_boundary(grid.domain, 2)
-    rng_idx = np.linspace(0, mesh.points.shape[0] - 1, min(n_trace_samples, mesh.points.shape[0])).astype(int)
-    trace_pts = mesh.points[rng_idx]
     slice_grid = _march_grid(grid, 0)
 
     phi = np.zeros((mgrid.n_interior, mgrid.n_omega, n_steps + 1))
@@ -192,13 +204,7 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
         phi[:, :, n] = prev
         step_iterations.append(rep.iterations)
         cache.update(rep.cache)
-        for j in range(0, mgrid.n_omega, max(1, mgrid.n_omega // 8)):
-            omega = mgrid.sphere_nodes[j]
-            dots = mesh.normals[rng_idx] @ omega
-            ys = trace_pts[dots < -1e-3]
-            if ys.size:
-                vals = solve_attenuation_points(src, eff, grid.domain, ys, omega, 0.0, quad)
-                trace_sup = max(trace_sup, float(np.max(np.abs(vals))))
+        trace_sup = max(trace_sup, inflow_trace_sup(src, eff, mgrid, quad, mesh, 0.0))
         if snapshot_cb is not None:
             snapshot_cb(MarchState(Ep, prev, step))
 

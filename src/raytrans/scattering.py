@@ -72,12 +72,12 @@ def _cache_counts() -> dict:
 class IterationReport:
     """Contraction record of one source-iteration run.
 
-    ``cache`` counts the kernel sweep operators built and reused from the
-    ``SweepCache``, their stored entries, the bytes of those kept, the
-    sweeps that streamed their operator because it was over budget, the ray
-    nodes placed (those sweeps included), the (direction, energy) pairs whose
+    ``cache`` counts the kernel sweep operators built (and so kept) and
+    reused in the ``SweepCache``, their stored entries and bytes, the sweeps
+    that streamed their operator because it was over budget, the ray nodes
+    placed (those sweeps included), the (direction, energy) pairs whose
     attenuation weights came from the cache at set-up, and the lattice-source
-    operator pieces built.  ``sigma_term`` and ``kernel_bound`` are the two
+    pieces formed, kept or streamed.  ``sigma_term`` and ``kernel_bound`` are the two
     terms of the m = 0 solvability threshold the solve checked, c(0)
     |Sigma|_(W-inf,0) and the collision norm bound (NaN if it checked none).
     """
@@ -370,10 +370,11 @@ class SweepCache:
     clamp bits, and the lattice-source operator as pieces that together
     cover the nodes of a growing clamp.  Everything kept, and the kernel
     columns of the solve, is charged to one ``_CACHE_BYTES`` budget; what
-    does not fit is used once and dropped.  A cache ``across_solves`` (a
-    march's) holds what it keeps in memory maps of its own (``_mapped``);
-    one held by a single solve drops a direction's weights once its
-    energies are done.
+    does not fit is used once and dropped, and an operator that does not
+    fit is never built whole but streamed (``_kept_operator``).  A cache
+    ``across_solves`` (a march's) holds what it keeps in memory maps of its
+    own (``_mapped``); one held by a single solve drops a direction's
+    weights once its energies are done.
     """
 
     def __init__(self, grid: GridSpec, quad: RayQuadrature, t_cap: Optional[float] = None,
@@ -394,20 +395,26 @@ class SweepCache:
         return [(sel, pts, width) for sel, _, pts, width in
                 _ray_groups(self.grid.coords, self.grid.sphere_nodes[j], self.T[:, j], self.quad)]
 
-    def _keep(self, ws: _WeightSet, op: SweepOperator) -> Optional[SweepOperator]:
-        """``op`` as the kept set ``ws`` holds it, charged to the budget;
-        None if ``ws`` is not kept or ``op`` does not fit."""
-        if not (ws.kept and self.budget.take(op.nbytes)):
+    def _kept_operator(self, ws: _WeightSet, system: RaySystem,
+                       clamp: np.ndarray) -> Optional[SweepOperator]:
+        """The sweep operator of ``system`` on ``clamp`` as the kept set
+        ``ws`` holds it, charged to the budget.  None, the one decision to
+        stream it, if ``ws`` is not kept (nothing is built) or the operator
+        does not fit (its build stops at the first chunk over the bytes left)."""
+        op = system.sweep_operator(self.grid, clamp, self.budget.left) if ws.kept else None
+        if op is None:
             return None
+        self.budget.take(op.nbytes)
         ws.nbytes += op.nbytes
         if self.across_solves:
             op = SweepOperator(op.n_points, *_mapped([op.rows, op.starts, op.cols, op.data]))
         return op
 
     def system(self, j: int, nodes: list, coeffs: CoefficientSet, E: float,
-               counts: dict) -> tuple[RaySystem, _WeightSet]:
+               counts: Optional[dict] = None) -> tuple[RaySystem, _WeightSet]:
         """The ray system of direction j at energy E on ``nodes``, with the
-        cached weights if sigma + shift at the nodes equals a kept set's."""
+        cached weights if sigma + shift at the nodes equals a kept set's
+        (counted in ``counts`` if given)."""
         omega = self.grid.sphere_nodes[j]
         sigma = [_node_sigma(coeffs, pts, omega, E) for _, pts, _ in nodes]
         sets = self._sets.setdefault(j, [])
@@ -425,29 +432,39 @@ class SweepCache:
                 sets.append(ws)
         else:
             ws.used = True
-            counts["ray_weights_reused"] += 1
+            if counts is not None:
+                counts["ray_weights_reused"] += 1
         groups = [(sel, pts.reshape(-1, 3), w) for (sel, pts, _), w in zip(nodes, ws.weights)]
         return RaySystem(omega, E, self.grid.n_interior, groups), ws
 
-    def kernel_operator(self, ws: _WeightSet, system: RaySystem, applier: _KernelApplier,
-                        j: int, k: int, counts: dict) -> tuple[SweepOperator, bool]:
-        """(operator, kept): the kernel sweep operator of ``system`` at
-        energy node k, from ``ws`` if one with the same clamp bits is kept."""
+    def kernel_sweep(self, ws: _WeightSet, system: RaySystem, applier: _KernelApplier,
+                     coeffs: CoefficientSet, j: int, k: int, counts: dict) -> Callable:
+        """The kernel sweep of ``system`` (direction j, energy node k): a
+        map from spline coefficients to ray integrals.  It applies the
+        operator ``ws`` keeps for the same clamp bits, or one built and kept
+        now; if that does not fit, every call places the nodes, forms the
+        ray system and streams the operator (``RaySystem.sweep``)."""
         clamp = _kernel_clamp(applier, j, k)
         key = np.packbits(clamp).tobytes()
         op = ws.kernel_ops.get(key)
         if op is not None:
             counts["operators_reused"] += 1
-            return op, True
-        op = system.sweep_operator(self.grid, clamp)
-        counts["operators_built"] += 1
-        counts["operator_entries"] += op.data.size
-        kept = self._keep(ws, op)
-        if kept is None:
-            return op, False
-        ws.kernel_ops[key] = kept
-        counts["operator_bytes"] += op.nbytes
-        return kept, True
+            return op.apply
+        op = self._kept_operator(ws, system, clamp)
+        if op is not None:
+            ws.kernel_ops[key] = op
+            counts["operators_built"] += 1
+            counts["operator_entries"] += op.data.size
+            counts["operator_bytes"] += op.nbytes
+            return op.apply
+        E = system.E
+
+        def stream(coef: np.ndarray) -> np.ndarray:
+            s = self.system(j, self.nodes(j), coeffs, E)[0]
+            counts["ray_nodes"] += s.n_nodes
+            counts["sweeps_rebuilt"] += 1
+            return s.sweep(self.grid, _kernel_clamp(applier, j, k), coef)
+        return stream
 
     def lattice_integral(self, ws: _WeightSet, system: RaySystem, slab: np.ndarray,
                          counts: dict) -> np.ndarray:
@@ -455,8 +472,8 @@ class SweepCache:
         slab (the ``_grid_interp_factory`` interpolant): the sum of the
         applies of the pieces of ``ws`` on the spline coefficients.  When the
         slab's ``_support_clamp`` holds every node the pieces cover, one
-        piece is built for the nodes it adds; otherwise the pieces are
-        dropped and built again."""
+        piece is formed for the nodes it adds, and streamed if it does not
+        fit; otherwise the pieces are dropped and formed again."""
         from scipy import ndimage
 
         grid = self.grid
@@ -468,22 +485,22 @@ class SweepCache:
             ws.nbytes -= dropped
             ws.pieces = []
             ws.covered = np.zeros(grid.shape, dtype=bool)
-        pieces = ws.pieces
+        sweeps = [piece.apply for piece in ws.pieces]
         new = clamp & ~ws.covered
         if new.any():
-            piece = system.sweep_operator(grid, new)
             counts["lattice_pieces"] += 1
-            kept = self._keep(ws, piece)
-            if kept is None:
-                pieces = pieces + [piece]
+            piece = self._kept_operator(ws, system, new)
+            if piece is None:
+                sweeps.append(lambda coef: system.sweep(grid, new, coef))
             else:
-                pieces.append(kept)
+                ws.pieces.append(piece)
                 ws.covered |= new
+                sweeps.append(piece.apply)
         out = np.zeros(grid.n_interior)
-        if pieces:
+        if sweeps:
             coef = ndimage.spline_filter(box, order=3, mode="constant")
-            for piece in pieces:
-                out += piece.apply(coef)
+            for sweep in sweeps:
+                out += sweep(coef)
         return out
 
     def end_direction(self, j: int) -> None:
@@ -530,8 +547,9 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     keeps no weights if None).  The sweep of each (direction, energy) is a
     ``SweepOperator`` on the cubic spline coefficients of the scattered
     slab, clamped to the ``_support_clamp`` of the kernel's non-zero rows
-    there (which holds the support of every scattered slab); a sweep over
-    budget streams it (``RaySystem.sweep``), with the same arithmetic.  Stops
+    there (which holds the support of every scattered slab), as
+    ``SweepCache.kernel_sweep`` returns it: kept, or streamed on every call
+    if over budget, with the same arithmetic.  Stops
     when the sup change between iterates falls below tol.  ``grid_source``
     adds a lattice source of shape (n_x, n_omega, n_E), integrated once
     through the cache's lattice-source pieces; ``check_threshold`` verifies
@@ -557,7 +575,7 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
             raise ShiftTooSmall(f"shift {coeffs.shift} <= threshold {thr:.6g}")
     counts = report.cache
 
-    operators = {}
+    sweeps = {}
     psi_fix = np.empty(grid.phase_shape)
     for j in range(grid.n_omega):
         nodes = cache.nodes(j)
@@ -570,9 +588,7 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
             if grid_source is not None:
                 psi_fix[:, j, k] += cache.lattice_integral(ws, s, grid_source[:, j, k], counts)
             if applier is not None:
-                op, kept = cache.kernel_operator(ws, s, applier, j, k, counts)
-                if kept:
-                    operators[(j, k)] = op
+                sweeps[j, k] = cache.kernel_sweep(ws, s, applier, coeffs, j, k, counts)
             del s
         del nodes
     cache.end_setup()
@@ -588,15 +604,7 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
                 scattered = applier.apply_slice(psi[:, :, k], k)
                 for j in range(grid.n_omega):
                     coef = ndimage.spline_filter(grid.embed(scattered[:, j]), order=3, mode="constant")
-                    op = operators.get((j, k))
-                    if op is not None:
-                        new[:, j, k] += op.apply(coef)
-                        continue
-                    # over budget: stream the sweep; only set-up lookups count as weight reuse
-                    s = cache.system(j, cache.nodes(j), coeffs, float(grid.energy_nodes[k]), _cache_counts())[0]
-                    new[:, j, k] += s.sweep(grid, _kernel_clamp(applier, j, k), coef)
-                    counts["ray_nodes"] += s.n_nodes
-                    counts["sweeps_rebuilt"] += 1
+                    new[:, j, k] += sweeps[j, k](coef)
         resid = float(np.max(np.abs(new - psi)))
         report.residual_history.append(resid)
         report.iterations = it + 1

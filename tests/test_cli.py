@@ -281,6 +281,26 @@ def test_non_finite_stopping_power_is_a_config_error(tmp_path, capsys):
     assert "error: ConfigError" in err and "'value' in stopping block must be negative and finite" in err
 
 
+@pytest.mark.parametrize("block, entry, key", [
+    ("sigma", {"name": "radial_bump", "amplitude": 0.5, "radius": 0.5, "center": "abc"}, "center"),
+    ("sigma", {"name": "constant", "value": float("nan")}, "value"),
+    ("sigma", {"name": "affine", "gradient": [0.0, 0.0, float("inf")]}, "gradient"),
+    ("source", {"name": "radial_bump", "amplitude": 1.0, "radius": 0.5, "center": [0, 0]}, "center"),
+    ("source", {"name": "constant", "value": float("-inf")}, "value"),
+    ("scatter", {"name": "isotropic_bump", "sigma_s": 0.1, "radius": 0.5, "center": "abc"}, "center"),
+    ("scatter", {"name": "isotropic", "sigma_s": float("nan")}, "sigma_s"),
+])
+def test_bad_catalog_number_is_a_config_error_naming_the_key(tmp_path, capsys, block, entry, key):
+    cfg = attenuation_config(tmp_path)
+    if block == "source":
+        cfg["problem"]["source"] = entry
+    else:
+        cfg["coefficients"][block] = entry
+    assert cli.main(["run", str(write_cfg(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert "error: ConfigError" in err and f"'{key}' in {block} block" in err
+
+
 def write_cfg(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -358,10 +358,17 @@ class TestSolveScattering:
         )
         f = lambda x, w, E: smooth_bump(np.linalg.norm(x - 0.1 * w, axis=1), 0.6)
         cached, rep_cached = sc.solve_scattering(f, coeffs, g, quad, tol=1e-9)
+        # at 4 MiB some directions keep their operator and the others stream
+        monkeypatch.setattr(sc, "_CACHE_BYTES", 4 * 2**20)
+        part, rep_part = sc.solve_scattering(f, coeffs, g, quad, tol=1e-9)
+        assert rep_part.cache == dict(operators_built=6, operators_reused=6, operator_entries=354656,
+                                      operator_bytes=3569840, sweeps_rebuilt=48, ray_nodes=1055264,
+                                      ray_weights_reused=8, lattice_pieces=0)
         monkeypatch.setattr(sc, "_CACHE_BYTES", 0)
         uncached, rep_uncached = sc.solve_scattering(f, coeffs, g, quad, tol=1e-9)
+        assert np.array_equal(cached.values, part.values)
         assert np.array_equal(cached.values, uncached.values)
-        assert rep_cached.iterations == rep_uncached.iterations
+        assert rep_cached.iterations == rep_part.iterations == rep_uncached.iterations
         n_sweeps = g.n_omega * g.n_energy
         reused = g.n_omega * (g.n_energy - 1)
         # sigma ignores E and the kernel rows do not move with E: one weight
@@ -369,12 +376,11 @@ class TestSolveScattering:
         assert rep_cached.cache["operators_built"] == g.n_omega
         assert rep_cached.cache["operators_reused"] == rep_cached.cache["ray_weights_reused"] == reused
         assert rep_cached.cache["sweeps_rebuilt"] == 0
-        # with no budget nothing is kept, so nothing is reused
-        assert rep_uncached.cache["operator_bytes"] == 0
-        assert rep_uncached.cache["operators_built"] == n_sweeps
-        assert rep_uncached.cache["operators_reused"] == rep_uncached.cache["ray_weights_reused"] == 0
+        # with no budget nothing is kept, so no operator is built or reused
+        assert rep_uncached.cache == dict(operators_built=0, operators_reused=0, operator_entries=0,
+                                          operator_bytes=0, sweeps_rebuilt=192, ray_nodes=3768800,
+                                          ray_weights_reused=0, lattice_pieces=0)
         assert rep_uncached.cache["sweeps_rebuilt"] == n_sweeps * rep_uncached.iterations
-        assert rep_uncached.cache["operator_entries"] == g.n_energy * rep_cached.cache["operator_entries"] > 0
         # nodes are placed once per direction, and again for every rebuilt sweep
         assert rep_uncached.cache["ray_nodes"] == \
             rep_cached.cache["ray_nodes"] * (1 + g.n_energy * rep_uncached.iterations)
@@ -387,42 +393,65 @@ class TestSolveScattering:
             stopping=lambda x, E: -np.ones(len(np.atleast_2d(x))), kappa=1.0, shift=0.0,
         )
         f = lambda x, w, E: smooth_bump(np.linalg.norm(x, axis=1), 0.45) * (1.0 + 0.8 * np.cos(3.0 * E))
-        calls = {"sweep_operator": 0, "sweep": 0}
-
-        def spy(name):
-            method = getattr(at.RaySystem, name)
-
-            def counted(*args):
-                calls[name] += 1
-                return method(*args)
-            return counted
-
-        for name in calls:
-            monkeypatch.setattr(at.RaySystem, name, spy(name))
-        # the march's cache counts at each budget: within budget nothing is
+        calls = _spy_sweeps(monkeypatch)
+        # the march's cache counts and (sweep_operator calls, operators it
+        # completed, sweep calls) at each budget: within budget nothing is
         # rebuilt; at 4 MiB some directions keep their weights or operators
         expected = {
-            sc._CACHE_BYTES: dict(operators_built=8, operators_reused=40, operator_entries=879480,
-                                  operator_bytes=8843056, sweeps_rebuilt=0, ray_nodes=1655904,
-                                  ray_weights_reused=40, lattice_pieces=8),
-            4 * 2**20: dict(operators_built=38, operators_reused=10, operator_entries=4176480,
-                            operator_bytes=2212896, sweeps_rebuilt=288, ray_nodes=11581920,
-                            ray_weights_reused=15, lattice_pieces=40),
-            0: dict(operators_built=48, operators_reused=0, operator_entries=5276880,
-                    operator_bytes=0, sweeps_rebuilt=384, ray_nodes=14903136,
-                    ray_weights_reused=0, lattice_pieces=40),
+            sc._CACHE_BYTES: (dict(operators_built=8, operators_reused=40, operator_entries=879480,
+                                   operator_bytes=8843056, sweeps_rebuilt=0, ray_nodes=1655904,
+                                   ray_weights_reused=40, lattice_pieces=8), (16, 16, 0)),
+            4 * 2**20: (dict(operators_built=2, operators_reused=10, operator_entries=220080,
+                             operator_bytes=2212896, sweeps_rebuilt=288, ray_nodes=11581920,
+                             ray_weights_reused=15, lattice_pieces=40), (23, 2, 328)),
+            0: (dict(operators_built=0, operators_reused=0, operator_entries=0,
+                     operator_bytes=0, sweeps_rebuilt=384, ray_nodes=14903136,
+                     ray_weights_reused=0, lattice_pieces=40), (0, 0, 424)),
         }
         fields = []
-        for budget, counts in expected.items():
+        for budget, (counts, spied) in expected.items():
             monkeypatch.setattr(sc, "_CACHE_BYTES", budget)
-            calls.update(sweep_operator=0, sweep=0)
+            calls.update(sweep_operator=0, completed=[], sweep=0)
             phi, rep = csda.march_energy(f, coeffs, grid, quad, dE=0.05, tol=1e-12)
             fields.append(phi.values)
             assert rep.inner_iterations == 48
             assert rep.cache == counts
-            # iterations stream their over-budget sweeps and build no operator
-            assert calls["sweep_operator"] == counts["operators_built"] + counts["lattice_pieces"]
-            assert calls["sweep"] == counts["sweeps_rebuilt"]
+            assert (calls["sweep_operator"], len(calls["completed"]), calls["sweep"]) == spied
+        assert all(np.array_equal(fields[0], other) for other in fields[1:])
+
+    def test_set_up_keeps_every_operator_it_completes(self, ball, quad, monkeypatch):
+        # the cache builds an operator only to keep it: the build stops at
+        # the first chunk over budget, and the kernel sweep or lattice-source
+        # piece that does not fit streams through ``RaySystem.sweep``
+        g = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 2)
+        coeffs = CoefficientSet(
+            sigma_t=lambda x, w, E: 0.2 + 0.1 * E + 0.1 * x[:, 0],
+            scatter=lambda x, wi, wo, E: 0.4 * ISO * smooth_bump(np.linalg.norm(x, axis=1), 0.7),
+            shift=1.0,
+        )
+        f = lambda x, w, E: smooth_bump(np.linalg.norm(x - 0.1 * w, axis=1), 0.6)
+        bump = smooth_bump(np.linalg.norm(g.coords, axis=1), 0.5)
+        lattice = bump[:, None, None] * np.linspace(0.5, 1.5, g.n_omega * g.n_energy).reshape(
+            1, g.n_omega, g.n_energy)
+        calls = _spy_sweeps(monkeypatch)
+        fields = []
+        for budget, n_kept in ((sc._CACHE_BYTES, 32), (2 * 2**20, 7), (0, 0)):
+            monkeypatch.setattr(sc, "_CACHE_BYTES", budget)
+            calls.update(sweep_operator=0, completed=[], sweep=0)
+            cache = sc.SweepCache(g, quad, across_solves=False)
+            psi, rep = sc.solve_scattering(f, coeffs, g, quad, tol=1e-10, grid_source=lattice, cache=cache)
+            fields.append(psi.values)
+            sets = [ws for sets in cache._sets.values() for ws in sets]
+            pieces = [p for ws in sets for p in ws.pieces]
+            kept = [op for ws in sets for op in ws.kernel_ops.values()] + pieces
+            assert len(kept) == n_kept
+            assert sorted(map(id, calls["completed"])) == sorted(map(id, kept))
+            assert rep.cache["operators_built"] == len(kept) - len(pieces)
+            # one sweep per streamed lattice piece, and per kernel sweep rebuilt
+            streamed = rep.cache["lattice_pieces"] - len(pieces)
+            assert calls["sweep"] == rep.cache["sweeps_rebuilt"] + streamed
+        assert streamed == rep.cache["lattice_pieces"] == g.n_omega * g.n_energy
+        assert calls["sweep_operator"] == 0
         assert all(np.array_equal(fields[0], other) for other in fields[1:])
 
     @pytest.mark.parametrize("sigma_has_E", [False, True])
@@ -487,16 +516,41 @@ class TestSolveScattering:
         assert ok and eta > 0.25
 
 
+def _spy_sweeps(monkeypatch) -> dict:
+    """Counts of the ``RaySystem.sweep_operator`` and ``RaySystem.sweep``
+    calls from now on, with the operators the former completed."""
+    calls = {"sweep_operator": 0, "completed": [], "sweep": 0}
+    build, sweep = at.RaySystem.sweep_operator, at.RaySystem.sweep
+
+    def spied_build(*args):
+        calls["sweep_operator"] += 1
+        op = build(*args)
+        if op is not None:
+            calls["completed"].append(op)
+        return op
+
+    def spied_sweep(*args):
+        calls["sweep"] += 1
+        return sweep(*args)
+
+    monkeypatch.setattr(at.RaySystem, "sweep_operator", spied_build)
+    monkeypatch.setattr(at.RaySystem, "sweep", spied_sweep)
+    return calls
+
+
 def _kernel_sweep(grid, coeffs, quad, j, k, slab_rng):
     """Operator and direct sweep of a random slab on the kernel's non-zero
     rows at (k, j), as ``solve_scattering`` builds them.  The streamed sweep
-    of an operator over budget equals its apply bit for bit."""
+    of an operator over budget equals its apply bit for bit, and a build
+    capped at fewer bytes than the operator's ``nbytes`` stops with None."""
     applier = sc._KernelApplier(coeffs.scatter, grid)
     rows = applier.column(k, j)[0]
     cache = sc.SweepCache(grid, quad)
     system, _ = cache.system(j, cache.nodes(j), coeffs, float(grid.energy_nodes[k]), sc._cache_counts())
     clamp = sc._kernel_clamp(applier, j, k)
     op = system.sweep_operator(grid, clamp)
+    assert system.sweep_operator(grid, clamp, op.nbytes).nbytes == op.nbytes
+    assert system.sweep_operator(grid, clamp, op.nbytes - 1) is None
     slab = np.zeros(grid.n_interior)
     slab[rows] = slab_rng.uniform(0.5, 1.5, rows.size)
     coef = ndimage.spline_filter(grid.embed(slab), order=3, mode="constant")
