@@ -16,9 +16,9 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import CoefficientShapeError, MissingDerivative, NonFiniteValue, NotInH0
-from .fields import (CoefficientSet, DiscreteField, GridSpec, leibniz_constant, mi_binom, sub_indices,
-                     sup_norm_estimate)
+from .errors import MissingDerivative, NonFiniteValue, NotInH0
+from .fields import (CoefficientSet, DiscreteField, GridSpec, _node_values, _non_finite, _where, leibniz_constant,
+                     mi_binom, sample_field, sub_indices, sup_norm_estimate)
 from .geometry import ConvexDomain, PhasePoint, escape_time_gradient, escape_times
 
 _T_FLOOR = 1e-14
@@ -118,51 +118,26 @@ def _running_integral(g, width, quad):
 
 
 def _node_sigma(coeffs, pts, omega, E):
-    """sigma + shift at the nodes of one panel-count group, shaped like s.
-
-    Fails fast on a sigma that breaks the callable contract: a result not
-    of shape (n,) raises ``CoefficientShapeError``, a non-finite value
-    ``NonFiniteValue`` naming the direction, the energy and the first bad
-    node."""
+    """sigma + shift at the nodes of one panel-count group, shaped like s,
+    checked by ``_node_values``."""
     flat = pts.reshape(-1, 3)
-    sig = _node_values(coeffs.sigma_t(flat, omega, E), flat, "sigma", omega, E)
-    if not np.isfinite(sig).all():
-        raise _non_finite(sig, flat, "sigma", omega, E)
+    sig = _node_values(coeffs.sigma_t(flat, omega, E), flat, "sigma", "ray node", lambda: _where(omega, E))
     return sig.reshape(pts.shape[:3]) + coeffs.shift
 
 
-def _node_values(vals, flat, what, omega, E):
-    """A callable's result at the flat nodes (n, 3) as floats; one not of
-    shape (n,) raises ``CoefficientShapeError``."""
-    vals = np.asarray(vals, dtype=float)
-    if vals.shape != (flat.shape[0],):
-        raise CoefficientShapeError(f"{what} returned shape {vals.shape} for {flat.shape[0]} "
-                                    f"ray nodes ({_where(omega, E)})")
-    return vals
-
-
-def _non_finite(vals, flat, what, omega, E) -> NonFiniteValue:
-    """The error for values ``vals`` at the flat nodes that are, or whose ray
-    integrals are, not all finite: it names the first non-finite node."""
-    bad = int(np.argmin(np.isfinite(vals)))
-    if np.isfinite(vals[bad]):
-        return NonFiniteValue(f"{what} ray integral overflows ({_where(omega, E)})")
-    return NonFiniteValue(f"{what} is {vals[bad]} at ray node "
-                          f"{np.array2string(flat[bad], precision=6)} ({_where(omega, E)})")
-
-
 def _source_integrals(w, vals, flat, omega, E):
-    """Ray integrals of source values ``vals`` at the flat nodes with the
-    weights w (n_rays, n_panels, n_nodes).  A non-finite node value always
-    makes its ray's sum non-finite, so only the sums are checked."""
+    """Ray integrals of the source values ``vals`` at the flat ray nodes
+    with the weights w (n_rays, n_panels, n_nodes).  ``vals`` is checked for
+    shape; a non-finite node value always makes its ray's sum non-finite,
+    so only the sums are checked for finiteness."""
+    where = lambda: _where(omega, E)
+    vals = _node_values(vals, flat, "source", "ray node", where, finite=False)
     out = np.einsum("ipq,ipq->i", w, vals.reshape(w.shape))
     if not np.isfinite(out).all():
-        raise _non_finite(vals, flat, "source", omega, E)
+        if np.isfinite(vals).all():
+            raise NonFiniteValue(f"source ray integral overflows ({where()})")
+        raise _non_finite(vals, flat, "source", "ray node", where)
     return out
-
-
-def _where(omega, E) -> str:
-    return f"direction {np.array2string(np.asarray(omega), precision=6)}, energy {float(E):.6g}"
 
 
 def _ray_geometry(sig, width, quad):
@@ -182,8 +157,7 @@ def _weighted_sums(n_points, groups, values, omega, E):
     checked like a source at (omega, E)."""
     out = np.zeros(n_points)
     for sel, flat, w in groups:
-        vals = _node_values(values(flat), flat, "source", omega, E)
-        out[sel] = _source_integrals(w, vals, flat, omega, E)
+        out[sel] = _source_integrals(w, values(flat), flat, omega, E)
     return out
 
 
@@ -394,8 +368,7 @@ def solve_attenuation_points(f: Callable, coeffs: CoefficientSet, domain: Convex
             if sig_prev is None or not np.array_equal(sig, sig_prev):
                 w, _ = _ray_geometry(sig, width, quad)
                 sig_prev = sig
-            fv = _node_values(f(flat, omega, Ek), flat, "source", omega, Ek)
-            out[sel, k] = _source_integrals(w, fv, flat, omega, Ek)
+            out[sel, k] = _source_integrals(w, f(flat, omega, Ek), flat, omega, Ek)
     return out[:, 0] if energies.ndim == 0 else out
 
 
@@ -437,7 +410,8 @@ def solve_attenuation_gradient(f: Callable, grad_f: Callable, coeffs: Coefficien
     atten, panel_int = _ray_geometry(_node_sigma(coeffs, pts, omega, E), width, quad)
     flat = pts.reshape(-1, 3)
     nshape = pts.shape[:3]
-    fv = _node_values(f(flat, omega, E), flat, "source", omega, E).reshape(nshape)
+    fv = _node_values(f(flat, omega, E), flat, "source", "ray node", lambda: _where(omega, E),
+                      finite=False).reshape(nshape)
     gf = np.asarray(grad_f(flat, omega, E), dtype=float).reshape(nshape + (3,))
     gs = np.asarray(grad_sigma(flat, omega, E), dtype=float).reshape(nshape + (3,))
 
@@ -513,11 +487,7 @@ def accretivity_functional(psi: DiscreteField, coeffs: CoefficientSet, m: int,
 
     # (P + C) psi with pure central streaming (commutes with the inner product)
     pv = grid.stream(psi.values)
-    for j in range(grid.n_omega):
-        omega = grid.sphere_nodes[j]
-        for k in range(grid.n_energy):
-            sig = np.asarray(coeffs.sigma_t(grid.coords, omega, float(grid.energy_nodes[k])), dtype=float)
-            pv[:, j, k] += (sig + coeffs.shift) * psi.values[:, j, k]
+    pv += (sample_field(coeffs.sigma_t, grid).values + coeffs.shift) * psi.values
 
     order = NormOrder(m)
     lhs = h_inner(DiscreteField(pv, grid), psi, order)

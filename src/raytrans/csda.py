@@ -20,15 +20,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .attenuation import RayQuadrature, _node_values, _ray_groups, _source_integrals, solve_attenuation_points
-from .errors import (
-    CoefficientShapeError,
-    InsufficientEnergyResolution,
-    NonFiniteValue,
-    ShiftTooSmall,
-    StoppingPowerViolation,
-)
-from .fields import CoefficientSet, DiscreteField, EnergyInterval, GridSpec
+from .attenuation import RayQuadrature, _ray_groups, _source_integrals, solve_attenuation_points
+from .errors import InsufficientEnergyResolution, ShiftTooSmall, StoppingPowerViolation
+from .fields import CoefficientSet, DiscreteField, EnergyInterval, GridSpec, _node_values, _where
 from .geometry import ConvexDomain, SurfaceMesh, escape_times, triangulate_boundary
 from .scattering import SweepCache, apply_scatter, solve_scattering
 
@@ -69,17 +63,8 @@ def _check_stopping(coeffs: CoefficientSet) -> None:
 
 def _stopping_values(coeffs: CoefficientSet, xs: np.ndarray, E: float) -> np.ndarray:
     """The stopping power at the grid nodes xs (n, 3) and energy E, checked
-    like sigma: ``CoefficientShapeError`` if not of shape (n,),
-    ``NonFiniteValue`` naming the energy and the first bad node."""
-    a = np.asarray(coeffs.stopping(xs, E), dtype=float)
-    if a.shape != (len(xs),):
-        raise CoefficientShapeError(f"stopping power returned shape {a.shape} for {len(xs)} grid nodes "
-                                    f"(energy {E:.6g})")
-    bad = np.flatnonzero(~np.isfinite(a))
-    if bad.size:
-        raise NonFiniteValue(f"stopping power is {a[bad[0]]} at grid node "
-                             f"{np.array2string(xs[bad[0]], precision=6)} (energy {E:.6g})")
-    return a
+    by ``_node_values``."""
+    return _node_values(coeffs.stopping(xs, E), xs, "stopping power", "grid node", lambda: f"energy {E:.6g}")
 
 
 def _march_grid(grid: GridSpec, n_steps: int) -> GridSpec:
@@ -144,16 +129,20 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     mgrid = _march_grid(grid, n_steps)
 
     # solvability of the implicit step at every march energy node (the grid's
-    # among them) and direction: a checked stopping power with -a >= kappa,
-    # and the effective absorption must stay positive
+    # among them) and direction: a checked stopping power with -a >= kappa
+    # (kept for the steps), a checked sigma, and the effective absorption
+    # must stay positive
     sig_min = math.inf
+    stopping = []
     for n in range(n_steps + 1):
         Ehat = Em - n * step
         a = _stopping_values(coeffs, mgrid.coords, Ehat)
         if np.any(-a < coeffs.kappa):
             raise StoppingPowerViolation(f"-a >= kappa violated at march energy {Ehat:.6g}")
-        for j in range(mgrid.n_omega):
-            s = np.asarray(coeffs.sigma_t(mgrid.coords, mgrid.sphere_nodes[j], Ehat), dtype=float)
+        stopping.append(a)
+        for omega in mgrid.sphere_nodes:
+            s = _node_values(coeffs.sigma_t(mgrid.coords, omega, Ehat), mgrid.coords, "sigma", "grid node",
+                             lambda: _where(omega, Ehat))
             sig_min = min(sig_min, float(np.min(s + a * (C - 1.0 / step))))
     if sig_min <= 0.0:
         raise ShiftTooSmall(
@@ -178,7 +167,6 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     for n in range(1, n_steps + 1):
         Ep = n * step
         Ehat = Em - Ep
-        a_vals = _stopping_values(coeffs, mgrid.coords, Ehat)
 
         def sigma_eff(xs, omega, E, _Ehat=Ehat):
             a = np.asarray(coeffs.stopping(np.atleast_2d(xs), _Ehat), dtype=float)
@@ -196,7 +184,7 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
             return _w * np.asarray(f(xs, omega, _Ehat), dtype=float)
 
         eff = CoefficientSet(sigma_t=sigma_eff, scatter=scatter_eff, shift=0.0)
-        lattice = ((-a_vals / step)[:, None] * prev)[:, :, None]
+        lattice = ((-stopping[n] / step)[:, None] * prev)[:, :, None]
         out, rep = solve_scattering(src, eff, slice_grid, step_quad, tol=tol, max_iter=max_iter,
                                     check_threshold=False, grid_source=lattice,
                                     psi0=prev[:, :, None], t_cap=t_cap, cache=sweep_cache)
@@ -271,9 +259,8 @@ def explicit_csda_points(f: Callable, sigma_const: float, interval: EnergyInterv
     eta = quad.ref_weights
     for sel, s, pts, width in _ray_groups(xs, omega, T, quad):
         flat = pts.reshape(-1, 3)
-        fv = _node_values(f(flat, omega, (E + s).reshape(-1)), flat, "source", omega, E)
         w = eta[None, None, :] * width[:, None, None] * np.exp(-sigma_const * s)
-        out[sel] = _source_integrals(w, fv, flat, omega, E)
+        out[sel] = _source_integrals(w, f(flat, omega, (E + s).reshape(-1)), flat, omega, E)
     return out
 
 

@@ -7,7 +7,11 @@ Callable conventions used throughout the package:
 - stopping power       a(x, E) -> (n,)
 
 All callables must be pure and vectorized over the position batch; grids and
-sampled fields are immutable after construction.
+sampled fields are immutable after construction.  Every result the package
+evaluates is checked where it is evaluated, by ``_node_values`` and
+``_non_finite``: a result not of shape (n,) (a kernel may also return one
+scalar) raises ``CoefficientShapeError``, a non-finite value
+``NonFiniteValue`` naming the first bad node.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GridTooCoarse, NonFiniteValue, OrderTooHigh
+from .errors import CoefficientShapeError, GridTooCoarse, NonFiniteValue, OrderTooHigh
 from .geometry import ConvexDomain, escape_times
 
 _MAX_ORDER = 4
@@ -341,17 +345,42 @@ class DiscreteField:
         return float(np.max(np.abs(self.values)))
 
 
+def _where(omega, E) -> str:
+    return f"direction {np.array2string(np.asarray(omega), precision=6)}, energy {float(E):.6g}"
+
+
+def _node_values(vals, xs: np.ndarray, what: str, nodes: str, where: Callable[[], str],
+                 finite: bool = True, scalar: bool = False) -> np.ndarray:
+    """A callable's result ``vals`` at the positions xs (n, 3) (``nodes``
+    names their kind: "ray node", "grid node" or "point") as floats.  One not
+    of shape (n,), or () if ``scalar``, raises ``CoefficientShapeError``; if
+    ``finite``, a non-finite value raises ``_non_finite``.  The context text
+    ``where()`` is formed only when a check fails."""
+    vals = np.asarray(vals, dtype=float)
+    if vals.shape != (len(xs),) and not (scalar and vals.shape == ()):
+        raise CoefficientShapeError(f"{what} returned shape {vals.shape} for {len(xs)} {nodes}s ({where()})")
+    if finite and not np.isfinite(vals).all():
+        raise _non_finite(vals, xs, what, nodes, where)
+    return vals
+
+
+def _non_finite(vals, xs: np.ndarray, what: str, nodes: str, where: Callable[[], str]) -> NonFiniteValue:
+    """The error for values ``vals`` (one, or n along the leading axis) at
+    the positions xs that are not all finite: it names the first position
+    with a non-finite value, and that value."""
+    vals = np.broadcast_to(vals, (len(xs),) + np.shape(vals)[1:]).reshape(len(xs), -1)
+    bad = int(np.argmin(np.isfinite(vals).all(axis=1)))
+    return NonFiniteValue(f"{what} is {vals[bad, np.argmin(np.isfinite(vals[bad]))]} at {nodes} "
+                          f"{np.array2string(xs[bad], precision=6)} ({where()})")
+
+
 def sample_field(field: Callable, grid: GridSpec) -> DiscreteField:
-    """Evaluate a callable field at every grid node."""
+    """Evaluate a callable field at every grid node, checked by ``_node_values``."""
     out = np.empty(grid.phase_shape)
-    for j in range(grid.n_omega):
-        omega = grid.sphere_nodes[j]
-        for k in range(grid.n_energy):
-            vals = np.asarray(field(grid.coords, omega, float(grid.energy_nodes[k])), dtype=float)
-            if not np.all(np.isfinite(vals)):
-                bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-                raise NonFiniteValue(f"non-finite value at spatial node {bad}, sphere node {j}, energy node {k}")
-            out[:, j, k] = vals
+    for j, omega in enumerate(grid.sphere_nodes):
+        for k, E in enumerate(grid.energy_nodes.tolist()):
+            out[:, j, k] = _node_values(field(grid.coords, omega, E), grid.coords, "field", "grid node",
+                                        lambda: _where(omega, E))
     return DiscreteField(out, grid)
 
 
@@ -360,7 +389,11 @@ def sup_norm_estimate(field: Callable, m: int, grid: GridSpec) -> float:
 
     Max over |alpha| <= m of the grid sup of central finite differences,
     restricted to interior nodes more than m*h from the boundary, over every
-    direction and energy node (one field call per pair).
+    direction and energy node (one field call per pair).  A non-finite value
+    raises ``_non_finite``.  The values need only the leading axis n that
+    ``GridSpec.embed`` takes: the shape is the contract of the caller's own
+    evaluation points, so a solve names a sigma of wrong shape at its ray
+    nodes.
     """
     if m > _MAX_ORDER:
         raise OrderTooHigh(f"order {m} exceeds supported stencil width {_MAX_ORDER}")
@@ -374,8 +407,10 @@ def sup_norm_estimate(field: Callable, m: int, grid: GridSpec) -> float:
         raise GridTooCoarse("no interior node is far enough from the boundary")
     best = 0.0
     for omega in grid.sphere_nodes:
-        for E in grid.energy_nodes:
-            vals = np.asarray(field(grid.coords, omega, float(E)), dtype=float)
+        for E in grid.energy_nodes.tolist():
+            vals = np.asarray(field(grid.coords, omega, E), dtype=float)
+            if not np.isfinite(vals).all():
+                raise _non_finite(vals, grid.coords, "field", "grid node", lambda: _where(omega, E))
             box = grid.embed(vals)
             for alpha in multi_indices(m):
                 d = grid.derivative_multi(box, alpha, masked=False)

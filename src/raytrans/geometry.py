@@ -243,9 +243,9 @@ def escape_times(domain: ConvexDomain, xs, omegas) -> np.ndarray:
 
     xs: (n, 3) positions in the closed domain; omegas: (3,) shared direction
     or (n, 3).  Returns (n,) times: backward distance to the boundary along
-    -omega, zero on the inflow/tangential boundary set.  Quadric domains use
-    the closed form; ``escape_times_rootfind`` is the generic path and serves
-    as the independent cross-check.
+    -omega, zero on the inflow/tangential boundary set.  Every domain kind is
+    a quadric, so this is the closed form; ``escape_times_rootfind`` is the
+    generic path and serves as the independent cross-check.
     """
     xs, _ = _as_points(xs)
     omegas = np.asarray(omegas, dtype=float)
@@ -254,13 +254,10 @@ def escape_times(domain: ConvexDomain, xs, omegas) -> np.ndarray:
     lv = domain.level(xs)
     if np.any(lv > BOUNDARY_TOL):
         raise OutsideDomain(f"level = {np.max(lv):.3e} exceeds boundary tolerance")
-    if domain.kind in (DomainKind.UNIT_BALL, DomainKind.BALL, DomainKind.ELLIPSOID):
-        return _quadric_escape(domain, xs, omegas)
-    return escape_times_rootfind(domain, xs, omegas, _skip_level_check=True)
+    return _quadric_escape(domain, xs, omegas)
 
 
-def escape_times_rootfind(domain: ConvexDomain, xs, omegas,
-                          _skip_level_check: bool = False) -> np.ndarray:
+def escape_times_rootfind(domain: ConvexDomain, xs, omegas) -> np.ndarray:
     """Exit times by safeguarded Newton on the level function (any strictly
     convex domain); bracketed on [0, diameter]."""
     xs, _ = _as_points(xs)
@@ -269,7 +266,7 @@ def escape_times_rootfind(domain: ConvexDomain, xs, omegas,
         omegas = np.broadcast_to(omegas, xs.shape)
     n = xs.shape[0]
     lv = domain.level(xs)
-    if not _skip_level_check and np.any(lv > BOUNDARY_TOL):
+    if np.any(lv > BOUNDARY_TOL):
         raise OutsideDomain(f"level = {np.max(lv):.3e} exceeds boundary tolerance")
 
     times = np.zeros(n)

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EmptyTrace, OrderTooHigh
-from .fields import DiscreteField, GridSpec, multi_indices
+from .fields import DiscreteField, GridSpec, _node_values, _where, multi_indices
 from .geometry import BoundarySide, SurfaceMesh, escape_times, triangulate_boundary
 
 _MAX_SPATIAL_ORDER = 3
@@ -101,13 +101,15 @@ class TraceField:
 
 def trace_from_callable(field: Callable, grid: GridSpec, side: Optional[BoundarySide],
                         subdivisions: int = 3) -> TraceField:
-    """Sample a callable field on the boundary quadrature mesh."""
+    """Sample a callable field on the boundary quadrature mesh, checked by
+    ``_node_values``."""
     mesh = triangulate_boundary(grid.domain, subdivisions)
     dots = mesh.normals @ grid.sphere_nodes.T
     vals = np.empty((mesh.points.shape[0], grid.n_omega, grid.n_energy))
-    for j in range(grid.n_omega):
-        for k in range(grid.n_energy):
-            vals[:, j, k] = field(mesh.points, grid.sphere_nodes[j], float(grid.energy_nodes[k]))
+    for j, omega in enumerate(grid.sphere_nodes):
+        for k, E in enumerate(grid.energy_nodes.tolist()):
+            vals[:, j, k] = _node_values(field(mesh.points, omega, E), mesh.points, "field", "point",
+                                         lambda: _where(omega, E))
     return TraceField(vals, dots, mesh, grid, side)
 
 

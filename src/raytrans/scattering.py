@@ -26,16 +26,18 @@ from .attenuation import (
     _node_sigma,
     _ray_geometry,
     _ray_groups,
-    _where,
 )
-from .errors import CoefficientShapeError, MaxIterationsExceeded, NonFiniteValue, ShiftTooSmall
+from .errors import MaxIterationsExceeded, ShiftTooSmall
 from .fields import (
     CoefficientSet,
     DiscreteField,
     GridSpec,
+    _node_values,
+    _where,
     leibniz_constant,
     mi_binom,
     multi_indices,
+    sample_field,
     sub_indices,
     sup_norm_estimate,
 )
@@ -102,22 +104,14 @@ def _kernel_values(scatter: Callable, xs: np.ndarray, wi: np.ndarray, wo: np.nda
                    k: Optional[int] = None) -> np.ndarray:
     """The kernel at the positions xs (n, 3) for in-direction wi,
     out-direction wo and energy E (energy node k of a grid, if given): one
-    value for every position or (n,) values.  Other shapes raise
-    ``CoefficientShapeError``, a non-finite value ``NonFiniteValue`` naming
-    the first bad position.  The collision operator and its norm bound call
-    kernels only through here."""
-    kv = np.asarray(scatter(xs, wi, wo, E), dtype=float)
-    shape_ok = kv.shape in ((), (len(xs),))
-    if shape_ok and np.isfinite(kv).all():
-        return kv
-    nodes = "grid node" if k is not None else "point"
-    where = (f"energy node {k}, " if k is not None else "") \
-        + f"in-direction {np.array2string(np.asarray(wi), precision=6)}, out-{_where(wo, E)}"
-    if not shape_ok:
-        raise CoefficientShapeError(f"kernel returned shape {kv.shape} for {len(xs)} {nodes}s ({where})")
-    vals = np.broadcast_to(kv, (len(xs),))
-    i = int(np.argmin(np.isfinite(vals)))
-    raise NonFiniteValue(f"kernel is {vals[i]} at {nodes} {np.array2string(xs[i], precision=6)} ({where})")
+    value for every position or (n,) values, checked by ``_node_values``.
+    The collision operator and its norm bound call kernels only through
+    here."""
+    def where():
+        return (f"energy node {k}, " if k is not None else "") \
+            + f"in-direction {np.array2string(np.asarray(wi), precision=6)}, out-{_where(wo, E)}"
+    return _node_values(scatter(xs, wi, wo, E), xs, "kernel", "point" if k is None else "grid node", where,
+                        scalar=True)
 
 
 def apply_scatter(scatter: Callable, psi: Callable, xs, omega, E: float, grid: GridSpec) -> np.ndarray:
@@ -443,7 +437,8 @@ class SweepCache:
         map from spline coefficients to ray integrals.  It applies the
         operator ``ws`` keeps for the same clamp bits, or one built and kept
         now; if that does not fit, every call places the nodes, forms the
-        ray system and streams the operator (``RaySystem.sweep``)."""
+        ray system and streams the operator (``RaySystem.sweep``) on the
+        clamp unpacked from those bits."""
         clamp = _kernel_clamp(applier, j, k)
         key = np.packbits(clamp).tobytes()
         op = ws.kernel_ops.get(key)
@@ -457,13 +452,14 @@ class SweepCache:
             counts["operator_entries"] += op.data.size
             counts["operator_bytes"] += op.nbytes
             return op.apply
-        E = system.E
+        E, grid = system.E, self.grid
 
         def stream(coef: np.ndarray) -> np.ndarray:
             s = self.system(j, self.nodes(j), coeffs, E)[0]
             counts["ray_nodes"] += s.n_nodes
             counts["sweeps_rebuilt"] += 1
-            return s.sweep(self.grid, _kernel_clamp(applier, j, k), coef)
+            bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=grid.mask.size)
+            return s.sweep(grid, bits.view(bool).reshape(grid.shape), coef)
         return stream
 
     def lattice_integral(self, ws: _WeightSet, system: RaySystem, slab: np.ndarray,
@@ -657,8 +653,10 @@ def solve_with_inflow(f: Callable, g: Callable, coeffs: CoefficientSet, grid: Gr
                       lam: float = 0.0) -> tuple[DiscreteField, IterationReport]:
     """Nonzero inflow data via the change of unknown u = psi - lift(g).
 
-    Solves the homogeneous-inflow problem for u with source
-    f - (Sigma L g - K L g + C L g) and returns psi = u + L g on the grid.
+    The lift L g decays by exp(-lam t) along each characteristic, so
+    omega.grad L g = -lam L g.  Solves the homogeneous-inflow problem for u
+    with source f - (Sigma + C - lam) L g + K L g and returns psi = u + L g
+    on the grid.
     """
     def lift(xs, omega, E):
         return lift_values(g, lam, grid.domain, xs, omega, E)
@@ -666,14 +664,10 @@ def solve_with_inflow(f: Callable, g: Callable, coeffs: CoefficientSet, grid: Gr
     def source(xs, omega, E):
         base = np.asarray(f(xs, omega, E), dtype=float)
         sig = np.asarray(coeffs.sigma_t(xs, omega, E), dtype=float)
-        out = base - (sig + coeffs.shift) * lift(xs, omega, E)
+        out = base - (sig + coeffs.shift - lam) * lift(xs, omega, E)
         if coeffs.scatter is not None:
             out = out + apply_scatter(coeffs.scatter, lift, xs, omega, E, grid)
         return out
 
     u, report = solve_scattering(source, coeffs, grid, quad, tol, max_iter)
-    lifted = np.empty(grid.phase_shape)
-    for j in range(grid.n_omega):
-        for k in range(grid.n_energy):
-            lifted[:, j, k] = lift(grid.coords, grid.sphere_nodes[j], float(grid.energy_nodes[k]))
-    return DiscreteField(u.values + lifted, grid), report
+    return DiscreteField(u.values + sample_field(lift, grid).values, grid), report

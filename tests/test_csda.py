@@ -172,6 +172,31 @@ class TestMarch:
                 csda.march_energy(f, coeffs, grid, quad, dE=0.25)
         assert steps == []
 
+    def test_non_finite_sigma_is_named_before_the_first_step(self, ball, quad, monkeypatch):
+        grid = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 3)
+        steps = []
+        monkeypatch.setattr(csda, "solve_scattering", lambda *args, **kw: steps.append(1))
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), np.nan), stopping=unit_stopping,
+                                kappa=1.0)
+        with pytest.raises(NonFiniteValue, match=r"sigma is nan at grid node \[.*\] \(direction \[.*\], energy 1\)"):
+            csda.march_energy(lambda x, w, E: np.zeros(len(x)), coeffs, grid, quad, dE=0.25)
+        assert steps == []
+
+    def test_stopping_power_is_evaluated_once_per_march_energy(self, ball, quad):
+        grid = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 3)
+        at_nodes = []
+
+        def stopping(x, E):
+            if np.array_equal(x, grid.coords):
+                at_nodes.append(E)
+            return unit_stopping(x, E)
+
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.5), stopping=stopping, kappa=1.0)
+        f = lambda x, w, E: smooth_bump(np.linalg.norm(x, axis=1), 0.5)
+        _, rep = csda.march_energy(f, coeffs, grid, quad, dE=0.25)
+        # the pre-pass checks each march energy, and its values serve the steps
+        assert rep.steps == 4 and at_nodes == [1.0, 0.75, 0.5, 0.25, 0.0]
+
     def test_negative_effective_absorption_at_one_direction_rejected(self, ball, quad):
         grid = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 3)
         bad = grid.sphere_nodes[1]

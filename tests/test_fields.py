@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from raytrans import fields as fl
-from raytrans.errors import NonFiniteValue, OrderTooHigh
+from raytrans.errors import CoefficientShapeError, NonFiniteValue, OrderTooHigh
 from raytrans.geometry import ConvexDomain
+from raytrans.scattering import solvability_threshold
 
 
 def smooth_bump(r, radius):
@@ -85,6 +86,11 @@ class TestSampleField:
         with pytest.raises(NonFiniteValue):
             fl.sample_field(bad, grid)
 
+    def test_wrong_shape_is_named(self, grid):
+        with pytest.raises(CoefficientShapeError, match=r"field returned shape \(\d+, 2\) for \d+ grid nodes "
+                                                        r"\(direction \[.*\], energy 0\)"):
+            fl.sample_field(lambda x, w, E: np.ones((len(x), 2)), grid)
+
 
 class TestSupNorm:
     def test_constant(self, grid):
@@ -121,6 +127,14 @@ class TestSupNorm:
             calls.clear()
             assert fl.sup_norm_estimate(sig, m, g) == 6.0
             assert len(calls) == g.n_omega * g.n_energy
+
+    def test_non_finite_field_is_named(self, grid):
+        nan = lambda x, w, E: np.full(len(x), np.nan)
+        for m in (0, 1):
+            with pytest.raises(NonFiniteValue, match=r"field is nan at grid node \[.*\] \(direction"):
+                fl.sup_norm_estimate(nan, m, grid)
+        with pytest.raises(NonFiniteValue, match=r"field is nan at grid node"):
+            solvability_threshold(fl.CoefficientSet(sigma_t=nan, shift=1.0), grid)
 
     def test_order_too_high(self, grid):
         with pytest.raises(OrderTooHigh):

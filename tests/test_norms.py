@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from raytrans import norms as nm
-from raytrans.errors import EmptyTrace
+from raytrans.errors import CoefficientShapeError, EmptyTrace, NonFiniteValue
 from raytrans.fields import EnergyInterval, GridSpec, sample_field
 from raytrans.geometry import BoundarySide, ConvexDomain
 
@@ -81,6 +81,12 @@ class TestTraceNorm:
         object.__setattr__(tr, "dots", np.abs(tr.dots))
         with pytest.raises(EmptyTrace):
             nm.trace_norm(tr)
+
+    def test_callable_is_checked(self, grid):
+        with pytest.raises(NonFiniteValue, match=r"field is inf at point \[.*\] \(direction \[.*\], energy 0\)"):
+            nm.trace_from_callable(lambda p, w, E: np.where(p[:, 0] > 0.5, np.inf, 1.0), grid, None)
+        with pytest.raises(CoefficientShapeError, match=r"field returned shape \(\d+, 1\) for \d+ points"):
+            nm.trace_from_callable(lambda p, w, E: np.ones((len(p), 1)), grid, None)
 
 
 class TestBoundaryHNorm:

@@ -10,7 +10,7 @@ from raytrans import scattering as sc
 from raytrans.catalog import build_scatter
 from raytrans.errors import CoefficientShapeError, NonFiniteValue, ShiftTooSmall
 from raytrans.fields import CoefficientSet, EnergyInterval, GridSpec, multi_indices, sample_field
-from raytrans.geometry import ConvexDomain
+from raytrans.geometry import ConvexDomain, escape_times
 from raytrans.norms import h0_margin
 
 
@@ -351,11 +351,13 @@ class TestSolveScattering:
     def test_cache_budgets_do_not_change_the_answer(self, ball, quad, monkeypatch):
         g = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 2)
         sigma_s = lambda x: 0.5 * smooth_bump(np.linalg.norm(x, axis=1), 0.75)
-        coeffs = CoefficientSet(
-            sigma_t=lambda x, w, E: np.full(len(x), 0.1),
-            scatter=lambda x, wi, wo, E: ISO * (1.0 + 0.5 * (wi @ wo) + 0.2 * E) * sigma_s(x),
-            shift=0.9,
-        )
+        kernel_calls = []
+
+        def kernel(x, wi, wo, E):
+            kernel_calls.append(E)
+            return ISO * (1.0 + 0.5 * (wi @ wo) + 0.2 * E) * sigma_s(x)
+
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.1), scatter=kernel, shift=0.9)
         f = lambda x, w, E: smooth_bump(np.linalg.norm(x - 0.1 * w, axis=1), 0.6)
         cached, rep_cached = sc.solve_scattering(f, coeffs, g, quad, tol=1e-9)
         # at 4 MiB some directions keep their operator and the others stream
@@ -365,7 +367,16 @@ class TestSolveScattering:
                                       operator_bytes=3569840, sweeps_rebuilt=48, ray_nodes=1055264,
                                       ray_weights_reused=8, lattice_pieces=0)
         monkeypatch.setattr(sc, "_CACHE_BYTES", 0)
+        clamps = []
+        kernel_clamp = sc._kernel_clamp
+        monkeypatch.setattr(sc, "_kernel_clamp", lambda *args: clamps.append(1) or kernel_clamp(*args))
+        kernel_calls.clear()
         uncached, rep_uncached = sc.solve_scattering(f, coeffs, g, quad, tol=1e-9)
+        # a streamed sweep unpacks the clamp bits of its set-up: the kernel
+        # is called for the threshold, the 16 set-up clamps and each
+        # collision apply (128 calls each), never again for a clamp
+        assert len(clamps) == g.n_omega * g.n_energy == 16
+        assert len(kernel_calls) == (2 + rep_uncached.iterations) * g.n_energy * g.n_omega ** 2 == 1792
         assert np.array_equal(cached.values, part.values)
         assert np.array_equal(cached.values, uncached.values)
         assert rep_cached.iterations == rep_part.iterations == rep_uncached.iterations
@@ -866,6 +877,17 @@ class TestSolveWithInflow:
         one_g = lambda y, w, E: np.ones(len(y))
         psi, _ = sc.solve_with_inflow(f, one_g, coeffs, g, quad, tol=1e-12)
         assert np.max(np.abs(psi.values - 1.0)) < 1e-10
+
+    @pytest.mark.parametrize("lam", [0.5, 1.3])
+    def test_lift_decay_enters_the_source(self, ball, quad, lam):
+        # omega.grad exp(-lam t) = -lam exp(-lam t), so with
+        # f = (sigma + C - lam) exp(-lam t) and g = 1 the solution is
+        # exp(-lam t) and the source for u = psi - L g vanishes
+        g = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 1)
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.5), shift=1.0)
+        f = lambda x, w, E: (0.5 + 1.0 - lam) * np.exp(-lam * escape_times(ball, x, w))
+        psi, _ = sc.solve_with_inflow(f, lambda y, w, E: np.ones(len(y)), coeffs, g, quad, tol=1e-12, lam=lam)
+        assert np.max(np.abs(psi.values[:, :, 0] - np.exp(-lam * g.escape_cache()))) == 0.0
 
     def test_smooth_data_trace(self, ball, quad):
         g = GridSpec(ball, 15, 4, 8, EnergyInterval(0.0, 1.0), 1)
