@@ -487,12 +487,12 @@ def accretivity_functional(psi: DiscreteField, coeffs: CoefficientSet, m: int,
 
     # (P + C) psi with pure central streaming (commutes with the inner product)
     pv = grid.stream(psi.values)
-    pv += (sample_field(coeffs.sigma_t, grid).values + coeffs.shift) * psi.values
+    pv += (sample_field(coeffs.sigma_t, grid, "sigma").values + coeffs.shift) * psi.values
 
     order = NormOrder(m)
     lhs = h_inner(DiscreteField(pv, grid), psi, order)
     if sigma_sup is None:
-        sigma_sup = sup_norm_estimate(coeffs.sigma_t, m, grid)
+        sigma_sup = sup_norm_estimate(coeffs.sigma_t, m, grid, "sigma")
     c_prime = leibniz_constant(m) * sigma_sup
     nrm = h_norm(psi, order)
     rhs_bound = (coeffs.shift - c_prime) * nrm**2

@@ -374,26 +374,27 @@ def _non_finite(vals, xs: np.ndarray, what: str, nodes: str, where: Callable[[],
                           f"{np.array2string(xs[bad], precision=6)} ({where()})")
 
 
-def sample_field(field: Callable, grid: GridSpec) -> DiscreteField:
-    """Evaluate a callable field at every grid node, checked by ``_node_values``."""
+def sample_field(field: Callable, grid: GridSpec, what: str = "field") -> DiscreteField:
+    """Evaluate a callable field at every grid node, checked by ``_node_values``
+    (``what`` names the field in its messages)."""
     out = np.empty(grid.phase_shape)
     for j, omega in enumerate(grid.sphere_nodes):
         for k, E in enumerate(grid.energy_nodes.tolist()):
-            out[:, j, k] = _node_values(field(grid.coords, omega, E), grid.coords, "field", "grid node",
+            out[:, j, k] = _node_values(field(grid.coords, omega, E), grid.coords, what, "grid node",
                                         lambda: _where(omega, E))
     return DiscreteField(out, grid)
 
 
-def sup_norm_estimate(field: Callable, m: int, grid: GridSpec) -> float:
+def sup_norm_estimate(field: Callable, m: int, grid: GridSpec, what: str = "field") -> float:
     """Estimate of the spatial W-infinity norm of order m.
 
     Max over |alpha| <= m of the grid sup of central finite differences,
     restricted to interior nodes more than m*h from the boundary, over every
     direction and energy node (one field call per pair).  A non-finite value
-    raises ``_non_finite``.  The values need only the leading axis n that
-    ``GridSpec.embed`` takes: the shape is the contract of the caller's own
-    evaluation points, so a solve names a sigma of wrong shape at its ray
-    nodes.
+    raises ``_non_finite``, naming the field as ``what``.  The values need
+    only the leading axis n that ``GridSpec.embed`` takes: the shape is the
+    contract of the caller's own evaluation points, so a solve names a sigma
+    of wrong shape at its ray nodes.
     """
     if m > _MAX_ORDER:
         raise OrderTooHigh(f"order {m} exceeds supported stencil width {_MAX_ORDER}")
@@ -410,7 +411,7 @@ def sup_norm_estimate(field: Callable, m: int, grid: GridSpec) -> float:
         for E in grid.energy_nodes.tolist():
             vals = np.asarray(field(grid.coords, omega, E), dtype=float)
             if not np.isfinite(vals).all():
-                raise _non_finite(vals, grid.coords, "field", "grid node", lambda: _where(omega, E))
+                raise _non_finite(vals, grid.coords, what, "grid node", lambda: _where(omega, E))
             box = grid.embed(vals)
             for alpha in multi_indices(m):
                 d = grid.derivative_multi(box, alpha, masked=False)

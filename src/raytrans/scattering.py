@@ -252,7 +252,7 @@ def scatter_norm_bound(scatter: Callable, m: int, grid: GridSpec,
 def _threshold_terms(coeffs: CoefficientSet, grid: GridSpec, m: int,
                      applier: Optional[_KernelApplier]) -> tuple[float, float]:
     """The two terms of ``solvability_threshold``."""
-    return (leibniz_constant(m) * sup_norm_estimate(coeffs.sigma_t, m, grid),
+    return (leibniz_constant(m) * sup_norm_estimate(coeffs.sigma_t, m, grid, "sigma"),
             scatter_norm_bound(coeffs.scatter, m, grid, applier=applier)
             if coeffs.scatter is not None else 0.0)
 
@@ -670,4 +670,4 @@ def solve_with_inflow(f: Callable, g: Callable, coeffs: CoefficientSet, grid: Gr
         return out
 
     u, report = solve_scattering(source, coeffs, grid, quad, tol, max_iter)
-    return DiscreteField(u.values + sample_field(lift, grid).values, grid), report
+    return DiscreteField(u.values + sample_field(lift, grid, "lift").values, grid), report

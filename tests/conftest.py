@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -8,9 +6,9 @@ from raytrans import attenuation as at
 from raytrans.geometry import escape_times
 
 # the generated tests draw the same examples on every run and write no
-# example database; HYPOTHESIS_PROFILE=default restores random draws
+# example database; pytest's --hypothesis-profile=default restores random draws
 settings.register_profile("derandomize", derandomize=True, database=None, deadline=None, max_examples=40)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomize"))
+settings.load_profile("derandomize")
 
 
 def _ray_system(coeffs, domain, xs, omega, E, quad, T=None):

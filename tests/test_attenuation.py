@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from raytrans import attenuation as at
-from raytrans.errors import MissingDerivative, NotInH0
+from raytrans.errors import MissingDerivative, NonFiniteValue, NotInH0
 from raytrans.fields import CoefficientSet, EnergyInterval, GridSpec, sample_field
 from raytrans.geometry import ConvexDomain, PhasePoint, ball_escape_closed_form, escape_times
 from raytrans.norms import NormOrder, h_norm
@@ -425,6 +425,12 @@ class TestAccretivity:
                 res = at.accretivity_functional(psi, coeffs, m, sigma_sup=sup_s)
                 n2 = h_norm(psi, NormOrder(m)) ** 2
                 assert res.lhs >= 0.98 * n2
+
+    def test_non_finite_sigma_is_named(self, ball):
+        grid = GridSpec(ball, 15, 2, 4, EnergyInterval(0.0, 1.0), 1)
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), np.nan), shift=2.0)
+        with pytest.raises(NonFiniteValue, match=r"sigma is nan at grid node \[.*\] \(direction"):
+            at.accretivity_functional(sample_field(zero_f, grid), coeffs, 0)
 
     def test_not_in_h0_raises(self, ball):
         grid = GridSpec(ball, 15, 2, 4, EnergyInterval(0.0, 1.0), 1)

@@ -133,7 +133,7 @@ class TestSupNorm:
         for m in (0, 1):
             with pytest.raises(NonFiniteValue, match=r"field is nan at grid node \[.*\] \(direction"):
                 fl.sup_norm_estimate(nan, m, grid)
-        with pytest.raises(NonFiniteValue, match=r"field is nan at grid node"):
+        with pytest.raises(NonFiniteValue, match=r"sigma is nan at grid node"):
             solvability_threshold(fl.CoefficientSet(sigma_t=nan, shift=1.0), grid)
 
     def test_order_too_high(self, grid):

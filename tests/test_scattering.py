@@ -508,6 +508,12 @@ class TestSolveScattering:
         # the source was integrated at the first energy node only
         assert calls and set(calls) == {0.0}
 
+    def test_non_finite_sigma_is_named_by_the_threshold(self, ball, quad):
+        g = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 1)
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), np.nan), shift=1.0)
+        with pytest.raises(NonFiniteValue, match=r"sigma is nan at grid node \[.*\] \(direction \[.*\], energy 0\)"):
+            sc.solve_scattering(lambda x, w, E: np.ones(len(x)), coeffs, g, quad)
+
     def test_sigma_of_wrong_shape_is_named(self, ball, quad):
         g = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 1)
         coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full((len(x), 1), 0.3), shift=1.0)
