@@ -53,30 +53,19 @@ class RayQuadrature:
 
     panels_per_unit_length: int = 16
     nodes_per_panel: int = 4
-    _ref: tuple = field(init=False, repr=False)
+    ref_nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    ref_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    partial_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.panels_per_unit_length < 1 or self.nodes_per_panel < 2:
             raise ValueError("need >= 1 panel per unit length and >= 2 nodes per panel")
         x, w = np.polynomial.legendre.leggauss(self.nodes_per_panel)
         nodes = 0.5 * (x + 1.0)
-        weights = 0.5 * w
-        partial = _lagrange_partial_matrix(nodes)
-        for arr in (nodes, weights, partial):
+        ref = {"ref_nodes": nodes, "ref_weights": 0.5 * w, "partial_matrix": _lagrange_partial_matrix(nodes)}
+        for name, arr in ref.items():
             arr.setflags(write=False)
-        object.__setattr__(self, "_ref", (nodes, weights, partial))
-
-    @property
-    def ref_nodes(self) -> np.ndarray:
-        return self._ref[0]
-
-    @property
-    def ref_weights(self) -> np.ndarray:
-        return self._ref[1]
-
-    @property
-    def partial_matrix(self) -> np.ndarray:
-        return self._ref[2]
+            object.__setattr__(self, name, arr)
 
     def n_panels(self, T: np.ndarray) -> np.ndarray:
         return np.maximum(1, np.ceil(self.panels_per_unit_length * np.asarray(T)).astype(int))

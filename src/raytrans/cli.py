@@ -333,8 +333,7 @@ def write_field_csv(fld: DiscreteField, path: Path) -> None:
                                      j, f"{E:.12g}", f"{fld.values[i, j, k]:.17g}"])
 
 
-def run_scenario(config, out_dir: Optional[str] = None, seed: int = 0,
-                 write_fields: Optional[bool] = None) -> RunReport:
+def run_scenario(config, out_dir: Optional[str] = None, seed: int = 0) -> RunReport:
     """Execute one configured pipeline and assemble its report."""
     cfg = load_config(config) if not isinstance(config, dict) else config
     for key in ("domain", "grid", "coefficients", "problem"):
@@ -376,8 +375,7 @@ def run_scenario(config, out_dir: Optional[str] = None, seed: int = 0,
         outp = Path(target)
         outp.mkdir(parents=True, exist_ok=True)
         (outp / "report.json").write_text(report.to_json())
-        do_fields = write_fields if write_fields is not None else out_block.get("write_fields", True)
-        if do_fields:
+        if out_block.get("write_fields", True):
             write_field_csv(fld, outp / "field.csv")
     return report
 

@@ -26,6 +26,8 @@ from .fields import CoefficientSet, DiscreteField, EnergyInterval, GridSpec, _no
 from .geometry import ConvexDomain, SurfaceMesh, escape_times, triangulate_boundary
 from .scattering import SweepCache, apply_scatter, solve_scattering
 
+_FD_STEP = 1e-5   # step of compatibility_check's central differences in space
+
 
 @dataclass(frozen=True)
 class MarchState:
@@ -61,10 +63,10 @@ def _check_stopping(coeffs: CoefficientSet) -> None:
         raise StoppingPowerViolation("kappa must be positive")
 
 
-def _stopping_values(coeffs: CoefficientSet, xs: np.ndarray, E: float) -> np.ndarray:
-    """The stopping power at the grid nodes xs (n, 3) and energy E, checked
-    by ``_node_values``."""
-    return _node_values(coeffs.stopping(xs, E), xs, "stopping power", "grid node", lambda: f"energy {E:.6g}")
+def _stopping_values(coeffs: CoefficientSet, xs: np.ndarray, E: float, nodes: str) -> np.ndarray:
+    """The stopping power at the positions xs (n, 3) (``nodes`` names their
+    kind) and energy E, checked by ``_node_values``."""
+    return _node_values(coeffs.stopping(xs, E), xs, "stopping power", nodes, lambda: f"energy {E:.6g}")
 
 
 def _march_grid(grid: GridSpec, n_steps: int) -> GridSpec:
@@ -136,7 +138,7 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     stopping = []
     for n in range(n_steps + 1):
         Ehat = Em - n * step
-        a = _stopping_values(coeffs, mgrid.coords, Ehat)
+        a = _stopping_values(coeffs, mgrid.coords, Ehat, "grid node")
         if np.any(-a < coeffs.kappa):
             raise StoppingPowerViolation(f"-a >= kappa violated at march energy {Ehat:.6g}")
         stopping.append(a)
@@ -187,7 +189,7 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
         lattice = ((-stopping[n] / step)[:, None] * prev)[:, :, None]
         out, rep = solve_scattering(src, eff, slice_grid, step_quad, tol=tol, max_iter=max_iter,
                                     check_threshold=False, grid_source=lattice,
-                                    psi0=prev[:, :, None], t_cap=t_cap, cache=sweep_cache)
+                                    psi0=prev[:, :, None], cache=sweep_cache)
         prev = out.values[:, :, 0]
         phi[:, :, n] = prev
         step_iterations.append(rep.iterations)
@@ -296,8 +298,7 @@ def kr_energy_derivative_gap(scatter: Callable, dscatter_dE: Callable, grid: Gri
 
 def compatibility_check(g: Callable, F: Callable, order: int, grid: GridSpec,
                         coeffs: Optional[CoefficientSet] = None,
-                        tolerance: float = 1e-6, subdivisions: int = 2,
-                        fd_step: float = 1e-5) -> CompatibilityReport:
+                        tolerance: float = 1e-6, subdivisions: int = 2) -> CompatibilityReport:
     """Compatibility of inflow data with the zero cut-off-energy condition.
 
     order 0:  g(., ., Em) = 0 on the inflow boundary set
@@ -305,7 +306,11 @@ def compatibility_check(g: Callable, F: Callable, order: int, grid: GridSpec,
     order 2:  d2g/dE2(., ., Em) = (P F)(., ., Em) + dF/dE(., ., Em)
 
     with P the first-order transport action -(1/a)(omega.grad + Sigma - K);
-    energy derivatives use one-sided stencils on the grid energy nodes.
+    energy derivatives use one-sided stencils on the grid energy nodes, the
+    streaming term central differences of step ``_FD_STEP``.  g, F, sigma
+    and the stopping power are evaluated once per energy they need at the
+    inflow points, and every value is checked by ``_node_values``; a
+    non-finite residual fails the check.
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
@@ -316,43 +321,41 @@ def compatibility_check(g: Callable, F: Callable, order: int, grid: GridSpec,
     if order == 2 and coeffs is None:
         raise ValueError("order 2 needs the coefficient set for the transport action")
 
+    def checked(fn, what):
+        return lambda xs, w, E: _node_values(fn(xs, w, E), xs, what, "point", lambda: _where(w, E))
+
+    g, F = checked(g, "g"), checked(F, "F")
     mesh = triangulate_boundary(grid.domain, subdivisions)
     Em = grid.interval.Em
     dE = grid.energy_nodes[-1] - grid.energy_nodes[-2] if grid.n_energy > 1 else 0.0
     worst = 0.0
     for j in range(grid.n_omega):
         omega = grid.sphere_nodes[j]
-        dots = mesh.normals @ omega
-        ys = mesh.points[dots < -1e-9]
+        inflow = mesh.normals @ omega < -1e-9
+        ys = mesh.points[inflow]
         if ys.size == 0:
             continue
+        gs = [g(ys, omega, Em - i * dE) for i in range(need)]
         if order == 0:
-            res = np.abs(np.asarray(g(ys, omega, Em), dtype=float))
+            res = np.abs(gs[0])
         elif order == 1:
-            dg = (3.0 * np.asarray(g(ys, omega, Em), dtype=float)
-                  - 4.0 * np.asarray(g(ys, omega, Em - dE), dtype=float)
-                  + np.asarray(g(ys, omega, Em - 2 * dE), dtype=float)) / (2.0 * dE)
-            res = np.abs(dg - np.asarray(F(ys, omega, Em), dtype=float))
+            dg = (3.0 * gs[0] - 4.0 * gs[1] + gs[2]) / (2.0 * dE)
+            res = np.abs(dg - F(ys, omega, Em))
         else:
-            d2g = (2.0 * np.asarray(g(ys, omega, Em), dtype=float)
-                   - 5.0 * np.asarray(g(ys, omega, Em - dE), dtype=float)
-                   + 4.0 * np.asarray(g(ys, omega, Em - 2 * dE), dtype=float)
-                   - np.asarray(g(ys, omega, Em - 3 * dE), dtype=float)) / dE**2
-            dF = (3.0 * np.asarray(F(ys, omega, Em), dtype=float)
-                  - 4.0 * np.asarray(F(ys, omega, Em - dE), dtype=float)
-                  + np.asarray(F(ys, omega, Em - 2 * dE), dtype=float)) / (2.0 * dE)
+            Fs = [F(ys, omega, Em - i * dE) for i in range(3)]
+            d2g = (2.0 * gs[0] - 5.0 * gs[1] + 4.0 * gs[2] - gs[3]) / dE**2
+            dF = (3.0 * Fs[0] - 4.0 * Fs[1] + Fs[2]) / (2.0 * dE)
             stream = np.zeros(len(ys))
-            inward = ys - fd_step * 2 * mesh.normals[dots < -1e-9]
+            inward = ys - _FD_STEP * 2 * mesh.normals[inflow]
             for ax in range(3):
                 e = np.zeros(3)
-                e[ax] = fd_step
-                stream += omega[ax] * (np.asarray(F(inward + e, omega, Em), dtype=float)
-                                       - np.asarray(F(inward - e, omega, Em), dtype=float)) / (2 * fd_step)
-            sig = np.asarray(coeffs.sigma_t(ys, omega, Em), dtype=float)
+                e[ax] = _FD_STEP
+                stream += omega[ax] * (F(inward + e, omega, Em) - F(inward - e, omega, Em)) / (2 * _FD_STEP)
+            sig = checked(coeffs.sigma_t, "sigma")(ys, omega, Em)
             kf = (apply_scatter(coeffs.scatter, F, ys, omega, Em, grid)
                   if coeffs.scatter is not None else np.zeros(len(ys)))
-            a = np.asarray(coeffs.stopping(ys, Em), dtype=float)
-            PF = -(stream + sig * np.asarray(F(ys, omega, Em), dtype=float) - kf) / a
+            a = _stopping_values(coeffs, ys, Em, "point")
+            PF = -(stream + sig * Fs[0] - kf) / a
             res = np.abs(d2g - PF - dF)
-        worst = max(worst, float(np.max(res)))
+        worst = float(np.max(res, initial=worst))
     return CompatibilityReport(order, worst, worst < tolerance, tolerance)

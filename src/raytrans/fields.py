@@ -32,9 +32,9 @@ _MAX_ORDER = 4
 # -- multi-index helpers ----------------------------------------------------
 
 
-def multi_indices(m: int, dim: int = 3) -> list[tuple[int, ...]]:
-    """All multi-indices alpha with |alpha| <= m, graded lexicographic."""
-    out = [a for a in product(range(m + 1), repeat=dim) if sum(a) <= m]
+def multi_indices(m: int) -> list[tuple[int, ...]]:
+    """All spatial multi-indices alpha with |alpha| <= m, graded lexicographic."""
+    out = [a for a in product(range(m + 1), repeat=3) if sum(a) <= m]
     out.sort(key=lambda a: (sum(a), a))
     return out
 
@@ -374,6 +374,20 @@ def _non_finite(vals, xs: np.ndarray, what: str, nodes: str, where: Callable[[],
                           f"{np.array2string(xs[bad], precision=6)} ({where()})")
 
 
+def _kernel_values(scatter: Callable, xs: np.ndarray, wi: np.ndarray, wo: np.ndarray, E: float,
+                   k: Optional[int] = None) -> np.ndarray:
+    """The kernel at the positions xs (n, 3) for in-direction wi,
+    out-direction wo and energy E (energy node k of a grid, if given): one
+    value for every position or (n,) values, checked by ``_node_values``.
+    The collision operator, its norm bound and ``kernel_support_check``
+    call kernels only through here."""
+    def where():
+        return (f"energy node {k}, " if k is not None else "") \
+            + f"in-direction {np.array2string(np.asarray(wi), precision=6)}, out-{_where(wo, E)}"
+    return _node_values(scatter(xs, wi, wo, E), xs, "kernel", "point" if k is None else "grid node", where,
+                        scalar=True)
+
+
 def sample_field(field: Callable, grid: GridSpec, what: str = "field") -> DiscreteField:
     """Evaluate a callable field at every grid node, checked by ``_node_values``
     (``what`` names the field in its messages)."""
@@ -434,7 +448,8 @@ def kernel_support_check(scatter: Callable, m: int, eta: float, grid: GridSpec,
     Passes iff |d^alpha scatter| < tol for |alpha| <= m-1 at all interior
     nodes closer than eta to the boundary, for every (in, out) direction
     pair and energy node (central differences with the grid step; the
-    kernel must be evaluable in an h-neighborhood of the closure).
+    kernel must be evaluable in an h-neighborhood of the closure).  The
+    kernel values are checked by ``_kernel_values``.
     """
     near = grid.boundary_dist < eta
     if m < 1 or not np.any(near):
@@ -446,11 +461,10 @@ def kernel_support_check(scatter: Callable, m: int, eta: float, grid: GridSpec,
     worst_node = None
     worst_alpha = None
     h = grid.h
-    for w_in, w_out, E in product(grid.sphere_nodes, grid.sphere_nodes, grid.energy_nodes):
+    for w_in, w_out, E in product(grid.sphere_nodes, grid.sphere_nodes, grid.energy_nodes.tolist()):
+        kernel = lambda p: np.broadcast_to(_kernel_values(scatter, p, w_in, w_out, E), len(p))
         for alpha in alphas:
-            vals = _central_derivative_callable(
-                lambda p: np.asarray(scatter(p, w_in, w_out, float(E)), dtype=float),
-                xs, alpha, h)
+            vals = _central_derivative_callable(kernel, xs, alpha, h)
             i = int(np.argmax(np.abs(vals)))
             v = abs(float(vals[i]))
             if v > worst:

@@ -9,7 +9,7 @@ functions of immutable domain data.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -83,8 +83,11 @@ class ConvexDomain:
     diameter : float
         diam(G); bounds every exit time.
     kind : DomainKind
+        A label: every domain is the quadric ``ellipsoid`` builds, and no
+        operation branches on it.
     center, radius, semi_axes
-        Shape parameters used for boundary sampling and closed forms.
+        Shape parameters used for boundary sampling and closed forms; radius
+        is the largest semi-axis.
     """
 
     level: Callable[[np.ndarray], np.ndarray]
@@ -97,24 +100,15 @@ class ConvexDomain:
 
     @staticmethod
     def unit_ball() -> "ConvexDomain":
-        return ConvexDomain.ball(np.zeros(3), 1.0, kind=DomainKind.UNIT_BALL)
+        return replace(ConvexDomain.ball(np.zeros(3), 1.0), kind=DomainKind.UNIT_BALL)
 
     @staticmethod
-    def ball(center, radius, kind: DomainKind = DomainKind.BALL) -> "ConvexDomain":
-        c = np.asarray(center, dtype=float).reshape(3)
+    def ball(center, radius) -> "ConvexDomain":
+        """The ellipsoid with equal semi-axes ``radius``."""
         r = float(radius)
         if r <= 0.0:
             raise ValueError("radius must be positive")
-
-        def level(x):
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-            return np.sum(((x - c) / r) ** 2, axis=-1) - 1.0
-
-        def level_gradient(x):
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-            return 2.0 * (x - c) / r**2
-
-        return ConvexDomain(level, level_gradient, 2.0 * r, kind, c, r, np.full(3, r))
+        return replace(ConvexDomain.ellipsoid(center, (r, r, r)), kind=DomainKind.BALL)
 
     @staticmethod
     def ellipsoid(center, semi_axes) -> "ConvexDomain":
@@ -139,19 +133,13 @@ class ConvexDomain:
 
     def bounding_box(self) -> np.ndarray:
         """Axis-aligned box [lo, hi] of shape (2, 3) containing the closure."""
-        if self.kind in (DomainKind.UNIT_BALL, DomainKind.BALL):
-            half = np.full(3, self.radius)
-        else:
-            half = self.semi_axes
-        return np.stack([self.center - half, self.center + half])
+        return np.stack([self.center - self.semi_axes, self.center + self.semi_axes])
 
     def boundary_points(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Sample n points on the boundary surface (area-biased for ellipsoids)."""
         v = rng.normal(size=(n, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        if self.kind is DomainKind.ELLIPSOID:
-            return self.center + v * self.semi_axes
-        return self.center + self.radius * v
+        return self.center + v * self.semi_axes
 
     def project_to_boundary(self, p) -> np.ndarray:
         """Radially project points onto {level = 0} (exact for quadric levels)."""
@@ -455,11 +443,7 @@ def _unit_sphere_mesh(subdivisions: int):
 def triangulate_boundary(domain: ConvexDomain, subdivisions: int = 4) -> SurfaceMesh:
     """Triangle-centroid quadrature mesh on the boundary surface."""
     verts, faces = _unit_sphere_mesh(subdivisions)
-    if domain.kind is DomainKind.ELLIPSOID:
-        mapped = domain.center + verts * domain.semi_axes
-    else:
-        mapped = domain.center + domain.radius * verts
-    tri = mapped[faces]
+    tri = (domain.center + verts * domain.semi_axes)[faces]
     cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     areas = 0.5 * np.linalg.norm(cross, axis=1)
     centroids = domain.project_to_boundary(tri.mean(axis=1))

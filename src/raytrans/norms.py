@@ -19,6 +19,8 @@ from .fields import DiscreteField, GridSpec, _node_values, _where, multi_indices
 from .geometry import BoundarySide, SurfaceMesh, escape_times, triangulate_boundary
 
 _MAX_SPATIAL_ORDER = 3
+_FD_STEP = 1e-4        # step of boundary_h_norm's one-sided differences of a callable
+_H0_THRESHOLD = 1e-10  # h0_margin's bound on |psi| below which psi counts as zero
 
 
 @dataclass(frozen=True)
@@ -170,40 +172,36 @@ def trace_norm(tr: TraceField, weighting: str = "plain") -> float:
     return float(np.sqrt(total))
 
 
-def boundary_h_norm(psi, grid: GridSpec, m: int, subdivisions: int = 3,
-                    fd_step: float = 1e-4) -> float:
+def boundary_h_norm(psi, grid: GridSpec, m: int, subdivisions: int = 3) -> float:
     """Outflow boundary norm: sum over |alpha| <= m of T2(Gamma_+) norms.
 
     ``psi`` may be a callable field (derivatives by inward one-sided
-    differences of step ``fd_step``) or a DiscreteField (lattice derivatives
-    extrapolated to the surface).
+    differences of step ``_FD_STEP``, every value checked by
+    ``_node_values``) or a DiscreteField (lattice derivatives extrapolated to
+    the surface).
     """
     if m > _MAX_SPATIAL_ORDER:
         raise OrderTooHigh(f"order {m} exceeds {_MAX_SPATIAL_ORDER}")
+    mesh = triangulate_boundary(grid.domain, subdivisions)
+    dots = mesh.normals @ grid.sphere_nodes.T
+    sel = dots > 0.0
     total = 0.0
     if callable(psi):
-        mesh = triangulate_boundary(grid.domain, subdivisions)
-        dots = mesh.normals @ grid.sphere_nodes.T
-        sel = dots > 0.0
         for alpha in multi_indices(m):
             for j in range(grid.n_omega):
                 if not np.any(sel[:, j]):
                     continue
                 omega = grid.sphere_nodes[j]
-                for k in range(grid.n_energy):
-                    f = lambda p: np.asarray(psi(p, omega, float(grid.energy_nodes[k])), dtype=float)
-                    d = _onesided_derivative(f, mesh.points, mesh.normals, alpha, fd_step)
+                for k, E in enumerate(grid.energy_nodes.tolist()):
+                    f = lambda p: _node_values(psi(p, omega, E), p, "psi", "point", lambda: _where(omega, E))
+                    d = _onesided_derivative(f, mesh.points, mesh.normals, alpha, _FD_STEP)
                     w = mesh.areas * np.abs(dots[:, j]) * sel[:, j]
                     total += float(np.sum(w * d**2) * grid.sphere_weights[j] * grid.energy_weights[k])
         return float(np.sqrt(total))
 
-    field: DiscreteField = psi
-    mesh = triangulate_boundary(grid.domain, subdivisions)
-    dots = mesh.normals @ grid.sphere_nodes.T
-    sel = dots > 0.0
     for alpha in multi_indices(m):
         for k in range(grid.n_energy):
-            box = grid.embed(field.values[:, :, k])
+            box = grid.embed(psi.values[:, :, k])
             dbox = grid.derivative_multi(box, alpha, masked=True)
             for j in range(grid.n_omega):
                 if not np.any(sel[:, j]):
@@ -244,7 +242,7 @@ def green_residual(psi: DiscreteField, v: DiscreteField, subdivisions: int = 3,
 
     Boundary traces are separate data from interior values; when the caller
     knows them (``psi_trace``/``v_trace`` callables) the surface term uses
-    them directly, otherwise it falls back to inward extrapolation of the
+    their values, checked by ``_node_values``; otherwise it falls back to inward extrapolation of the
     lattice values.
     """
     grid = psi.grid
@@ -264,8 +262,9 @@ def green_residual(psi: DiscreteField, v: DiscreteField, subdivisions: int = 3,
         for j in range(grid.n_omega):
             omega = grid.sphere_nodes[j]
             if psi_trace is not None and v_trace is not None:
-                pv = (np.asarray(psi_trace(mesh.points, omega, E), dtype=float)
-                      * np.asarray(v_trace(mesh.points, omega, E), dtype=float))
+                where = lambda: _where(omega, E)
+                pv = (_node_values(psi_trace(mesh.points, omega, E), mesh.points, "psi_trace", "point", where)
+                      * _node_values(v_trace(mesh.points, omega, E), mesh.points, "v_trace", "point", where))
             else:
                 pv = _pullin_samples(grid, prod_box[..., j], mesh.points, mesh.normals)
             surf += float(np.sum(mesh.areas * dots[:, j] * pv)
@@ -273,15 +272,15 @@ def green_residual(psi: DiscreteField, v: DiscreteField, subdivisions: int = 3,
     return vol - surf
 
 
-def h0_margin(psi: DiscreteField, threshold: float = 1e-10) -> tuple[float, bool]:
-    """Largest eta with |psi| < threshold wherever the exit time is < eta.
+def h0_margin(psi: DiscreteField) -> tuple[float, bool]:
+    """Largest eta with |psi| < _H0_THRESHOLD wherever the exit time is < eta.
 
     The discrete surrogate of support disjoint from the inflow closure;
     passes iff eta exceeds two lattice spacings.
     """
     grid = psi.grid
     t = grid.escape_cache()
-    nonzero = np.max(np.abs(psi.values), axis=2) >= threshold
+    nonzero = np.max(np.abs(psi.values), axis=2) >= _H0_THRESHOLD
     if not np.any(nonzero):
         return grid.domain.diameter, True
     eta = float(np.min(t[nonzero]))

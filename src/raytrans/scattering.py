@@ -32,6 +32,7 @@ from .fields import (
     CoefficientSet,
     DiscreteField,
     GridSpec,
+    _kernel_values,
     _node_values,
     _where,
     leibniz_constant,
@@ -98,20 +99,6 @@ class IterationReport:
             tail = ratios[-min(5, len(ratios)):]
             self.estimated_rate = float(np.exp(np.mean(np.log(np.maximum(tail, 1e-300)))))
         return self
-
-
-def _kernel_values(scatter: Callable, xs: np.ndarray, wi: np.ndarray, wo: np.ndarray, E: float,
-                   k: Optional[int] = None) -> np.ndarray:
-    """The kernel at the positions xs (n, 3) for in-direction wi,
-    out-direction wo and energy E (energy node k of a grid, if given): one
-    value for every position or (n,) values, checked by ``_node_values``.
-    The collision operator and its norm bound call kernels only through
-    here."""
-    def where():
-        return (f"energy node {k}, " if k is not None else "") \
-            + f"in-direction {np.array2string(np.asarray(wi), precision=6)}, out-{_where(wo, E)}"
-    return _node_values(scatter(xs, wi, wo, E), xs, "kernel", "point" if k is None else "grid node", where,
-                        scalar=True)
 
 
 def apply_scatter(scatter: Callable, psi: Callable, xs, omega, E: float, grid: GridSpec) -> np.ndarray:
@@ -373,15 +360,15 @@ class SweepCache:
 
     def __init__(self, grid: GridSpec, quad: RayQuadrature, t_cap: Optional[float] = None,
                  across_solves: bool = True):
-        self.grid, self.quad, self.t_cap = grid, quad, t_cap
+        self.grid, self.quad = grid, quad
         self.across_solves = across_solves
         self.budget = _CacheBudget()
         T = grid.escape_cache()
         self.T = T if t_cap is None else np.minimum(T, t_cap)
         self._sets = {}
 
-    def serves(self, grid: GridSpec, quad: RayQuadrature, t_cap: Optional[float]) -> bool:
-        return grid is self.grid and quad == self.quad and t_cap == self.t_cap
+    def serves(self, grid: GridSpec, quad: RayQuadrature) -> bool:
+        return grid is self.grid and quad == self.quad
 
     def nodes(self, j: int) -> list:
         """(sel, nodes, width) of each panel-count group of direction j, from
@@ -530,7 +517,6 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
                      check_threshold: bool = True,
                      grid_source: Optional[np.ndarray] = None,
                      psi0: Optional[np.ndarray] = None,
-                     t_cap: Optional[float] = None,
                      cache: Optional[SweepCache] = None) -> tuple[DiscreteField, IterationReport]:
     """Source iteration for omega.grad psi + Sigma psi + C psi - K psi = f.
 
@@ -538,9 +524,9 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     attenuation inverse of the scattered previous iterate, so the analytic
     source is ray-integrated once.  The ray nodes of a direction are placed
     once for all its energies, and its attenuation weights and sweep
-    operators come from ``cache`` (a ``SweepCache`` on this grid, ``quad``
-    and ``t_cap``, shared by the steps of an energy march; a new one that
-    keeps no weights if None).  The sweep of each (direction, energy) is a
+    operators come from ``cache`` (a ``SweepCache`` on this grid and
+    ``quad``, shared by the steps of an energy march, whose ``t_cap`` also
+    serves the solve; a new one that keeps no weights if None).  The sweep of each (direction, energy) is a
     ``SweepOperator`` on the cubic spline coefficients of the scattered
     slab, clamped to the ``_support_clamp`` of the kernel's non-zero rows
     there (which holds the support of every scattered slab), as
@@ -551,16 +537,14 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     through the cache's lattice-source pieces; ``check_threshold`` verifies
     C > C'' first, with the kernel columns the solve uses (callers with
     their own solvability criterion, like the energy marcher, disable it;
-    the report keeps the threshold's two terms);
-    ``t_cap`` truncates rays where strong absorption makes the tail
-    negligible.
+    the report keeps the threshold's two terms).
     """
     from scipy import ndimage
 
     if cache is None:
-        cache = SweepCache(grid, quad, t_cap, across_solves=False)
-    elif not cache.serves(grid, quad, t_cap):
-        raise ValueError("the sweep cache was made for another grid, quadrature or t_cap")
+        cache = SweepCache(grid, quad, across_solves=False)
+    elif not cache.serves(grid, quad):
+        raise ValueError("the sweep cache was made for another grid or quadrature")
     applier = (_KernelApplier(coeffs.scatter, grid, cache.budget)
                if coeffs.scatter is not None else None)
     report = IterationReport()
@@ -627,14 +611,15 @@ def lift_values(g: Callable, lam: float, domain: ConvexDomain, xs, omega,
     exp(-lam * t) g(x - t omega, omega, E) with t the exit time.
 
     Tangential phase points (zero exit time off the inflow set) get the
-    conventional value zero.
+    conventional value zero.  The values of g are checked by
+    ``_node_values``.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     omega = np.asarray(omega, dtype=float).reshape(3)
     T = escape_times(domain, xs, omega)
     y = xs - T[:, None] * omega
     y = domain.project_to_boundary(y)
-    vals = np.exp(-lam * T) * np.asarray(g(y, omega, E), dtype=float)
+    vals = np.exp(-lam * T) * _node_values(g(y, omega, E), y, "g", "point", lambda: _where(omega, E))
     zero_t = T <= 1e-12
     if np.any(zero_t):
         grad = domain.level_gradient(xs[zero_t])
@@ -662,8 +647,9 @@ def solve_with_inflow(f: Callable, g: Callable, coeffs: CoefficientSet, grid: Gr
         return lift_values(g, lam, grid.domain, xs, omega, E)
 
     def source(xs, omega, E):
-        base = np.asarray(f(xs, omega, E), dtype=float)
-        sig = np.asarray(coeffs.sigma_t(xs, omega, E), dtype=float)
+        where = lambda: _where(omega, E)
+        base = _node_values(f(xs, omega, E), xs, "source", "ray node", where, finite=False)
+        sig = _node_values(coeffs.sigma_t(xs, omega, E), xs, "sigma", "ray node", where)
         out = base - (sig + coeffs.shift - lam) * lift(xs, omega, E)
         if coeffs.scatter is not None:
             out = out + apply_scatter(coeffs.scatter, lift, xs, omega, E, grid)

@@ -42,6 +42,18 @@ def random_phase(rng, n, rmax=0.98):
     return xs, d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
+class TestRayQuadrature:
+    def test_equal_rules_compare_and_hash_equal(self):
+        # the reference arrays took part in ==, which raised numpy's
+        # ambiguous truth value, and made the rule unhashable
+        a, b = at.RayQuadrature(16, 4), at.RayQuadrature(16, 4)
+        assert a == b and hash(a) == hash(b)
+        assert a != at.RayQuadrature(16, 3) and a != at.RayQuadrature(8, 4)
+        assert np.array_equal(a.partial_matrix, b.partial_matrix)
+        with pytest.raises(ValueError, match="read-only"):
+            a.ref_weights[0] = 1.0
+
+
 class TestPointSolve:
     def test_zero_sigma_unit_source_gives_exit_time(self, ball, quad):
         coeffs = CoefficientSet(sigma_t=zero_f)

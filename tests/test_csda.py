@@ -409,3 +409,28 @@ class TestCompatibility:
         z3 = lambda y, w, E: np.zeros(len(np.atleast_2d(y)))
         with pytest.raises(InsufficientEnergyResolution):
             csda.compatibility_check(z3, z3, 1, grid)
+
+    def test_non_finite_data_are_named(self, ball):
+        # NaN data passed (residual 0.0) while the residuals were folded with max
+        grid = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 4)
+        nan = lambda y, w, E: np.full(len(y), np.nan)
+        z3 = lambda y, w, E: np.zeros(len(y))
+        with pytest.raises(NonFiniteValue, match=r"g is nan at point \[.*\] \(direction \[.*\], energy 1\)"):
+            csda.compatibility_check(nan, nan, 1, grid)
+        with pytest.raises(NonFiniteValue, match=r"F is nan at point"):
+            csda.compatibility_check(z3, nan, 1, grid)
+        coeffs = CoefficientSet(sigma_t=nan, stopping=unit_stopping, kappa=1.0)
+        with pytest.raises(NonFiniteValue, match=r"sigma is nan at point"):
+            csda.compatibility_check(z3, z3, 2, grid, coeffs=coeffs)
+        coeffs = CoefficientSet(sigma_t=z3, stopping=lambda x, E: np.full(len(x), np.nan), kappa=1.0)
+        with pytest.raises(NonFiniteValue, match=r"stopping power is nan at point \[.*\] \(energy 1\)"):
+            csda.compatibility_check(z3, z3, 2, grid, coeffs=coeffs)
+
+    def test_data_of_wrong_shape_are_named(self, ball):
+        grid = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 4)
+        wide = lambda y, w, E: np.zeros((len(y), 2))
+        z3 = lambda y, w, E: np.zeros(len(y))
+        with pytest.raises(CoefficientShapeError, match=r"g returned shape \((\d+), 2\) for \1 points"):
+            csda.compatibility_check(wide, z3, 0, grid)
+        with pytest.raises(CoefficientShapeError, match=r"F returned shape \((\d+), 2\) for \1 points"):
+            csda.compatibility_check(z3, wide, 1, grid)

@@ -171,6 +171,20 @@ class TestKernelSupport:
         assert fl.kernel_support_check(k, 2, 0.2, grid).passed
 
 
+    def test_scalar_kernel_is_broadcast(self, grid):
+        # a scalar kernel, which the kernel contract allows, ended in an IndexError
+        rep = fl.kernel_support_check(lambda x, wi, wo, E: 0.25, 1, 0.1, grid)
+        assert not rep.passed and rep.worst_violation == 0.25
+        assert fl.kernel_support_check(lambda x, wi, wo, E: 0.0, 2, 0.1, grid).passed
+
+    def test_kernel_values_are_checked(self, grid):
+        # an all-NaN kernel passed with worst_violation 0.0
+        with pytest.raises(NonFiniteValue, match=r"kernel is nan at point \[.*\] \(in-direction \[.*\], out-direction"):
+            fl.kernel_support_check(lambda x, wi, wo, E: np.full(len(x), np.nan), 1, 0.1, grid)
+        with pytest.raises(CoefficientShapeError, match=r"kernel returned shape \((\d+), 2\) for \1 points"):
+            fl.kernel_support_check(lambda x, wi, wo, E: np.zeros((len(x), 2)), 1, 0.1, grid)
+
+
 class TestLeibniz:
     def test_small_orders(self):
         assert fl.leibniz_constant(0) == pytest.approx(1.0)

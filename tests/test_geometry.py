@@ -44,6 +44,28 @@ def ball():
     return geo.ConvexDomain.unit_ball()
 
 
+@pytest.mark.parametrize("center, radius", [((0.0, 0.0, 0.0), 1.0), ((0.3, -0.2, 0.1), 0.7),
+                                            ((-1.5, 2.0, 0.5), 2.3)])
+def test_ball_is_the_ellipsoid_with_equal_semi_axes(center, radius):
+    """Every quantity of a ball, bit for bit, is the ellipsoid's with semi-axes (r, r, r)."""
+    ball = geo.ConvexDomain.unit_ball() if radius == 1.0 else geo.ConvexDomain.ball(center, radius)
+    ell = geo.ConvexDomain.ellipsoid(center, (radius,) * 3)
+    c = np.asarray(center)
+    rng = np.random.default_rng(5)
+    xs = c + radius * random_interior(rng, 200)
+    oms = random_directions(rng, 200)
+    np.testing.assert_array_equal(ball.level(xs), ell.level(xs))
+    np.testing.assert_array_equal(ball.level_gradient(xs), ell.level_gradient(xs))
+    np.testing.assert_array_equal(ball.bounding_box(), ell.bounding_box())
+    np.testing.assert_array_equal(ball.boundary_points(50, np.random.default_rng(2)),
+                                  ell.boundary_points(50, np.random.default_rng(2)))
+    mb, me = geo.triangulate_boundary(ball, 3), geo.triangulate_boundary(ell, 3)
+    for name in ("points", "areas", "normals"):
+        np.testing.assert_array_equal(getattr(mb, name), getattr(me, name))
+    np.testing.assert_array_equal(geo.escape_times(ball, xs, oms), geo.escape_times(ell, xs, oms))
+    assert (ball.diameter, ball.radius) == (ell.diameter, ell.radius) == (2.0 * radius, radius)
+
+
 class TestNormalsAndClassification:
     def test_sphere_normal_radial(self, ball):
         assert np.allclose(geo.outward_normal(ball, np.array([1.0, 0, 0])), [1, 0, 0], atol=1e-12)

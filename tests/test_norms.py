@@ -94,6 +94,14 @@ class TestBoundaryHNorm:
         psi = lambda x, w, E: smooth_bump(np.linalg.norm(x, axis=1), 0.5)
         assert nm.boundary_h_norm(psi, grid, 1) < 1e-12
 
+    def test_callable_is_checked(self):
+        # an all-NaN psi returned a nan norm
+        g = GridSpec(ConvexDomain.unit_ball(), 9, 2, 4, EnergyInterval(0.0, 1.0), 1)
+        with pytest.raises(NonFiniteValue, match=r"psi is nan at point \[.*\] \(direction \[.*\], energy 0\)"):
+            nm.boundary_h_norm(lambda x, w, E: np.full(len(x), np.nan), g, 1)
+        with pytest.raises(CoefficientShapeError, match=r"psi returned shape \((\d+), 1\) for \1 points"):
+            nm.boundary_h_norm(lambda x, w, E: np.ones((len(x), 1)), g, 0)
+
     def test_full_vs_outflow_agree_for_inflow_vanishing(self, ball):
         # field w(exit time) with cutoff: vanishes identically near the
         # inflow closure, so the Gamma_+ sum carries the whole boundary norm
@@ -165,6 +173,15 @@ class TestGreen:
             res.append(abs(nm.green_residual(fp, fv, psi_trace=psi, v_trace=vv)))
         orders = np.log2(np.array(res[:-1]) / np.array(res[1:]))
         assert np.all(orders >= 1.8) and res[-1] < 1e-3
+
+    def test_traces_are_checked(self):
+        g = GridSpec(ConvexDomain.unit_ball(), 9, 2, 4, EnergyInterval(0.0, 1.0), 1)
+        one = lambda x, w, E: np.ones(len(x))
+        f = sample_field(one, g)
+        with pytest.raises(NonFiniteValue, match=r"psi_trace is nan at point \[.*\] \(direction \[.*\], energy 0\)"):
+            nm.green_residual(f, f, psi_trace=lambda x, w, E: np.full(len(x), np.nan), v_trace=one)
+        with pytest.raises(CoefficientShapeError, match=r"v_trace returned shape \((\d+), 1\) for \1 points"):
+            nm.green_residual(f, f, psi_trace=one, v_trace=lambda x, w, E: np.ones((len(x), 1)))
 
     def test_interior_bumps_tiny_residual(self, ball):
         g = GridSpec(ball, 33, 4, 8, EnergyInterval(0.0, 1.0), 1)

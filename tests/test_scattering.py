@@ -520,6 +520,23 @@ class TestSolveScattering:
         with pytest.raises(CoefficientShapeError, match=r"shape \(\d+, 1\) for \d+ ray nodes"):
             sc.solve_scattering(lambda x, w, E: np.ones(len(x)), coeffs, g, quad)
 
+    def test_cache_of_an_equal_quadrature_serves(self, ball):
+        # equal quadratures compared their reference arrays, so a cache made
+        # with a distinct but equal one ended in numpy's ambiguous truth value
+        g = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 2)
+        coeffs = CoefficientSet(
+            sigma_t=lambda x, w, E: np.full(len(x), 0.3),
+            scatter=lambda x, wi, wo, E: 0.4 * ISO * smooth_bump(np.linalg.norm(x, axis=1), 0.6),
+            shift=1.0,
+        )
+        f = lambda x, w, E: smooth_bump(np.linalg.norm(x, axis=1), 0.5)
+        cache = sc.SweepCache(g, at.RayQuadrature(8, 2))
+        psi, _ = sc.solve_scattering(f, coeffs, g, at.RayQuadrature(8, 2), tol=1e-10, cache=cache)
+        ref, _ = sc.solve_scattering(f, coeffs, g, at.RayQuadrature(8, 2), tol=1e-10)
+        assert np.array_equal(psi.values, ref.values)
+        with pytest.raises(ValueError, match="another grid or quadrature"):
+            sc.solve_scattering(f, coeffs, g, at.RayQuadrature(8, 3), cache=cache)
+
     def test_output_keeps_support_margin(self, ball, quad):
         g = GridSpec(ball, 21, 4, 8, EnergyInterval(0.0, 1.0), 1)
         coeffs = CoefficientSet(
@@ -894,6 +911,24 @@ class TestSolveWithInflow:
         f = lambda x, w, E: (0.5 + 1.0 - lam) * np.exp(-lam * escape_times(ball, x, w))
         psi, _ = sc.solve_with_inflow(f, lambda y, w, E: np.ones(len(y)), coeffs, g, quad, tol=1e-12, lam=lam)
         assert np.max(np.abs(psi.values[:, :, 0] - np.exp(-lam * g.escape_cache()))) == 0.0
+
+    def test_source_of_wrong_shape_is_named(self, ball, quad):
+        # an (n, 1) source broadcast against the (n,) lift to an (n, n) array,
+        # and the error named that shape
+        g = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 1)
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.5), shift=1.0)
+        one_g = lambda y, w, E: np.ones(len(y))
+        with pytest.raises(CoefficientShapeError, match=r"source returned shape \((\d+), 1\) for \1 ray nodes"):
+            sc.solve_with_inflow(lambda x, w, E: np.ones((len(x), 1)), one_g, coeffs, g, quad)
+
+    def test_inflow_data_are_checked(self, ball, quad):
+        g = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 1)
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.5), shift=1.0)
+        f = lambda x, w, E: np.ones(len(x))
+        with pytest.raises(NonFiniteValue, match=r"g is nan at point \[.*\] \(direction \[.*\], energy 0\)"):
+            sc.solve_with_inflow(f, lambda y, w, E: np.full(len(y), np.nan), coeffs, g, quad)
+        with pytest.raises(CoefficientShapeError, match=r"g returned shape \((\d+), 1\) for \1 points"):
+            sc.solve_with_inflow(f, lambda y, w, E: np.ones((len(y), 1)), coeffs, g, quad)
 
     def test_smooth_data_trace(self, ball, quad):
         g = GridSpec(ball, 15, 4, 8, EnergyInterval(0.0, 1.0), 1)
