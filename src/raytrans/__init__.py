@@ -39,23 +39,17 @@ from .fields import (
     sup_norm_estimate,
 )
 from .geometry import (
-    BoundaryClass,
     BoundarySide,
     ConvexDomain,
-    DomainKind,
     PhasePoint,
-    backtrack_to_inflow,
     ball_escape_closed_form,
-    classify_boundary,
     escape_times,
     escape_times_rootfind,
-    extended_escape_time,
     outward_normal,
     support_margin,
     triangulate_boundary,
 )
 from .norms import (
-    NormOrder,
     TraceField,
     boundary_h_norm,
     green_residual,

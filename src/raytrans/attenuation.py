@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
-from .errors import MissingDerivative, NonFiniteValue, NotInH0
+from .errors import CoefficientShapeError, MissingDerivative, NonFiniteValue, NotInH0
 from .fields import (CoefficientSet, DiscreteField, GridSpec, _node_values, _non_finite, _where, leibniz_constant,
                      mi_binom, sample_field, sub_indices, sup_norm_estimate)
 from .geometry import ConvexDomain, PhasePoint, escape_time_gradient, escape_times
@@ -373,6 +373,17 @@ def solve_attenuation_grid(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     return DiscreteField(out, grid)
 
 
+def _gradient_values(vals, flat: np.ndarray, what: str, where: Callable[[], str]) -> np.ndarray:
+    """A gradient callable's result at the flat ray nodes as floats of shape
+    (n, 3), checked like ``_node_values`` checks values of shape (n,)."""
+    vals = np.asarray(vals, dtype=float)
+    if vals.shape != (len(flat), 3):
+        raise CoefficientShapeError(f"{what} returned shape {vals.shape} for {len(flat)} ray nodes ({where()})")
+    if not np.isfinite(vals).all():
+        raise _non_finite(vals, flat, what, "ray node", where)
+    return vals
+
+
 def solve_attenuation_gradient(f: Callable, grad_f: Callable, coeffs: CoefficientSet,
                                grad_sigma: Optional[Callable], domain: ConvexDomain,
                                p: PhasePoint, quad: RayQuadrature,
@@ -399,10 +410,10 @@ def solve_attenuation_gradient(f: Callable, grad_f: Callable, coeffs: Coefficien
     atten, panel_int = _ray_geometry(_node_sigma(coeffs, pts, omega, E), width, quad)
     flat = pts.reshape(-1, 3)
     nshape = pts.shape[:3]
-    fv = _node_values(f(flat, omega, E), flat, "source", "ray node", lambda: _where(omega, E),
-                      finite=False).reshape(nshape)
-    gf = np.asarray(grad_f(flat, omega, E), dtype=float).reshape(nshape + (3,))
-    gs = np.asarray(grad_sigma(flat, omega, E), dtype=float).reshape(nshape + (3,))
+    where = lambda: _where(omega, E)
+    fv = _node_values(f(flat, omega, E), flat, "source", "ray node", where).reshape(nshape)
+    gf = _gradient_values(grad_f(flat, omega, E), flat, "grad_f", where).reshape(nshape + (3,))
+    gs = _gradient_values(grad_sigma(flat, omega, E), flat, "grad_sigma", where).reshape(nshape + (3,))
 
     grad = np.empty(3)
     for jax in range(3):
@@ -412,8 +423,8 @@ def solve_attenuation_gradient(f: Callable, grad_f: Callable, coeffs: Coefficien
         grad[jax] = h1 + h2
     if not inflow_vanishing:
         dt_dx = escape_time_gradient(domain, x, omega)[0]
-        y = (x - T[:, None] * omega)[0]
-        f_y = float(np.asarray(f(y.reshape(1, 3), omega, E), dtype=float)[0])
+        y = x - T[:, None] * omega
+        f_y = float(_node_values(f(y, omega, E), y, "source", "point", where)[0])
         grad += math.exp(-float(np.sum(panel_int))) * f_y * dt_dx
     return grad
 
@@ -435,14 +446,18 @@ def derivative_source(f_derivs: Mapping[tuple, Callable], sigma_derivs: Mapping[
             raise MissingDerivative(f"attenuation derivative table lacks order {gap}")
         if beta not in psi_derivs:
             raise MissingDerivative(f"solution derivative table lacks order {beta}")
-        terms.append((mi_binom(alpha, beta), sigma_derivs[gap], psi_derivs[beta]))
+        terms.append((mi_binom(alpha, beta), gap, sigma_derivs[gap], beta, psi_derivs[beta]))
     f_a = f_derivs[alpha]
 
     def source(xs, omega, E):
-        out = np.asarray(f_a(xs, omega, E), dtype=float).copy()
-        for coef, sig_d, psi_d in terms:
-            out -= coef * np.asarray(sig_d(xs, omega, E), dtype=float) \
-                 * np.asarray(psi_d(xs, omega, E), dtype=float)
+        # the source-like values are checked for shape only: the solve's ray sums check them
+        where = lambda: _where(omega, E)
+        out = _node_values(f_a(xs, omega, E), xs, f"source derivative {alpha}", "point", where,
+                           finite=False).copy()
+        for coef, gap, sig_d, beta, psi_d in terms:
+            out -= coef * _node_values(sig_d(xs, omega, E), xs, f"sigma derivative {gap}", "point", where) \
+                 * _node_values(psi_d(xs, omega, E), xs, f"solution derivative {beta}", "point", where,
+                                finite=False)
         return out
 
     return source
@@ -465,7 +480,7 @@ def accretivity_functional(psi: DiscreteField, coeffs: CoefficientSet, m: int,
     constant, and boundary_term is half the squared order-m outflow boundary
     norm.  The field must pass the inflow-margin surrogate.
     """
-    from .norms import NormOrder, boundary_h_norm, h0_margin, h_inner, h_norm
+    from .norms import boundary_h_norm, h0_margin, h_inner, h_norm
 
     if m > 2:
         raise ValueError("accretivity functional supports m <= 2")
@@ -478,12 +493,11 @@ def accretivity_functional(psi: DiscreteField, coeffs: CoefficientSet, m: int,
     pv = grid.stream(psi.values)
     pv += (sample_field(coeffs.sigma_t, grid, "sigma").values + coeffs.shift) * psi.values
 
-    order = NormOrder(m)
-    lhs = h_inner(DiscreteField(pv, grid), psi, order)
+    lhs = h_inner(DiscreteField(pv, grid), psi, m)
     if sigma_sup is None:
         sigma_sup = sup_norm_estimate(coeffs.sigma_t, m, grid, "sigma")
     c_prime = leibniz_constant(m) * sigma_sup
-    nrm = h_norm(psi, order)
+    nrm = h_norm(psi, m)
     rhs_bound = (coeffs.shift - c_prime) * nrm**2
     boundary_term = 0.5 * boundary_h_norm(psi, grid, m, subdivisions=boundary_subdivisions) ** 2
     return AccretivityResult(lhs, rhs_bound, boundary_term)

@@ -148,8 +148,8 @@ def _quadrature(problem: dict) -> at.RayQuadrature:
 
 def _field_norms(fld: DiscreteField) -> dict:
     return {
-        "l2": nm.h_norm(fld, nm.NormOrder(0)),
-        "h1": nm.h_norm(fld, nm.NormOrder(1)),
+        "l2": nm.h_norm(fld, 0),
+        "h1": nm.h_norm(fld, 1),
         "sup": fld.sup(),
     }
 
@@ -284,7 +284,7 @@ def _run_csda(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: RunRepo
             raise ConfigError("halving_sweep needs constant sigma, stopping -1, no scatter, shift 0")
         base_dE = dE if dE is not None else grid.interval.length / 8.0
         ref = csda.explicit_csda_grid(f, float(sig_block["value"]), grid, quad)
-        nref = nm.h_norm(ref, nm.NormOrder(0))
+        nref = nm.h_norm(ref, 0)
         errs, iterations, counts = [], [], Counter(rep.cache)
         for step in (base_dE, base_dE / 2.0):
             # the march above already solved the configured step
@@ -293,7 +293,7 @@ def _run_csda(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: RunRepo
                 sol, step_rep = csda.solve_csda(f, coeffs, grid, quad, dE=step, tol=tol)
                 counts.update(step_rep.cache)
             iterations.append(step_rep.step_iterations)
-            err = nm.h_norm(sol.with_values(sol.values - ref.values), nm.NormOrder(0)) / nref
+            err = nm.h_norm(sol.with_values(sol.values - ref.values), 0) / nref
             errs.append({"dE": float(step), "l2_rel_error": float(err)})
         report.norms["halving_sweep"] = errs
         report.timings["sweep_cache"] = dict(counts)

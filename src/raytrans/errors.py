@@ -22,11 +22,6 @@ class RootNotBracketed(RayTransError):
     inconsistent with a strictly convex interior."""
 
 
-class TangentialStart(RayTransError):
-    """Backtracking started on the inflow/tangential boundary set where the
-    extended exit time is zero."""
-
-
 class GradientUndefinedOnBoundary(RayTransError):
     """Closed-form exit-time gradient is singular at this boundary point."""
 

@@ -1,4 +1,4 @@
-"""Strictly convex domains, boundary classification, and exit-time maps.
+"""Strictly convex domains, exit-time maps and boundary triangulation.
 
 A domain is described by a smooth level function r with interior {r < 0} and
 boundary {r = 0}.  All position arguments are numpy arrays; operations accept
@@ -9,7 +9,7 @@ functions of immutable domain data.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,34 +21,18 @@ from .errors import (
     NotOnBoundary,
     OutsideDomain,
     RootNotBracketed,
-    TangentialStart,
 )
 
 # Numerical bands.  The tangential set has measure zero in the continuum;
-# classification needs a tolerance band around omega.nu = 0.
+# telling inflow from outflow needs a tolerance band around omega.nu = 0.
 BOUNDARY_TOL = 1e-9
 TANGENT_TOL = 1e-10
 _ROOT_TOL = 1e-12
 
 
-class DomainKind(enum.Enum):
-    UNIT_BALL = "unit_ball"
-    BALL = "ball"
-    ELLIPSOID = "ellipsoid"
-
-
 class BoundarySide(enum.Enum):
     INFLOW = "inflow"
     OUTFLOW = "outflow"
-    TANGENTIAL = "tangential"
-
-
-@dataclass(frozen=True)
-class BoundaryClass:
-    """Classification of a boundary phase point together with omega.nu."""
-
-    side: BoundarySide
-    dot: float
 
 
 @dataclass(frozen=True)
@@ -82,9 +66,6 @@ class ConvexDomain:
         Vectorized gradient, (n, 3) -> (n, 3); nonvanishing on the boundary.
     diameter : float
         diam(G); bounds every exit time.
-    kind : DomainKind
-        A label: every domain is the quadric ``ellipsoid`` builds, and no
-        operation branches on it.
     center, radius, semi_axes
         Shape parameters used for boundary sampling and closed forms; radius
         is the largest semi-axis.
@@ -93,14 +74,13 @@ class ConvexDomain:
     level: Callable[[np.ndarray], np.ndarray]
     level_gradient: Callable[[np.ndarray], np.ndarray]
     diameter: float
-    kind: DomainKind
     center: np.ndarray = field(default_factory=lambda: np.zeros(3))
     radius: float = 1.0
     semi_axes: np.ndarray = field(default_factory=lambda: np.ones(3))
 
     @staticmethod
     def unit_ball() -> "ConvexDomain":
-        return replace(ConvexDomain.ball(np.zeros(3), 1.0), kind=DomainKind.UNIT_BALL)
+        return ConvexDomain.ball(np.zeros(3), 1.0)
 
     @staticmethod
     def ball(center, radius) -> "ConvexDomain":
@@ -108,7 +88,7 @@ class ConvexDomain:
         r = float(radius)
         if r <= 0.0:
             raise ValueError("radius must be positive")
-        return replace(ConvexDomain.ellipsoid(center, (r, r, r)), kind=DomainKind.BALL)
+        return ConvexDomain.ellipsoid(center, (r, r, r))
 
     @staticmethod
     def ellipsoid(center, semi_axes) -> "ConvexDomain":
@@ -125,9 +105,7 @@ class ConvexDomain:
             x = np.atleast_2d(np.asarray(x, dtype=float))
             return 2.0 * (x - c) / a**2
 
-        return ConvexDomain(
-            level, level_gradient, 2.0 * float(np.max(a)), DomainKind.ELLIPSOID, c, float(np.max(a)), a
-        )
+        return ConvexDomain(level, level_gradient, 2.0 * float(np.max(a)), c, float(np.max(a)), a)
 
     # -- basic queries -----------------------------------------------------
 
@@ -167,19 +145,6 @@ def outward_normal(domain: ConvexDomain, y) -> np.ndarray:
         raise DegenerateGradient("level gradient below 1e-12 on boundary")
     nu = g / gn[:, None]
     return nu[0] if single else nu
-
-
-def classify_boundary(domain: ConvexDomain, y, omega) -> BoundaryClass:
-    """Classify a boundary phase point as inflow / outflow / tangential."""
-    nu = outward_normal(domain, y)
-    dot = float(np.dot(np.asarray(omega, dtype=float).reshape(3), nu))
-    if dot < -TANGENT_TOL:
-        side = BoundarySide.INFLOW
-    elif dot > TANGENT_TOL:
-        side = BoundarySide.OUTFLOW
-    else:
-        side = BoundarySide.TANGENTIAL
-    return BoundaryClass(side, dot)
 
 
 def _escape_root(domain: ConvexDomain, xs: np.ndarray, omegas: np.ndarray,
@@ -295,11 +260,6 @@ def escape_times_rootfind(domain: ConvexDomain, xs, omegas) -> np.ndarray:
     return times
 
 
-def extended_escape_time(domain: ConvexDomain, x, omega) -> float:
-    """Extended exit time at a single phase point (see ``escape_times``)."""
-    return float(escape_times(domain, np.asarray(x, dtype=float).reshape(1, 3), omega)[0])
-
-
 def ball_escape_closed_form(x, omega, with_gradient: bool = True):
     """Closed-form exit time (and spatial gradient) on the unit ball.
 
@@ -354,22 +314,6 @@ def escape_time_gradient(domain: ConvexDomain, x, omega) -> np.ndarray:
     return grad[0] if single else grad
 
 
-def backtrack_to_inflow(domain: ConvexDomain, x, omega):
-    """Trace backward along -omega to the inflow boundary.
-
-    Returns (y, s) with s = exit time > 0 and y = x - s*omega on the inflow
-    boundary.  Raises ``TangentialStart`` from inflow/tangential starts where
-    the extended exit time vanishes.
-    """
-    x = np.asarray(x, dtype=float).reshape(3)
-    om = np.asarray(omega, dtype=float).reshape(3)
-    s = extended_escape_time(domain, x, om)
-    if s <= BOUNDARY_TOL:
-        raise TangentialStart("exit time is zero; no inflow point to return")
-    y = x - s * om
-    return y, s
-
-
 def support_margin(domain: ConvexDomain, points: Sequence[PhasePoint]) -> float:
     """Smallest extended exit time over a collection of phase points.
 
@@ -395,10 +339,6 @@ class SurfaceMesh:
     points: np.ndarray   # (n_tri, 3) centroids projected to the surface
     areas: np.ndarray    # (n_tri,) flat triangle areas
     normals: np.ndarray  # (n_tri, 3) unit outward normals at the centroids
-
-    @property
-    def total_area(self) -> float:
-        return float(np.sum(self.areas))
 
 
 _ICO_T = (1.0 + np.sqrt(5.0)) / 2.0

@@ -23,30 +23,22 @@ _FD_STEP = 1e-4        # step of boundary_h_norm's one-sided differences of a ca
 _H0_THRESHOLD = 1e-10  # h0_margin's bound on |psi| below which psi counts as zero
 
 
-@dataclass(frozen=True)
-class NormOrder:
-    """Spatial differentiation order of the discrete Sobolev norms."""
-
-    m1: int
-
-    def __post_init__(self):
-        if self.m1 < 0:
-            raise ValueError("orders must be nonnegative")
+def _check_order(m: int) -> None:
+    """The spatial differentiation order m of every norm: 0 <= m <= 3."""
+    if m < 0:
+        raise ValueError("orders must be nonnegative")
+    if m > _MAX_SPATIAL_ORDER:
+        raise OrderTooHigh(f"spatial order {m} exceeds {_MAX_SPATIAL_ORDER}")
 
 
-def _check_order(order: NormOrder) -> None:
-    if order.m1 > _MAX_SPATIAL_ORDER:
-        raise OrderTooHigh(f"spatial order {order.m1} exceeds {_MAX_SPATIAL_ORDER}")
-
-
-def h_norm(psi: DiscreteField, order: NormOrder) -> float:
+def h_norm(psi: DiscreteField, m: int) -> float:
     """Discrete mixed Sobolev norm (sum of squared spatial-derivative L2 norms)."""
-    _check_order(order)
+    _check_order(m)
     grid = psi.grid
     w_phase = grid.sphere_weights[None, :, None] * grid.energy_weights[None, None, :]
     total = float(np.sum(grid.vol_weights[:, None, None] * w_phase * psi.values**2))
-    if order.m1 >= 1:
-        alphas = [a for a in multi_indices(order.m1) if sum(a) >= 1]
+    if m >= 1:
+        alphas = [a for a in multi_indices(m) if sum(a) >= 1]
         for k in range(grid.n_energy):
             box = grid.embed(psi.values[:, :, k])
             for alpha in alphas:
@@ -56,7 +48,7 @@ def h_norm(psi: DiscreteField, order: NormOrder) -> float:
     return float(np.sqrt(total))
 
 
-def h_inner(psi: DiscreteField, v: DiscreteField, order: NormOrder) -> float:
+def h_inner(psi: DiscreteField, v: DiscreteField, m: int) -> float:
     """Discrete inner product matching ``h_norm`` (pure central derivatives).
 
     Central differences with zero extension commute and are antisymmetric
@@ -64,13 +56,13 @@ def h_inner(psi: DiscreteField, v: DiscreteField, order: NormOrder) -> float:
     fields should vanish near the boundary for the derivative terms to be
     trustworthy there.
     """
-    _check_order(order)
+    _check_order(m)
     grid = psi.grid
     total = 0.0
     for k in range(grid.n_energy):
         box_p = grid.embed(psi.values[:, :, k])
         box_v = grid.embed(v.values[:, :, k])
-        for alpha in multi_indices(order.m1):
+        for alpha in multi_indices(m):
             dp = grid.derivative_multi(box_p, alpha, masked=False)
             dv = grid.derivative_multi(box_v, alpha, masked=False)
             prod = np.sum(dp * dv * grid.sphere_weights[None, None, None, :], axis=3)
@@ -180,8 +172,7 @@ def boundary_h_norm(psi, grid: GridSpec, m: int, subdivisions: int = 3) -> float
     ``_node_values``) or a DiscreteField (lattice derivatives extrapolated to
     the surface).
     """
-    if m > _MAX_SPATIAL_ORDER:
-        raise OrderTooHigh(f"order {m} exceeds {_MAX_SPATIAL_ORDER}")
+    _check_order(m)
     mesh = triangulate_boundary(grid.domain, subdivisions)
     dots = mesh.normals @ grid.sphere_nodes.T
     sel = dots > 0.0

@@ -104,12 +104,14 @@ class IterationReport:
 def apply_scatter(scatter: Callable, psi: Callable, xs, omega, E: float, grid: GridSpec) -> np.ndarray:
     """Collision operator at the positions xs (n, 3) for out-direction omega
     and energy E, off the grid: the quadrature over the grid's directions
-    of the kernel against the field callable psi(xs, omega', E).  Returns
-    (n,) values; ``apply_scatter_grid`` applies it to grid fields."""
+    of the kernel against the field callable psi(xs, omega', E): one value
+    for every position or (n,) values, checked by ``_node_values``.
+    Returns (n,) values; ``apply_scatter_grid`` applies it to grid fields."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     acc = np.zeros(xs.shape[0])
     for wj, weight in zip(grid.sphere_nodes, grid.sphere_weights):
-        acc += weight * _kernel_values(scatter, xs, wj, omega, E) * np.asarray(psi(xs, wj, E), dtype=float)
+        acc += weight * _kernel_values(scatter, xs, wj, omega, E) \
+            * _node_values(psi(xs, wj, E), xs, "psi", "point", lambda: _where(wj, E), scalar=True)
     return acc
 
 

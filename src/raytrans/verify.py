@@ -151,7 +151,7 @@ def attenuation_suite(seed: int = 0) -> list[PropertyResult]:
             amp = rng.uniform(0.5, 2.0)
             fld = sample_field(lambda x, w, E: amp * smooth_bump(np.linalg.norm(x - c, axis=1), r), grid)
             res = at.accretivity_functional(fld, cset, m, sigma_sup=sup_s)
-            n2 = nm.h_norm(fld, nm.NormOrder(m)) ** 2
+            n2 = nm.h_norm(fld, m) ** 2
             worst_ratio = min(worst_ratio, res.lhs / n2)
     out.append(PropertyResult("accretivity_shifted_positive", worst_ratio >= 0.98, float(worst_ratio), 0.98))
     return out
@@ -266,8 +266,8 @@ def csda_suite(seed: int = 0) -> list[PropertyResult]:
     dE = L / 8
     psi, rep = csda.solve_csda(f, coeffs, mgrid, quad, dE=dE)
     ref = csda.explicit_csda_grid(f, sig0, mgrid, quad)
-    rel = nm.h_norm(psi.with_values(psi.values - ref.values), nm.NormOrder(0)) \
-        / nm.h_norm(ref, nm.NormOrder(0))
+    rel = nm.h_norm(psi.with_values(psi.values - ref.values), 0) \
+        / nm.h_norm(ref, 0)
     out.append(PropertyResult("march_matches_explicit", rel <= 3 * dE, rel, 3 * dE))
     out.append(PropertyResult("cutoff_energy_trace", rep.final_slice_sup < 1e-12,
                               rep.final_slice_sup, 1e-12))
@@ -313,12 +313,12 @@ def norms_suite(seed: int = 0) -> list[PropertyResult]:
 
     one = sample_field(lambda x, w, E: np.ones(len(x)), grid)
     expect = np.sqrt(4 * np.pi / 3 * 4 * np.pi)
-    v0 = nm.h_norm(one, nm.NormOrder(0))
+    v0 = nm.h_norm(one, 0)
     out.append(PropertyResult("l2_norm_constant_volume", abs(v0 - expect) / expect < 0.01,
                               abs(v0 - expect) / expect, 0.01))
 
     f = sample_field(lambda x, w, E: np.sin(x[:, 0]) * np.cos(2 * x[:, 1]), grid)
-    n0, n1, n2 = (nm.h_norm(f, nm.NormOrder(m)) for m in range(3))
+    n0, n1, n2 = (nm.h_norm(f, m) for m in range(3))
     out.append(PropertyResult("h_norm_monotone_in_order", bool(n0 <= n1 <= n2), n2, 0.0))
 
     tgrid = GridSpec(ball, 9, 16, 32, EnergyInterval(0.0, 1.0), 2)

@@ -159,8 +159,8 @@ def test_c06_manufactured_attenuation_full_grid():
 
     psi = at.solve_attenuation_grid(f, coeffs, grid, at.RayQuadrature(16, 4))
     ref = sample_field(psi_star, grid)
-    rel = nm.h_norm(psi.with_values(psi.values - ref.values), nm.NormOrder(0)) \
-        / nm.h_norm(ref, nm.NormOrder(0))
+    rel = nm.h_norm(psi.with_values(psi.values - ref.values), 0) \
+        / nm.h_norm(ref, 0)
     report("C06", "manufactured attenuation on 32^3 x (8x16) x 8", rel < 1e-6, rel, 1e-6, start)
 
 
@@ -200,7 +200,7 @@ def test_c08_accretivity_shifted():
                 * (1.0 + tilt @ w), grid)
             res = at.accretivity_functional(fld, coeffs, m, sigma_sup=sup_s,
                                             boundary_subdivisions=2)
-            n2 = nm.h_norm(fld, nm.NormOrder(m)) ** 2
+            n2 = nm.h_norm(fld, m) ** 2
             worst = min(worst, res.lhs / n2)
     report("C08", "accretivity with C = C' + 1 (m in 0,1,2)", worst >= 0.98, worst, 0.98, start)
 
@@ -278,8 +278,8 @@ def test_c10_scattering_contraction_and_manufactured():
 
     psi, rep2 = sc.solve_scattering(f2, coeffs2, g2, quad, tol=1e-10, max_iter=60)
     ref = sample_field(psi_star, g2)
-    rel = nm.h_norm(psi.with_values(psi.values - ref.values), nm.NormOrder(0)) \
-        / nm.h_norm(ref, nm.NormOrder(0))
+    rel = nm.h_norm(psi.with_values(psi.values - ref.values), 0) \
+        / nm.h_norm(ref, 0)
     print(f"\n  contraction rate {rate:.3f}, manufactured rel err {rel:.2e} "
           f"({rep.iterations}/{rep2.iterations} iterations)")
     report("C10", "scattering contraction and manufactured recovery",
@@ -341,8 +341,8 @@ def csda_runs():
     runs = []
     for dE in (0.3 / 4, 0.3 / 8):
         psi, rep = csda.solve_csda(f, coeffs, grid, quad, dE=dE)
-        rel = nm.h_norm(psi.with_values(psi.values - ref.values), nm.NormOrder(0)) \
-            / nm.h_norm(ref, nm.NormOrder(0))
+        rel = nm.h_norm(psi.with_values(psi.values - ref.values), 0) \
+            / nm.h_norm(ref, 0)
         runs.append({"dE": dE, "rel": rel, "report": rep, "psi": psi})
     return runs
 

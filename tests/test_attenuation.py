@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from raytrans import attenuation as at
-from raytrans.errors import MissingDerivative, NonFiniteValue, NotInH0
+from raytrans.errors import CoefficientShapeError, MissingDerivative, NonFiniteValue, NotInH0
 from raytrans.fields import CoefficientSet, EnergyInterval, GridSpec, sample_field
 from raytrans.geometry import ConvexDomain, PhasePoint, ball_escape_closed_form, escape_times
-from raytrans.norms import NormOrder, h_norm
+from raytrans.norms import h_norm
 
 
 def zero_f(x, w, E):
@@ -295,6 +295,31 @@ class TestGradient:
         _, g_exact = ball_escape_closed_form(p.x, p.omega)
         assert np.allclose(g, g_exact, atol=1e-10)
 
+    def test_source_gradient_is_checked(self, ball, quad):
+        coeffs = CoefficientSet(sigma_t=one_f)
+        p = PhasePoint(np.array([0.1, 0.2, 0.0]), np.array([1.0, 0, 0]))
+        nan_grad = lambda x, w, E: np.full((len(x), 3), np.nan)
+        nan_f = lambda x, w, E: np.full(len(x), np.nan)
+        with pytest.raises(NonFiniteValue, match=r"source is nan at ray node \[.*\] \(direction"):
+            at.solve_attenuation_gradient(nan_f, lambda x, w, E: np.zeros((len(x), 3)), coeffs, None, ball, p,
+                                          quad, inflow_vanishing=True)
+        with pytest.raises(NonFiniteValue, match=r"grad_f is nan at ray node \[.*\] \(direction"):
+            at.solve_attenuation_gradient(zero_f, nan_grad, coeffs, None, ball, p, quad, inflow_vanishing=True)
+        flat_grad = lambda x, w, E: np.zeros(len(x))
+        with pytest.raises(CoefficientShapeError, match=r"grad_f returned shape \(\d+,\) for \d+ ray nodes"):
+            at.solve_attenuation_gradient(zero_f, flat_grad, coeffs, None, ball, p, quad, inflow_vanishing=True)
+        with pytest.raises(CoefficientShapeError, match=r"grad_sigma returned shape \(\d+, 1\)"):
+            at.solve_attenuation_gradient(zero_f, lambda x, w, E: np.zeros((len(x), 3)), coeffs,
+                                          lambda x, w, E: np.zeros((len(x), 1)), ball, p, quad)
+
+    def test_boundary_value_is_checked(self, ball, quad):
+        # f is finite at every ray node and NaN only on the boundary, at y = x - T omega
+        coeffs = CoefficientSet(sigma_t=one_f)
+        f = lambda x, w, E: np.where(np.linalg.norm(x, axis=1) > 1.0 - 1e-9, np.nan, 1.0)
+        p = PhasePoint(np.array([0.1, 0.2, 0.0]), np.array([1.0, 0, 0]))
+        with pytest.raises(NonFiniteValue, match=r"source is nan at point \[.*\] \(direction"):
+            at.solve_attenuation_gradient(f, lambda x, w, E: np.zeros((len(x), 3)), coeffs, None, ball, p, quad)
+
 
 class TestDerivativeSource:
     def test_constant_sigma_reduces_to_source_derivative(self):
@@ -317,6 +342,15 @@ class TestDerivativeSource:
     def test_missing_derivative_raises(self):
         with pytest.raises(MissingDerivative):
             at.derivative_source({}, {}, {}, (1, 0, 0))
+
+    def test_derivative_of_wrong_shape_is_named(self):
+        f_d = {(1, 0, 0): lambda x, w, E: np.cos(x[:, 0])}
+        s_d = {(1, 0, 0): lambda x, w, E: np.ones((len(x), 1))}
+        p_d = {(0, 0, 0): lambda x, w, E: np.sin(x[:, 0])}
+        fa = at.derivative_source(f_d, s_d, p_d, (1, 0, 0))
+        with pytest.raises(CoefficientShapeError,
+                           match=r"sigma derivative \(1, 0, 0\) returned shape \(2, 1\) for 2 points"):
+            fa(np.zeros((2, 3)), np.array([1.0, 0, 0]), 0.0)
 
     def test_recursion_matches_finite_differences(self, ball, quad):
         # solving with f_alpha reproduces the x1-derivative of the solution
@@ -420,7 +454,7 @@ class TestAccretivity:
             grid,
         )
         res = at.accretivity_functional(psi, coeffs, 0)
-        n2 = h_norm(psi, NormOrder(0)) ** 2
+        n2 = h_norm(psi, 0) ** 2
         assert res.lhs == pytest.approx(res.boundary_term + (c0 + sig0) * n2, rel=1e-6)
 
     def test_positive_with_shift(self, ball):
@@ -435,7 +469,7 @@ class TestAccretivity:
             for _ in range(5):
                 psi = self._bump_field(grid, rng)
                 res = at.accretivity_functional(psi, coeffs, m, sigma_sup=sup_s)
-                n2 = h_norm(psi, NormOrder(m)) ** 2
+                n2 = h_norm(psi, m) ** 2
                 assert res.lhs >= 0.98 * n2
 
     def test_non_finite_sigma_is_named(self, ball):

@@ -175,8 +175,8 @@ class TestRunScenario:
         f = cli.build_source(cfg["problem"]["source"])
         ref = csda.explicit_csda_grid(f, 0.6, grid, quad)
         sol, _ = csda.solve_csda(f, coeffs, grid, quad, dE=0.075, tol=1e-10)
-        err = nm.h_norm(sol.with_values(sol.values - ref.values), nm.NormOrder(0)) \
-            / nm.h_norm(ref, nm.NormOrder(0))
+        err = nm.h_norm(sol.with_values(sol.values - ref.values), 0) \
+            / nm.h_norm(ref, 0)
         assert report.norms["halving_sweep"][0] == {"dE": 0.075, "l2_rel_error": float(err)}
 
     def test_scattering_with_inflow_kind(self, tmp_path):

@@ -7,7 +7,7 @@ from raytrans.errors import (CoefficientShapeError, InsufficientEnergyResolution
                              StoppingPowerViolation)
 from raytrans.fields import CoefficientSet, DiscreteField, EnergyInterval, GridSpec
 from raytrans.geometry import ConvexDomain
-from raytrans.norms import NormOrder, h_norm
+from raytrans.norms import h_norm
 
 
 def smooth_bump(r, radius):
@@ -49,9 +49,9 @@ class TestExplicit:
             w = rng.normal(size=3)
             w /= np.linalg.norm(w)
             E = rng.uniform(0, 1)
-            from raytrans.geometry import extended_escape_time
+            from raytrans.geometry import escape_times
 
-            expect = min(iv.Em - E, extended_escape_time(ball, x, w))
+            expect = min(iv.Em - E, escape_times(ball, x[None], w)[0])
             got = csda.explicit_csda_points(f, 0.0, iv, ball, x, w, E, quad)[0]
             assert got == pytest.approx(expect, abs=1e-11)
 
@@ -62,7 +62,7 @@ class TestExplicit:
         sig = 0.8
         f = lambda x, w, E: np.zeros(len(np.atleast_2d(x))) + E
         rng = np.random.default_rng(5)
-        from raytrans.geometry import extended_escape_time
+        from raytrans.geometry import escape_times
 
         for _ in range(30):
             x = rng.normal(size=3)
@@ -70,7 +70,7 @@ class TestExplicit:
             w = rng.normal(size=3)
             w /= np.linalg.norm(w)
             E = rng.uniform(0, 2)
-            L = min(iv.Em - E, extended_escape_time(ball, x, w))
+            L = min(iv.Em - E, escape_times(ball, x[None], w)[0])
             expect = (E * (1 - np.exp(-sig * L)) / sig
                       + (1 - np.exp(-sig * L) * (1 + sig * L)) / sig**2)
             got = csda.explicit_csda_points(f, sig, iv, ball, x, w, E, quad)[0]
@@ -248,19 +248,19 @@ class TestSolveCsda:
         dE = grid.interval.length / 8
         psi, rep = csda.solve_csda(f, coeffs, grid, quad, dE=dE)
         ref = csda.explicit_csda_grid(f, sig0, grid, quad)
-        err = h_norm(psi.with_values(psi.values - ref.values), NormOrder(0))
-        rel = err / h_norm(ref, NormOrder(0))
+        err = h_norm(psi.with_values(psi.values - ref.values), 0)
+        rel = err / h_norm(ref, 0)
         assert rel <= 3.0 * dE
 
     def test_first_order_in_energy_step(self, ball, quad):
         grid, coeffs, f, sig0 = self._setup(ball)
         L = grid.interval.length
         ref = csda.explicit_csda_grid(f, sig0, grid, quad)
-        nref = h_norm(ref, NormOrder(0))
+        nref = h_norm(ref, 0)
         errs = []
         for dE in (L / 4, L / 8):
             psi, _ = csda.solve_csda(f, coeffs, grid, quad, dE=dE)
-            errs.append(h_norm(psi.with_values(psi.values - ref.values), NormOrder(0)) / nref)
+            errs.append(h_norm(psi.with_values(psi.values - ref.values), 0) / nref)
         ratio = errs[1] / errs[0]
         assert 0.4 <= ratio <= 0.6
 
@@ -298,8 +298,8 @@ class TestSolveCsda:
             assert len(rep.step_iterations) == rep.steps
             assert sum(rep.step_iterations) == rep.inner_iterations
         ref = sols[L / 16]
-        e1 = h_norm(sols[L / 4].with_values(sols[L / 4].values - ref.values), NormOrder(0))
-        e2 = h_norm(sols[L / 8].with_values(sols[L / 8].values - ref.values), NormOrder(0))
+        e1 = h_norm(sols[L / 4].with_values(sols[L / 4].values - ref.values), 0)
+        e2 = h_norm(sols[L / 8].with_values(sols[L / 8].values - ref.values), 0)
         # first order: errors ~ a dE, so distances to the refined run sit
         # near a*(3L/16) and a*(L/16)
         assert 0.2 <= e2 / e1 <= 0.5
@@ -349,6 +349,15 @@ class TestKernelEnergyDerivative:
                 for h in (0.1, 0.05, 0.025)]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] / gaps[1] == pytest.approx(0.5, abs=0.15)
+
+    def test_field_values_are_checked(self, ball):
+        grid = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 2)
+        kern = lambda x, wi, wo, E: np.full(len(x), 1.0 / (4 * np.pi))
+        with pytest.raises(NonFiniteValue, match=r"psi is nan at point \[.*\] \(direction"):
+            csda.kr_energy_derivative_gap(kern, kern, grid, lambda x, w: np.full(len(x), np.nan), 0.4, 0.1)
+        with pytest.raises(CoefficientShapeError, match=rf"psi returned shape \({grid.n_interior}, 1\) for "
+                                                        rf"{grid.n_interior} points \(direction"):
+            csda.kr_energy_derivative_gap(kern, kern, grid, lambda x, w: np.ones((len(x), 1)), 0.4, 0.1)
 
 
 class TestCompatibility:

@@ -9,12 +9,11 @@ from raytrans.errors import (
     RootNotBracketed,
 )
 from raytrans.fields import EnergyInterval, GridSpec, sample_field, sup_norm_estimate
-from raytrans.norms import NormOrder, h_norm
+from raytrans.norms import h_norm
 
 
 def broken_domain(level, gradient):
-    return geo.ConvexDomain(level=level, level_gradient=gradient, diameter=2.0,
-                            kind=geo.DomainKind.BALL)
+    return geo.ConvexDomain(level=level, level_gradient=gradient, diameter=2.0)
 
 
 class TestGeometryErrors:
@@ -51,4 +50,10 @@ class TestGridErrors:
         g = GridSpec(geo.ConvexDomain.unit_ball(), 9, 2, 4, EnergyInterval(0.0, 1.0), 1)
         f = sample_field(lambda x, w, E: np.ones(len(x)), g)
         with pytest.raises(OrderTooHigh):
-            h_norm(f, NormOrder(4))
+            h_norm(f, 4)
+
+    def test_h_norm_negative_order(self):
+        g = GridSpec(geo.ConvexDomain.unit_ball(), 9, 2, 4, EnergyInterval(0.0, 1.0), 1)
+        f = sample_field(lambda x, w, E: np.ones(len(x)), g)
+        with pytest.raises(ValueError, match="nonnegative"):
+            h_norm(f, -1)

@@ -209,7 +209,7 @@ class TestLeibniz:
 
     def test_product_bound_holds(self, ball):
         # |Sigma psi|_(m) <= c(m) |Sigma|_W |psi|_(m) on random polynomial/bump pairs
-        from raytrans.norms import NormOrder, h_norm
+        from raytrans.norms import h_norm
 
         g = fl.GridSpec(ball, 25, 2, 4, fl.EnergyInterval(0.0, 1.0), 2)
         rng = np.random.default_rng(101)
@@ -222,9 +222,9 @@ class TestLeibniz:
                 psi = lambda x, w, E: smooth_bump(np.linalg.norm(x - center, axis=1), 0.55)
                 f_psi = fl.sample_field(psi, g)
                 f_prod = fl.sample_field(lambda x, w, E: sig(x, w, E) * psi(x, w, E), g)
-                lhs = h_norm(f_prod, NormOrder(m))
+                lhs = h_norm(f_prod, m)
                 sup_s = fl.sup_norm_estimate(sig, m, g)
-                rhs = cm * sup_s * h_norm(f_psi, NormOrder(m))
+                rhs = cm * sup_s * h_norm(f_psi, m)
                 assert lhs <= rhs * 1.02
 
 

@@ -1,6 +1,7 @@
 """Attenuation-only processes never load scipy; a scattering solve loads it
 at its first sweep and gives the same field as in any other process.  No
-package module keeps an import it does not use."""
+package module keeps an import it does not use, and every error class is
+raised somewhere."""
 
 import ast
 import io
@@ -75,3 +76,18 @@ def test_no_unused_module_imports():
     assert modules
     unused = {p.name: names for p in modules if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def test_every_error_class_is_raised():
+    # RayTransError is the base that callers catch; every subclass needs a raise site
+    errors = ast.parse((SRC / "raytrans" / "errors.py").read_text())
+    defined = {n.name for n in errors.body if isinstance(n, ast.ClassDef)} - {"RayTransError"}
+    raised = set()
+    for path in (SRC / "raytrans").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert defined
+    assert sorted(defined - raised) == []

@@ -37,25 +37,25 @@ class TestHNorm:
     def test_constant_value(self, ball, fine_grid):
         f = sample_field(lambda x, w, E: np.ones(len(x)), fine_grid)
         expect = np.sqrt(VOL * 4 * np.pi * 1.0)
-        assert abs(nm.h_norm(f, nm.NormOrder(0)) - expect) / expect < 0.01
+        assert abs(nm.h_norm(f, 0) - expect) / expect < 0.01
 
     def test_constant_all_orders_equal(self, grid):
         f = sample_field(lambda x, w, E: np.full(len(x), 2.0), grid)
-        v0 = nm.h_norm(f, nm.NormOrder(0))
+        v0 = nm.h_norm(f, 0)
         for m in (1, 2, 3):
-            assert nm.h_norm(f, nm.NormOrder(m)) == pytest.approx(v0, rel=1e-12)
+            assert nm.h_norm(f, m) == pytest.approx(v0, rel=1e-12)
 
     def test_linear_field_first_order(self, fine_grid):
         f = sample_field(lambda x, w, E: x[:, 0], fine_grid)
         expect = np.sqrt((X1_SQ + VOL) * 4 * np.pi * 1.0)
-        assert abs(nm.h_norm(f, nm.NormOrder(1)) - expect) / expect < 0.01
+        assert abs(nm.h_norm(f, 1) - expect) / expect < 0.01
 
     def test_monotone_and_homogeneous(self, grid):
         f = sample_field(lambda x, w, E: np.sin(x[:, 0]) * np.cos(2 * x[:, 1]), grid)
-        v = [nm.h_norm(f, nm.NormOrder(m)) for m in range(3)]
+        v = [nm.h_norm(f, m) for m in range(3)]
         assert v[0] <= v[1] <= v[2]
         f3 = f.with_values(3.0 * f.values)
-        assert nm.h_norm(f3, nm.NormOrder(2)) == pytest.approx(3.0 * v[2], rel=1e-12)
+        assert nm.h_norm(f3, 2) == pytest.approx(3.0 * v[2], rel=1e-12)
 
 
 class TestTraceNorm:
