@@ -37,8 +37,15 @@ def _distance(x, c: np.ndarray) -> np.ndarray:
     return np.sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2])
 
 
+def _object(block, context: str) -> dict:
+    """``block`` if it is a JSON object, else a ``ConfigError`` naming ``context``."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{context} block must be a JSON object, got {block!r}")
+    return block
+
+
 def _get(block: dict, key: str, context: str):
-    if key not in block:
+    if key not in _object(block, context):
         raise ConfigError(f"missing key '{key}' in {context} block")
     return block[key]
 
@@ -52,7 +59,7 @@ def _number(block: dict, key: str, context: str, kind=float, default=None, valid
     finite ``kind`` number (or as 3 for ``_triple``).  A value that does not
     convert, is not finite or fails the test ``valid`` raises
     ``ConfigError``, naming the key, the block and ``what`` it must be."""
-    value = _get(block, key, context) if default is None else block.get(key, default)
+    value = _get(block, key, context) if default is None else _object(block, context).get(key, default)
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):

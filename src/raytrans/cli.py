@@ -29,7 +29,7 @@ from . import attenuation as at
 from . import csda
 from . import norms as nm
 from . import scattering as sc
-from .catalog import _get, _number, _triple, build_boundary, build_scatter, build_sigma, build_source, build_stopping
+from .catalog import _get, _number, _object, _triple, build_boundary, build_scatter, build_sigma, build_source, build_stopping
 from .errors import ConfigError, RayTransError
 from .fields import CoefficientSet, DiscreteField, EnergyInterval, GridSpec
 from .geometry import ConvexDomain, triangulate_boundary
@@ -223,11 +223,10 @@ def _run_scattering(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: R
     report.properties.append(_prop("iteration_converged", rep.converged,
                                    rep.residual_history[-1], tol))
     if coeffs.scatter is not None and not np.isnan(rep.estimated_rate):
-        cap = rep.kernel_bound / max(coeffs.shift - rep.sigma_term, 1e-300) + 0.05
-        report.properties.append(_prop("rate_below_bound", rep.estimated_rate <= cap,
-                                       rep.estimated_rate, cap))
+        report.properties.append(_prop("rate_below_bound", rep.estimated_rate <= rep.rate_bound,
+                                       rep.estimated_rate, rep.rate_bound))
     if with_inflow:
-        tr = nm.trace_from_grid_field(fld, None, subdivisions=3)
+        tr = nm.trace_from_grid_field(fld, None)
         worst = 0.0
         for j in range(grid.n_omega):
             sel = tr.dots[:, j] < -0.3
@@ -337,8 +336,10 @@ def run_scenario(config, out_dir: Optional[str] = None, seed: int = 0) -> RunRep
     """Execute one configured pipeline and assemble its report."""
     cfg = load_config(config) if not isinstance(config, dict) else config
     for key in ("domain", "grid", "coefficients", "problem"):
-        if key not in cfg:
-            raise ConfigError(f"missing top-level '{key}' block")
+        _get(cfg, key, "top-level")
+    out_block, suites = _object(cfg.get("output", {}), "output"), cfg.get("verification", [])
+    if not isinstance(suites, list) or not all(isinstance(s, str) for s in suites):
+        raise ConfigError(f"verification block must be a list of suite names, got {suites!r}")
     kind = _get(cfg["problem"], "kind", "problem")
     if kind not in PROBLEM_KINDS:
         raise ConfigError(f"unknown problem kind '{kind}' (choose from {', '.join(PROBLEM_KINDS)})")
@@ -364,12 +365,11 @@ def run_scenario(config, out_dir: Optional[str] = None, seed: int = 0) -> RunRep
         fld = _run_explicit_csda(cfg, grid, coeffs, report)
     t_solve = time.perf_counter() - t0
 
-    for suite in cfg.get("verification", []):
+    for suite in suites:
         for r in run_suite(suite, seed):
             report.properties.append(r.as_dict())
 
     report.timings.update(setup_s=t_setup, solve_s=t_solve)
-    out_block = cfg.get("output", {})
     target = out_dir if out_dir is not None else out_block.get("dir")
     if target is not None:
         outp = Path(target)
@@ -392,10 +392,6 @@ def run_verification_suite(suite: str, seed: int = 0, out_dir: Optional[str] = N
     return report
 
 
-def _env_default(name: str, fallback):
-    return os.environ.get(ENV_PREFIX + name, fallback)
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(prog="raytrans",
                                      description="transport scenario runner and verifier")
@@ -405,15 +401,17 @@ def main(argv: Optional[list] = None) -> int:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=SUITES)
     for p in (p_run, p_ver):
-        p.add_argument("--out", default=_env_default("OUT", None), help="output directory")
-        p.add_argument("--seed", type=int, default=int(_env_default("SEED", 0)))
+        p.add_argument("--out", default=os.environ.get(ENV_PREFIX + "OUT"), help="output directory")
+        p.add_argument("--seed", type=int)
     args = parser.parse_args(argv)
 
     try:
+        seed = args.seed if args.seed is not None else _number(
+            {**os.environ}, ENV_PREFIX + "SEED", "environment", int, 0)
         if args.cmd == "run":
-            report = run_scenario(args.config, out_dir=args.out, seed=args.seed)
+            report = run_scenario(args.config, out_dir=args.out, seed=seed)
         else:
-            report = run_verification_suite(args.suite, seed=args.seed, out_dir=args.out)
+            report = run_verification_suite(args.suite, seed=seed, out_dir=args.out)
     except RayTransError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         # exit status: 1 a property failed, 2 a config error, 3 a solver error

@@ -26,7 +26,9 @@ from .fields import CoefficientSet, DiscreteField, EnergyInterval, GridSpec, _no
 from .geometry import ConvexDomain, SurfaceMesh, escape_times, triangulate_boundary
 from .scattering import SweepCache, apply_scatter, solve_scattering
 
-_FD_STEP = 1e-5   # step of compatibility_check's central differences in space
+_FD_STEP = 1e-5      # step of compatibility_check's central differences in space
+_COMPAT_TOL = 1e-6   # residual bound of compatibility_check
+_MAX_ITER = 60       # source iterations allowed to each march step
 
 
 @dataclass(frozen=True)
@@ -105,8 +107,7 @@ def inflow_trace_sup(f: Callable, coeffs: CoefficientSet, grid: GridSpec, quad: 
 
 def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
                  quad: RayQuadrature, dE: Optional[float] = None,
-                 tol: float = 1e-10, max_iter: int = 60,
-                 snapshot_cb: Optional[Callable] = None) -> tuple[DiscreteField, MarchReport]:
+                 tol: float = 1e-10, snapshot_cb: Optional[Callable] = None) -> tuple[DiscreteField, MarchReport]:
     """Backward-Euler march of the transformed evolution problem.
 
     Starts from the zero slice, and at each step solves the steady problem
@@ -114,13 +115,13 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
         omega.grad phi + [Sigma^ + a^ (C - 1/dE)] phi - K^ phi
             = (-a^/dE) phi_prev + exp(C E') f^
 
-    with coefficients frozen at the step energy; the inflow condition is
-    enforced by the characteristic integral itself (and checked into the
-    report by ``inflow_trace_sup``).  The steps share one ``SweepCache``: a
-    direction's attenuation weights, kernel sweep operators and
-    lattice-source pieces are built again only when their inputs change,
-    and are freed when the march returns.  Returns the transformed field on
-    the companion march grid.
+    with coefficients frozen at the step energy, in at most ``_MAX_ITER``
+    source iterations; the inflow condition is enforced by the
+    characteristic integral itself (and checked by ``inflow_trace_sup``).
+    The steps share one ``SweepCache``: a direction's attenuation weights,
+    kernel sweep operators and lattice-source pieces are built again only
+    when their inputs change, and are freed when the march returns.
+    Returns the transformed field on the companion march grid.
     """
     _check_stopping(coeffs)
     n_steps = _steps_for(grid, dE)
@@ -187,7 +188,7 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
 
         eff = CoefficientSet(sigma_t=sigma_eff, scatter=scatter_eff, shift=0.0)
         lattice = ((-stopping[n] / step)[:, None] * prev)[:, :, None]
-        out, rep = solve_scattering(src, eff, slice_grid, step_quad, tol=tol, max_iter=max_iter,
+        out, rep = solve_scattering(src, eff, slice_grid, step_quad, tol=tol, max_iter=_MAX_ITER,
                                     check_threshold=False, grid_source=lattice,
                                     psi0=prev[:, :, None], cache=sweep_cache)
         prev = out.values[:, :, 0]
@@ -233,14 +234,13 @@ def transform_to_march(psi: DiscreteField, C: float) -> DiscreteField:
 
 
 def solve_csda(f: Callable, coeffs: CoefficientSet, grid: GridSpec, quad: RayQuadrature,
-               dE: Optional[float] = None, tol: float = 1e-10,
-               max_iter: int = 60) -> tuple[DiscreteField, MarchReport]:
+               dE: Optional[float] = None, tol: float = 1e-10) -> tuple[DiscreteField, MarchReport]:
     """Full continuous-slowing-down solve on the grid.
 
     Transforms, marches, and maps back; the returned field carries zero
     cut-off-energy and inflow traces by construction of the march.
     """
-    phi, report = march_energy(f, coeffs, grid, quad, dE=dE, tol=tol, max_iter=max_iter)
+    phi, report = march_energy(f, coeffs, grid, quad, dE=dE, tol=tol)
     return transform_from_march(phi, grid, coeffs.shift), report
 
 
@@ -297,8 +297,7 @@ def kr_energy_derivative_gap(scatter: Callable, dscatter_dE: Callable, grid: Gri
 
 
 def compatibility_check(g: Callable, F: Callable, order: int, grid: GridSpec,
-                        coeffs: Optional[CoefficientSet] = None,
-                        tolerance: float = 1e-6, subdivisions: int = 2) -> CompatibilityReport:
+                        coeffs: Optional[CoefficientSet] = None) -> CompatibilityReport:
     """Compatibility of inflow data with the zero cut-off-energy condition.
 
     order 0:  g(., ., Em) = 0 on the inflow boundary set
@@ -309,8 +308,8 @@ def compatibility_check(g: Callable, F: Callable, order: int, grid: GridSpec,
     energy derivatives use one-sided stencils on the grid energy nodes, the
     streaming term central differences of step ``_FD_STEP``.  g, F, sigma
     and the stopping power are evaluated once per energy they need at the
-    inflow points, and every value is checked by ``_node_values``; a
-    non-finite residual fails the check.
+    inflow points, and every value is checked by ``_node_values``; the
+    check passes iff the residual is below ``_COMPAT_TOL`` (so not if NaN).
     """
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
@@ -325,7 +324,7 @@ def compatibility_check(g: Callable, F: Callable, order: int, grid: GridSpec,
         return lambda xs, w, E: _node_values(fn(xs, w, E), xs, what, "point", lambda: _where(w, E))
 
     g, F = checked(g, "g"), checked(F, "F")
-    mesh = triangulate_boundary(grid.domain, subdivisions)
+    mesh = triangulate_boundary(grid.domain, 2)
     Em = grid.interval.Em
     dE = grid.energy_nodes[-1] - grid.energy_nodes[-2] if grid.n_energy > 1 else 0.0
     worst = 0.0
@@ -358,4 +357,4 @@ def compatibility_check(g: Callable, F: Callable, order: int, grid: GridSpec,
             PF = -(stream + sig * Fs[0] - kf) / a
             res = np.abs(d2g - PF - dF)
         worst = float(np.max(res, initial=worst))
-    return CompatibilityReport(order, worst, worst < tolerance, tolerance)
+    return CompatibilityReport(order, worst, worst < _COMPAT_TOL, _COMPAT_TOL)

@@ -441,11 +441,10 @@ class SupportCheckReport:
     worst_alpha: Optional[tuple] = None
 
 
-def kernel_support_check(scatter: Callable, m: int, eta: float, grid: GridSpec,
-                         tol: float = 1e-10) -> SupportCheckReport:
+def kernel_support_check(scatter: Callable, m: int, eta: float, grid: GridSpec) -> SupportCheckReport:
     """Check that the scattering kernel vanishes near the boundary.
 
-    Passes iff |d^alpha scatter| < tol for |alpha| <= m-1 at all interior
+    Passes iff |d^alpha scatter| < 1e-10 for |alpha| <= m-1 at all interior
     nodes closer than eta to the boundary, for every (in, out) direction
     pair and energy node (central differences with the grid step; the
     kernel must be evaluable in an h-neighborhood of the closure).  The
@@ -469,7 +468,7 @@ def kernel_support_check(scatter: Callable, m: int, eta: float, grid: GridSpec,
             v = abs(float(vals[i]))
             if v > worst:
                 worst, worst_node, worst_alpha = v, int(node_ids[i]), alpha
-    return SupportCheckReport(worst < tol, worst, worst_node, worst_alpha)
+    return SupportCheckReport(worst < 1e-10, worst, worst_node, worst_alpha)
 
 
 def _central_derivative_callable(f: Callable, xs: np.ndarray, alpha, h) -> np.ndarray:

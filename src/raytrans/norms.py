@@ -21,6 +21,7 @@ from .geometry import BoundarySide, SurfaceMesh, escape_times, triangulate_bound
 _MAX_SPATIAL_ORDER = 3
 _FD_STEP = 1e-4        # step of boundary_h_norm's one-sided differences of a callable
 _H0_THRESHOLD = 1e-10  # h0_margin's bound on |psi| below which psi counts as zero
+_SUBDIVISIONS = 3      # mesh refinement of trace_from_grid_field and green_residual
 
 
 def _check_order(m: int) -> None:
@@ -128,11 +129,10 @@ def _pullin_samples(grid: GridSpec, box: np.ndarray, points: np.ndarray,
     return 3.0 * vals[0] - 3.0 * vals[1] + vals[2]
 
 
-def trace_from_grid_field(psi: DiscreteField, side: Optional[BoundarySide],
-                          subdivisions: int = 3) -> TraceField:
+def trace_from_grid_field(psi: DiscreteField, side: Optional[BoundarySide]) -> TraceField:
     """Extrapolate a grid field to the boundary mesh (second order inward)."""
     grid = psi.grid
-    mesh = triangulate_boundary(grid.domain, subdivisions)
+    mesh = triangulate_boundary(grid.domain, _SUBDIVISIONS)
     dots = mesh.normals @ grid.sphere_nodes.T
     vals = np.empty((mesh.points.shape[0], grid.n_omega, grid.n_energy))
     for k in range(grid.n_energy):
@@ -223,7 +223,7 @@ def _onesided_derivative(f: Callable, points: np.ndarray, normals: np.ndarray,
 # -- Green identity and margin -----------------------------------------------
 
 
-def green_residual(psi: DiscreteField, v: DiscreteField, subdivisions: int = 3,
+def green_residual(psi: DiscreteField, v: DiscreteField,
                    psi_trace: Optional[Callable] = None,
                    v_trace: Optional[Callable] = None) -> float:
     """Residual of the transport Green identity
@@ -237,7 +237,7 @@ def green_residual(psi: DiscreteField, v: DiscreteField, subdivisions: int = 3,
     lattice values.
     """
     grid = psi.grid
-    mesh = triangulate_boundary(grid.domain, subdivisions)
+    mesh = triangulate_boundary(grid.domain, _SUBDIVISIONS)
     dots = mesh.normals @ grid.sphere_nodes.T
     vol = 0.0
     surf = 0.0

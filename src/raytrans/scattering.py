@@ -80,9 +80,9 @@ class IterationReport:
     that streamed their operator because it was over budget, the ray nodes
     placed (those sweeps included), the (direction, energy) pairs whose
     attenuation weights came from the cache at set-up, and the lattice-source
-    pieces formed, kept or streamed.  ``sigma_term`` and ``kernel_bound`` are the two
-    terms of the m = 0 solvability threshold the solve checked, c(0)
-    |Sigma|_(W-inf,0) and the collision norm bound (NaN if it checked none).
+    pieces formed, kept or streamed.  ``rate_bound`` caps the contraction
+    rate by c_kernel / (shift - c_sigma) + 0.05, with the two terms of the
+    m = 0 threshold the solve checked (NaN if it checked none).
     """
 
     iterations: int = 0
@@ -90,8 +90,7 @@ class IterationReport:
     converged: bool = False
     estimated_rate: float = math.nan
     cache: dict = field(default_factory=_cache_counts)
-    sigma_term: float = math.nan
-    kernel_bound: float = math.nan
+    rate_bound: float = math.nan
 
     def finish(self) -> "IterationReport":
         ratios = [b / a for a, b in zip(self.residual_history, self.residual_history[1:]) if a > 0]
@@ -240,17 +239,15 @@ def scatter_norm_bound(scatter: Callable, m: int, grid: GridSpec,
 
 def _threshold_terms(coeffs: CoefficientSet, grid: GridSpec, m: int,
                      applier: Optional[_KernelApplier]) -> tuple[float, float]:
-    """The two terms of ``solvability_threshold``."""
+    """The two terms of ``solvability_threshold`` (``applier`` as in ``scatter_norm_bound``)."""
     return (leibniz_constant(m) * sup_norm_estimate(coeffs.sigma_t, m, grid, "sigma"),
             scatter_norm_bound(coeffs.scatter, m, grid, applier=applier)
             if coeffs.scatter is not None else 0.0)
 
 
-def solvability_threshold(coeffs: CoefficientSet, grid: GridSpec, m: int = 0,
-                          applier: Optional[_KernelApplier] = None) -> float:
-    """C'' = c(m) |Sigma|_(W-inf,m) + collision norm bound (``applier``
-    as in ``scatter_norm_bound``)."""
-    c_sigma, c_kernel = _threshold_terms(coeffs, grid, m, applier)
+def solvability_threshold(coeffs: CoefficientSet, grid: GridSpec, m: int = 0) -> float:
+    """C'' = c_sigma + c_kernel = c(m) |Sigma|_(W-inf,m) + collision norm bound."""
+    c_sigma, c_kernel = _threshold_terms(coeffs, grid, m, None)
     return c_sigma + c_kernel
 
 
@@ -539,7 +536,7 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     through the cache's lattice-source pieces; ``check_threshold`` verifies
     C > C'' first, with the kernel columns the solve uses (callers with
     their own solvability criterion, like the energy marcher, disable it;
-    the report keeps the threshold's two terms).
+    the report keeps the ``rate_bound`` of the threshold).
     """
     from scipy import ndimage
 
@@ -551,10 +548,10 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
                if coeffs.scatter is not None else None)
     report = IterationReport()
     if check_threshold:
-        report.sigma_term, report.kernel_bound = _threshold_terms(coeffs, grid, 0, applier)
-        thr = report.sigma_term + report.kernel_bound
-        if coeffs.shift <= thr:
-            raise ShiftTooSmall(f"shift {coeffs.shift} <= threshold {thr:.6g}")
+        c_sigma, c_kernel = _threshold_terms(coeffs, grid, 0, applier)
+        if coeffs.shift <= c_sigma + c_kernel:
+            raise ShiftTooSmall(f"shift {coeffs.shift} <= threshold {c_sigma + c_kernel:.6g}")
+        report.rate_bound = c_kernel / (coeffs.shift - c_sigma) + 0.05
     counts = report.cache
 
     sweeps = {}

@@ -301,6 +301,31 @@ def test_bad_catalog_number_is_a_config_error_naming_the_key(tmp_path, capsys, b
     assert "error: ConfigError" in err and f"'{key}' in {block} block" in err
 
 
+@pytest.mark.parametrize("path, value, block", [
+    ((), 5, "top-level"),
+    (("domain",), 1, "domain"),
+    (("grid",), [], "grid"),
+    (("output",), 3, "output"),
+    (("problem", "quadrature"), 4, "quadrature"),
+    (("coefficients", "sigma"), 2, "sigma"),
+    (("coefficients",), "x", "coefficients"),
+    (("verification",), "norms", "verification"),
+    (("verification",), [["norms"]], "verification"),
+])
+def test_block_of_the_wrong_type_is_a_config_error_naming_the_block(tmp_path, capsys, path, value, block):
+    cfg = attenuation_config(tmp_path)
+    if path:
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        cfg = value
+    assert cli.main(["run", str(write_cfg(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert "error: ConfigError" in err and f"{block} block must be" in err
+
+
 def write_cfg(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -343,3 +368,12 @@ class TestVerifyCommand:
         assert rc == 0
         data = json.loads((tmp_path / "env_out" / "report.json").read_text())
         assert data["seed"] == 77
+
+    def test_seed_variable_that_is_not_an_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RAYTRANS_SEED", "abc")
+        assert cli.main(["verify", "geometry"]) == 2
+        err = capsys.readouterr().err
+        assert "error: ConfigError" in err and "'RAYTRANS_SEED'" in err
+        # an explicit flag wins over the variable
+        assert cli.main(["verify", "geometry", "--seed", "3", "--out", str(tmp_path / "v")]) == 0
+        assert json.loads((tmp_path / "v" / "report.json").read_text())["seed"] == 3

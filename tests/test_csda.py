@@ -410,7 +410,7 @@ class TestCompatibility:
             return (E - Em) * f0 + 0.5 * (Em - E) ** 2 * action
 
         for order in (0, 1, 2):
-            rep = csda.compatibility_check(g, F, order, grid, coeffs=coeffs, tolerance=1e-6)
+            rep = csda.compatibility_check(g, F, order, grid, coeffs=coeffs)
             assert rep.passed, (order, rep.residual)
 
     def test_insufficient_resolution(self, ball):

@@ -1,10 +1,11 @@
 """Attenuation-only processes never load scipy; a scattering solve loads it
 at its first sweep and gives the same field as in any other process.  No
-package module keeps an import it does not use, and every error class is
-raised somewhere."""
+package module keeps an import it does not use, every error class is
+raised somewhere, and every parameter default is passed by some caller."""
 
 import ast
 import io
+import math
 import os
 import subprocess
 import sys
@@ -76,6 +77,64 @@ def test_no_unused_module_imports():
     assert modules
     unused = {p.name: names for p in modules if (names := _unused_imports(p))}
     assert unused == {}
+
+
+# reached only through run_suite's table, each with the seed run_suite takes
+_TABLE_CALLED = {"geometry_suite", "attenuation_suite", "scattering_suite", "csda_suite", "norms_suite"}
+
+
+def _calls(roots: list) -> dict:
+    """For each called name (a bare name or the last attribute), the
+    (positional count, keyword names) of every call under ``roots``; a
+    ``*args`` counts as every position and a ``**kwargs`` as every keyword."""
+    calls = {}
+    for root in roots:
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                    name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                    n_pos = math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+                    kws = {k.arg for k in node.keywords}
+                    calls.setdefault(name, []).append((n_pos, kws))
+    return calls
+
+
+def _defaults(path: Path):
+    """(called name, qualified name, parameter, position or None if
+    keyword-only) of each parameter default of the module-level functions
+    and methods of ``path``; a method's position does not count ``self``,
+    and a class is called by its name."""
+    tree = ast.parse(path.read_text())
+    defs = [(None, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
+    defs += [(c.name, n) for c in tree.body if isinstance(c, ast.ClassDef)
+             for n in c.body if isinstance(n, ast.FunctionDef)]
+    for cls, fn in defs:
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+        skip = 0 if cls is None or static else 1
+        qual = f"{cls}.{fn.name}" if cls else fn.name
+        called = cls if fn.name == "__init__" else fn.name
+        pos = fn.args.posonlyargs + fn.args.args
+        first = len(pos) - len(fn.args.defaults)
+        for i, arg in enumerate(pos[first:], start=first):
+            yield called, qual, arg.arg, i - skip
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield called, qual, arg.arg, None
+
+
+def test_every_parameter_default_is_passed_by_some_call():
+    # a default that no call sets is a constant behind a parameter
+    root = SRC.parent
+    calls = _calls([root / d for d in ("src", "tests", "perfbench", "tools")])
+    unset = []
+    for path in sorted((SRC / "raytrans").glob("*.py")):
+        for called, qual, param, i in _defaults(path):
+            if qual in _TABLE_CALLED:
+                continue
+            if not any(param in kws or None in kws or (i is not None and n_pos > i)
+                       for n_pos, kws in calls.get(called, [])):
+                unset.append(f"{path.name}:{qual}({param})")
+    assert unset == []
 
 
 def test_every_error_class_is_raised():

@@ -940,7 +940,7 @@ class TestSolveWithInflow:
         # mesh and compare against g on well-inflow pairs
         from raytrans.norms import trace_from_grid_field
 
-        tr = trace_from_grid_field(psi, None, subdivisions=3)
+        tr = trace_from_grid_field(psi, None)
         h = float(np.mean(g.h))
         worst = 0.0
         for j in range(g.n_omega):
