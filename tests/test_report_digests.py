@@ -57,3 +57,70 @@ def test_against_exits_non_zero_on_any_difference(tmp_path, monkeypatch, capsys)
     assert "differs: a/field.csv" in capsys.readouterr().err
     del digests["a/field.csv"]
     assert tool.main(["--against", str(saved)]) == 1
+
+
+def _body(residuals=(1.0, 1e-3, 1e-9), value=0.5, passed=True, iterations=3):
+    return {"command": "run", "seed": 0, "iteration": {"iterations": iterations, "converged": True},
+            "norms": {"l2": 0.25, "tiny": 2.4e-15}, "residuals": list(residuals),
+            "properties": [{"name": "p", "pass": passed, "value": value, "tolerance": 1.0}]}
+
+
+def test_bodies_compare_values_within_the_stated_tolerance():
+    tool = _tool()
+    assert tool.compare_bodies(_body(), _body()) == ([], 0.0)
+    # floats within 1e-5 of the larger magnitude (plus 1e-13) pass, and the
+    # largest relative change is reported
+    bad, worst = tool.compare_bodies(_body(value=0.5), _body(value=0.5 * (1 + 4e-6)))
+    assert bad == [] and 3e-6 < worst < 5e-6
+    bad, _ = tool.compare_bodies(_body(value=0.5), _body(value=0.5 * (1 + 3e-5)))
+    assert [where for where, _ in bad] == ["/properties/0/value"]
+    # round-off-level values are held to the absolute 1e-13 only
+    moved = _body()
+    moved["norms"]["tiny"] = 2.2e-16
+    assert tool.compare_bodies(_body(), moved) == ([], 0.0)
+    # integers, booleans and strings must match exactly, types included
+    for other in (_body(iterations=4), _body(passed=False)):
+        assert len(tool.compare_bodies(_body(), other)[0]) == 1
+    renamed = _body()
+    renamed["command"] = "verify"
+    assert len(tool.compare_bodies(_body(), renamed)[0]) == 1
+    retyped = _body()
+    retyped["seed"] = 0.0
+    assert len(tool.compare_bodies(_body(), retyped)[0]) == 1
+    missing = _body()
+    del missing["norms"]["l2"]
+    assert tool.compare_bodies(_body(), missing)[0] == [("/norms/l2", "missing")]
+
+
+def test_residual_histories_compare_relative_to_their_first_entry():
+    tool = _tool()
+    # the last residual moves by 50 % of itself but 5e-10 of the first entry
+    bad, worst = tool.compare_bodies(_body(), _body(residuals=(1.0, 1e-3, 1.5e-9)))
+    assert bad == [] and worst < 1e-9
+    bad, _ = tool.compare_bodies(_body(), _body(residuals=(1.0, 1.1e-3, 1e-9)))
+    assert [where for where, _ in bad] == ["/residuals/1"]
+    bad, _ = tool.compare_bodies(_body(), _body(residuals=(1.0, 1e-3)))
+    assert bad == [("/residuals", "length 2, expected 3")]
+
+
+def test_bodies_option_checks_every_report_and_prints_margins(tmp_path, monkeypatch, capsys):
+    tool = _tool()
+    body = _body()
+
+    def run_all(out):
+        (out / "a").mkdir()
+        (out / "a" / "report.json").write_text(json.dumps({**body, "timings": {"solve_s": 1.0}}))
+        return tool.output_digests(out)
+
+    monkeypatch.setattr(tool, "run_all", run_all)
+    stored = tmp_path / "bodies.json"
+    assert tool.main(["--write-bodies", str(stored)]) == 0
+    assert json.loads(stored.read_text()) == {"a/report.json": _body()}
+    capsys.readouterr()
+    assert tool.main(["--bodies", str(stored)]) == 0
+    out = capsys.readouterr().out
+    assert "# a/report.json p: pass=True value=0.5 tolerance=1 margin=0.5" in out
+    assert "# a/report.json: largest relative change 0" in out
+    body["iteration"]["iterations"] = 4
+    assert tool.main(["--bodies", str(stored)]) == 1
+    assert "differs: a/report.json/iteration/iterations: 4, expected 3" in capsys.readouterr().err
