@@ -46,9 +46,14 @@ def _lagrange_partial_matrix(nodes: np.ndarray) -> np.ndarray:
 class RayQuadrature:
     """Composite Gauss-Legendre rule along rays.
 
-    Panels scale with ray length (panels = ceil(panels_per_unit_length * T),
-    at least one); per-panel nodes are Gauss-Legendre, so the rule is exact
-    for polynomials of degree <= 2*nodes_per_panel - 1 on each panel.
+    A ray of length T has n = ceil(panels_per_unit_length * T) panels (at
+    least one) anchored at its start: every panel but the last is
+    ``panel_width`` = 1 / panels_per_unit_length wide, and the last holds
+    the remainder T - (n - 1) / panels_per_unit_length, in (0,
+    panel_width].  Per-panel nodes are Gauss-Legendre, so the rule is exact
+    for polynomials of degree <= 2*nodes_per_panel - 1 on each panel.  The
+    nodes of the full panels sit at the same distances from the start on
+    every ray (``full_nodes``).
     """
 
     panels_per_unit_length: int = 16
@@ -67,8 +72,23 @@ class RayQuadrature:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    @property
+    def panel_width(self) -> float:
+        return 1.0 / self.panels_per_unit_length
+
     def n_panels(self, T: np.ndarray) -> np.ndarray:
-        return np.maximum(1, np.ceil(self.panels_per_unit_length * np.asarray(T)).astype(int))
+        """ceil(panels_per_unit_length * T), at least 1, and one fewer where
+        rounding put the start (n - 1) * panel_width of the last panel at or
+        past T."""
+        T = np.asarray(T)
+        n = np.maximum(1, np.ceil(self.panels_per_unit_length * T).astype(int))
+        return n - ((n > 1) & (T <= (n - 1) * self.panel_width))
+
+    def full_nodes(self, n_full: int) -> np.ndarray:
+        """Distances (n_full, nodes_per_panel) from the ray start of the
+        nodes of the first n_full panels of a ray that has more."""
+        h = self.panel_width
+        return np.arange(n_full)[:, None] * h + self.ref_nodes[None, :] * h
 
 
 def _ray_groups(xs, omega, T, quad):
@@ -78,19 +98,30 @@ def _ray_groups(xs, omega, T, quad):
     their entries stay zero.  Yields (sel, s, pts, width): sel indexes the
     group's rays in the batch, s (n_rays, n_panels, n_nodes) is the distance
     of each node from its ray start, pts (..., 3) the nodes x - s omega, and
-    width (n_rays,) the panel width.  The nodes are stored coordinate-major,
-    one contiguous (n_rays, n_panels, n_nodes) block per coordinate, so
-    ``pts.reshape(-1, 3)`` is a Fortran-ordered view whose columns the
-    callables and ``_lattice_rows`` read contiguously.
+    width (n_rays, n_panels) the panel widths.  The panels are anchored at
+    the ray start (``RayQuadrature``): the full panels are
+    ``quad.panel_width`` wide and their nodes ``quad.full_nodes``, bit for
+    bit the same s on every ray, so a full-panel node of every ray of a
+    direction started at a lattice node sits at the same lattice offset
+    -s omega / h (the invariant ``RaySystem.sweep_operator`` builds on).
+    The last panel holds the remainder of T, in (0, quad.panel_width].
+    The nodes are stored coordinate-major, one contiguous (n_rays,
+    n_panels, n_nodes) block per coordinate, so ``pts.reshape(-1, 3)`` is a
+    Fortran-ordered view whose columns the callables and ``_lattice_rows``
+    read contiguously.
     """
     idx_active = np.flatnonzero(T > _T_FLOOR)
     if idx_active.size == 0:
         return
+    h = quad.panel_width
     panel_counts = quad.n_panels(T[idx_active])
     for npan in np.unique(panel_counts):
         sel = idx_active[panel_counts == npan]
-        width = T[sel] / npan
-        s = (np.arange(npan)[None, :, None] + quad.ref_nodes[None, None, :]) * width[:, None, None]
+        width = np.full((sel.size, npan), h)
+        width[:, -1] = np.minimum(T[sel] - (npan - 1) * h, h)
+        s = np.empty((sel.size, npan, quad.nodes_per_panel))
+        s[:, :-1] = quad.full_nodes(npan - 1)
+        s[:, -1] = (npan - 1) * h + quad.ref_nodes * width[:, -1:]
         rows = np.empty((3,) + s.shape)
         for ax in range(3):
             np.subtract(xs[sel, ax][:, None, None], s * omega[ax], out=rows[ax])
@@ -98,11 +129,12 @@ def _ray_groups(xs, omega, T, quad):
 
 
 def _running_integral(g, width, quad):
-    """Panel integrals (n_rays, n_panels) of node values g, and the running
-    integral from the ray start at every node."""
-    panel = np.einsum("ipq,q->ip", g, quad.ref_weights) * width[:, None]
+    """Panel integrals (n_rays, n_panels) of node values g on panels of
+    widths ``width`` (n_rays, n_panels), and the running integral from the
+    ray start at every node."""
+    panel = np.einsum("ipq,q->ip", g, quad.ref_weights) * width
     before = np.cumsum(panel, axis=1) - panel
-    partial = np.einsum("rq,ipq->ipr", quad.partial_matrix, g) * width[:, None, None]
+    partial = np.einsum("rq,ipq->ipr", quad.partial_matrix, g) * width[:, :, None]
     return panel, before[:, :, None] + partial
 
 
@@ -138,7 +170,7 @@ def _ray_geometry(sig, width, quad):
     panel_int holds the per-panel integrals of sigma+shift.
     """
     panel_int, exponent = _running_integral(sig, width, quad)
-    return quad.ref_weights[None, None, :] * width[:, None, None] * np.exp(-exponent), panel_int
+    return quad.ref_weights[None, None, :] * width[:, :, None] * np.exp(-exponent), panel_int
 
 
 def _weighted_sums(n_points, groups, values, omega, E):
@@ -212,49 +244,107 @@ class SweepOperator:
         return out
 
 
-def _operator_chunk(grid, clamp, flat, w, n_rays):
-    """Merged (ray, flat box index, weight) triples of ``n_rays`` rays whose
-    nodes ``flat`` and weights ``w`` are stored ray after ray.
+_PAD = 2  # lattice nodes beyond a box face that the taps of a kept node can reach
 
-    A node counts only if ``_in_clamp`` keeps it.  Its weight times the
-    tensor cubic B-spline taps goes to the 4 x 4 x 4 box indices from
-    floor(c) - 1, folded into the box by whole-sample mirroring (i -> -i,
-    i -> 2 (n - 1) - i) as ``map_coordinates(mode="constant")`` does inside
-    the box.  Taps are summed over runs of nodes that share a ray and a
-    base cell, then over equal indices within each ray, run after run.
-    Every per-node array keeps the node axis last.
-    """
-    shape = np.array(grid.shape)
-    strides = np.array([shape[1] * shape[2], shape[2], 1])
-    per_ray = flat.shape[0] // n_rays
-    c = _lattice_rows(grid, flat)
-    keep = np.flatnonzero(_in_clamp(c, clamp))
-    ray = keep // per_ray
-    c = c[:, keep]
-    cell = np.floor(c)
-    base = cell.astype(np.intp) - 1
-    new_run = np.ones(keep.size, dtype=bool)
-    new_run[1:] = (ray[1:] != ray[:-1]) | np.any(base[:, 1:] != base[:, :-1], axis=0)
-    runs = np.flatnonzero(new_run)
-    if runs.size == 0:
-        return runs, runs, np.zeros(0)
 
-    t = c - cell
+def _tensor_taps(t, w=1.0):
+    """The 64 tensor cubic B-spline weights (64, n), times w, at the
+    fractional lattice offsets t (3, n); tap (a, b, c) is row 16 a + 4 b + c,
+    at the box offset (a, b, c) - 1 from the base cell floor."""
     wx, wy, wz = _bspline3(t[0]), _bspline3(t[1]), _bspline3(t[2])
-    taps = (((w.reshape(-1)[keep] * wx)[:, None, None, :] * wy[None, :, None, :])
-            * wz[None, None, :, :]).reshape(64, -1)
-    taps = np.add.reduceat(taps, runs, axis=1)
-    idx = np.abs(base[:, runs][:, None, :] + np.arange(4)[None, :, None])
-    top = (shape - 1)[:, None, None]
-    idx = np.where(idx > top, 2 * top - idx, idx) * strides[:, None, None]
-    cols = (idx[0, :, None, None] + idx[1, None, :, None] + idx[2, None, None, :]).reshape(64, -1)
+    return (((w * wx)[:, None, None, :] * wy[None, :, None, :]) * wz[None, None, :, :]).reshape(64, -1)
 
-    size = int(np.prod(shape))
-    key = (ray[runs] * size + cols).T.reshape(-1)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    return key[first] // size, key[first] % size, np.add.reduceat(taps.T.reshape(-1)[order], first)
+
+def _mirror_map(shape) -> np.ndarray:
+    """Flat box index of every node of the box padded by ``_PAD`` nodes on
+    each side, folded into the box by whole-sample mirroring (i -> -i,
+    i -> 2 (n - 1) - i) as ``map_coordinates(mode="constant")`` does inside
+    the box; raveled."""
+    axes = []
+    for n in shape:
+        i = np.abs(np.arange(-_PAD, n + _PAD))
+        axes.append(np.where(i > n - 1, 2 * (n - 1) - i, i))
+    return (axes[0][:, None, None] * (shape[1] * shape[2]) + axes[1][None, :, None] * shape[2]
+            + axes[2][None, None, :]).reshape(-1)
+
+
+def _first_by_rank(keys, ranks):
+    """The distinct keys, ordered by the smallest rank each comes with, and
+    those ranks."""
+    order = np.lexsort((keys, ranks))
+    keys, ranks = keys[order], ranks[order]
+    first = np.sort(np.unique(keys, return_index=True)[1])
+    return keys[first], ranks[first]
+
+
+class _TapTube:
+    """The box offsets, relative to the ray start, that the spline taps of
+    the rays of one ``RaySystem`` on the grid's interior nodes can touch
+    (the "tube"), and the taps of the full-panel nodes that all its rays
+    share.
+
+    Full-panel node k sits at the lattice offset d_k = -s_k omega / h from
+    its ray start on every ray, so its 64 taps and their offsets form row k
+    of one table ``G`` (full-panel nodes x tube).  Last-panel nodes have
+    their own offsets.  The tube is ordered by the first node that touches
+    each offset: full-panel node k at rank 2k, the last-panel nodes of the
+    rays with n full-panel nodes at rank 2n - 1, so the offsets of the rays
+    of one panel-count group are the first ``width(n)`` of the tube.
+    Offsets are keyed in the smallest box that holds every base cell offset
+    widened by the taps, from its corner ``lo``."""
+
+    def __init__(self, grid: GridSpec, omega: np.ndarray, quad: RayQuadrature, groups: list):
+        nq = quad.nodes_per_panel
+        self.start = np.array(np.unravel_index(grid.interior_idx, grid.shape))   # (3, n_points)
+        n_full = max((flat.shape[0] // sel.size - nq for sel, flat, _ in groups), default=0)
+        d = (-(quad.full_nodes(n_full // nq).reshape(-1)[:, None] * omega) / grid.h).T
+        # an offset below the round-off of a lattice coordinate, such as that
+        # of a direction component of 1e-16 that should be 0, is 0
+        d[np.abs(d) <= max(grid.shape) * np.finfo(float).eps] = 0.0
+        cell = np.floor(d)
+        taps = _tensor_taps(d - cell)
+        bases, ranks = [cell.astype(np.intp)], [2 * np.arange(n_full)]
+        for sel, flat, _ in groups:
+            per_ray = flat.shape[0] // sel.size
+            last = np.empty((3, sel.size, nq))
+            last[...] = np.moveaxis(flat.reshape(sel.size, per_ray, 3)[:, per_ray - nq:], -1, 0)
+            bases.append(self.relative_cells(np.floor(_lattice_rows(grid, last.reshape(3, -1).T)), sel))
+            ranks.append(np.full(sel.size * nq, 2 * (per_ray - nq) - 1))
+        bases, ranks = np.concatenate(bases, axis=1), np.concatenate(ranks)
+        self.lo = bases.min(axis=1) - 1
+        span = bases.max(axis=1) + 3 - self.lo
+        self.key_strides = np.array([span[1] * span[2], span[2], 1])
+        base_keys, base_ranks = _first_by_rank(self.keys(bases), ranks)
+        a = np.arange(4) - 1
+        self.deltas = self.key_strides @ np.stack(np.meshgrid(a, a, a, indexing="ij")).reshape(3, -1)
+        tube, self.rank = _first_by_rank((base_keys[None, :] + self.deltas[:, None]).reshape(-1),
+                                         np.tile(base_ranks, 64))
+        self.lookup = np.full(int(np.prod(span)), -1, dtype=np.intp)
+        self.lookup[tube] = np.arange(tube.size)
+        self.G = np.zeros((n_full, tube.size))
+        if n_full:
+            self.G[np.arange(n_full)[:, None], self.lookup[self.keys(cell.astype(np.intp))[:, None]
+                                                          + self.deltas[None, :]]] = taps.T
+        # flat index in the padded box of each tube offset, and of each ray start
+        padded = np.array(grid.shape) + 2 * _PAD
+        strides = np.array([padded[1] * padded[2], padded[2], 1])
+        offsets = np.array(np.unravel_index(tube, tuple(span))) + self.lo[:, None]
+        self.offset = strides @ offsets
+        self.padded_start = strides @ (self.start + _PAD)
+        self.mirror = _mirror_map(grid.shape)
+
+    def keys(self, offsets):
+        """Keys of the box offsets (3, n)."""
+        return self.key_strides @ (offsets - self.lo[:, None])
+
+    def relative_cells(self, cells, sel):
+        """The base cells (3, m) of the last-panel nodes of the rays ``sel``,
+        all rays alike, relative to the ray starts."""
+        return cells.astype(np.intp) - np.repeat(self.start[:, sel], cells.shape[1] // sel.size, axis=1)
+
+    def width(self, n_full: int) -> int:
+        """Tube offsets of the rays with n_full full-panel nodes."""
+        return int(np.searchsorted(self.rank, 2 * n_full))
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,12 +352,14 @@ class RaySystem:
     """Backward-ray quadrature of one (direction, energy) pair on a batch of
     ``n_points`` points, as ``SweepCache.system`` assembles it: per
     panel-count group, the indices ``sel`` of its rays in the batch, their
-    flat nodes and their attenuation-weighted quadrature weights."""
+    flat nodes and their attenuation-weighted quadrature weights, placed by
+    ``_ray_groups`` with the rule ``quad``."""
 
     omega: np.ndarray
     E: float
     n_points: int
     groups: list
+    quad: RayQuadrature
 
     @property
     def n_nodes(self) -> int:
@@ -282,17 +374,52 @@ class RaySystem:
 
     def _operator_chunks(self, grid: GridSpec, clamp: np.ndarray):
         """(points, entries per point, box indices, weights) of the rows of
-        ``sweep_operator``, one chunk of ``_OPERATOR_CHUNK`` rays at a time."""
-        col_type = np.min_scalar_type(int(np.prod(grid.shape)) - 1)
+        ``sweep_operator``, one chunk of at most ``_OPERATOR_CHUNK`` rays of
+        a panel-count group at a time.
+
+        A node counts only if ``_in_clamp`` keeps it.  Its weight times the
+        tensor cubic B-spline taps goes to the 4 x 4 x 4 box indices from
+        floor(c) - 1, folded into the box by ``_mirror_map``.  The rows of a
+        chunk are formed in ``_TapTube`` offsets: the full-panel nodes as one
+        product of their kept weights with the shared tap table, the
+        last-panel nodes by a ``bincount`` of their own taps.  Exact zeros
+        are dropped, so every box index is one a kept node touches, within
+        ``_PAD`` of the box.  A row keeps a box index twice where the mirror
+        folds a tap onto an index it already has: the apply sums both, and
+        merging them would cost a sort.  The points must be the grid's
+        interior nodes, so that every ray starts at a lattice node."""
+        if self.n_points != grid.n_interior:
+            raise ValueError("a sweep operator needs a ray system on the grid's interior nodes")
+        if not self.groups:
+            return
+        nq = self.quad.nodes_per_panel
+        first = self.quad.full_nodes(1)[0, 0] * self.omega
+        for sel, flat, _ in self.groups:
+            if flat.shape[0] > sel.size * nq and not np.array_equal(
+                    flat[::flat.shape[0] // sel.size], grid.coords[sel] - first):
+                raise ValueError("the ray system's points are not the grid's interior nodes")
+        tube = _TapTube(grid, self.omega, self.quad, self.groups)
+        mirror = tube.mirror.astype(np.min_scalar_type(int(np.prod(grid.shape)) - 1))
         for sel, flat, w in self.groups:
             per_ray = flat.shape[0] // sel.size
+            n_full = per_ray - nq
+            width = tube.width(n_full)
             for lo in range(0, sel.size, _OPERATOR_CHUNK):
                 hi = min(lo + _OPERATOR_CHUNK, sel.size)
-                ray, col, val = _operator_chunk(grid, clamp, flat[lo * per_ray:hi * per_ray],
-                                                w[lo:hi], hi - lo)
-                if ray.size:
-                    head = np.flatnonzero(np.r_[True, ray[1:] != ray[:-1]])
-                    yield sel[lo + ray[head]], np.diff(np.r_[head, ray.size]), col.astype(col_type), val
+                rays = sel[lo:hi]
+                c = _lattice_rows(grid, flat[lo * per_ray:hi * per_ray])
+                kept = w[lo:hi] * _in_clamp(c, clamp).reshape(w[lo:hi].shape)
+                rows = kept[:, :-1].reshape(rays.size, n_full) @ tube.G[:n_full, :width]
+                c = c.reshape(3, rays.size, per_ray)[:, :, n_full:].reshape(3, -1)
+                cells = np.floor(c)
+                taps = _tensor_taps(c - cells, kept[:, -1].reshape(-1))
+                idx = (tube.lookup[tube.keys(tube.relative_cells(cells, rays))[None, :] + tube.deltas[:, None]]
+                       + width * np.repeat(np.arange(rays.size), nq)[None, :])
+                rows += np.bincount(idx.reshape(-1), taps.reshape(-1), rows.size).reshape(rows.shape)
+                nz = rows != 0.0
+                counts = np.count_nonzero(nz, axis=1)
+                at = (tube.padded_start[rays][:, None] + tube.offset[None, :width])[nz]
+                yield rays[counts > 0], counts[counts > 0], mirror[at], rows[nz]
 
     def sweep_operator(self, grid: GridSpec, clamp: np.ndarray,
                        max_bytes: float = math.inf) -> Optional[SweepOperator]:

@@ -9,6 +9,7 @@ kernel/stopping/boundary shapes the scenario kinds need.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -54,14 +55,23 @@ def _triple(value) -> np.ndarray:
     return np.asarray(value, dtype=float).reshape(3)
 
 
+def _numeric(value, kind) -> bool:
+    """Whether ``value`` holds only numbers, not booleans or strings (a list
+    of them for ``_triple``), and whole ones for ``int``."""
+    items = value if kind is _triple and isinstance(value, (list, tuple, np.ndarray)) else [value]
+    return all(isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+               and (kind is not int or float(v).is_integer()) for v in items)
+
+
 def _number(block: dict, key: str, context: str, kind=float, default=None, valid=None, what=None):
     """``block[key]`` (``default`` when given and the key is absent) as a
-    finite ``kind`` number (or as 3 for ``_triple``).  A value that does not
-    convert, is not finite or fails the test ``valid`` raises
-    ``ConfigError``, naming the key, the block and ``what`` it must be."""
+    finite ``kind`` number (or as 3 for ``_triple``).  A value that is not a
+    number (a boolean or a string is not), is not whole for ``int``, is not
+    finite or fails the test ``valid`` raises ``ConfigError``, naming the
+    key, the block and ``what`` it must be."""
     value = _get(block, key, context) if default is None else _object(block, context).get(key, default)
     try:
-        out = kind(value)
+        out = kind(value) if _numeric(value, kind) else None
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or not np.all(np.isfinite(out)) or (valid is not None and not valid(out)):

@@ -392,6 +392,18 @@ def run_verification_suite(suite: str, seed: int = 0, out_dir: Optional[str] = N
     return report
 
 
+def _env_seed() -> int:
+    """``RAYTRANS_SEED`` (0 if unset) read as a JSON number and checked by
+    ``_number`` like a config value."""
+    name = ENV_PREFIX + "SEED"
+    raw = os.environ.get(name, "0")
+    try:
+        value = json.loads(raw)
+    except ValueError:
+        value = raw
+    return _number({name: value}, name, "environment", int)
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(prog="raytrans",
                                      description="transport scenario runner and verifier")
@@ -406,8 +418,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        seed = args.seed if args.seed is not None else _number(
-            {**os.environ}, ENV_PREFIX + "SEED", "environment", int, 0)
+        seed = args.seed if args.seed is not None else _env_seed()
         if args.cmd == "run":
             report = run_scenario(args.config, out_dir=args.out, seed=seed)
         else:

@@ -261,7 +261,7 @@ def explicit_csda_points(f: Callable, sigma_const: float, interval: EnergyInterv
     eta = quad.ref_weights
     for sel, s, pts, width in _ray_groups(xs, omega, T, quad):
         flat = pts.reshape(-1, 3)
-        w = eta[None, None, :] * width[:, None, None] * np.exp(-sigma_const * s)
+        w = eta[None, None, :] * width[:, :, None] * np.exp(-sigma_const * s)
         out[sel] = _source_integrals(w, f(flat, omega, (E + s).reshape(-1)), flat, omega, E)
     return out
 

@@ -415,7 +415,7 @@ class SweepCache:
             if counts is not None:
                 counts["ray_weights_reused"] += 1
         groups = [(sel, pts.reshape(-1, 3), w) for (sel, pts, _), w in zip(nodes, ws.weights)]
-        return RaySystem(omega, E, self.grid.n_interior, groups), ws
+        return RaySystem(omega, E, self.grid.n_interior, groups, self.quad), ws
 
     def kernel_sweep(self, ws: _WeightSet, system: RaySystem, applier: _KernelApplier,
                      coeffs: CoefficientSet, j: int, k: int, counts: dict) -> Callable:

@@ -25,7 +25,7 @@ def _ray_system(coeffs, domain, xs, omega, E, quad, T=None):
     for sel, _, pts, width in at._ray_groups(xs, omega, T, quad):
         w, _ = at._ray_geometry(at._node_sigma(coeffs, pts, omega, float(E)), width, quad)
         groups.append((sel, pts.reshape(-1, 3), w))
-    return at.RaySystem(omega, float(E), xs.shape[0], groups)
+    return at.RaySystem(omega, float(E), xs.shape[0], groups, quad)
 
 
 @pytest.fixture(scope="session")

@@ -53,6 +53,47 @@ class TestRayQuadrature:
         with pytest.raises(ValueError, match="read-only"):
             a.ref_weights[0] = 1.0
 
+    @pytest.mark.parametrize("ppu", [16, 12, 10, 7])
+    def test_last_panel_width_is_in_the_panel_width(self, ppu):
+        # exact multiples of 1/ppu and their neighbours one ulp away: at
+        # ppu = 10, ceil(10 * 0.3) is 4 but 3 * (1/10) >= 0.3, so the count
+        # takes one less; at ppu = 7, 12 and 24 the remainder can round over 1/ppu
+        quad = at.RayQuadrature(ppu, 3)
+        h = 1.0 / ppu
+        k = np.arange(1, 40)
+        T = np.concatenate([k * h, k / ppu, np.nextafter(k * h, 0.0), np.nextafter(k * h, 2.0),
+                            np.random.default_rng(3).uniform(1e-13, 2.5, 2000)])
+        xs = np.zeros((T.size, 3))
+        seen = 0
+        for sel, s, _, width in at._ray_groups(xs, np.array([0.0, 0.0, 1.0]), T, quad):
+            npan = width.shape[1]
+            assert np.all(quad.n_panels(T[sel]) == npan)
+            assert np.all(width[:, :-1] == h)
+            assert np.all((width[:, -1] > 0.0) & (width[:, -1] <= h))
+            assert np.all(np.abs((npan - 1) * h + width[:, -1] - T[sel]) <= 4 * np.spacing(T[sel]))
+            # the panel count is ceil(ppu T) up to the rounding of ppu T
+            assert np.all(np.abs(npan - ppu * T[sel]) < 1.0 + 1e-9)
+            assert np.all(s[:, -1] >= (npan - 1) * h) and np.all(s[:, -1] <= T[sel][:, None])
+            seen += sel.size
+        assert seen == T.size
+        assert np.all(quad.n_panels(k * h) == k)
+
+    def test_full_panel_nodes_share_their_distances_across_rays(self, ball, quad):
+        rng = np.random.default_rng(41)
+        xs, oms = random_phase(rng, 300)
+        for omega in oms[:3]:
+            T = escape_times(ball, xs, omega)
+            groups = list(at._ray_groups(xs, omega, T, quad))
+            assert len(groups) > 5
+            longest = max(s.shape[1] for _, s, _, _ in groups)
+            full = quad.full_nodes(longest - 1)
+            for sel, s, pts, _ in groups:
+                n_full = s.shape[1] - 1
+                # every ray's full-panel node (p, q) is at full[p, q], bit for bit
+                assert s[:, :n_full].tobytes() == np.broadcast_to(full[:n_full], s[:, :n_full].shape).tobytes()
+                assert np.array_equal(pts[:, :n_full], xs[sel][:, None, None, :]
+                                      - full[None, :n_full, :, None] * omega)
+
 
 class TestPointSolve:
     def test_zero_sigma_unit_source_gives_exit_time(self, ball, quad):

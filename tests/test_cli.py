@@ -326,6 +326,40 @@ def test_block_of_the_wrong_type_is_a_config_error_naming_the_block(tmp_path, ca
     assert "error: ConfigError" in err and f"{block} block must be" in err
 
 
+@pytest.mark.parametrize("path, value, what", [
+    (("grid", "n_spatial"), 9.7, "an integer"),
+    (("grid", "n_spatial"), True, "an integer"),
+    (("grid", "n_spatial"), "12", "an integer"),
+    (("grid", "n_energy"), False, "an integer"),
+    (("problem", "quadrature", "nodes_per_panel"), 4.5, "an integer"),
+    (("grid", "Em"), True, "a finite number"),
+    (("grid", "E0"), "0.5", "a finite number"),
+    (("coefficients", "shift"), "1", "a finite number"),
+    (("coefficients", "sigma", "value"), False, "a finite number"),
+    (("problem", "source", "value"), "1.0", "a finite number"),
+    (("domain",), {"kind": "ball", "center": [0, 0, True], "radius": 1.0}, "3 finite numbers"),
+    (("domain",), {"kind": "ball", "center": ["0", 0, 0], "radius": 1.0}, "3 finite numbers"),
+])
+def test_number_that_is_a_boolean_string_or_fraction_is_a_config_error(tmp_path, capsys, path, value, what):
+    # these used to be coerced: 9.7 read as 9, true as 1 and "12" as 12
+    cfg = attenuation_config(tmp_path)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    assert cli.main(["run", str(write_cfg(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    key = path[-1] if path[-1] != "domain" else "center"
+    assert "error: ConfigError" in err and f"'{key}' in" in err and f"must be {what}" in err
+
+
+def test_whole_float_is_an_integer(tmp_path):
+    cfg = attenuation_config(tmp_path)
+    whole = cli.run_scenario(cfg).grid_meta
+    cfg["grid"]["n_spatial"] = 9.0
+    assert cli.run_scenario(cfg).grid_meta == whole
+
+
 def write_cfg(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -26,15 +26,20 @@ def quad():
 
 def _row_major_groups(xs, omega, T, quad):
     """The node placement of the row-major layout, kept as the reference:
-    one (..., 3) array, each coordinate written through a strided view."""
+    one (..., 3) array, each coordinate written through a strided view.
+    The panels are anchored at the ray start: full panels 1/ppu wide, the
+    last holding the rest of T."""
     idx_active = np.flatnonzero(T > at._T_FLOOR)
     if idx_active.size == 0:
         return
+    h = 1.0 / quad.panels_per_unit_length
     panel_counts = quad.n_panels(T[idx_active])
     for npan in np.unique(panel_counts):
         sel = idx_active[panel_counts == npan]
-        width = T[sel] / npan
-        s = (np.arange(npan)[None, :, None] + quad.ref_nodes[None, None, :]) * width[:, None, None]
+        width = np.full((sel.size, npan), h)
+        width[:, -1] = np.minimum(T[sel] - (npan - 1) * h, h)
+        start = np.arange(npan)[None, :, None] * h
+        s = start + quad.ref_nodes[None, None, :] * width[:, :, None]
         pts = np.empty(s.shape + (3,))
         flat_s = s.reshape(sel.size, -1)
         flat_p = pts.reshape(sel.size, -1, 3)

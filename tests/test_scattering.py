@@ -2,7 +2,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import ndimage
+from scipy import ndimage, sparse
 
 from raytrans import attenuation as at
 from raytrans import csda
@@ -363,8 +363,8 @@ class TestSolveScattering:
         # at 4 MiB some directions keep their operator and the others stream
         monkeypatch.setattr(sc, "_CACHE_BYTES", 4 * 2**20)
         part, rep_part = sc.solve_scattering(f, coeffs, g, quad, tol=1e-9)
-        assert rep_part.cache == dict(operators_built=6, operators_reused=6, operator_entries=354656,
-                                      operator_bytes=3569840, sweeps_rebuilt=48, ray_nodes=1055264,
+        assert rep_part.cache == dict(operators_built=6, operators_reused=6, operator_entries=334344,
+                                      operator_bytes=3366720, sweeps_rebuilt=48, ray_nodes=1055264,
                                       ray_weights_reused=8, lattice_pieces=0)
         monkeypatch.setattr(sc, "_CACHE_BYTES", 0)
         clamps = []
@@ -409,12 +409,12 @@ class TestSolveScattering:
         # completed, sweep calls) at each budget: within budget nothing is
         # rebuilt; at 4 MiB some directions keep their weights or operators
         expected = {
-            sc._CACHE_BYTES: (dict(operators_built=8, operators_reused=40, operator_entries=879480,
-                                   operator_bytes=8843056, sweeps_rebuilt=0, ray_nodes=1655904,
-                                   ray_weights_reused=40, lattice_pieces=8), (16, 16, 0)),
-            4 * 2**20: (dict(operators_built=2, operators_reused=10, operator_entries=220080,
-                             operator_bytes=2212896, sweeps_rebuilt=288, ray_nodes=11581920,
-                             ray_weights_reused=15, lattice_pieces=40), (23, 2, 328)),
+            sc._CACHE_BYTES: (dict(operators_built=8, operators_reused=40, operator_entries=689202,
+                                   operator_bytes=6940276, sweeps_rebuilt=0, ray_nodes=1655904,
+                                   ray_weights_reused=40, lattice_pieces=11), (19, 19, 0)),
+            4 * 2**20: (dict(operators_built=2, operators_reused=10, operator_entries=172522,
+                             operator_bytes=1737316, sweeps_rebuilt=288, ray_nodes=11581920,
+                             ray_weights_reused=20, lattice_pieces=40), (34, 2, 328)),
             0: (dict(operators_built=0, operators_reused=0, operator_entries=0,
                      operator_bytes=0, sweeps_rebuilt=384, ray_nodes=14903136,
                      ray_weights_reused=0, lattice_pieces=40), (0, 0, 424)),
@@ -446,7 +446,7 @@ class TestSolveScattering:
             1, g.n_omega, g.n_energy)
         calls = _spy_sweeps(monkeypatch)
         fields = []
-        for budget, n_kept in ((sc._CACHE_BYTES, 32), (2 * 2**20, 7), (0, 0)):
+        for budget, n_kept in ((sc._CACHE_BYTES, 32), (2 * 2**20, 8), (0, 0)):
             monkeypatch.setattr(sc, "_CACHE_BYTES", budget)
             calls.update(sweep_operator=0, completed=[], sweep=0)
             cache = sc.SweepCache(g, quad, across_solves=False)
@@ -713,8 +713,13 @@ class TestSweepOperator:
         assert op.cols.dtype == np.uint32
         assert np.max(np.abs(fast - direct)) <= self.REL_TOL * np.max(np.abs(direct))
 
-    # The node-major build that the node-axis-last ``_operator_chunk``
-    # replaced, frozen as the reference for bit identity.
+    # The per-node build that the shared tap table replaced (the node-major
+    # form of ``_operator_chunk``, which matched it bit for bit), frozen as
+    # the reference.  It forms every node's taps from the node's own lattice
+    # coordinates, the table from the lattice offset -s omega / h of a
+    # full-panel node, so the two agree to round-off of the sup.
+    REF_TOL = 1e-13
+
     @staticmethod
     def _ref_bspline3(t):
         s = 1.0 - t
@@ -765,18 +770,40 @@ class TestSweepOperator:
         first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         return key[first] // size, key[first] % size, np.add.reduceat(taps.reshape(-1)[order], first)
 
-    def _assert_bit_identical(self, monkeypatch, system, grid, clamp):
-        new = system.sweep_operator(grid, clamp)
-        with monkeypatch.context() as m:
-            m.setattr(at, "_operator_chunk", self._ref_operator_chunk)
-            ref = system.sweep_operator(grid, clamp)
-        for name in ("rows", "starts", "cols", "data"):
-            a, b = getattr(new, name), getattr(ref, name)
-            assert a.dtype == b.dtype, name
-            assert np.array_equal(a, b), name
-        return new
+    @classmethod
+    def _ref_matrix(cls, system, grid, clamp):
+        """The reference build of ``system``'s sweep operator as a sparse
+        (points x box) matrix, and its entries."""
+        rows, cols, vals = [], [], []
+        for sel, flat, w in system.groups:
+            ray, col, val = cls._ref_operator_chunk(grid, clamp, flat, w, sel.size)
+            rows.append(sel[ray])
+            cols.append(col)
+            vals.append(val)
+        vals = np.concatenate(vals)
+        shape = (system.n_points, int(np.prod(grid.shape)))
+        return sparse.csr_matrix((vals, (np.concatenate(rows), np.concatenate(cols))), shape=shape), vals
 
-    def test_build_is_bit_identical_to_node_major_reference(self, ball, quad, monkeypatch, ray_system):
+    @staticmethod
+    def _matrix(op, grid):
+        counts = np.diff(np.r_[op.starts, op.data.size])
+        return sparse.csr_matrix((op.data, (np.repeat(op.rows, counts), op.cols)),
+                                 shape=(op.n_points, int(np.prod(grid.shape))))
+
+    def _assert_matches_reference(self, system, grid, clamp):
+        """The operator of ``system`` on ``clamp``: within ``REF_TOL`` of the
+        sup of the reference, with no exact zeros kept, and its streamed
+        sweep equal to its apply bit for bit."""
+        op = system.sweep_operator(grid, clamp)
+        ref, ref_vals = self._ref_matrix(system, grid, clamp)
+        assert abs(self._matrix(op, grid) - ref).max() <= self.REF_TOL * abs(ref).max()
+        assert not np.any(op.data == 0.0)
+        assert op.cols.dtype == np.min_scalar_type(int(np.prod(grid.shape)) - 1)
+        coef = np.random.default_rng(17).normal(size=grid.shape)
+        assert np.array_equal(system.sweep(grid, clamp, coef), op.apply(coef))
+        return op, ref_vals
+
+    def test_build_matches_the_per_node_reference(self, ball, quad, ray_system):
         g = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 2)
         coeffs = CoefficientSet(
             sigma_t=lambda x, w, E: 0.3 + 0.2 * x[:, 0] + 0.1 * E,
@@ -792,30 +819,67 @@ class TestSweepOperator:
                                 float(g.energy_nodes[k]), quad, T=g.escape_cache()[:, j])
             support = np.zeros(g.shape, dtype=bool)
             support.reshape(-1)[g.interior_idx[applier.column(k, j)[0]]] = True
-            op = self._assert_bit_identical(monkeypatch, system, g, sc._support_clamp(support))
+            op, ref_vals = self._assert_matches_reference(system, g, sc._support_clamp(support))
             assert op.data.size > 0
             if j == 0:
-                assert np.count_nonzero(op.data == 0.0) > 0
+                assert np.count_nonzero(ref_vals == 0.0) > 0
             for _ in range(3):
                 clamp = rng.random(g.shape) < 0.6
-                op = self._assert_bit_identical(monkeypatch, system, g, clamp)
+                op, _ = self._assert_matches_reference(system, g, clamp)
                 assert op.cols.dtype == np.uint16 and op.data.size > 0
                 # kept nodes within one cell of a box face fold taps by mirroring
                 c = np.concatenate([at._lattice_rows(g, flat) for _, flat, _ in system.groups], axis=1)
                 c = c[:, at._in_clamp(c, clamp)]
                 assert np.any((c < 1.0) | (c > top - 1.0))
-        empty = self._assert_bit_identical(monkeypatch, system, g, np.zeros(g.shape, dtype=bool))
+        empty, _ = self._assert_matches_reference(system, g, np.zeros(g.shape, dtype=bool))
         assert empty.nbytes == 0
 
-    def test_wide_build_is_bit_identical_to_node_major_reference(self, ball, monkeypatch, ray_system):
+    def test_wide_build_matches_the_per_node_reference(self, ball, ray_system):
         g = GridSpec(ball, 41, 1, 2, EnergyInterval(0.0, 1.0), 1)
         coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.3), shift=1.0)
         system = ray_system(coeffs, ball, g.coords, g.sphere_nodes[1], 0.0,
                             at.RayQuadrature(4, 2), T=g.escape_cache()[:, 1])
         clamp = np.zeros(g.shape, dtype=bool)
         clamp[5:30, 10:36, 3:25] = True
-        op = self._assert_bit_identical(monkeypatch, system, g, clamp)
+        op, _ = self._assert_matches_reference(system, g, clamp)
         assert op.cols.dtype == np.uint32 and op.data.size > 0
+
+    @pytest.mark.parametrize("case", ["full_clamp", "kernel_clamp", "lattice_piece", "single_panels",
+                                      "ellipsoid_mirror"])
+    def test_build_matches_the_per_node_reference_on_each_kind_of_clamp(self, ray_system, case):
+        domain = ConvexDomain.unit_ball()
+        quad = at.RayQuadrature(1, 3) if case == "single_panels" else at.RayQuadrature(12, 4)
+        if case == "ellipsoid_mirror":
+            domain = ConvexDomain.ellipsoid((0.1, -0.2, 0.0), (1.2, 0.7, 0.9))
+        g = GridSpec(domain, 13, 2, 4, EnergyInterval(0.0, 1.0), 1)
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: 0.3 + 0.2 * x[:, 0], shift=1.0)
+        r = np.linalg.norm(g.coords - domain.center, axis=1)
+        box = lambda radius: g.embed(np.where(r < radius, 1.0, 0.0)) != 0.0
+        clamp = {"kernel_clamp": sc._support_clamp(box(0.4)),
+                 "lattice_piece": sc._support_clamp(box(0.6)) & ~sc._support_clamp(box(0.3))}.get(
+                     case, np.ones(g.shape, dtype=bool))
+        top = np.array(g.shape)[:, None] - 1
+        for j in (1, 2, 6):
+            system = ray_system(coeffs, domain, g.coords, g.sphere_nodes[j], 0.0, quad,
+                                T=g.escape_cache()[:, j])
+            op, _ = self._assert_matches_reference(system, g, clamp)
+            assert op.data.size > 0
+            panels = [flat.shape[0] // (sel.size * quad.nodes_per_panel) for sel, flat, _ in system.groups]
+            assert 1 in panels and max(panels) > 1
+            if case == "ellipsoid_mirror":
+                c = np.concatenate([at._lattice_rows(g, flat) for _, flat, _ in system.groups], axis=1)
+                assert np.any((c < 1.0) | (c > top - 1.0))
+
+    def test_build_needs_the_grid_interior_nodes(self, ball, quad, ray_system):
+        g = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 1)
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.3), shift=1.0)
+        clamp = np.ones(g.shape, dtype=bool)
+        moved = ray_system(coeffs, ball, g.coords * 0.99, g.sphere_nodes[0], 0.0, quad)
+        with pytest.raises(ValueError, match="not the grid's interior nodes"):
+            moved.sweep_operator(g, clamp)
+        fewer = ray_system(coeffs, ball, g.coords[:-1], g.sphere_nodes[0], 0.0, quad)
+        with pytest.raises(ValueError, match="on the grid's interior nodes"):
+            fewer.sweep(g, clamp, np.ones(g.shape))
 
 
 class TestLift:
