@@ -14,7 +14,6 @@ from .attenuation import (
     AccretivityResult,
     RayQuadrature,
     accretivity_functional,
-    derivative_source,
     solve_attenuation_grid,
     solve_attenuation_gradient,
     solve_attenuation_points,
@@ -33,7 +32,6 @@ from .fields import (
     DiscreteField,
     EnergyInterval,
     GridSpec,
-    kernel_support_check,
     leibniz_constant,
     sample_field,
     sup_norm_estimate,

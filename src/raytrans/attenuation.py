@@ -4,21 +4,21 @@ problem
     omega . grad psi + (Sigma + C) psi = f,    psi = 0 on the inflow boundary,
 
 via composite Gauss-Legendre quadrature along backward rays, together with
-its spatial gradient, higher-derivative sources, and the accretivity
-functional used by the verification harness.
+its spatial gradient and the accretivity functional used by the
+verification harness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CoefficientShapeError, MissingDerivative, NonFiniteValue, NotInH0
+from .errors import CoefficientShapeError, NonFiniteValue, NotInH0
 from .fields import (CoefficientSet, DiscreteField, GridSpec, _node_values, _non_finite, _where, leibniz_constant,
-                     mi_binom, sample_field, sub_indices, sup_norm_estimate)
+                     sample_field, sup_norm_estimate)
 from .geometry import ConvexDomain, PhasePoint, escape_time_gradient, escape_times
 
 _T_FLOOR = 1e-14
@@ -554,40 +554,6 @@ def solve_attenuation_gradient(f: Callable, grad_f: Callable, coeffs: Coefficien
         f_y = float(_node_values(f(y, omega, E), y, "source", "point", where)[0])
         grad += math.exp(-float(np.sum(panel_int))) * f_y * dt_dx
     return grad
-
-
-def derivative_source(f_derivs: Mapping[tuple, Callable], sigma_derivs: Mapping[tuple, Callable],
-                      psi_derivs: Mapping[tuple, Callable], alpha: tuple) -> Callable:
-    """Right-hand side for the transport equation of the alpha-derivative.
-
-    f_alpha = d^alpha f - sum over beta < alpha of binom(alpha, beta)
-              (d^(alpha-beta) Sigma) (d^beta psi).
-    """
-    alpha = tuple(int(a) for a in alpha)
-    if alpha not in f_derivs:
-        raise MissingDerivative(f"source derivative table lacks order {alpha}")
-    terms = []
-    for beta in [b for b in sub_indices(alpha) if b != alpha]:
-        gap = tuple(a - b for a, b in zip(alpha, beta))
-        if gap not in sigma_derivs:
-            raise MissingDerivative(f"attenuation derivative table lacks order {gap}")
-        if beta not in psi_derivs:
-            raise MissingDerivative(f"solution derivative table lacks order {beta}")
-        terms.append((mi_binom(alpha, beta), gap, sigma_derivs[gap], beta, psi_derivs[beta]))
-    f_a = f_derivs[alpha]
-
-    def source(xs, omega, E):
-        # the source-like values are checked for shape only: the solve's ray sums check them
-        where = lambda: _where(omega, E)
-        out = _node_values(f_a(xs, omega, E), xs, f"source derivative {alpha}", "point", where,
-                           finite=False).copy()
-        for coef, gap, sig_d, beta, psi_d in terms:
-            out -= coef * _node_values(sig_d(xs, omega, E), xs, f"sigma derivative {gap}", "point", where) \
-                 * _node_values(psi_d(xs, omega, E), xs, f"solution derivative {beta}", "point", where,
-                                finite=False)
-        return out
-
-    return source
 
 
 @dataclass(frozen=True)

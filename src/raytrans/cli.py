@@ -33,7 +33,7 @@ from .catalog import _get, _number, _object, _triple, build_boundary, build_scat
 from .errors import ConfigError, RayTransError
 from .fields import CoefficientSet, DiscreteField, EnergyInterval, GridSpec
 from .geometry import ConvexDomain, triangulate_boundary
-from .verify import SUITES, run_suite
+from .verify import SUITES, PropertyResult, run_suite
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "RAYTRANS_"
@@ -128,7 +128,7 @@ def build_coefficients(block: dict, grid: GridSpec) -> CoefficientSet:
     shift_spec = block.get("shift", 0.0)
     partial = CoefficientSet(sigma_t=sigma, scatter=scatter, stopping=stopping, kappa=kappa)
     if shift_spec == "auto":
-        shift = sc.solvability_threshold(partial, grid, m=0) + 1.0
+        shift = sc.solvability_threshold(partial, grid) + 1.0
     else:
         shift = _number(block, "shift", "coefficients", default=0.0)
     return CoefficientSet(sigma_t=sigma, scatter=scatter, stopping=stopping,
@@ -166,11 +166,6 @@ def _grid_meta(grid: GridSpec) -> dict:
     }
 
 
-def _prop(name: str, passed: bool, value: float, tolerance: float) -> dict:
-    return {"name": name, "pass": bool(passed), "value": float(value),
-            "tolerance": float(tolerance)}
-
-
 def _run_attenuation(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: RunReport) -> DiscreteField:
     problem = cfg["problem"]
     quad = _quadrature(problem)
@@ -179,7 +174,7 @@ def _run_attenuation(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: 
     report.norms = _field_norms(fld)
     worst = csda.inflow_trace_sup(f, coeffs, grid, quad, triangulate_boundary(grid.domain, 2),
                                   float(grid.energy_nodes[0]))
-    report.properties.append(_prop("inflow_trace_zero", worst < 1e-12, worst, 1e-12))
+    report.properties.append(PropertyResult("inflow_trace_zero", worst < 1e-12, worst, 1e-12).as_dict())
 
     src_block = problem["source"]
     sig_block = cfg["coefficients"]["sigma"]
@@ -191,11 +186,11 @@ def _run_attenuation(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: 
         else:
             ref = float(src_block["value"]) * t
         worst = float(np.max(np.abs(fld.values - ref[:, :, None])))
-        report.properties.append(_prop("closed_form_agreement", worst < 1e-8, worst, 1e-8))
+        report.properties.append(PropertyResult("closed_form_agreement", worst < 1e-8, worst, 1e-8).as_dict())
     if src_block.get("name") in ("constant", "radial_bump") and float(
             src_block.get("value", src_block.get("amplitude", 0.0))) >= 0.0:
-        report.properties.append(_prop("nonnegative_solution", float(np.min(fld.values)) >= -1e-12,
-                                       float(np.min(fld.values)), 0.0))
+        low = float(np.min(fld.values))
+        report.properties.append(PropertyResult("nonnegative_solution", low >= -1e-12, low, 0.0).as_dict())
     return fld
 
 
@@ -220,11 +215,11 @@ def _run_scattering(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: R
         "estimated_rate": None if np.isnan(rep.estimated_rate) else float(rep.estimated_rate),
     }
     report.timings["sweep_cache"] = rep.cache
-    report.properties.append(_prop("iteration_converged", rep.converged,
-                                   rep.residual_history[-1], tol))
+    report.properties.append(PropertyResult("iteration_converged", rep.converged,
+                                            rep.residual_history[-1], tol).as_dict())
     if coeffs.scatter is not None and not np.isnan(rep.estimated_rate):
-        report.properties.append(_prop("rate_below_bound", rep.estimated_rate <= rep.rate_bound,
-                                       rep.estimated_rate, rep.rate_bound))
+        report.properties.append(PropertyResult("rate_below_bound", rep.estimated_rate <= rep.rate_bound,
+                                                rep.estimated_rate, rep.rate_bound).as_dict())
     if with_inflow:
         tr = nm.trace_from_grid_field(fld, None)
         worst = 0.0
@@ -236,28 +231,38 @@ def _run_scattering(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: R
                                   float(grid.energy_nodes[0])), dtype=float)
             worst = max(worst, float(np.max(np.abs(tr.values[sel, j, 0] - expect))))
         htol = 2.0 * float(np.mean(grid.h))
-        report.properties.append(_prop("inflow_trace_matches_data", worst < htol, worst, htol))
+        report.properties.append(PropertyResult("inflow_trace_matches_data", worst < htol,
+                                                worst, htol).as_dict())
     return fld
 
 
-def _run_csda(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: RunReport) -> DiscreteField:
+def _run_csda(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: RunReport,
+              target: Optional[str]) -> DiscreteField:
     problem = cfg["problem"]
     quad = _quadrature(problem)
     f = build_source(_get(problem, "source", "problem"))
     dE = _number(problem, "dE", "problem") if problem.get("dE") is not None else None
     tol = _number(problem, "tol", "problem", default=1e-10)
+    sig_block = cfg["coefficients"]["sigma"]
+    if problem.get("halving_sweep"):
+        stop_block = cfg["coefficients"].get("stopping") or {}
+        if not (sig_block.get("name") == "constant"
+                and coeffs.scatter is None
+                and stop_block.get("name") == "constant"
+                and float(stop_block.get("value", 0.0)) == -1.0
+                and coeffs.shift == 0.0):
+            raise ConfigError("halving_sweep needs constant sigma, stopping -1, no scatter, shift 0")
     snapshots = []
-    out_block = cfg.get("output", {})
     snapshot_cb = None
-    if out_block.get("write_snapshots"):
+    if cfg.get("output", {}).get("write_snapshots"):
         snapshot_cb = lambda state: snapshots.append(
             {"E_prime": float(state.E_current), "step": float(state.step),
              "sup": float(np.max(np.abs(state.phi)))})
     phi, rep = csda.march_energy(f, coeffs, grid, quad, dE=dE, tol=tol,
                                  snapshot_cb=snapshot_cb)
     fld = csda.transform_from_march(phi, grid, coeffs.shift)
-    if snapshots and out_block.get("dir"):
-        snap_dir = Path(out_block["dir"])
+    if snapshots and target is not None:
+        snap_dir = Path(target)
         snap_dir.mkdir(parents=True, exist_ok=True)
         with open(snap_dir / "march_snapshots.jsonl", "w") as fh:
             for rec in snapshots:
@@ -266,21 +271,12 @@ def _run_csda(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: RunRepo
     report.iteration = {"steps": rep.steps, "inner_iterations": rep.inner_iterations}
     report.timings["sweep_cache"] = rep.cache
     report.timings["step_iterations"] = rep.step_iterations
-    report.properties.append(_prop("cutoff_energy_trace", rep.final_slice_sup < 1e-12,
-                                   rep.final_slice_sup, 1e-12))
-    report.properties.append(_prop("inflow_trace", rep.inflow_trace_sup < 1e-10,
-                                   rep.inflow_trace_sup, 1e-10))
+    report.properties.append(PropertyResult("cutoff_energy_trace", rep.final_slice_sup < 1e-12,
+                                            rep.final_slice_sup, 1e-12).as_dict())
+    report.properties.append(PropertyResult("inflow_trace", rep.inflow_trace_sup < 1e-10,
+                                            rep.inflow_trace_sup, 1e-10).as_dict())
 
     if problem.get("halving_sweep"):
-        sig_block = cfg["coefficients"]["sigma"]
-        stop_block = cfg["coefficients"].get("stopping") or {}
-        explicit_compatible = (sig_block.get("name") == "constant"
-                               and coeffs.scatter is None
-                               and stop_block.get("name") == "constant"
-                               and float(stop_block.get("value", 0.0)) == -1.0
-                               and coeffs.shift == 0.0)
-        if not explicit_compatible:
-            raise ConfigError("halving_sweep needs constant sigma, stopping -1, no scatter, shift 0")
         base_dE = dE if dE is not None else grid.interval.length / 8.0
         ref = csda.explicit_csda_grid(f, float(sig_block["value"]), grid, quad)
         nref = nm.h_norm(ref, 0)
@@ -298,7 +294,8 @@ def _run_csda(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: RunRepo
         report.timings["sweep_cache"] = dict(counts)
         report.timings["halving_step_iterations"] = iterations
         ratio = errs[1]["l2_rel_error"] / errs[0]["l2_rel_error"]
-        report.properties.append(_prop("halving_error_ratio", 0.4 <= ratio <= 0.6, ratio, 0.6))
+        report.properties.append(PropertyResult("halving_error_ratio", 0.4 <= ratio <= 0.6,
+                                                ratio, 0.6).as_dict())
     return fld
 
 
@@ -312,9 +309,8 @@ def _run_explicit_csda(cfg: dict, grid: GridSpec, coeffs: CoefficientSet,
     f = build_source(_get(problem, "source", "problem"))
     fld = csda.explicit_csda_grid(f, float(sig_block["value"]), grid, quad)
     report.norms = _field_norms(fld)
-    report.properties.append(_prop("cutoff_energy_trace",
-                                   float(np.max(np.abs(fld.values[:, :, -1]))) < 1e-12,
-                                   float(np.max(np.abs(fld.values[:, :, -1]))), 1e-12))
+    worst = float(np.max(np.abs(fld.values[:, :, -1])))
+    report.properties.append(PropertyResult("cutoff_energy_trace", worst < 1e-12, worst, 1e-12).as_dict())
     return fld
 
 
@@ -351,6 +347,7 @@ def run_scenario(config, out_dir: Optional[str] = None, seed: int = 0) -> RunRep
     report = RunReport(command=f"run:{kind}", scenario=cfg, seed=seed,
                        grid_meta=_grid_meta(grid))
     t_setup = time.perf_counter() - t0
+    target = out_dir if out_dir is not None else out_block.get("dir")
 
     t0 = time.perf_counter()
     if kind == "attenuation":
@@ -360,7 +357,7 @@ def run_scenario(config, out_dir: Optional[str] = None, seed: int = 0) -> RunRep
     elif kind == "scattering_with_inflow":
         fld = _run_scattering(cfg, grid, coeffs, report, with_inflow=True)
     elif kind == "csda":
-        fld = _run_csda(cfg, grid, coeffs, report)
+        fld = _run_csda(cfg, grid, coeffs, report, target)
     else:
         fld = _run_explicit_csda(cfg, grid, coeffs, report)
     t_solve = time.perf_counter() - t0
@@ -370,7 +367,6 @@ def run_scenario(config, out_dir: Optional[str] = None, seed: int = 0) -> RunRep
             report.properties.append(r.as_dict())
 
     report.timings.update(setup_s=t_setup, solve_s=t_solve)
-    target = out_dir if out_dir is not None else out_block.get("dir")
     if target is not None:
         outp = Path(target)
         outp.mkdir(parents=True, exist_ok=True)

@@ -52,10 +52,6 @@ class GridTooCoarse(RayTransError):
     """Grid cannot support the requested stencil."""
 
 
-class MissingDerivative(RayTransError):
-    """A derivative table lacks a required order."""
-
-
 class NotInH0(RayTransError):
     """Field does not vanish near the inflow boundary within the margin
     required by the zero-trace function space surrogate."""

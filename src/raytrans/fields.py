@@ -379,8 +379,8 @@ def _kernel_values(scatter: Callable, xs: np.ndarray, wi: np.ndarray, wo: np.nda
     """The kernel at the positions xs (n, 3) for in-direction wi,
     out-direction wo and energy E (energy node k of a grid, if given): one
     value for every position or (n,) values, checked by ``_node_values``.
-    The collision operator, its norm bound and ``kernel_support_check``
-    call kernels only through here."""
+    The collision operator and its norm bound call kernels only through
+    here."""
     def where():
         return (f"energy node {k}, " if k is not None else "") \
             + f"in-direction {np.array2string(np.asarray(wi), precision=6)}, out-{_where(wo, E)}"
@@ -431,56 +431,3 @@ def sup_norm_estimate(field: Callable, m: int, grid: GridSpec, what: str = "fiel
                 d = grid.derivative_multi(box, alpha, masked=False)
                 best = max(best, float(np.max(np.abs(d[safe]))))
     return best
-
-
-@dataclass(frozen=True)
-class SupportCheckReport:
-    passed: bool
-    worst_violation: float
-    worst_node: Optional[int] = None
-    worst_alpha: Optional[tuple] = None
-
-
-def kernel_support_check(scatter: Callable, m: int, eta: float, grid: GridSpec) -> SupportCheckReport:
-    """Check that the scattering kernel vanishes near the boundary.
-
-    Passes iff |d^alpha scatter| < 1e-10 for |alpha| <= m-1 at all interior
-    nodes closer than eta to the boundary, for every (in, out) direction
-    pair and energy node (central differences with the grid step; the
-    kernel must be evaluable in an h-neighborhood of the closure).  The
-    kernel values are checked by ``_kernel_values``.
-    """
-    near = grid.boundary_dist < eta
-    if m < 1 or not np.any(near):
-        return SupportCheckReport(True, 0.0)
-    xs = grid.coords[near]
-    node_ids = np.flatnonzero(near)
-    alphas = multi_indices(m - 1)
-    worst = 0.0
-    worst_node = None
-    worst_alpha = None
-    h = grid.h
-    for w_in, w_out, E in product(grid.sphere_nodes, grid.sphere_nodes, grid.energy_nodes.tolist()):
-        kernel = lambda p: np.broadcast_to(_kernel_values(scatter, p, w_in, w_out, E), len(p))
-        for alpha in alphas:
-            vals = _central_derivative_callable(kernel, xs, alpha, h)
-            i = int(np.argmax(np.abs(vals)))
-            v = abs(float(vals[i]))
-            if v > worst:
-                worst, worst_node, worst_alpha = v, int(node_ids[i]), alpha
-    return SupportCheckReport(worst < 1e-10, worst, worst_node, worst_alpha)
-
-
-def _central_derivative_callable(f: Callable, xs: np.ndarray, alpha, h) -> np.ndarray:
-    """Composed central differences of a vectorized callable at points xs."""
-    order = sum(alpha)
-    if order == 0:
-        return f(xs)
-    axis = next(i for i, a in enumerate(alpha) if a > 0)
-    rest = tuple(a - (1 if i == axis else 0) for i, a in enumerate(alpha))
-    e = np.zeros(3)
-    e[axis] = h[axis]
-    up = _central_derivative_callable(f, xs + e, rest, h)
-    dn = _central_derivative_callable(f, xs - e, rest, h)
-    return (up - dn) / (2.0 * h[axis])
-

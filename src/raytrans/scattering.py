@@ -4,8 +4,8 @@ convection-scattering problem, and the inflow lift.
 The collision operator redistributes the field over directions at fixed
 position and energy; source iteration alternates exact attenuation inversion
 with an application of the operator and contracts whenever the shift exceeds
-the solvability threshold built from the product-rule constant and the
-operator-norm bound.
+the m = 0 solvability threshold, the sup of sigma plus the operator-norm
+bound.
 """
 
 from __future__ import annotations
@@ -35,11 +35,7 @@ from .fields import (
     _kernel_values,
     _node_values,
     _where,
-    leibniz_constant,
-    mi_binom,
-    multi_indices,
     sample_field,
-    sub_indices,
     sup_norm_estimate,
 )
 from .geometry import ConvexDomain, escape_times
@@ -171,83 +167,57 @@ def apply_scatter_grid(scatter: Callable, psi: DiscreteField) -> DiscreteField:
     return DiscreteField(out, psi.grid)
 
 
-def combinatorial_constant(m: int) -> float:
-    """Enumerated counting constant from the operator-bound derivation:
-    worst accumulation of Leibniz binomials and term counts over spatial
-    multi-indices of order <= m."""
-    alphas = multi_indices(m)
-    best = 0.0
-    for beta in alphas:
-        total = 0.0
-        for alpha in alphas:
-            if all(b <= a for a, b in zip(alpha, beta)):
-                n_alpha = len(sub_indices(alpha))
-                total += n_alpha * mi_binom(alpha, beta) ** 2
-        best = max(best, total)
-    return best
-
-
-def _column_norms(applier: _KernelApplier, m: int) -> tuple[float, float]:
-    """N1 and N2 of the order-m bound over every interior node, from the
-    kernel columns: N1 is the largest incoming-direction quadrature of
-    |d^alpha K| (a weighted row sum of one column), N2 the largest
-    outgoing-direction one (summed over the columns), both over |alpha| <= m.
-    For alpha != 0, d^alpha is the composed central lattice difference
-    (``GridSpec.derivative_multi``, unmasked) of the zero-embedded column."""
+def _column_norms(applier: _KernelApplier) -> tuple[float, float]:
+    """N1 and N2 of the bound over every interior node, from the kernel
+    columns: N1 is the largest incoming-direction quadrature of |K| (a
+    weighted row sum of one column), N2 the largest outgoing-direction one
+    (summed over the columns)."""
     g = applier.grid
     w = g.sphere_weights
-    alphas = multi_indices(m)
     n1 = n2 = 0.0
     for k in range(g.n_energy):
-        acc_out = np.zeros((len(alphas), g.n_interior, g.n_omega))
+        acc_out = np.zeros((g.n_interior, g.n_omega))
         for jout in range(g.n_omega):
             rows, col = applier.column(k, jout)
-            if m > 0:
-                box = np.zeros(g.shape + (g.n_omega,))
-                box.reshape(-1, g.n_omega)[g.interior_idx[rows]] = col
-            for a, alpha in enumerate(alphas):
-                if any(alpha):
-                    rows_a = slice(None)
-                    mag = np.abs(g.extract(g.derivative_multi(box, alpha, masked=False)))
-                else:
-                    rows_a, mag = rows, np.abs(col)
-                acc_in = np.zeros(mag.shape[0])
-                for jin in range(g.n_omega):
-                    acc_in += w[jin] * mag[:, jin]
-                n1 = max(n1, float(np.max(acc_in, initial=0.0)))
-                acc_out[a, rows_a] += w[jout] * mag
+            mag = np.abs(col)
+            acc_in = np.zeros(mag.shape[0])
+            for jin in range(g.n_omega):
+                acc_in += w[jin] * mag[:, jin]
+            n1 = max(n1, float(np.max(acc_in, initial=0.0)))
+            acc_out[rows] += w[jout] * mag
         n2 = max(n2, float(np.max(acc_out)))
     return n1, n2
 
 
-def scatter_norm_bound(scatter: Callable, m: int, grid: GridSpec,
+def scatter_norm_bound(scatter: Callable, grid: GridSpec,
                        applier: Optional[_KernelApplier] = None) -> float:
-    """Constructive upper bound sqrt(C_m N1 N2) for the collision-operator
-    norm on the order-m space.
+    """Constructive upper bound sqrt(N1 N2) for the L2 norm of the
+    collision operator.
 
     N1 and N2 are grid values of the two mixed sup/L1 kernel norms
     (incoming- and outgoing-direction integrals) over every interior node,
     from the kernel columns of ``applier`` (``_column_norms``; the solve's,
     so the threshold and the solve evaluate the kernel once; a fresh
-    uncached one if None); C_m is the enumerated combinatorial constant.
+    uncached one if None).
     """
     if applier is None:
         applier = _KernelApplier(scatter, grid, _CacheBudget(0))
-    n1, n2 = _column_norms(applier, m)
-    return math.sqrt(combinatorial_constant(m) * n1 * n2)
+    n1, n2 = _column_norms(applier)
+    return math.sqrt(n1 * n2)
 
 
-def _threshold_terms(coeffs: CoefficientSet, grid: GridSpec, m: int,
+def _threshold_terms(coeffs: CoefficientSet, grid: GridSpec,
                      applier: Optional[_KernelApplier]) -> tuple[float, float]:
     """The two terms of ``solvability_threshold`` (``applier`` as in ``scatter_norm_bound``)."""
-    return (leibniz_constant(m) * sup_norm_estimate(coeffs.sigma_t, m, grid, "sigma"),
-            scatter_norm_bound(coeffs.scatter, m, grid, applier=applier)
+    return (sup_norm_estimate(coeffs.sigma_t, 0, grid, "sigma"),
+            scatter_norm_bound(coeffs.scatter, grid, applier=applier)
             if coeffs.scatter is not None else 0.0)
 
 
-def solvability_threshold(coeffs: CoefficientSet, grid: GridSpec, m: int = 0) -> float:
-    """C'' = c_sigma + c_kernel = c(m) |Sigma|_(W-inf,m) + collision norm bound."""
-    c_sigma, c_kernel = _threshold_terms(coeffs, grid, m, None)
+def solvability_threshold(coeffs: CoefficientSet, grid: GridSpec) -> float:
+    """C'' = c_sigma + c_kernel = |Sigma|_inf + collision norm bound, the
+    m = 0 threshold the shift must exceed."""
+    c_sigma, c_kernel = _threshold_terms(coeffs, grid, None)
     return c_sigma + c_kernel
 
 
@@ -548,7 +518,7 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
                if coeffs.scatter is not None else None)
     report = IterationReport()
     if check_threshold:
-        c_sigma, c_kernel = _threshold_terms(coeffs, grid, 0, applier)
+        c_sigma, c_kernel = _threshold_terms(coeffs, grid, applier)
         if coeffs.shift <= c_sigma + c_kernel:
             raise ShiftTooSmall(f"shift {coeffs.shift} <= threshold {c_sigma + c_kernel:.6g}")
         report.rate_bound = c_kernel / (coeffs.shift - c_sigma) + 0.05

@@ -22,7 +22,6 @@ from .geometry import (
     outward_normal,
 )
 
-SUITES = ("geometry", "attenuation", "scattering", "csda", "norms", "all")
 _ISO = 1.0 / (4.0 * np.pi)
 
 
@@ -184,7 +183,7 @@ def scattering_suite(seed: int = 0) -> list[PropertyResult]:
         k2 = lambda x, wi, wo, E: (a0 + a1 * (wi @ wo)) * _ISO \
             * smooth_bump(np.linalg.norm(np.atleast_2d(x), axis=1), r0)
         applier = sc._KernelApplier(k2, grid)
-        bound = sc.scatter_norm_bound(k2, 0, grid, applier=applier)
+        bound = sc.scatter_norm_bound(k2, grid, applier=applier)
         # M[x, out, in] = w_in K(x, in, out): the discrete operator at each node
         M = np.zeros((grid.n_interior, grid.n_omega, grid.n_omega))
         for jo in range(grid.n_omega):
@@ -370,19 +369,19 @@ def norms_suite(seed: int = 0) -> list[PropertyResult]:
     return out
 
 
+_SUITE_TABLE = {
+    "geometry": geometry_suite,
+    "attenuation": attenuation_suite,
+    "scattering": scattering_suite,
+    "csda": csda_suite,
+    "norms": norms_suite,
+}
+SUITES = tuple(_SUITE_TABLE) + ("all",)
+
+
 def run_suite(name: str, seed: int = 0) -> list[PropertyResult]:
-    table = {
-        "geometry": geometry_suite,
-        "attenuation": attenuation_suite,
-        "scattering": scattering_suite,
-        "csda": csda_suite,
-        "norms": norms_suite,
-    }
     if name == "all":
-        out = []
-        for key in ("geometry", "attenuation", "scattering", "csda", "norms"):
-            out.extend(table[key](seed))
-        return out
-    if name not in table:
+        return [r for suite in _SUITE_TABLE.values() for r in suite(seed)]
+    if name not in _SUITE_TABLE:
         raise ConfigError(f"unknown verification suite '{name}' (choose from {', '.join(SUITES)})")
-    return table[name](seed)
+    return _SUITE_TABLE[name](seed)

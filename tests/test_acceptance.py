@@ -299,7 +299,7 @@ def test_c11_operator_norm_bound():
         p = rng.integers(2, 5)
         kern = lambda x, wi, wo, E: (a0 + a1 * (wi @ wo)) * ISO \
             * poly_bump(np.linalg.norm(np.atleast_2d(x), axis=1), r0, p)
-        bound = sc.scatter_norm_bound(kern, 0, grid)
+        bound = sc.scatter_norm_bound(kern, grid)
         observed = 0.0
         for i in range(0, grid.n_interior, 11):
             M = np.empty((grid.n_omega, grid.n_omega))

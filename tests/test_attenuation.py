@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from raytrans import attenuation as at
-from raytrans.errors import CoefficientShapeError, MissingDerivative, NonFiniteValue, NotInH0
+from raytrans.errors import CoefficientShapeError, NonFiniteValue, NotInH0
 from raytrans.fields import CoefficientSet, EnergyInterval, GridSpec, sample_field
 from raytrans.geometry import ConvexDomain, PhasePoint, ball_escape_closed_form, escape_times
 from raytrans.norms import h_norm
@@ -360,68 +360,6 @@ class TestGradient:
         p = PhasePoint(np.array([0.1, 0.2, 0.0]), np.array([1.0, 0, 0]))
         with pytest.raises(NonFiniteValue, match=r"source is nan at point \[.*\] \(direction"):
             at.solve_attenuation_gradient(f, lambda x, w, E: np.zeros((len(x), 3)), coeffs, None, ball, p, quad)
-
-
-class TestDerivativeSource:
-    def test_constant_sigma_reduces_to_source_derivative(self):
-        f_d = {(1, 0, 0): lambda x, w, E: np.cos(x[:, 0])}
-        s_d = {(1, 0, 0): lambda x, w, E: np.zeros(len(x))}
-        p_d = {(0, 0, 0): lambda x, w, E: np.sin(x[:, 0])}
-        fa = at.derivative_source(f_d, s_d, p_d, (1, 0, 0))
-        x = np.array([[0.3, 0.0, 0.0]])
-        assert fa(x, None, 0.0)[0] == pytest.approx(np.cos(0.3))
-
-    def test_linear_sigma_single_term(self):
-        # Sigma = x1, alpha = e1: f_alpha = d1 f - psi
-        f_d = {(1, 0, 0): lambda x, w, E: 2.0 * x[:, 0]}
-        s_d = {(1, 0, 0): lambda x, w, E: np.ones(len(x))}
-        p_d = {(0, 0, 0): lambda x, w, E: x[:, 1] ** 2}
-        fa = at.derivative_source(f_d, s_d, p_d, (1, 0, 0))
-        x = np.array([[0.5, 2.0, 0.0]])
-        assert fa(x, None, 0.0)[0] == pytest.approx(2 * 0.5 - 4.0)
-
-    def test_missing_derivative_raises(self):
-        with pytest.raises(MissingDerivative):
-            at.derivative_source({}, {}, {}, (1, 0, 0))
-
-    def test_derivative_of_wrong_shape_is_named(self):
-        f_d = {(1, 0, 0): lambda x, w, E: np.cos(x[:, 0])}
-        s_d = {(1, 0, 0): lambda x, w, E: np.ones((len(x), 1))}
-        p_d = {(0, 0, 0): lambda x, w, E: np.sin(x[:, 0])}
-        fa = at.derivative_source(f_d, s_d, p_d, (1, 0, 0))
-        with pytest.raises(CoefficientShapeError,
-                           match=r"sigma derivative \(1, 0, 0\) returned shape \(2, 1\) for 2 points"):
-            fa(np.zeros((2, 3)), np.array([1.0, 0, 0]), 0.0)
-
-    def test_recursion_matches_finite_differences(self, ball, quad):
-        # solving with f_alpha reproduces the x1-derivative of the solution
-        sig = lambda x, w, E: 0.8 + 0.5 * x[:, 0]
-        coeffs = CoefficientSet(sigma_t=sig, shift=0.5)
-        c = np.array([0.05, 0.1, -0.1])
-        f = lambda x, w, E: smooth_bump(np.linalg.norm(x - c, axis=1), 0.55)
-
-        def d1f(x, w, E):
-            h = 1e-6
-            e = np.array([h, 0, 0])
-            return (f(x + e, w, E) - f(x - e, w, E)) / (2 * h)
-
-        psi_fn = lambda xs, w, E: at.solve_attenuation_points(f, coeffs, ball, xs, w, float(E), quad)
-        f_alpha = at.derivative_source(
-            {(1, 0, 0): d1f},
-            {(1, 0, 0): lambda x, w, E: np.full(len(x), 0.5)},
-            {(0, 0, 0): psi_fn},
-            (1, 0, 0),
-        )
-        dpsi_fn = lambda xs, w, E: at.solve_attenuation_points(f_alpha, coeffs, ball, xs, w, float(E), quad)
-        rng = np.random.default_rng(19)
-        xs, oms = random_phase(rng, 10, rmax=0.6)
-        h = 1e-4
-        for x, w in zip(xs, oms):
-            val = dpsi_fn(x.reshape(1, 3), w, 0.0)[0]
-            e = np.array([h, 0, 0])
-            fd = (psi_fn((x + e).reshape(1, 3), w, 0.0)[0]
-                  - psi_fn((x - e).reshape(1, 3), w, 0.0)[0]) / (2 * h)
-            assert abs(val - fd) < 1e-3
 
 
 class TestSupportPreservation:

@@ -99,7 +99,7 @@ class TestRunScenario:
         # each kernel column evaluated once, for the threshold and the sweeps
         assert len(calls) == grid.n_omega ** 2 * grid.n_energy
         coeffs = cli.build_coefficients(cfg["coefficients"], grid)
-        bound = sc.scatter_norm_bound(coeffs.scatter, 0, grid)
+        bound = sc.scatter_norm_bound(coeffs.scatter, grid)
         c_prime = leibniz_constant(0) * sup_norm_estimate(coeffs.sigma_t, 0, grid)
         cap = {p["name"]: p for p in report.properties}["rate_below_bound"]
         assert cap["pass"]
@@ -216,6 +216,48 @@ class TestRunScenario:
         assert len(lines) == 4
         rec = json.loads(lines[0])
         assert set(rec) == {"E_prime", "step", "sup"}
+
+    def test_csda_snapshots_go_next_to_the_report(self, tmp_path):
+        # with --out and no output.dir, the snapshots were not written at all
+        cfg = {
+            "domain": {"kind": "unit_ball"},
+            "grid": {"n_spatial": 9, "n_polar": 2, "n_azimuth": 4, "n_energy": 3,
+                     "E0": 0.0, "Em": 0.3},
+            "coefficients": {
+                "sigma": {"name": "constant", "value": 0.6},
+                "stopping": {"name": "constant", "value": -1.0},
+                "shift": 0.0,
+            },
+            "problem": {"kind": "csda", "dE": 0.075,
+                        "source": {"name": "radial_bump", "amplitude": 1.0, "radius": 0.4}},
+            "output": {"write_fields": False, "write_snapshots": True},
+        }
+        cli.run_scenario(cfg, out_dir=str(tmp_path / "out"))
+        assert (tmp_path / "out" / "report.json").exists()
+        lines = (tmp_path / "out" / "march_snapshots.jsonl").read_text().strip().splitlines()
+        assert len(lines) == 4
+
+    def test_incompatible_halving_sweep_fails_before_the_march(self, monkeypatch):
+        # the check ran only after the configured march
+        cfg = {
+            "domain": {"kind": "unit_ball"},
+            "grid": {"n_spatial": 21, "n_polar": 2, "n_azimuth": 4, "n_energy": 3,
+                     "E0": 0.0, "Em": 0.3},
+            "coefficients": {
+                "sigma": {"name": "constant", "value": 0.6},
+                "stopping": {"name": "constant", "value": -1.0},
+                "scatter": {"name": "isotropic_bump", "sigma_s": 0.2, "radius": 0.5},
+                "shift": 0.0,
+            },
+            "problem": {"kind": "csda", "dE": 0.075, "halving_sweep": True,
+                        "source": {"name": "bump_cos_energy", "amplitude": 1.0,
+                                   "radius": 0.45, "freq": 3.0}},
+        }
+        calls = []
+        monkeypatch.setattr(csda, "march_energy", lambda *args, **kw: calls.append(1))
+        with pytest.raises(ConfigError, match="halving_sweep"):
+            cli.run_scenario(cfg)
+        assert calls == []
 
     def test_ellipsoid_domain(self, tmp_path):
         cfg = attenuation_config(tmp_path, sigma=0.5)

@@ -141,50 +141,6 @@ class TestSupNorm:
             fl.sup_norm_estimate(lambda x, w, E: x[:, 0], 5, grid)
 
 
-class TestKernelSupport:
-    def test_zero_kernel_passes(self, grid):
-        rep = fl.kernel_support_check(lambda x, wi, wo, E: np.zeros(len(x)), 2, 0.3, grid)
-        assert rep.passed and rep.worst_violation == 0.0
-
-    def test_interior_bump_passes(self, grid):
-        k = lambda x, wi, wo, E: smooth_bump(np.linalg.norm(x, axis=1), 0.5)
-        rep = fl.kernel_support_check(k, 2, 0.3, grid)
-        assert rep.passed
-
-    def test_constant_kernel_fails(self, grid):
-        rep = fl.kernel_support_check(lambda x, wi, wo, E: np.ones(len(x)), 1, 0.1, grid)
-        assert not rep.passed
-        assert rep.worst_violation == pytest.approx(1.0)
-
-    def test_every_direction_pair_is_checked(self, grid):
-        # non-zero near the boundary for one (in, out) pair only
-        target = (grid.sphere_nodes[1], grid.sphere_nodes[grid.n_omega - 2])
-        k = lambda x, wi, wo, E: np.full(len(x), float(np.array_equal(wi, target[0])
-                                                     and np.array_equal(wo, target[1])))
-        rep = fl.kernel_support_check(k, 1, 0.1, grid)
-        assert not rep.passed and rep.worst_violation == 1.0
-
-    def test_pass_is_monotone(self, grid):
-        k = lambda x, wi, wo, E: smooth_bump(np.linalg.norm(x, axis=1), 0.5)
-        assert fl.kernel_support_check(k, 2, 0.3, grid).passed
-        assert fl.kernel_support_check(k, 1, 0.3, grid).passed
-        assert fl.kernel_support_check(k, 2, 0.2, grid).passed
-
-
-    def test_scalar_kernel_is_broadcast(self, grid):
-        # a scalar kernel, which the kernel contract allows, ended in an IndexError
-        rep = fl.kernel_support_check(lambda x, wi, wo, E: 0.25, 1, 0.1, grid)
-        assert not rep.passed and rep.worst_violation == 0.25
-        assert fl.kernel_support_check(lambda x, wi, wo, E: 0.0, 2, 0.1, grid).passed
-
-    def test_kernel_values_are_checked(self, grid):
-        # an all-NaN kernel passed with worst_violation 0.0
-        with pytest.raises(NonFiniteValue, match=r"kernel is nan at point \[.*\] \(in-direction \[.*\], out-direction"):
-            fl.kernel_support_check(lambda x, wi, wo, E: np.full(len(x), np.nan), 1, 0.1, grid)
-        with pytest.raises(CoefficientShapeError, match=r"kernel returned shape \((\d+), 2\) for \1 points"):
-            fl.kernel_support_check(lambda x, wi, wo, E: np.zeros((len(x), 2)), 1, 0.1, grid)
-
-
 class TestLeibniz:
     def test_small_orders(self):
         assert fl.leibniz_constant(0) == pytest.approx(1.0)

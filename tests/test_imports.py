@@ -85,25 +85,23 @@ _TABLE_CALLED = {"geometry_suite", "attenuation_suite", "scattering_suite", "csd
 
 def _calls(roots: list) -> dict:
     """For each called name (a bare name or the last attribute), the
-    (positional count, keyword names) of every call under ``roots``; a
-    ``*args`` counts as every position and a ``**kwargs`` as every keyword."""
+    (positional argument nodes, keyword name -> value node) of every call
+    under ``roots``; a ``**kwargs`` is keyed by None."""
     calls = {}
     for root in roots:
         for path in root.rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
                     name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
-                    n_pos = math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
-                    kws = {k.arg for k in node.keywords}
-                    calls.setdefault(name, []).append((n_pos, kws))
+                    calls.setdefault(name, []).append((node.args, {k.arg: k.value for k in node.keywords}))
     return calls
 
 
 def _defaults(path: Path):
     """(called name, qualified name, parameter, position or None if
-    keyword-only) of each parameter default of the module-level functions
-    and methods of ``path``; a method's position does not count ``self``,
-    and a class is called by its name."""
+    keyword-only, default node) of each parameter default of the
+    module-level functions and methods of ``path``; a method's position
+    does not count ``self``, and a class is called by its name."""
     tree = ast.parse(path.read_text())
     defs = [(None, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
     defs += [(c.name, n) for c in tree.body if isinstance(c, ast.ClassDef)
@@ -115,24 +113,51 @@ def _defaults(path: Path):
         called = cls if fn.name == "__init__" else fn.name
         pos = fn.args.posonlyargs + fn.args.args
         first = len(pos) - len(fn.args.defaults)
-        for i, arg in enumerate(pos[first:], start=first):
-            yield called, qual, arg.arg, i - skip
+        for i, (arg, default) in enumerate(zip(pos[first:], fn.args.defaults), start=first):
+            yield called, qual, arg.arg, i - skip, default
         for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
             if default is not None:
-                yield called, qual, arg.arg, None
+                yield called, qual, arg.arg, None, default
+
+
+_NOT_LITERAL = object()
+
+
+def _literal(node: ast.AST):
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return _NOT_LITERAL
+
+
+def _passes(call: tuple, param: str, i, default: ast.AST) -> bool:
+    """Whether ``call`` sets ``param`` (position ``i``) to something other
+    than a literal equal to ``default``; a ``*args`` counts as every
+    position and a ``**kwargs`` as every keyword."""
+    args, kws = call
+    if None in kws or (i is not None and any(isinstance(a, ast.Starred) for a in args)):
+        return True
+    if param in kws:
+        value = kws[param]
+    elif i is not None and i < len(args):
+        value = args[i]
+    else:
+        return False
+    passed = _literal(value)
+    return passed is _NOT_LITERAL or passed != _literal(default)
 
 
 def test_every_parameter_default_is_passed_by_some_call():
-    # a default that no call sets is a constant behind a parameter
+    # a default that no call sets, or that calls only set to itself, is a
+    # constant behind a parameter
     root = SRC.parent
     calls = _calls([root / d for d in ("src", "tests", "perfbench", "tools")])
     unset = []
     for path in sorted((SRC / "raytrans").glob("*.py")):
-        for called, qual, param, i in _defaults(path):
+        for called, qual, param, i, default in _defaults(path):
             if qual in _TABLE_CALLED:
                 continue
-            if not any(param in kws or None in kws or (i is not None and n_pos > i)
-                       for n_pos, kws in calls.get(called, [])):
+            if not any(_passes(call, param, i, default) for call in calls.get(called, [])):
                 unset.append(f"{path.name}:{qual}({param})")
     assert unset == []
 

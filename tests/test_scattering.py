@@ -9,7 +9,7 @@ from raytrans import csda
 from raytrans import scattering as sc
 from raytrans.catalog import build_scatter
 from raytrans.errors import CoefficientShapeError, NonFiniteValue, ShiftTooSmall
-from raytrans.fields import CoefficientSet, EnergyInterval, GridSpec, multi_indices, sample_field
+from raytrans.fields import CoefficientSet, EnergyInterval, GridSpec, sample_field
 from raytrans.geometry import ConvexDomain, escape_times
 from raytrans.norms import h0_margin
 
@@ -132,46 +132,7 @@ def _sampled_bound(scatter, grid, max_x_samples):
                     scatter(xs, g.sphere_nodes[j], g.sphere_nodes[jp], E), dtype=float))
             n1 = max(n1, float(np.max(acc_in)))
             n2 = max(n2, float(np.max(acc_out)))
-    return np.sqrt(sc.combinatorial_constant(0) * n1 * n2)
-
-
-def _central_derivative(f, xs, alpha, h):
-    """Composed central differences of a vectorized callable at xs."""
-    if sum(alpha) == 0:
-        return f(xs)
-    axis = next(i for i, a in enumerate(alpha) if a > 0)
-    rest = tuple(a - (i == axis) for i, a in enumerate(alpha))
-    e = np.zeros(3)
-    e[axis] = h[axis]
-    return (_central_derivative(f, xs + e, rest, h) - _central_derivative(f, xs - e, rest, h)) / (2.0 * h[axis])
-
-
-def _sampled_bound_m(scatter, grid, m, max_x_samples=200):
-    """The m >= 1 ``scatter_norm_bound`` before the column bound: central
-    differences of the kernel callable at no more than ``max_x_samples``
-    evenly spaced interior nodes, frozen as the reference."""
-    g = grid
-    idx = np.unique(np.linspace(0, g.n_interior - 1, min(max_x_samples, g.n_interior)).astype(int))
-    xs = g.coords[idx]
-    n1 = n2 = 0.0
-    for alpha in multi_indices(m):
-        for k in range(g.n_energy):
-            E = float(g.energy_nodes[k])
-            for j in range(g.n_omega):
-                w_fix = g.sphere_nodes[j]
-                acc_in = np.zeros(len(xs))
-                acc_out = np.zeros(len(xs))
-                for jp in range(g.n_omega):
-                    w_var = g.sphere_nodes[jp]
-                    d_in = _central_derivative(lambda p: np.asarray(scatter(p, w_var, w_fix, E), dtype=float),
-                                               xs, alpha, g.h)
-                    d_out = _central_derivative(lambda p: np.asarray(scatter(p, w_fix, w_var, E), dtype=float),
-                                                xs, alpha, g.h)
-                    acc_in += g.sphere_weights[jp] * np.abs(d_in)
-                    acc_out += g.sphere_weights[jp] * np.abs(d_out)
-                n1 = max(n1, float(np.max(acc_in)))
-                n2 = max(n2, float(np.max(acc_out)))
-    return np.sqrt(sc.combinatorial_constant(m) * n1 * n2)
+    return np.sqrt(n1 * n2)
 
 
 # off-centre kernels that 200 evenly spaced nodes of the 13^3 grid of
@@ -181,10 +142,10 @@ OFF_CENTRE = [(0.2, [0.0, 0.5, 0.4]), (0.12, [0.3, -0.3, 0.3])]
 
 class TestNormBound:
     def test_zero_kernel(self, grid):
-        assert sc.scatter_norm_bound(lambda x, wi, wo, E: np.zeros(len(x)), 0, grid) == 0.0
+        assert sc.scatter_norm_bound(lambda x, wi, wo, E: np.zeros(len(x)), grid) == 0.0
 
     def test_isotropic_unit(self, grid):
-        v = sc.scatter_norm_bound(lambda x, wi, wo, E: np.full(len(x), ISO), 0, grid)
+        v = sc.scatter_norm_bound(lambda x, wi, wo, E: np.full(len(x), ISO), grid)
         assert v == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("kernel", ["centred", "anisotropic", "off_centre_0", "off_centre_1"])
@@ -199,7 +160,7 @@ class TestNormBound:
             radius, center = OFF_CENTRE[int(kernel[-1])]
             kern = build_scatter({"name": "isotropic_bump", "sigma_s": 0.5,
                                   "radius": radius, "center": center})
-        bound = sc.scatter_norm_bound(kern, 0, g)
+        bound = sc.scatter_norm_bound(kern, g)
         assert bound > 0.0
         assert bound == _sampled_bound(kern, g, g.n_interior)
 
@@ -208,7 +169,7 @@ class TestNormBound:
         g = GridSpec(ball, 13, 4, 8, EnergyInterval(0.0, 1.0), 1)
         kern = build_scatter({"name": "isotropic_bump", "sigma_s": 0.5,
                               "radius": radius, "center": center})
-        sampled, exact = _sampled_bound(kern, g, 200), sc.scatter_norm_bound(kern, 0, g)
+        sampled, exact = _sampled_bound(kern, g, 200), sc.scatter_norm_bound(kern, g)
         assert sampled < 1e-6 and exact > 0.3
         # above the sampled threshold 0.1 + sampled, below the true one
         coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.1), scatter=kern,
@@ -216,32 +177,6 @@ class TestNormBound:
         assert sc.solvability_threshold(coeffs, g) == 0.1 + exact
         with pytest.raises(ShiftTooSmall):
             sc.solve_scattering(lambda x, w, E: np.ones(len(x)), coeffs, g, quad)
-
-    @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("kernel", ["centred", "off_centre_0", "off_centre_1"])
-    def test_column_bound_dominates_sampled_bound(self, ball, kernel, m):
-        g = GridSpec(ball, 13, 2, 4, EnergyInterval(0.0, 1.0), 2)
-        radius, center = (0.7, [0.0, 0.0, 0.0]) if kernel == "centred" else OFF_CENTRE[int(kernel[-1])]
-        kern = build_scatter({"name": "isotropic_bump", "sigma_s": 0.5, "radius": radius, "center": center})
-        bound = sc.scatter_norm_bound(kern, m, g)
-        # where the sample holds the largest node the two agree to round-off:
-        # they difference the kernel at x +- h and at the lattice nodes
-        assert bound >= _sampled_bound_m(kern, g, m) * (1.0 - 1e-12)
-        assert bound > sc.scatter_norm_bound(kern, m - 1, g)
-
-    def test_order_one_bound_of_a_direction_free_kernel(self, ball):
-        # K = x_1: both direction integrals are 4 pi times the largest |K| or
-        # lattice difference of the zero-embedded K, which peaks at the mask edge
-        g = GridSpec(ball, 9, 1, 2, EnergyInterval(0.0, 1.0), 1)
-        box = g.embed(g.coords[:, 0])
-        sup = max([float(np.max(np.abs(g.coords[:, 0])))]
-                  + [float(np.max(np.abs(g.extract(g.diff_central(box, axis))))) for axis in range(3)])
-        assert sup > 1.0
-        expect = np.sqrt(sc.combinatorial_constant(1)) * 4 * np.pi * sup
-        assert sc.scatter_norm_bound(lambda x, wi, wo, E: x[:, 0], 1, g) == pytest.approx(expect, rel=1e-12)
-
-    def test_combinatorial_constant_m0(self):
-        assert sc.combinatorial_constant(0) == pytest.approx(1.0)
 
     def test_bound_dominates_observed_norm(self, ball):
         # discrete operator norm at each (x, E) via weighted SVD, compared
@@ -255,7 +190,7 @@ class TestNormBound:
             r0 = rng.uniform(0.4, 0.9)
             kern = lambda x, wi, wo, E: (a0 + a1 * (wi @ wo)) * ISO \
                 * (1.0 + np.cos(np.pi * np.linalg.norm(x, axis=1) / r0)) / 2.0
-            bound = sc.scatter_norm_bound(kern, 0, g)
+            bound = sc.scatter_norm_bound(kern, g)
             observed = 0.0
             for i in range(0, g.n_interior, 7):
                 M = np.empty((g.n_omega, g.n_omega))
@@ -287,7 +222,7 @@ class TestKernelPath:
         sc.solve_scattering(f, coeffs, g, quad, tol=1e-10)
         # the threshold and the solve share the cached kernel columns
         assert len(callers) == g.n_energy * g.n_omega ** 2
-        sc.scatter_norm_bound(kern, 1, g)
+        sc.scatter_norm_bound(kern, g)
         sc.apply_scatter_grid(kern, sample_field(f, g))
         sc.apply_scatter(kern, f, g.coords, g.sphere_nodes[0], 0.0, g)
         sc.solve_with_inflow(f, lambda y, w, E: np.ones(len(y)), coeffs, g, quad, tol=1e-8)
