@@ -186,8 +186,8 @@ _OPERATOR_CHUNK = 256  # rays per sweep-operator build step
 
 
 def _bspline3(t):
-    """Cubic B-spline weights (4, n) of the taps floor(c) - 1 .. floor(c) + 2
-    at fractional lattice offsets t = c - floor(c)."""
+    """Cubic B-spline weights (4, ...) of the taps floor(c) - 1 .. floor(c) + 2
+    at fractional lattice offsets t = c - floor(c) of any shape."""
     s = 1.0 - t
     t2 = t * t
     t3 = t2 * t
@@ -204,6 +204,13 @@ def _lattice_rows(grid, pts):
     return c.T
 
 
+def _flat_index(strides, idx):
+    """The flat indices strides . idx of the integer offsets idx (3, n), as
+    multiply-adds: numpy runs an integer ``@`` without BLAS, several times
+    slower."""
+    return idx[0] * strides[0] + idx[1] * strides[1] + idx[2] * strides[2]
+
+
 def _in_clamp(c, clamp):
     """Whether each lattice coordinate of the rows c (3, n) is kept by the
     box mask ``clamp``: it lies in the box and its nearest lattice node
@@ -213,8 +220,22 @@ def _in_clamp(c, clamp):
     inside = (c >= 0.0) & (c <= np.array([[nx - 1], [ny - 1], [nz - 1]]))
     keep = inside[0] & inside[1] & inside[2]
     near = np.floor(c[:, keep] + 0.5).astype(np.intp)
-    keep[keep] = clamp.reshape(-1)[np.array([ny * nz, nz, 1]) @ near]
+    keep[keep] = clamp.reshape(-1)[_flat_index((ny * nz, nz, 1), near)]
     return keep
+
+
+def _row_sums(starts, cols, data, coef):
+    """Sums of data * coef[cols] over the rows that start at ``starts``
+    (int32), as one CSR mat-vec.  scipy takes signed column indices, so the
+    columns are widened to int32 for the call and kept narrow at rest; a
+    row's sum runs over its entries in order, so it has the same bits
+    whichever rows are summed with it."""
+    from scipy import sparse
+
+    indptr = np.empty(starts.size + 1, dtype=np.int32)
+    indptr[:-1] = starts
+    indptr[-1] = data.size
+    return sparse.csr_array((data, cols.astype(np.int32), indptr), shape=(starts.size, coef.size)) @ coef
 
 
 @dataclass(frozen=True)
@@ -224,7 +245,7 @@ class SweepOperator:
 
     Row r (point ``rows[r]``) holds the flat box indices
     ``cols[starts[r]:starts[r+1]]`` and their weights ``data[...]``; points
-    not in ``rows`` get zero.
+    not in ``rows`` get zero.  ``apply`` is a CSR mat-vec (``_row_sums``).
     """
 
     n_points: int
@@ -240,18 +261,33 @@ class SweepOperator:
     def apply(self, coef: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n_points)
         if self.rows.size:
-            out[self.rows] = np.add.reduceat(self.data * coef.reshape(-1)[self.cols], self.starts)
+            out[self.rows] = _row_sums(self.starts, self.cols, self.data, coef.reshape(-1))
         return out
 
 
 _PAD = 2  # lattice nodes beyond a box face that the taps of a kept node can reach
+# lattice units: a full-panel offset this close to a half-integer leaves its
+# nearest node to the round-off of each node's own coordinates
+_TIE = 1e-9
+
+
+def _padded_clamp(clamp: np.ndarray) -> np.ndarray:
+    """The box mask ``clamp`` as uint8, padded by ``_PAD`` nodes of 0 on each
+    side and raveled, with 2 for 1 on the box faces: a node whose nearest
+    lattice node is a set face node may lie outside the box, so only the
+    per-node rule ``_in_clamp`` can keep it."""
+    face = np.ones(clamp.shape, dtype=np.uint8)
+    face[[0, -1], :, :] = face[:, [0, -1], :] = face[:, :, [0, -1]] = 2
+    code = np.zeros(tuple(n + 2 * _PAD for n in clamp.shape), dtype=np.uint8)
+    code[_PAD:-_PAD, _PAD:-_PAD, _PAD:-_PAD] = clamp * face
+    return code.reshape(-1)
 
 
 def _tensor_taps(t, w=1.0):
     """The 64 tensor cubic B-spline weights (64, n), times w, at the
     fractional lattice offsets t (3, n); tap (a, b, c) is row 16 a + 4 b + c,
     at the box offset (a, b, c) - 1 from the base cell floor."""
-    wx, wy, wz = _bspline3(t[0]), _bspline3(t[1]), _bspline3(t[2])
+    wx, wy, wz = np.moveaxis(_bspline3(t), 1, 0)
     return (((w * wx)[:, None, None, :] * wy[None, :, None, :]) * wz[None, None, :, :]).reshape(64, -1)
 
 
@@ -291,10 +327,15 @@ class _TapTube:
     rays with n full-panel nodes at rank 2n - 1, so the offsets of the rays
     of one panel-count group are the first ``width(n)`` of the tube.
     Offsets are keyed in the smallest box that holds every base cell offset
-    widened by the taps, from its corner ``lo``."""
+    widened by the taps, from its corner ``lo``.
+
+    The nearest lattice node of full-panel node k of a ray is the ray start
+    shifted by the integer floor(d_k + 1/2) (``near``, a padded flat offset),
+    unless d_k is within ``_TIE`` of a half-integer on some axis (``tie``),
+    where the round-off of the node's own coordinates decides."""
 
     def __init__(self, grid: GridSpec, omega: np.ndarray, quad: RayQuadrature, groups: list):
-        nq = quad.nodes_per_panel
+        self.nq = nq = quad.nodes_per_panel
         self.start = np.array(np.unravel_index(grid.interior_idx, grid.shape))   # (3, n_points)
         n_full = max((flat.shape[0] // sel.size - nq for sel, flat, _ in groups), default=0)
         d = (-(quad.full_nodes(n_full // nq).reshape(-1)[:, None] * omega) / grid.h).T
@@ -308,7 +349,8 @@ class _TapTube:
             per_ray = flat.shape[0] // sel.size
             last = np.empty((3, sel.size, nq))
             last[...] = np.moveaxis(flat.reshape(sel.size, per_ray, 3)[:, per_ray - nq:], -1, 0)
-            bases.append(self.relative_cells(np.floor(_lattice_rows(grid, last.reshape(3, -1).T)), sel))
+            bases.append(self.relative_cells(np.floor(_lattice_rows(grid, last.reshape(3, -1).T)),
+                                             np.repeat(sel, nq)))
             ranks.append(np.full(sel.size * nq, 2 * (per_ray - nq) - 1))
         bases, ranks = np.concatenate(bases, axis=1), np.concatenate(ranks)
         self.lo = bases.min(axis=1) - 1
@@ -325,22 +367,48 @@ class _TapTube:
         if n_full:
             self.G[np.arange(n_full)[:, None], self.lookup[self.keys(cell.astype(np.intp))[:, None]
                                                           + self.deltas[None, :]]] = taps.T
-        # flat index in the padded box of each tube offset, and of each ray start
+        # flat index in the padded box of each tube offset, of each ray start
+        # and of each full-panel node's nearest lattice node from its ray start
         padded = np.array(grid.shape) + 2 * _PAD
         strides = np.array([padded[1] * padded[2], padded[2], 1])
         offsets = np.array(np.unravel_index(tube, tuple(span))) + self.lo[:, None]
-        self.offset = strides @ offsets
-        self.padded_start = strides @ (self.start + _PAD)
+        self.offset = _flat_index(strides, offsets)
+        self.padded_start = _flat_index(strides, self.start + _PAD)
+        near = np.floor(d + 0.5)
+        self.near = _flat_index(strides, near.astype(np.intp))
+        self.tie = np.any(np.abs(d - near) >= 0.5 - _TIE, axis=0)
         self.mirror = _mirror_map(grid.shape)
 
     def keys(self, offsets):
         """Keys of the box offsets (3, n)."""
-        return self.key_strides @ (offsets - self.lo[:, None])
+        return _flat_index(self.key_strides, offsets - self.lo[:, None])
 
-    def relative_cells(self, cells, sel):
-        """The base cells (3, m) of the last-panel nodes of the rays ``sel``,
-        all rays alike, relative to the ray starts."""
-        return cells.astype(np.intp) - np.repeat(self.start[:, sel], cells.shape[1] // sel.size, axis=1)
+    def keep(self, grid: GridSpec, clamp: np.ndarray, code: np.ndarray, rays: np.ndarray,
+             nodes: np.ndarray):
+        """The ``_in_clamp`` flags on ``clamp`` (``code`` its
+        ``_padded_clamp``) of the nodes (n_rays, per_ray, 3) of the rays
+        ``rays`` of one panel-count group: those of the full-panel nodes
+        (n_rays, n_full), and the lattice coordinates (3, n_rays *
+        nodes_per_panel) and flags of the last-panel nodes.  A full-panel
+        node takes its flag from ``code`` at its shifted nearest node; on a
+        tie, or where that node is a set face node, it takes the rule on its
+        own coordinates, with the last-panel nodes as one coordinate-major
+        batch."""
+        nq = self.nq
+        n_full = nodes.shape[1] - nq
+        keep = code[self.padded_start[rays][:, None] + self.near[None, :n_full]]
+        ray, k = np.nonzero((keep == 2) | self.tie[None, :n_full])
+        m = rays.size * nq
+        batch = np.concatenate([np.moveaxis(nodes[:, n_full:], -1, 0).reshape(3, m), nodes[ray, k].T], axis=1)
+        c = _lattice_rows(grid, batch.T)
+        flags = _in_clamp(c, clamp)
+        keep[ray, k] = flags[m:]
+        return keep.view(bool), c[:, :m], flags[:m]
+
+    def relative_cells(self, cells, rays):
+        """The base cells (3, m) of m nodes on the rays ``rays`` (m,),
+        relative to their ray starts."""
+        return cells.astype(np.intp) - self.start[:, rays]
 
     def width(self, n_full: int) -> int:
         """Tube offsets of the rays with n_full full-panel nodes."""
@@ -377,17 +445,21 @@ class RaySystem:
         ``sweep_operator``, one chunk of at most ``_OPERATOR_CHUNK`` rays of
         a panel-count group at a time.
 
-        A node counts only if ``_in_clamp`` keeps it.  Its weight times the
-        tensor cubic B-spline taps goes to the 4 x 4 x 4 box indices from
-        floor(c) - 1, folded into the box by ``_mirror_map``.  The rows of a
-        chunk are formed in ``_TapTube`` offsets: the full-panel nodes as one
-        product of their kept weights with the shared tap table, the
-        last-panel nodes by a ``bincount`` of their own taps.  Exact zeros
-        are dropped, so every box index is one a kept node touches, within
-        ``_PAD`` of the box.  A row keeps a box index twice where the mirror
-        folds a tap onto an index it already has: the apply sums both, and
-        merging them would cost a sort.  The points must be the grid's
-        interior nodes, so that every ray starts at a lattice node."""
+        A node counts only if ``_in_clamp`` keeps it (``_TapTube.keep``: a
+        full-panel node's flag is the clamp shifted by its integer offset).
+        Its weight times the tensor cubic B-spline taps goes to the 4 x 4 x 4
+        box indices from floor(c) - 1, folded into the box by
+        ``_mirror_map``.  The rows of a chunk are formed in ``_TapTube``
+        offsets: the full-panel nodes as one product of their kept weights
+        with the shared tap table, the last-panel nodes by a ``bincount`` of
+        their own taps.  Exact zeros are dropped, so every box index is one
+        a kept node touches, within ``_PAD`` of the box.  A row keeps a box
+        index twice where the mirror folds a tap onto an index it already
+        has: the apply sums both, and merging them would cost a sort.  The
+        points must be the grid's interior nodes, so that every ray starts
+        at a lattice node, and no full-panel node may lie as far as
+        ``_PAD`` - 1/2 spacings outside the box (nodes in the domain lie in
+        it)."""
         if self.n_points != grid.n_interior:
             raise ValueError("a sweep operator needs a ray system on the grid's interior nodes")
         if not self.groups:
@@ -400,6 +472,7 @@ class RaySystem:
                 raise ValueError("the ray system's points are not the grid's interior nodes")
         tube = _TapTube(grid, self.omega, self.quad, self.groups)
         mirror = tube.mirror.astype(np.min_scalar_type(int(np.prod(grid.shape)) - 1))
+        code = _padded_clamp(clamp)
         for sel, flat, w in self.groups:
             per_ray = flat.shape[0] // sel.size
             n_full = per_ray - nq
@@ -407,14 +480,17 @@ class RaySystem:
             for lo in range(0, sel.size, _OPERATOR_CHUNK):
                 hi = min(lo + _OPERATOR_CHUNK, sel.size)
                 rays = sel[lo:hi]
-                c = _lattice_rows(grid, flat[lo * per_ray:hi * per_ray])
-                kept = w[lo:hi] * _in_clamp(c, clamp).reshape(w[lo:hi].shape)
-                rows = kept[:, :-1].reshape(rays.size, n_full) @ tube.G[:n_full, :width]
-                c = c.reshape(3, rays.size, per_ray)[:, :, n_full:].reshape(3, -1)
+                keep, c, keep_last = tube.keep(grid, clamp, code, rays,
+                                               flat[lo * per_ray:hi * per_ray].reshape(rays.size, per_ray, 3))
+                rows = (w[lo:hi, :-1].reshape(rays.size, n_full) * keep) @ tube.G[:n_full, :width]
+                # the taps of a dropped last-panel node would add only zeros
+                last = np.flatnonzero(keep_last)
+                ray = last // nq
+                c = c[:, last]
                 cells = np.floor(c)
-                taps = _tensor_taps(c - cells, kept[:, -1].reshape(-1))
-                idx = (tube.lookup[tube.keys(tube.relative_cells(cells, rays))[None, :] + tube.deltas[:, None]]
-                       + width * np.repeat(np.arange(rays.size), nq)[None, :])
+                taps = _tensor_taps(c - cells, w[lo:hi, -1].reshape(-1)[last])
+                idx = (tube.lookup[tube.keys(tube.relative_cells(cells, rays[ray]))[None, :] + tube.deltas[:, None]]
+                       + width * ray[None, :])
                 rows += np.bincount(idx.reshape(-1), taps.reshape(-1), rows.size).reshape(rows.shape)
                 nz = rows != 0.0
                 counts = np.count_nonzero(nz, axis=1)
@@ -450,7 +526,7 @@ class RaySystem:
         out = np.zeros(self.n_points)
         coef = coef.reshape(-1)
         for rows, counts, cols, data in self._operator_chunks(grid, clamp):
-            out[rows] = np.add.reduceat(data * coef[cols], np.cumsum(counts) - counts)
+            out[rows] = _row_sums((np.cumsum(counts) - counts).astype(np.int32), cols, data, coef)
         return out
 
 

@@ -1,7 +1,8 @@
-"""Attenuation-only processes never load scipy; a scattering solve loads it
-at its first sweep and gives the same field as in any other process.  No
-package module keeps an import it does not use, every error class is
-raised somewhere, and every parameter default is passed by some caller."""
+"""Attenuation-only processes never load scipy; a scattering solve loads
+scipy.ndimage and scipy.sparse at its first sweep and gives the same field
+as in any other process.  No package module keeps an import it does not
+use, every error class is raised somewhere, and every parameter default is
+passed by some caller."""
 
 import ast
 import io
@@ -35,9 +36,10 @@ import sys
 import raytrans.cli
 
 solve_attenuation_grid(f, attenuation, grid, quad)
-assert "scipy.ndimage" not in sys.modules, "an attenuation solve loaded scipy.ndimage"
+for name in ("scipy.ndimage", "scipy.sparse"):
+    assert name not in sys.modules, f"an attenuation solve loaded {name}"
 psi, _ = solve_scattering(f, scattering, grid, quad, tol=1e-10)
-assert "scipy.ndimage" in sys.modules
+assert "scipy.ndimage" in sys.modules and "scipy.sparse" in sys.modules
 np.save(sys.stdout.buffer, psi.values)
 """
 

@@ -342,11 +342,14 @@ class TestSolveScattering:
         calls = _spy_sweeps(monkeypatch)
         # the march's cache counts and (sweep_operator calls, operators it
         # completed, sweep calls) at each budget: within budget nothing is
-        # rebuilt; at 4 MiB some directions keep their weights or operators
+        # rebuilt; at 4 MiB some directions keep their weights or operators.
+        # The lattice pieces within budget follow the slab supports, which
+        # count round-off residue of order 1e-20 as support, so they move
+        # with the summation order of the sweeps
         expected = {
             sc._CACHE_BYTES: (dict(operators_built=8, operators_reused=40, operator_entries=689202,
                                    operator_bytes=6940276, sweeps_rebuilt=0, ray_nodes=1655904,
-                                   ray_weights_reused=40, lattice_pieces=11), (19, 19, 0)),
+                                   ray_weights_reused=40, lattice_pieces=9), (17, 17, 0)),
             4 * 2**20: (dict(operators_built=2, operators_reused=10, operator_entries=172522,
                              operator_bytes=1737316, sweeps_rebuilt=288, ray_nodes=11581920,
                              ray_weights_reused=20, lattice_pieces=40), (34, 2, 328)),
@@ -804,6 +807,128 @@ class TestSweepOperator:
             if case == "ellipsoid_mirror":
                 c = np.concatenate([at._lattice_rows(g, flat) for _, flat, _ in system.groups], axis=1)
                 assert np.any((c < 1.0) | (c > top - 1.0))
+
+    def test_apply_matches_a_csr_reference(self, ball, quad, ray_system):
+        # the apply is a CSR mat-vec over the operator's own arrays, with its
+        # columns widened for the call only; the reference sums the mirrored
+        # duplicates of a row first (both clamps keep nodes within a cell of
+        # a box face)
+        g = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 1)
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: 0.3 + 0.2 * x[:, 0], shift=1.0)
+        r = np.linalg.norm(g.coords, axis=1)
+        rng = np.random.default_rng(41)
+        for j, clamp in [(1, np.ones(g.shape, dtype=bool)),
+                         (5, sc._support_clamp(g.embed(np.where(r < 0.5, 1.0, 0.0)) != 0.0))]:
+            system = ray_system(coeffs, ball, g.coords, g.sphere_nodes[j], 0.0, quad, T=g.escape_cache()[:, j])
+            op = system.sweep_operator(g, clamp)
+            cols = op.cols.copy()
+            ref = self._matrix(op, g)
+            ref.sum_duplicates()
+            assert ref.nnz < op.data.size
+            coef = rng.normal(size=g.shape)
+            out = op.apply(coef)
+            expected = ref @ coef.reshape(-1)
+            assert np.max(np.abs(out - expected)) <= self.REL_TOL * np.max(np.abs(expected))
+            assert op.cols.dtype == np.uint16 and np.array_equal(op.cols, cols)
+            assert np.array_equal(system.sweep(g, clamp, coef), out)
+
+    def test_kept_operators_keep_their_stored_size(self, ball):
+        # the kernel operators of the benchmark's scatter_mms problem (17^3,
+        # 4 x 8 directions, a (1 - |x|^2 / 0.36)^4 kernel) as the README
+        # "Memory" section gives them: the apply widens no stored column
+        from raytrans.errors import MaxIterationsExceeded
+
+        g = GridSpec(ball, 17, 4, 8, EnergyInterval(0.0, 1.0), 1)
+        bump = lambda x: (1.0 - np.minimum(np.sum(x * x, axis=1) / 0.6**2, 1.0)) ** 4
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.3),
+                                scatter=lambda x, wi, wo, E: 0.5 * ISO * bump(x), shift=1.0)
+        with pytest.raises(MaxIterationsExceeded) as err:
+            sc.solve_scattering(lambda x, w, E: bump(x), coeffs, g, at.RayQuadrature(16, 4), max_iter=1)
+        cache = err.value.report.cache
+        assert (cache["operators_built"], cache["operator_entries"], cache["operator_bytes"]) == \
+            (32, 9415474, 94642292)
+
+    @staticmethod
+    def _own_flags(grid, clamp, system, tube):
+        """The shifted keep flags of every group of ``system`` and the
+        per-node rule on the nodes' own coordinates, with the count of
+        full-panel nodes whose shifted nearest node is a set face node."""
+        code = at._padded_clamp(clamp)
+        for sel, flat, _ in system.groups:
+            nodes = flat.reshape(sel.size, -1, 3)
+            keep, c, keep_last = tube.keep(grid, clamp, code, sel, nodes)
+            n_full = keep.shape[1]
+            own = at._in_clamp(at._lattice_rows(grid, flat), clamp).reshape(sel.size, -1)
+            assert c.tobytes() == at._lattice_rows(grid, nodes[:, n_full:].reshape(-1, 3)).tobytes()
+            on_face = code[tube.padded_start[sel][:, None] + tube.near[None, :n_full]] == 2
+            yield (keep, keep_last), (own[:, :n_full], own[:, n_full:].reshape(-1)), np.count_nonzero(on_face)
+
+    @pytest.mark.parametrize("dims", [(11, 2, 4), (17, 4, 8)])
+    def test_shifted_keep_flags_equal_the_per_node_rule(self, ball, quad, ray_system, dims):
+        g = GridSpec(ball, dims[0], dims[1], dims[2], EnergyInterval(0.0, 1.0), 1)
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.3), shift=1.0)
+        r = np.linalg.norm(g.coords, axis=1)
+        clamps = {"all": np.ones(g.shape, dtype=bool),
+                  "kernel": sc._support_clamp(g.embed(np.where(r < 0.5, 1.0, 0.0)) != 0.0),
+                  "random": np.random.default_rng(43).random(g.shape) < 0.5}
+        on_faces = dict.fromkeys(clamps, 0)
+        for j in range(g.n_omega):
+            system = ray_system(coeffs, ball, g.coords, g.sphere_nodes[j], 0.0, quad, T=g.escape_cache()[:, j])
+            tube = at._TapTube(g, system.omega, quad, system.groups)
+            for name, clamp in clamps.items():
+                for shifted, own, on_face in self._own_flags(g, clamp, system, tube):
+                    assert np.array_equal(shifted[0], own[0]) and np.array_equal(shifted[1], own[1])
+                    on_faces[name] += on_face
+        # the all-true clamp sends the nodes nearest the box faces to the
+        # per-node rule; the kernel clamp stays clear of them
+        assert on_faces["all"] > 0 and on_faces["kernel"] == 0
+
+    def test_keep_flags_at_a_half_integer_offset_take_the_per_node_rule(self, quad, ray_system, monkeypatch):
+        # a direction whose x offset of full-panel node 6 is -1/2 lattice
+        # spacings: the round-off of each node's own coordinates decides its
+        # nearest node, so the shifted flag of that node would differ on
+        # some rays without the fallback
+        domain = ConvexDomain.ellipsoid((0.13, -0.21, 0.07), (1.2, 0.7, 0.9))
+        g = GridSpec(domain, 11, 2, 4, EnergyInterval(0.0, 1.0), 1)
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.3), shift=1.0)
+        wx = 0.5 * g.h[0] / quad.full_nodes(2).reshape(-1)[6]
+        omega = np.r_[wx, np.array([0.6, 0.8]) * np.sqrt(1.0 - wx * wx)]
+        system = ray_system(coeffs, domain, g.coords, omega, 0.0, quad)
+        clamp = np.ones(g.shape, dtype=bool)
+        clamp[::2] = False
+        tube = at._TapTube(g, omega, quad, system.groups)
+        assert np.flatnonzero(tube.tie).tolist() == [6]
+        for shifted, own, _ in self._own_flags(g, clamp, system, tube):
+            assert np.array_equal(shifted[0], own[0]) and np.array_equal(shifted[1], own[1])
+        monkeypatch.setattr(at, "_TIE", -1.0)
+        tube = at._TapTube(g, omega, quad, system.groups)
+        assert not tube.tie.any()
+        differ = sum(np.count_nonzero(shifted[0] != own[0]) for shifted, own, _ in
+                     self._own_flags(g, clamp, system, tube))
+        assert differ > 0
+        # the operator built with the fallback equals the per-node reference
+        monkeypatch.undo()
+        self._assert_matches_reference(system, g, clamp)
+
+    def test_keep_flags_beyond_a_box_face_take_the_per_node_rule(self, ball, quad, ray_system, monkeypatch):
+        # rays run 0.1 (half a spacing) past the ball, so some full-panel
+        # nodes lie just outside the box, nearest to a set face node: only
+        # the per-node rule drops them
+        g = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 1)
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.3), shift=1.0)
+        clamp = np.ones(g.shape, dtype=bool)
+        for j in (0, 5):
+            system = ray_system(coeffs, ball, g.coords, g.sphere_nodes[j], 0.0, quad,
+                                T=g.escape_cache()[:, j] + 0.1)
+            tube = at._TapTube(g, system.omega, quad, system.groups)
+            for shifted, own, _ in self._own_flags(g, clamp, system, tube):
+                assert np.array_equal(shifted[0], own[0])
+            padded = lambda clamp: np.pad(clamp, at._PAD).astype(np.uint8).reshape(-1)
+            with monkeypatch.context() as m:
+                m.setattr(at, "_padded_clamp", padded)
+                differ = sum(np.count_nonzero(shifted[0] != own[0]) for shifted, own, _ in
+                             self._own_flags(g, clamp, system, tube))
+            assert differ > 0
 
     def test_build_needs_the_grid_interior_nodes(self, ball, quad, ray_system):
         g = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 1)
