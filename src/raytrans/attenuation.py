@@ -266,21 +266,6 @@ class SweepOperator:
 
 
 _PAD = 2  # lattice nodes beyond a box face that the taps of a kept node can reach
-# lattice units: a full-panel offset this close to a half-integer leaves its
-# nearest node to the round-off of each node's own coordinates
-_TIE = 1e-9
-
-
-def _padded_clamp(clamp: np.ndarray) -> np.ndarray:
-    """The box mask ``clamp`` as uint8, padded by ``_PAD`` nodes of 0 on each
-    side and raveled, with 2 for 1 on the box faces: a node whose nearest
-    lattice node is a set face node may lie outside the box, so only the
-    per-node rule ``_in_clamp`` can keep it."""
-    face = np.ones(clamp.shape, dtype=np.uint8)
-    face[[0, -1], :, :] = face[:, [0, -1], :] = face[:, :, [0, -1]] = 2
-    code = np.zeros(tuple(n + 2 * _PAD for n in clamp.shape), dtype=np.uint8)
-    code[_PAD:-_PAD, _PAD:-_PAD, _PAD:-_PAD] = clamp * face
-    return code.reshape(-1)
 
 
 def _tensor_taps(t, w=1.0):
@@ -329,10 +314,12 @@ class _TapTube:
     Offsets are keyed in the smallest box that holds every base cell offset
     widened by the taps, from its corner ``lo``.
 
-    The nearest lattice node of full-panel node k of a ray is the ray start
-    shifted by the integer floor(d_k + 1/2) (``near``, a padded flat offset),
-    unless d_k is within ``_TIE`` of a half-integer on some axis (``tie``),
-    where the round-off of the node's own coordinates decides."""
+    Full-panel node k of a ray is kept where the clamp is set at the ray
+    start shifted by the integer floor(d_k + 1/2) (``near``, a padded flat
+    offset).  This is ``_in_clamp`` on the node's own coordinates except
+    where d_k is within their round-off of a half-integer on some axis, and
+    for a node just outside the box whose nearest node is a set face node:
+    it is kept, and its taps fold into the box from within ``_PAD``."""
 
     def __init__(self, grid: GridSpec, omega: np.ndarray, quad: RayQuadrature, groups: list):
         self.nq = nq = quad.nodes_per_panel
@@ -374,36 +361,25 @@ class _TapTube:
         offsets = np.array(np.unravel_index(tube, tuple(span))) + self.lo[:, None]
         self.offset = _flat_index(strides, offsets)
         self.padded_start = _flat_index(strides, self.start + _PAD)
-        near = np.floor(d + 0.5)
-        self.near = _flat_index(strides, near.astype(np.intp))
-        self.tie = np.any(np.abs(d - near) >= 0.5 - _TIE, axis=0)
+        self.near = _flat_index(strides, np.floor(d + 0.5).astype(np.intp))
         self.mirror = _mirror_map(grid.shape)
 
     def keys(self, offsets):
         """Keys of the box offsets (3, n)."""
         return _flat_index(self.key_strides, offsets - self.lo[:, None])
 
-    def keep(self, grid: GridSpec, clamp: np.ndarray, code: np.ndarray, rays: np.ndarray,
+    def keep(self, grid: GridSpec, clamp: np.ndarray, padded: np.ndarray, rays: np.ndarray,
              nodes: np.ndarray):
-        """The ``_in_clamp`` flags on ``clamp`` (``code`` its
-        ``_padded_clamp``) of the nodes (n_rays, per_ray, 3) of the rays
-        ``rays`` of one panel-count group: those of the full-panel nodes
-        (n_rays, n_full), and the lattice coordinates (3, n_rays *
-        nodes_per_panel) and flags of the last-panel nodes.  A full-panel
-        node takes its flag from ``code`` at its shifted nearest node; on a
-        tie, or where that node is a set face node, it takes the rule on its
-        own coordinates, with the last-panel nodes as one coordinate-major
+        """The keep flags on ``clamp`` (``padded`` the mask padded by
+        ``_PAD`` nodes and raveled) of the nodes (n_rays, per_ray, 3) of the
+        rays ``rays`` of one panel-count group: those of the full-panel nodes
+        (n_rays, n_full), read from ``padded`` at their shifted nearest
+        nodes, and the lattice coordinates (3, n_rays * nodes_per_panel) and
+        ``_in_clamp`` flags of the last-panel nodes, one coordinate-major
         batch."""
-        nq = self.nq
-        n_full = nodes.shape[1] - nq
-        keep = code[self.padded_start[rays][:, None] + self.near[None, :n_full]]
-        ray, k = np.nonzero((keep == 2) | self.tie[None, :n_full])
-        m = rays.size * nq
-        batch = np.concatenate([np.moveaxis(nodes[:, n_full:], -1, 0).reshape(3, m), nodes[ray, k].T], axis=1)
-        c = _lattice_rows(grid, batch.T)
-        flags = _in_clamp(c, clamp)
-        keep[ray, k] = flags[m:]
-        return keep.view(bool), c[:, :m], flags[:m]
+        n_full = nodes.shape[1] - self.nq
+        c = _lattice_rows(grid, np.moveaxis(nodes[:, n_full:], -1, 0).reshape(3, -1).T)
+        return padded[self.padded_start[rays][:, None] + self.near[None, :n_full]], c, _in_clamp(c, clamp)
 
     def relative_cells(self, cells, rays):
         """The base cells (3, m) of m nodes on the rays ``rays`` (m,),
@@ -445,10 +421,11 @@ class RaySystem:
         ``sweep_operator``, one chunk of at most ``_OPERATOR_CHUNK`` rays of
         a panel-count group at a time.
 
-        A node counts only if ``_in_clamp`` keeps it (``_TapTube.keep``: a
-        full-panel node's flag is the clamp shifted by its integer offset).
-        Its weight times the tensor cubic B-spline taps goes to the 4 x 4 x 4
-        box indices from floor(c) - 1, folded into the box by
+        A node counts only if the clamp keeps it (``_TapTube.keep``): a
+        full-panel node where the clamp at its ray start shifted by floor(d_k
+        + 1/2) is set, a last-panel node by ``_in_clamp`` on its own
+        coordinates.  Its weight times the tensor cubic B-spline taps goes to
+        the 4 x 4 x 4 box indices from floor(c) - 1, folded into the box by
         ``_mirror_map``.  The rows of a chunk are formed in ``_TapTube``
         offsets: the full-panel nodes as one product of their kept weights
         with the shared tap table, the last-panel nodes by a ``bincount`` of
@@ -472,7 +449,7 @@ class RaySystem:
                 raise ValueError("the ray system's points are not the grid's interior nodes")
         tube = _TapTube(grid, self.omega, self.quad, self.groups)
         mirror = tube.mirror.astype(np.min_scalar_type(int(np.prod(grid.shape)) - 1))
-        code = _padded_clamp(clamp)
+        padded = np.pad(clamp, _PAD).reshape(-1)
         for sel, flat, w in self.groups:
             per_ray = flat.shape[0] // sel.size
             n_full = per_ray - nq
@@ -480,7 +457,7 @@ class RaySystem:
             for lo in range(0, sel.size, _OPERATOR_CHUNK):
                 hi = min(lo + _OPERATOR_CHUNK, sel.size)
                 rays = sel[lo:hi]
-                keep, c, keep_last = tube.keep(grid, clamp, code, rays,
+                keep, c, keep_last = tube.keep(grid, clamp, padded, rays,
                                                flat[lo * per_ray:hi * per_ray].reshape(rays.size, per_ray, 3))
                 rows = (w[lo:hi, :-1].reshape(rays.size, n_full) * keep) @ tube.G[:n_full, :width]
                 # the taps of a dropped last-panel node would add only zeros
@@ -500,7 +477,7 @@ class RaySystem:
     def sweep_operator(self, grid: GridSpec, clamp: np.ndarray,
                        max_bytes: float = math.inf) -> Optional[SweepOperator]:
         """``integrate_interp`` of the cubic spline interpolant of a lattice
-        box, clamped by ``_in_clamp`` to the box mask ``clamp``, as a
+        box, clamped to the box mask ``clamp`` by ``_TapTube.keep``, as a
         ``SweepOperator`` on the spline coefficients ``spline_filter(box,
         order=3, mode="constant")``: its chunks concatenated.  The build stops
         with None at the first chunk that takes the operator's ``nbytes`` (an

@@ -80,6 +80,25 @@ def _number(block: dict, key: str, context: str, kind=float, default=None, valid
     return out
 
 
+def _flag(block: dict, key: str, context: str, default: bool) -> bool:
+    """``block[key]`` (``default`` when the key is absent) as a JSON boolean.
+    Any other value, such as the string "false" or the number 0, raises
+    ``ConfigError`` naming the key and the block."""
+    value = _object(block, context).get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"'{key}' in {context} block must be true or false, got {value!r}")
+    return value
+
+
+def _text(block: dict, key: str, context: str):
+    """``block[key]`` as a string, or None when the key is absent; any other
+    value raises ``ConfigError`` naming the key and the block."""
+    value = _object(block, context).get(key)
+    if key in block and not isinstance(value, str):
+        raise ConfigError(f"'{key}' in {context} block must be a string, got {value!r}")
+    return value
+
+
 def build_sigma(block: dict) -> Callable:
     """Attenuation coefficient by catalog name."""
     name = _get(block, "name", "sigma")

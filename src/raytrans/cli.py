@@ -29,7 +29,7 @@ from . import attenuation as at
 from . import csda
 from . import norms as nm
 from . import scattering as sc
-from .catalog import _get, _number, _object, _triple, build_boundary, build_scatter, build_sigma, build_source, build_stopping
+from .catalog import _flag, _get, _number, _object, _text, _triple, build_boundary, build_scatter, build_sigma, build_source, build_stopping
 from .errors import ConfigError, RayTransError
 from .fields import CoefficientSet, DiscreteField, EnergyInterval, GridSpec
 from .geometry import ConvexDomain, triangulate_boundary
@@ -237,14 +237,16 @@ def _run_scattering(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: R
 
 
 def _run_csda(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: RunReport,
-              target: Optional[str]) -> DiscreteField:
+              snapshot_dir: Optional[str]) -> DiscreteField:
+    """The configured march; its snapshots go to ``snapshot_dir`` if not None."""
     problem = cfg["problem"]
     quad = _quadrature(problem)
     f = build_source(_get(problem, "source", "problem"))
     dE = _number(problem, "dE", "problem") if problem.get("dE") is not None else None
     tol = _number(problem, "tol", "problem", default=1e-10)
     sig_block = cfg["coefficients"]["sigma"]
-    if problem.get("halving_sweep"):
+    halving_sweep = _flag(problem, "halving_sweep", "problem", False)
+    if halving_sweep:
         stop_block = cfg["coefficients"].get("stopping") or {}
         if not (sig_block.get("name") == "constant"
                 and coeffs.scatter is None
@@ -254,15 +256,15 @@ def _run_csda(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: RunRepo
             raise ConfigError("halving_sweep needs constant sigma, stopping -1, no scatter, shift 0")
     snapshots = []
     snapshot_cb = None
-    if cfg.get("output", {}).get("write_snapshots"):
+    if snapshot_dir is not None:
         snapshot_cb = lambda state: snapshots.append(
             {"E_prime": float(state.E_current), "step": float(state.step),
              "sup": float(np.max(np.abs(state.phi)))})
     phi, rep = csda.march_energy(f, coeffs, grid, quad, dE=dE, tol=tol,
                                  snapshot_cb=snapshot_cb)
     fld = csda.transform_from_march(phi, grid, coeffs.shift)
-    if snapshots and target is not None:
-        snap_dir = Path(target)
+    if snapshots:
+        snap_dir = Path(snapshot_dir)
         snap_dir.mkdir(parents=True, exist_ok=True)
         with open(snap_dir / "march_snapshots.jsonl", "w") as fh:
             for rec in snapshots:
@@ -276,7 +278,7 @@ def _run_csda(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: RunRepo
     report.properties.append(PropertyResult("inflow_trace", rep.inflow_trace_sup < 1e-10,
                                             rep.inflow_trace_sup, 1e-10).as_dict())
 
-    if problem.get("halving_sweep"):
+    if halving_sweep:
         base_dE = dE if dE is not None else grid.interval.length / 8.0
         ref = csda.explicit_csda_grid(f, float(sig_block["value"]), grid, quad)
         nref = nm.h_norm(ref, 0)
@@ -334,6 +336,10 @@ def run_scenario(config, out_dir: Optional[str] = None, seed: int = 0) -> RunRep
     for key in ("domain", "grid", "coefficients", "problem"):
         _get(cfg, key, "top-level")
     out_block, suites = _object(cfg.get("output", {}), "output"), cfg.get("verification", [])
+    configured_dir = _text(out_block, "dir", "output")
+    target = out_dir if out_dir is not None else configured_dir
+    write_fields = _flag(out_block, "write_fields", "output", True)
+    write_snapshots = _flag(out_block, "write_snapshots", "output", False)
     if not isinstance(suites, list) or not all(isinstance(s, str) for s in suites):
         raise ConfigError(f"verification block must be a list of suite names, got {suites!r}")
     kind = _get(cfg["problem"], "kind", "problem")
@@ -347,7 +353,6 @@ def run_scenario(config, out_dir: Optional[str] = None, seed: int = 0) -> RunRep
     report = RunReport(command=f"run:{kind}", scenario=cfg, seed=seed,
                        grid_meta=_grid_meta(grid))
     t_setup = time.perf_counter() - t0
-    target = out_dir if out_dir is not None else out_block.get("dir")
 
     t0 = time.perf_counter()
     if kind == "attenuation":
@@ -357,7 +362,7 @@ def run_scenario(config, out_dir: Optional[str] = None, seed: int = 0) -> RunRep
     elif kind == "scattering_with_inflow":
         fld = _run_scattering(cfg, grid, coeffs, report, with_inflow=True)
     elif kind == "csda":
-        fld = _run_csda(cfg, grid, coeffs, report, target)
+        fld = _run_csda(cfg, grid, coeffs, report, target if write_snapshots else None)
     else:
         fld = _run_explicit_csda(cfg, grid, coeffs, report)
     t_solve = time.perf_counter() - t0
@@ -371,7 +376,7 @@ def run_scenario(config, out_dir: Optional[str] = None, seed: int = 0) -> RunRep
         outp = Path(target)
         outp.mkdir(parents=True, exist_ok=True)
         (outp / "report.json").write_text(report.to_json())
-        if out_block.get("write_fields", True):
+        if write_fields:
             write_field_csv(fld, outp / "field.csv")
     return report
 

@@ -64,7 +64,7 @@ class _CacheBudget:
 def _cache_counts() -> dict:
     return {"operators_built": 0, "operators_reused": 0, "operator_entries": 0,
             "operator_bytes": 0, "sweeps_rebuilt": 0, "ray_nodes": 0,
-            "ray_weights_reused": 0, "lattice_pieces": 0}
+            "ray_weights_reused": 0, "lattice_pieces": 0, "kernel_columns": 0}
 
 
 @dataclass
@@ -75,10 +75,11 @@ class IterationReport:
     reused in the ``SweepCache``, their stored entries and bytes, the sweeps
     that streamed their operator because it was over budget, the ray nodes
     placed (those sweeps included), the (direction, energy) pairs whose
-    attenuation weights came from the cache at set-up, and the lattice-source
-    pieces formed, kept or streamed.  ``rate_bound`` caps the contraction
-    rate by c_kernel / (shift - c_sigma) + 0.05, with the two terms of the
-    m = 0 threshold the solve checked (NaN if it checked none).
+    attenuation weights came from the cache at set-up, the lattice-source
+    pieces formed, kept or streamed, and the kernel columns evaluated (a
+    column the budget did not keep at each use).  ``rate_bound`` caps the
+    contraction rate by c_kernel / (shift - c_sigma) + 0.05, with the two
+    terms of the m = 0 threshold the solve checked (NaN if it checked none).
     """
 
     iterations: int = 0
@@ -115,7 +116,8 @@ class _KernelApplier:
     a time.  The kernel column of each (energy node, output direction) is
     kept as its non-zero rows and their (n_rows, n_omega) values; it is
     cached while ``budget`` allows, otherwise evaluated on use.  The kernel
-    values come from ``_kernel_values``, which checks them."""
+    values come from ``_kernel_values``, which checks them; ``columns``
+    counts the columns evaluated."""
 
     def __init__(self, scatter: Callable, grid: GridSpec, budget: Optional[_CacheBudget] = None):
         self.scatter = scatter
@@ -123,6 +125,7 @@ class _KernelApplier:
         self._cache = {}
         self._budget = budget if budget is not None else _CacheBudget()
         self._nbytes = 0
+        self.columns = 0
 
     def column(self, k: int, jout: int) -> tuple[np.ndarray, np.ndarray]:
         """(rows, values) of the kernel column at energy node k, out-direction jout."""
@@ -136,6 +139,7 @@ class _KernelApplier:
                                              g.sphere_nodes[jout], E, k)
             rows = np.flatnonzero(np.any(col != 0.0, axis=1))
             hit = (rows, col[rows])
+            self.columns += 1
             nbytes = rows.nbytes + hit[1].nbytes
             if self._budget.take(nbytes):
                 self._cache[(k, jout)] = hit
@@ -563,6 +567,7 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
             break
     if applier is not None:
         applier.release()
+        counts["kernel_columns"] = applier.columns
     report.finish()
     if not report.converged:
         raise MaxIterationsExceeded(

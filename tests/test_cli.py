@@ -75,9 +75,10 @@ class TestRunScenario:
         assert counts["ray_nodes"] > 0
         assert counts["operators_reused"] == counts["ray_weights_reused"] == 0
         assert counts["lattice_pieces"] == 0
+        assert counts["kernel_columns"] == 8
         body = report.to_json(include_timings=False)
         for key in ("sweep_cache", "operator_entries", "ray_nodes", "operators_reused",
-                    "ray_weights_reused", "lattice_pieces"):
+                    "ray_weights_reused", "lattice_pieces", "kernel_columns"):
             assert key not in body
 
     def test_rate_cap_takes_the_threshold_of_the_solve(self, tmp_path, monkeypatch):
@@ -393,6 +394,55 @@ def test_number_that_is_a_boolean_string_or_fraction_is_a_config_error(tmp_path,
     err = capsys.readouterr().err
     key = path[-1] if path[-1] != "domain" else "center"
     assert "error: ConfigError" in err and f"'{key}' in" in err and f"must be {what}" in err
+
+
+def csda_config(tmp_path):
+    return {
+        "domain": {"kind": "unit_ball"},
+        "grid": {"n_spatial": 9, "n_polar": 2, "n_azimuth": 4, "n_energy": 3, "E0": 0.0, "Em": 0.3},
+        "coefficients": {"sigma": {"name": "constant", "value": 0.6},
+                         "stopping": {"name": "constant", "value": -1.0}, "shift": 0.0},
+        "problem": {"kind": "csda", "dE": 0.075,
+                    "source": {"name": "radial_bump", "amplitude": 1.0, "radius": 0.4}},
+        "output": {"dir": str(tmp_path / "out"), "write_fields": False},
+    }
+
+
+@pytest.mark.parametrize("kind, path, value, what", [
+    ("csda", ("problem", "halving_sweep"), "false", "true or false"),
+    ("csda", ("problem", "halving_sweep"), 0, "true or false"),
+    ("csda", ("output", "write_snapshots"), "yes", "true or false"),
+    ("attenuation", ("output", "write_fields"), "no", "true or false"),
+    ("attenuation", ("output", "write_fields"), None, "true or false"),
+    ("attenuation", ("output", "dir"), 5, "a string"),
+])
+def test_flag_or_directory_of_the_wrong_type_is_a_config_error(tmp_path, capsys, monkeypatch, kind, path, value,
+                                                               what):
+    # these were read as truthy values: "false" ran the halving sweep, "no"
+    # wrote field.csv, and a dir of 5 ended in a TypeError after the solve
+    cfg = csda_config(tmp_path) if kind == "csda" else attenuation_config(tmp_path)
+    cfg[path[0]][path[1]] = value
+    solved = []
+    monkeypatch.setattr(csda, "march_energy", lambda *a, **kw: solved.append(1))
+    monkeypatch.setattr(cli, "_run_attenuation", lambda *a, **kw: solved.append(1))
+    assert cli.main(["run", str(write_cfg(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert "error: ConfigError" in err and f"'{path[1]}' in {path[0]} block must be {what}" in err
+    assert solved == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_output_flags_take_json_booleans(tmp_path):
+    cfg = attenuation_config(tmp_path)
+    cfg["output"]["write_fields"] = False
+    cli.run_scenario(cfg)
+    assert (tmp_path / "out" / "report.json").exists() and not (tmp_path / "out" / "field.csv").exists()
+    cfg = csda_config(tmp_path)
+    cfg["problem"]["halving_sweep"] = False
+    cfg["output"].update(dir=str(tmp_path / "csda"), write_snapshots=False)
+    report = cli.run_scenario(cfg)
+    assert "halving_sweep" not in report.norms
+    assert sorted(p.name for p in (tmp_path / "csda").iterdir()) == ["report.json"]
 
 
 def test_whole_float_is_an_integer(tmp_path):

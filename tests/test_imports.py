@@ -1,8 +1,9 @@
 """Attenuation-only processes never load scipy; a scattering solve loads
 scipy.ndimage and scipy.sparse at its first sweep and gives the same field
 as in any other process.  No package module keeps an import it does not
-use, every error class is raised somewhere, and every parameter default is
-passed by some caller."""
+use or a private module-level name that the package never loads, every
+error class is raised somewhere, and every parameter default is passed by
+some caller."""
 
 import ast
 import io
@@ -79,6 +80,50 @@ def test_no_unused_module_imports():
     assert modules
     unused = {p.name: names for p in modules if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_definitions(tree: ast.Module) -> set:
+    """The private (``_x``, not dunder) names that the module-level
+    statements of ``tree`` define: functions, classes and assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set(filter(_is_private, names))
+
+
+def _patched_by_string() -> set:
+    """The private names that the benchmark tracer patches by string
+    (``Tracer.patch(owner, "_name", ...)``): it, not the package, loads them."""
+    tree = ast.parse((SRC.parent / "perfbench" / "tracing.py").read_text())
+    return {n.args[1].value for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "patch"
+            and len(n.args) > 1 and isinstance(n.args[1], ast.Constant) and isinstance(n.args[1].value, str)
+            and _is_private(n.args[1].value)}
+
+
+def test_every_private_module_name_is_loaded_in_the_package():
+    # a private helper or constant that only its definition (or only a
+    # test) names is dead code
+    defined, loaded = set(), set()
+    for path in sorted((SRC / "raytrans").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined |= {f"{path.name}:{name}" for name in _private_definitions(tree)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                loaded.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                loaded.add(n.attr)
+    exempt = _patched_by_string()
+    assert "_grid_interp_factory" in exempt
+    assert sorted(d for d in defined if d.split(":")[1] not in loaded | exempt) == []
 
 
 # reached only through run_suite's table, each with the seed run_suite takes

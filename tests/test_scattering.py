@@ -300,7 +300,7 @@ class TestSolveScattering:
         part, rep_part = sc.solve_scattering(f, coeffs, g, quad, tol=1e-9)
         assert rep_part.cache == dict(operators_built=6, operators_reused=6, operator_entries=334344,
                                       operator_bytes=3366720, sweeps_rebuilt=48, ray_nodes=1055264,
-                                      ray_weights_reused=8, lattice_pieces=0)
+                                      ray_weights_reused=8, lattice_pieces=0, kernel_columns=16)
         monkeypatch.setattr(sc, "_CACHE_BYTES", 0)
         clamps = []
         kernel_clamp = sc._kernel_clamp
@@ -325,7 +325,8 @@ class TestSolveScattering:
         # with no budget nothing is kept, so no operator is built or reused
         assert rep_uncached.cache == dict(operators_built=0, operators_reused=0, operator_entries=0,
                                           operator_bytes=0, sweeps_rebuilt=192, ray_nodes=3768800,
-                                          ray_weights_reused=0, lattice_pieces=0)
+                                          ray_weights_reused=0, lattice_pieces=0,
+                                          kernel_columns=len(kernel_calls) // g.n_omega)
         assert rep_uncached.cache["sweeps_rebuilt"] == n_sweeps * rep_uncached.iterations
         # nodes are placed once per direction, and again for every rebuilt sweep
         assert rep_uncached.cache["ray_nodes"] == \
@@ -349,13 +350,13 @@ class TestSolveScattering:
         expected = {
             sc._CACHE_BYTES: (dict(operators_built=8, operators_reused=40, operator_entries=689202,
                                    operator_bytes=6940276, sweeps_rebuilt=0, ray_nodes=1655904,
-                                   ray_weights_reused=40, lattice_pieces=9), (17, 17, 0)),
+                                   ray_weights_reused=40, lattice_pieces=9, kernel_columns=48), (17, 17, 0)),
             4 * 2**20: (dict(operators_built=2, operators_reused=10, operator_entries=172522,
                              operator_bytes=1737316, sweeps_rebuilt=288, ray_nodes=11581920,
-                             ray_weights_reused=20, lattice_pieces=40), (34, 2, 328)),
+                             ray_weights_reused=20, lattice_pieces=40, kernel_columns=48), (34, 2, 328)),
             0: (dict(operators_built=0, operators_reused=0, operator_entries=0,
                      operator_bytes=0, sweeps_rebuilt=384, ray_nodes=14903136,
-                     ray_weights_reused=0, lattice_pieces=40), (0, 0, 424)),
+                     ray_weights_reused=0, lattice_pieces=40, kernel_columns=432), (0, 0, 424)),
         }
         fields = []
         for budget, (counts, spied) in expected.items():
@@ -676,12 +677,13 @@ class TestSweepOperator:
         return keep
 
     @classmethod
-    def _ref_operator_chunk(cls, grid, clamp, flat, w, n_rays):
+    def _ref_operator_chunk(cls, grid, clamp, flat, w, n_rays, flags=None):
+        # flags: the keep flag of each node of flat, else the per-node rule
         shape = np.array(grid.shape)
         strides = np.array([shape[1] * shape[2], shape[2], 1])
         per_ray = flat.shape[0] // n_rays
         c = (flat - grid.origin) / grid.h
-        keep = np.flatnonzero(cls._ref_in_clamp(c, clamp))
+        keep = np.flatnonzero(cls._ref_in_clamp(c, clamp) if flags is None else flags)
         ray = keep // per_ray
         c = c[keep]
         cell = np.floor(c)
@@ -709,12 +711,14 @@ class TestSweepOperator:
         return key[first] // size, key[first] % size, np.add.reduceat(taps.reshape(-1)[order], first)
 
     @classmethod
-    def _ref_matrix(cls, system, grid, clamp):
+    def _ref_matrix(cls, system, grid, clamp, flags=None):
         """The reference build of ``system``'s sweep operator as a sparse
-        (points x box) matrix, and its entries."""
+        (points x box) matrix, and its entries; ``flags`` holds the keep
+        flags of the nodes of each group, if not the per-node rule's."""
         rows, cols, vals = [], [], []
-        for sel, flat, w in system.groups:
-            ray, col, val = cls._ref_operator_chunk(grid, clamp, flat, w, sel.size)
+        for i, (sel, flat, w) in enumerate(system.groups):
+            ray, col, val = cls._ref_operator_chunk(grid, clamp, flat, w, sel.size,
+                                                    None if flags is None else flags[i])
             rows.append(sel[ray])
             cols.append(col)
             vals.append(val)
@@ -728,12 +732,13 @@ class TestSweepOperator:
         return sparse.csr_matrix((op.data, (np.repeat(op.rows, counts), op.cols)),
                                  shape=(op.n_points, int(np.prod(grid.shape))))
 
-    def _assert_matches_reference(self, system, grid, clamp):
+    def _assert_matches_reference(self, system, grid, clamp, flags=None):
         """The operator of ``system`` on ``clamp``: within ``REF_TOL`` of the
-        sup of the reference, with no exact zeros kept, and its streamed
-        sweep equal to its apply bit for bit."""
+        sup of the reference (fed ``flags``, see ``_ref_matrix``), with no
+        exact zeros kept, and its streamed sweep equal to its apply bit for
+        bit."""
         op = system.sweep_operator(grid, clamp)
-        ref, ref_vals = self._ref_matrix(system, grid, clamp)
+        ref, ref_vals = self._ref_matrix(system, grid, clamp, flags)
         assert abs(self._matrix(op, grid) - ref).max() <= self.REF_TOL * abs(ref).max()
         assert not np.any(op.data == 0.0)
         assert op.cols.dtype == np.min_scalar_type(int(np.prod(grid.shape)) - 1)
@@ -849,86 +854,110 @@ class TestSweepOperator:
             (32, 9415474, 94642292)
 
     @staticmethod
-    def _own_flags(grid, clamp, system, tube):
+    def _own_flags(grid, clamp, system):
         """The shifted keep flags of every group of ``system`` and the
-        per-node rule on the nodes' own coordinates, with the count of
-        full-panel nodes whose shifted nearest node is a set face node."""
-        code = at._padded_clamp(clamp)
+        per-node rule on the nodes' own coordinates: ((full-panel, last-panel)
+        shifted, (full-panel, last-panel) own)."""
+        tube = at._TapTube(grid, system.omega, system.quad, system.groups)
+        padded = np.pad(clamp, at._PAD).reshape(-1)
         for sel, flat, _ in system.groups:
             nodes = flat.reshape(sel.size, -1, 3)
-            keep, c, keep_last = tube.keep(grid, clamp, code, sel, nodes)
+            keep, c, keep_last = tube.keep(grid, clamp, padded, sel, nodes)
             n_full = keep.shape[1]
             own = at._in_clamp(at._lattice_rows(grid, flat), clamp).reshape(sel.size, -1)
+            assert keep.dtype == bool
             assert c.tobytes() == at._lattice_rows(grid, nodes[:, n_full:].reshape(-1, 3)).tobytes()
-            on_face = code[tube.padded_start[sel][:, None] + tube.near[None, :n_full]] == 2
-            yield (keep, keep_last), (own[:, :n_full], own[:, n_full:].reshape(-1)), np.count_nonzero(on_face)
+            yield (keep, keep_last), (own[:, :n_full], own[:, n_full:].reshape(-1))
 
-    @pytest.mark.parametrize("dims", [(11, 2, 4), (17, 4, 8)])
-    def test_shifted_keep_flags_equal_the_per_node_rule(self, ball, quad, ray_system, dims):
+    @classmethod
+    def _node_flags(cls, grid, clamp, system):
+        """The shifted keep flags of the nodes of each group of ``system`` in
+        their flat order, as ``_ref_matrix`` takes them."""
+        return [np.concatenate([full, last.reshape(full.shape[0], -1)], axis=1).reshape(-1)
+                for (full, last), _ in cls._own_flags(grid, clamp, system)]
+
+    def _assert_matches_the_shifted_reference(self, system, grid, clamp):
+        """The operator and its sweep against the per-node reference fed the
+        shifted keep flags."""
+        flags = self._node_flags(grid, clamp, system)
+        op, _ = self._assert_matches_reference(system, grid, clamp, flags)
+        ref, _ = self._ref_matrix(system, grid, clamp, flags)
+        coef = np.random.default_rng(19).normal(size=grid.shape)
+        expected = ref @ coef.reshape(-1)
+        assert np.max(np.abs(system.sweep(grid, clamp, coef) - expected)) <= self.REL_TOL * np.max(np.abs(expected))
+        return op
+
+    # (n_spatial, n_polar, n_azimuth, panels per unit length): two grids of
+    # the tests above, then those of configs/scattering_ball.json and
+    # configs/csda_sweep.json with their quadratures
+    @pytest.mark.parametrize("dims", [(11, 2, 4, 12), (17, 4, 8, 12), (13, 4, 8, 16), (21, 2, 4, 12)])
+    def test_shifted_keep_flags_equal_the_per_node_rule(self, ball, ray_system, dims):
         g = GridSpec(ball, dims[0], dims[1], dims[2], EnergyInterval(0.0, 1.0), 1)
+        quad = at.RayQuadrature(dims[3], 4)
         coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.3), shift=1.0)
         r = np.linalg.norm(g.coords, axis=1)
-        clamps = {"all": np.ones(g.shape, dtype=bool),
-                  "kernel": sc._support_clamp(g.embed(np.where(r < 0.5, 1.0, 0.0)) != 0.0),
-                  "random": np.random.default_rng(43).random(g.shape) < 0.5}
-        on_faces = dict.fromkeys(clamps, 0)
+        clamps = [np.ones(g.shape, dtype=bool),
+                  sc._support_clamp(g.embed(np.where(r < 0.5, 1.0, 0.0)) != 0.0),
+                  np.random.default_rng(43).random(g.shape) < 0.5]
         for j in range(g.n_omega):
             system = ray_system(coeffs, ball, g.coords, g.sphere_nodes[j], 0.0, quad, T=g.escape_cache()[:, j])
-            tube = at._TapTube(g, system.omega, quad, system.groups)
-            for name, clamp in clamps.items():
-                for shifted, own, on_face in self._own_flags(g, clamp, system, tube):
+            for clamp in clamps:
+                for shifted, own in self._own_flags(g, clamp, system):
                     assert np.array_equal(shifted[0], own[0]) and np.array_equal(shifted[1], own[1])
-                    on_faces[name] += on_face
-        # the all-true clamp sends the nodes nearest the box faces to the
-        # per-node rule; the kernel clamp stays clear of them
-        assert on_faces["all"] > 0 and on_faces["kernel"] == 0
 
-    def test_keep_flags_at_a_half_integer_offset_take_the_per_node_rule(self, quad, ray_system, monkeypatch):
-        # a direction whose x offset of full-panel node 6 is -1/2 lattice
+    def test_half_integer_offset_keeps_the_shifted_clamp(self, quad, ray_system):
+        # a direction whose x offset d_6 of full-panel node 6 is -1/2 lattice
         # spacings: the round-off of each node's own coordinates decides its
-        # nearest node, so the shifted flag of that node would differ on
-        # some rays without the fallback
+        # nearest node, so the per-node rule differs on some rays, while the
+        # shifted flag is the clamp at the ray start shifted by floor(d_6 + 1/2)
         domain = ConvexDomain.ellipsoid((0.13, -0.21, 0.07), (1.2, 0.7, 0.9))
         g = GridSpec(domain, 11, 2, 4, EnergyInterval(0.0, 1.0), 1)
         coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.3), shift=1.0)
-        wx = 0.5 * g.h[0] / quad.full_nodes(2).reshape(-1)[6]
+        s6 = quad.full_nodes(2).reshape(-1)[6]
+        wx = 0.5 * g.h[0] / s6
         omega = np.r_[wx, np.array([0.6, 0.8]) * np.sqrt(1.0 - wx * wx)]
         system = ray_system(coeffs, domain, g.coords, omega, 0.0, quad)
         clamp = np.ones(g.shape, dtype=bool)
         clamp[::2] = False
-        tube = at._TapTube(g, omega, quad, system.groups)
-        assert np.flatnonzero(tube.tie).tolist() == [6]
-        for shifted, own, _ in self._own_flags(g, clamp, system, tube):
-            assert np.array_equal(shifted[0], own[0]) and np.array_equal(shifted[1], own[1])
-        monkeypatch.setattr(at, "_TIE", -1.0)
-        tube = at._TapTube(g, omega, quad, system.groups)
-        assert not tube.tie.any()
-        differ = sum(np.count_nonzero(shifted[0] != own[0]) for shifted, own, _ in
-                     self._own_flags(g, clamp, system, tube))
-        assert differ > 0
-        # the operator built with the fallback equals the per-node reference
-        monkeypatch.undo()
-        self._assert_matches_reference(system, g, clamp)
+        d6 = -s6 * omega / g.h
+        assert abs(d6[0] + 0.5) < 1e-15
+        near = np.floor(d6 + 0.5).astype(int)
+        start = np.array(np.unravel_index(g.interior_idx, g.shape))
+        differ = rays = 0
+        for (sel, _, _), (shifted, own) in zip(system.groups, self._own_flags(g, clamp, system)):
+            if shifted[0].shape[1] > 6:
+                at_near = tuple(start[:, sel] + near[:, None] + at._PAD)
+                assert np.array_equal(shifted[0][:, 6], np.pad(clamp, at._PAD)[at_near])
+                differ += np.count_nonzero(shifted[0][:, 6] != own[0][:, 6])
+                rays += sel.size
+        assert rays > 0 and differ > 0
+        self._assert_matches_the_shifted_reference(system, g, clamp)
 
-    def test_keep_flags_beyond_a_box_face_take_the_per_node_rule(self, ball, quad, ray_system, monkeypatch):
+    def test_nodes_past_a_box_face_keep_the_shifted_clamp(self, ball, quad, ray_system):
         # rays run 0.1 (half a spacing) past the ball, so some full-panel
-        # nodes lie just outside the box, nearest to a set face node: only
-        # the per-node rule drops them
+        # nodes lie just outside the box, nearest to a set face node: the
+        # shifted flag keeps them where the per-node rule drops them, and
+        # their taps fold into the box from within _PAD
         g = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 1)
         coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.3), shift=1.0)
         clamp = np.ones(g.shape, dtype=bool)
+        top = np.array(g.shape)[:, None] - 1
         for j in (0, 5):
             system = ray_system(coeffs, ball, g.coords, g.sphere_nodes[j], 0.0, quad,
                                 T=g.escape_cache()[:, j] + 0.1)
-            tube = at._TapTube(g, system.omega, quad, system.groups)
-            for shifted, own, _ in self._own_flags(g, clamp, system, tube):
-                assert np.array_equal(shifted[0], own[0])
-            padded = lambda clamp: np.pad(clamp, at._PAD).astype(np.uint8).reshape(-1)
-            with monkeypatch.context() as m:
-                m.setattr(at, "_padded_clamp", padded)
-                differ = sum(np.count_nonzero(shifted[0] != own[0]) for shifted, own, _ in
-                             self._own_flags(g, clamp, system, tube))
-            assert differ > 0
+            outside = []
+            for (sel, flat, _), (shifted, own) in zip(system.groups, self._own_flags(g, clamp, system)):
+                n_full = shifted[0].shape[1]
+                c = at._lattice_rows(g, flat).reshape(3, sel.size, -1)[:, :, :n_full].reshape(3, -1)
+                out = np.any((c < 0.0) | (c > top), axis=0).reshape(sel.size, n_full)
+                assert shifted[0].all() and np.array_equal(own[0], ~out)
+                outside.append(c[:, out.reshape(-1)])
+            outside = np.concatenate(outside, axis=1)
+            assert outside.size > 0
+            cells = np.floor(outside)
+            assert np.all(cells - 1 >= -at._PAD) and np.all(cells + 2 <= top + at._PAD)
+            op = self._assert_matches_the_shifted_reference(system, g, clamp)
+            assert op.cols.max() < np.prod(g.shape)
 
     def test_build_needs_the_grid_interior_nodes(self, ball, quad, ray_system):
         g = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 1)
