@@ -109,12 +109,9 @@ def build_grid(block: dict, domain: ConvexDomain) -> GridSpec:
     except ValueError:
         raise ConfigError(f"'E0' and 'Em' in grid block must satisfy 0 <= E0 < Em, "
                           f"got E0={E0!r}, Em={Em!r}") from None
-    return GridSpec(domain,
-                    _number(block, "n_spatial", "grid", int),
-                    _number(block, "n_polar", "grid", int, 4),
-                    _number(block, "n_azimuth", "grid", int, 8),
-                    interval,
-                    _number(block, "n_energy", "grid", int, 1))
+    count = lambda key, default: _number(block, key, "grid", int, default, lambda n: n >= 1, "an integer >= 1")
+    n_spatial = _number(block, "n_spatial", "grid", int, valid=lambda n: n >= 3, what="an integer >= 3")
+    return GridSpec(domain, n_spatial, count("n_polar", 4), count("n_azimuth", 8), interval, count("n_energy", 1))
 
 
 def build_coefficients(block: dict, grid: GridSpec) -> CoefficientSet:
@@ -199,8 +196,8 @@ def _run_scattering(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: R
     problem = cfg["problem"]
     quad = _quadrature(problem)
     f = build_source(_get(problem, "source", "problem"))
-    tol = _number(problem, "tol", "problem", default=1e-8)
-    max_iter = _number(problem, "max_iter", "problem", int, 200)
+    tol = _number(problem, "tol", "problem", default=1e-8, valid=lambda v: v > 0.0, what="positive and finite")
+    max_iter = _number(problem, "max_iter", "problem", int, 200, lambda n: n >= 1, "an integer >= 1")
     if with_inflow:
         g = build_boundary(_get(problem, "boundary", "problem"), grid.interval.Em)
         fld, rep = sc.solve_with_inflow(f, g, coeffs, grid, quad, tol=tol, max_iter=max_iter,
@@ -242,8 +239,10 @@ def _run_csda(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: RunRepo
     problem = cfg["problem"]
     quad = _quadrature(problem)
     f = build_source(_get(problem, "source", "problem"))
-    dE = _number(problem, "dE", "problem") if problem.get("dE") is not None else None
-    tol = _number(problem, "tol", "problem", default=1e-10)
+    dE = None
+    if problem.get("dE") is not None:
+        dE = _number(problem, "dE", "problem", valid=lambda v: v > 0.0, what="positive and finite")
+    tol = _number(problem, "tol", "problem", default=1e-10, valid=lambda v: v > 0.0, what="positive and finite")
     sig_block = cfg["coefficients"]["sigma"]
     halving_sweep = _flag(problem, "halving_sweep", "problem", False)
     if halving_sweep:

@@ -87,6 +87,8 @@ def _steps_for(grid: GridSpec, dE: Optional[float]) -> int:
         raise InsufficientEnergyResolution("continuous slowing down needs n_energy >= 2")
     if dE is None:
         dE = L / 64.0
+    elif not dE > 0.0:
+        raise ValueError(f"energy step dE must be positive, got {dE!r}")
     factor = max(1, math.ceil(L / (dE * n_seg) - 1e-12))
     return factor * n_seg
 

@@ -9,17 +9,8 @@ class NotOnBoundary(RayTransError):
     """Point does not lie on the domain boundary within tolerance."""
 
 
-class DegenerateGradient(RayTransError):
-    """Level-function gradient too small to define a normal."""
-
-
 class OutsideDomain(RayTransError):
     """Point lies outside the closed domain."""
-
-
-class RootNotBracketed(RayTransError):
-    """Exit-time root finding found no sign change; level function is
-    inconsistent with a strictly convex interior."""
 
 
 class GradientUndefinedOnBoundary(RayTransError):
@@ -27,8 +18,8 @@ class GradientUndefinedOnBoundary(RayTransError):
 
 
 class GradientUnavailable(RayTransError):
-    """Spatial gradient of the exit time cannot be evaluated (near-tangential
-    exit ray or unsupported domain)."""
+    """Spatial gradient of the exit time cannot be evaluated: the exit ray
+    is near-tangential."""
 
 
 class EmptyInput(RayTransError):

@@ -108,6 +108,9 @@ class GridSpec:
                  n_azimuth: int, interval: EnergyInterval, n_energy: int):
         if n_spatial < 3:
             raise GridTooCoarse("need at least 3 lattice nodes per axis")
+        if min(n_polar, n_azimuth, n_energy) < 1:
+            raise GridTooCoarse(f"need at least 1 polar, azimuthal and energy node, got "
+                                f"{n_polar}, {n_azimuth} and {n_energy}")
         self.domain = domain
         self.interval = interval
         box = domain.bounding_box()

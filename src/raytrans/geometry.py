@@ -1,26 +1,26 @@
-"""Strictly convex domains, exit-time maps and boundary triangulation.
+"""Ellipsoidal domains, exit-time maps and boundary triangulation.
 
-A domain is described by a smooth level function r with interior {r < 0} and
-boundary {r = 0}.  All position arguments are numpy arrays; operations accept
-either a single point of shape (3,) or a batch of shape (n, 3) and are pure
-functions of immutable domain data.
+A domain is an axis-aligned ellipsoid with the level function
+r(x) = |(x - center) / semi_axes|^2 - 1: interior {r < 0}, boundary
+{r = 0}.  Positions are batches of shape (n, 3); a direction is one (3,)
+vector shared by the batch or an (n, 3) array.  Every operation is a pure
+function of immutable domain data.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
-    DegenerateGradient,
     EmptyInput,
+    GradientUnavailable,
     GradientUndefinedOnBoundary,
     NotOnBoundary,
     OutsideDomain,
-    RootNotBracketed,
 )
 
 # Numerical bands.  The tangential set has measure zero in the continuum;
@@ -56,27 +56,22 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class ConvexDomain:
-    """Strictly convex spatial region given by a smooth level function.
+    """The axis-aligned ellipsoid {|(x - center) / semi_axes| < 1}; a ball
+    is the ellipsoid with equal semi-axes.  Construction takes any three
+    numbers for each field and rejects non-finite or non-positive ones."""
 
-    Attributes
-    ----------
-    level : callable
-        Vectorized level function, (n, 3) -> (n,); interior is {level < 0}.
-    level_gradient : callable
-        Vectorized gradient, (n, 3) -> (n, 3); nonvanishing on the boundary.
-    diameter : float
-        diam(G); bounds every exit time.
-    center, radius, semi_axes
-        Shape parameters used for boundary sampling and closed forms; radius
-        is the largest semi-axis.
-    """
+    center: np.ndarray
+    semi_axes: np.ndarray
 
-    level: Callable[[np.ndarray], np.ndarray]
-    level_gradient: Callable[[np.ndarray], np.ndarray]
-    diameter: float
-    center: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    radius: float = 1.0
-    semi_axes: np.ndarray = field(default_factory=lambda: np.ones(3))
+    def __post_init__(self):
+        c = np.asarray(self.center, dtype=float).reshape(3)
+        a = np.asarray(self.semi_axes, dtype=float).reshape(3)
+        if not (np.isfinite(c).all() and np.isfinite(a).all()):
+            raise ValueError("center and semi-axes must be finite")
+        if np.any(a <= 0.0):
+            raise ValueError("semi-axes must be positive")
+        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "semi_axes", a)
 
     @staticmethod
     def unit_ball() -> "ConvexDomain":
@@ -86,26 +81,24 @@ class ConvexDomain:
     def ball(center, radius) -> "ConvexDomain":
         """The ellipsoid with equal semi-axes ``radius``."""
         r = float(radius)
-        if r <= 0.0:
-            raise ValueError("radius must be positive")
-        return ConvexDomain.ellipsoid(center, (r, r, r))
+        return ConvexDomain(center, (r, r, r))
 
     @staticmethod
     def ellipsoid(center, semi_axes) -> "ConvexDomain":
-        c = np.asarray(center, dtype=float).reshape(3)
-        a = np.asarray(semi_axes, dtype=float).reshape(3)
-        if np.any(a <= 0.0):
-            raise ValueError("semi-axes must be positive")
+        return ConvexDomain(center, semi_axes)
 
-        def level(x):
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-            return np.sum(((x - c) / a) ** 2, axis=-1) - 1.0
+    @property
+    def diameter(self) -> float:
+        """diam(G); bounds every exit time."""
+        return 2.0 * float(np.max(self.semi_axes))
 
-        def level_gradient(x):
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-            return 2.0 * (x - c) / a**2
+    def level(self, x: np.ndarray) -> np.ndarray:
+        """Level function, (n, 3) -> (n,); the interior is {level < 0}."""
+        return np.sum(((x - self.center) / self.semi_axes) ** 2, axis=-1) - 1.0
 
-        return ConvexDomain(level, level_gradient, 2.0 * float(np.max(a)), c, float(np.max(a)), a)
+    def level_gradient(self, x: np.ndarray) -> np.ndarray:
+        """Gradient of the level function, (n, 3) -> (n, 3)."""
+        return 2.0 * (x - self.center) / self.semi_axes**2
 
     # -- basic queries -----------------------------------------------------
 
@@ -119,32 +112,27 @@ class ConvexDomain:
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         return self.center + v * self.semi_axes
 
-    def project_to_boundary(self, p) -> np.ndarray:
-        """Radially project points onto {level = 0} (exact for quadric levels)."""
-        p = np.atleast_2d(np.asarray(p, dtype=float))
+    def project_to_boundary(self, p: np.ndarray) -> np.ndarray:
+        """Radially project points onto {level = 0} (exact for the quadric level)."""
         q = self.level(p) + 1.0
         return self.center + (p - self.center) / np.sqrt(q)[:, None]
 
 
-def _as_points(x) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x.reshape(1, 3), True
-    return x, False
+def _rays(xs, omegas) -> tuple[np.ndarray, np.ndarray]:
+    """Positions as a float batch of shape (n, 3) and directions broadcast to it."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != 3:
+        raise ValueError(f"positions must have shape (n, 3), got {xs.shape}")
+    return xs, np.broadcast_to(np.asarray(omegas, dtype=float), xs.shape)
 
 
-def outward_normal(domain: ConvexDomain, y) -> np.ndarray:
-    """Unit outward normal grad r / |grad r| at boundary point(s) y."""
-    pts, single = _as_points(y)
-    lv = domain.level(pts)
+def outward_normal(domain: ConvexDomain, ys: np.ndarray) -> np.ndarray:
+    """Unit outward normals grad r / |grad r| at boundary points ys, (n, 3)."""
+    lv = domain.level(ys)
     if np.any(np.abs(lv) > BOUNDARY_TOL):
         raise NotOnBoundary(f"|level| = {np.max(np.abs(lv)):.3e} exceeds {BOUNDARY_TOL}")
-    g = domain.level_gradient(pts)
-    gn = np.linalg.norm(g, axis=-1)
-    if np.any(gn < 1e-12):
-        raise DegenerateGradient("level gradient below 1e-12 on boundary")
-    nu = g / gn[:, None]
-    return nu[0] if single else nu
+    g = domain.level_gradient(ys)
+    return g / np.linalg.norm(g, axis=-1)[:, None]
 
 
 def _escape_root(domain: ConvexDomain, xs: np.ndarray, omegas: np.ndarray,
@@ -196,14 +184,11 @@ def escape_times(domain: ConvexDomain, xs, omegas) -> np.ndarray:
 
     xs: (n, 3) positions in the closed domain; omegas: (3,) shared direction
     or (n, 3).  Returns (n,) times: backward distance to the boundary along
-    -omega, zero on the inflow/tangential boundary set.  Every domain kind is
-    a quadric, so this is the closed form; ``escape_times_rootfind`` is the
-    generic path and serves as the independent cross-check.
+    -omega, zero on the inflow/tangential boundary set.  This is the
+    quadric closed form; ``escape_times_rootfind`` serves as the
+    independent cross-check.
     """
-    xs, _ = _as_points(xs)
-    omegas = np.asarray(omegas, dtype=float)
-    if omegas.ndim == 1:
-        omegas = np.broadcast_to(omegas, xs.shape)
+    xs, omegas = _rays(xs, omegas)
     lv = domain.level(xs)
     if np.any(lv > BOUNDARY_TOL):
         raise OutsideDomain(f"level = {np.max(lv):.3e} exceeds boundary tolerance")
@@ -211,12 +196,9 @@ def escape_times(domain: ConvexDomain, xs, omegas) -> np.ndarray:
 
 
 def escape_times_rootfind(domain: ConvexDomain, xs, omegas) -> np.ndarray:
-    """Exit times by safeguarded Newton on the level function (any strictly
-    convex domain); bracketed on [0, diameter]."""
-    xs, _ = _as_points(xs)
-    omegas = np.asarray(omegas, dtype=float)
-    if omegas.ndim == 1:
-        omegas = np.broadcast_to(omegas, xs.shape)
+    """Exit times by safeguarded Newton on the level function, bracketed on
+    [0, diameter]; the independent cross-check of ``escape_times``."""
+    xs, omegas = _rays(xs, omegas)
     n = xs.shape[0]
     lv = domain.level(xs)
     if np.any(lv > BOUNDARY_TOL):
@@ -230,9 +212,7 @@ def escape_times_rootfind(domain: ConvexDomain, xs, omegas) -> np.ndarray:
     # outflow points trace the chord back across the domain.
     outflow = np.zeros(n, dtype=bool)
     if np.any(on_boundary):
-        g = domain.level_gradient(xs[on_boundary])
-        gn = np.linalg.norm(g, axis=-1)
-        dots = np.einsum("ij,ij->i", omegas[on_boundary], g / np.maximum(gn, 1e-300)[:, None])
+        dots = np.einsum("ij,ij->i", omegas[on_boundary], outward_normal(domain, xs[on_boundary]))
         outflow[np.flatnonzero(on_boundary)[dots > TANGENT_TOL]] = True
 
     d = domain.diameter
@@ -245,23 +225,17 @@ def escape_times_rootfind(domain: ConvexDomain, xs, omegas) -> np.ndarray:
         # Outflow boundary starts have level(x) = 0; step inside before
         # bracketing.  Rays re-exiting within the step are tangential in all
         # but name and get time zero.
-        eps_b = 1e-9 * d
         ob = outflow[idx]
-        lo[ob] = eps_b
-        g_lo = domain.level(x_s - lo[:, None] * o_s)
-        drop = ob & (g_lo >= 0.0)
-        g_hi = domain.level(x_s - hi0 * o_s)
-        if np.any(g_hi[~drop] < 0.0):
-            raise RootNotBracketed("no boundary crossing within the diameter bracket")
-        keep = ~drop
+        lo[ob] = 1e-9 * d
+        keep = ~(ob & (domain.level(x_s - lo[:, None] * o_s) >= 0.0))
         if np.any(keep):
             roots = _escape_root(domain, x_s[keep], o_s[keep], lo[keep], np.full(keep.sum(), hi0))
             times[idx[keep]] = roots
     return times
 
 
-def ball_escape_closed_form(x, omega, with_gradient: bool = True):
-    """Closed-form exit time (and spatial gradient) on the unit ball.
+def ball_escape_closed_form(xs, omegas, with_gradient: bool = True):
+    """Closed-form exit times (and spatial gradients) on the unit ball.
 
     time = x.omega + sqrt((x.omega)^2 + 1 - |x|^2)
     grad = omega + ((x.omega) omega - x) / sqrt(...)
@@ -269,10 +243,7 @@ def ball_escape_closed_form(x, omega, with_gradient: bool = True):
     The gradient is only defined for interior points; a square-root argument
     below 1e-14 raises ``GradientUndefinedOnBoundary``.
     """
-    pts, single = _as_points(x)
-    om = np.asarray(omega, dtype=float)
-    if om.ndim == 1:
-        om = np.broadcast_to(om, pts.shape)
+    pts, om = _rays(xs, omegas)
     r2 = np.sum(pts * pts, axis=-1)
     if np.any(r2 > 1.0 + 10 * BOUNDARY_TOL):
         raise OutsideDomain("closed form requires |x| <= 1")
@@ -282,36 +253,27 @@ def ball_escape_closed_form(x, omega, with_gradient: bool = True):
     root = np.sqrt(disc)
     time = xw + root
     if not with_gradient:
-        return (float(time[0]) if single else time), None
+        return time, None
     if np.any(disc < 1e-14):
         raise GradientUndefinedOnBoundary("exit-time gradient singular: sqrt argument < 1e-14")
-    grad = om + (xw[:, None] * om - pts) / root[:, None]
-    if single:
-        return float(time[0]), grad[0]
-    return time, grad
+    return time, om + (xw[:, None] * om - pts) / root[:, None]
 
 
-def escape_time_gradient(domain: ConvexDomain, x, omega) -> np.ndarray:
-    """Spatial gradient of the exit time by implicit differentiation.
+def escape_time_gradient(domain: ConvexDomain, xs, omegas) -> np.ndarray:
+    """Spatial gradients of the exit time by implicit differentiation, (n, 3).
 
     With y = x - t*omega on the boundary, grad_x t = grad r(y) / (omega.grad r(y)).
     Near-tangential exit rays (|omega.grad r(y)| < 1e-8) are rejected: the
     gradient does not extend continuously there.
     """
-    from .errors import GradientUnavailable
-
-    pts, single = _as_points(x)
-    om = np.asarray(omega, dtype=float)
-    if om.ndim == 1:
-        om = np.broadcast_to(om, pts.shape)
+    pts, om = _rays(xs, omegas)
     t = escape_times(domain, pts, om)
     y = pts - t[:, None] * om
     g = domain.level_gradient(y)
     denom = np.einsum("ij,ij->i", om, g)
     if np.any(np.abs(denom) < 1e-8):
         raise GradientUnavailable("exit ray is near-tangential at the boundary")
-    grad = g / denom[:, None]
-    return grad[0] if single else grad
+    return g / denom[:, None]
 
 
 def support_margin(domain: ConvexDomain, points: Sequence[PhasePoint]) -> float:

@@ -102,8 +102,8 @@ class TestPointSolve:
         xs, oms = random_phase(rng, 50)
         for x, w in zip(xs, oms):
             psi = at.solve_attenuation_points(one_f, coeffs, ball, x, w, 0.0, quad)[0]
-            t, _ = ball_escape_closed_form(x, w, with_gradient=False)
-            assert psi == pytest.approx(t, abs=1e-11)
+            t, _ = ball_escape_closed_form(x[None], w, with_gradient=False)
+            assert psi == pytest.approx(t[0], abs=1e-11)
 
     def test_constant_attenuation_closed_form(self, ball, quad):
         # integrand exp(-t): psi = 1 - exp(-T)
@@ -333,8 +333,8 @@ class TestGradient:
         p = PhasePoint(np.array([0.3, -0.2, 0.1]), np.array([0.0, 0.6, 0.8]))
         g = at.solve_attenuation_gradient(one_f, lambda x, w, E: np.zeros((len(x), 3)),
                                           coeffs, None, ball, p, quad)
-        _, g_exact = ball_escape_closed_form(p.x, p.omega)
-        assert np.allclose(g, g_exact, atol=1e-10)
+        _, g_exact = ball_escape_closed_form(p.x[None], p.omega)
+        assert np.allclose(g, g_exact[0], atol=1e-10)
 
     def test_source_gradient_is_checked(self, ball, quad):
         coeffs = CoefficientSet(sigma_t=one_f)

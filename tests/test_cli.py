@@ -287,6 +287,10 @@ class TestRunScenario:
     ("grid", "n_spatial", "abc"),
     ("domain", "radius", -0.5),
     ("quadrature", "nodes_per_panel", 1),
+    ("grid", "n_polar", 0),
+    ("grid", "n_azimuth", 0),
+    ("grid", "n_energy", 0),
+    ("grid", "n_spatial", 2),
 ])
 def test_bad_config_value_is_a_config_error_naming_the_key(tmp_path, capsys, block, key, value):
     cfg = attenuation_config(tmp_path)
@@ -430,6 +434,35 @@ def test_flag_or_directory_of_the_wrong_type_is_a_config_error(tmp_path, capsys,
     assert "error: ConfigError" in err and f"'{path[1]}' in {path[0]} block must be {what}" in err
     assert solved == []
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("csda", "dE", 0),
+    ("csda", "dE", -0.1),
+    ("csda", "tol", 0),
+    ("scattering", "tol", -1),
+    ("scattering", "tol", 0),
+    ("scattering", "max_iter", 0),
+    ("scattering_with_inflow", "max_iter", -3),
+])
+def test_step_tolerance_or_iteration_cap_that_is_not_positive_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                                                 kind, key, value):
+    # dE = 0 divided by zero, dE = -0.1 marched one step per energy interval,
+    # and tol <= 0 or max_iter = 0 ran the set-up to end in MaxIterationsExceeded
+    if kind == "csda":
+        cfg = csda_config(tmp_path)
+    else:
+        cfg = attenuation_config(tmp_path, sigma=0.3)
+        cfg["problem"]["kind"] = kind
+        cfg["problem"]["boundary"] = {"name": "constant", "value": 1.0}
+    cfg["problem"][key] = value
+    solved = []
+    for mod, name in ((csda, "march_energy"), (sc, "solve_scattering"), (sc, "solve_with_inflow")):
+        monkeypatch.setattr(mod, name, lambda *a, **kw: solved.append(1))
+    assert cli.main(["run", str(write_cfg(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert "error: ConfigError" in err and f"'{key}' in problem block must be" in err
+    assert solved == []
 
 
 def test_output_flags_take_json_booleans(tmp_path):

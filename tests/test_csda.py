@@ -137,6 +137,14 @@ class TestMarch:
         with pytest.raises(StoppingPowerViolation):
             csda.march_energy(lambda x, w, E: np.zeros(len(x)), coeffs, grid, quad, dE=1.0 / 7.0)
 
+    @pytest.mark.parametrize("dE", [0.0, -0.1, float("nan")])
+    def test_energy_step_must_be_positive(self, ball, quad, dE):
+        # dE = 0 divided by zero and dE = -0.1 marched one step per interval
+        grid = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 3)
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.5), stopping=unit_stopping, kappa=0.5)
+        with pytest.raises(ValueError, match="dE must be positive"):
+            csda.march_energy(lambda x, w, E: np.zeros(len(x)), coeffs, grid, quad, dE=dE)
+
     # On 3 energy nodes over [0, 1] with dE = 1/4 the march nodes are
     # E = 1, 3/4, 1/2, 1/4, 0; E = 3/4 and 1/4 are not grid nodes, and
     # direction 1 of the 2 x 4 sphere rule lies between every other one.

@@ -2,43 +2,20 @@ import numpy as np
 import pytest
 
 from raytrans import geometry as geo
-from raytrans.errors import (
-    DegenerateGradient,
-    GridTooCoarse,
-    OrderTooHigh,
-    RootNotBracketed,
-)
+from raytrans.errors import GridTooCoarse, OrderTooHigh
 from raytrans.fields import EnergyInterval, GridSpec, sample_field, sup_norm_estimate
 from raytrans.norms import h_norm
-
-
-def broken_domain(level, gradient):
-    return geo.ConvexDomain(level=level, level_gradient=gradient, diameter=2.0)
-
-
-class TestGeometryErrors:
-    def test_root_not_bracketed_for_inconsistent_level(self):
-        # a level function that never turns positive cannot bracket an exit
-        dom = broken_domain(
-            lambda x: -np.ones(len(np.atleast_2d(x))),
-            lambda x: np.zeros((len(np.atleast_2d(x)), 3)),
-        )
-        with pytest.raises(RootNotBracketed):
-            geo.escape_times_rootfind(dom, np.zeros((1, 3)), np.array([1.0, 0, 0]))
-
-    def test_degenerate_gradient_on_boundary(self):
-        dom = broken_domain(
-            lambda x: np.zeros(len(np.atleast_2d(x))),
-            lambda x: np.zeros((len(np.atleast_2d(x)), 3)),
-        )
-        with pytest.raises(DegenerateGradient):
-            geo.outward_normal(dom, np.array([1.0, 0, 0]))
 
 
 class TestGridErrors:
     def test_too_few_lattice_nodes(self):
         with pytest.raises(GridTooCoarse):
             GridSpec(geo.ConvexDomain.unit_ball(), 2, 2, 4, EnergyInterval(0.0, 1.0), 1)
+
+    @pytest.mark.parametrize("n_polar, n_azimuth, n_energy", [(0, 4, 1), (2, 0, 1), (2, 4, 0), (2, -1, 1)])
+    def test_too_few_sphere_or_energy_nodes(self, n_polar, n_azimuth, n_energy):
+        with pytest.raises(GridTooCoarse, match="at least 1 polar"):
+            GridSpec(geo.ConvexDomain.unit_ball(), 5, n_polar, n_azimuth, EnergyInterval(0.0, 1.0), n_energy)
 
     def test_sup_norm_needs_interior_depth(self):
         # a 5-node lattice leaves no node four steps clear of the boundary

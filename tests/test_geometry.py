@@ -62,18 +62,47 @@ def test_ball_is_the_ellipsoid_with_equal_semi_axes(center, radius):
     for name in ("points", "areas", "normals"):
         np.testing.assert_array_equal(getattr(mb, name), getattr(me, name))
     np.testing.assert_array_equal(geo.escape_times(ball, xs, oms), geo.escape_times(ell, xs, oms))
-    assert (ball.diameter, ball.radius) == (ell.diameter, ell.radius) == (2.0 * radius, radius)
+    np.testing.assert_array_equal(ball.semi_axes, ell.semi_axes)
+    assert ball.diameter == ell.diameter == 2.0 * radius
+
+
+@pytest.mark.parametrize("center, semi_axes", [
+    ((0, 0, 0), (1, 1, np.nan)),
+    ((0, 0, 0), (1, np.inf, 1)),
+    ((np.nan, 0, 0), (1, 1, 1)),
+    ((0, -np.inf, 0), (1, 1, 1)),
+])
+def test_ellipsoid_rejects_non_finite_parameters(center, semi_axes):
+    # these built a domain that failed later as "no lattice node falls inside"
+    with pytest.raises(ValueError, match="finite"):
+        geo.ConvexDomain.ellipsoid(center, semi_axes)
+
+
+@pytest.mark.parametrize("center, radius", [((0, 0, 0), np.nan), ((0, 0, 0), np.inf), ((0, np.nan, 0), 1.0)])
+def test_ball_rejects_non_finite_parameters(center, radius):
+    with pytest.raises(ValueError, match="finite"):
+        geo.ConvexDomain.ball(center, radius)
+
+
+@pytest.mark.parametrize("xs", [np.zeros(3), np.zeros((2, 2)), np.zeros((1, 1, 3))])
+def test_exit_times_take_only_batches_of_positions(ball, xs):
+    w = np.array([1.0, 0, 0])
+    for fn in (lambda: geo.escape_times(ball, xs, w), lambda: geo.escape_times_rootfind(ball, xs, w),
+               lambda: geo.escape_time_gradient(ball, xs, w),
+               lambda: geo.ball_escape_closed_form(xs, w)):
+        with pytest.raises(ValueError, match=r"shape \(n, 3\)"):
+            fn()
 
 
 class TestNormalsAndClassification:
     def test_sphere_normal_radial(self, ball):
-        assert np.allclose(geo.outward_normal(ball, np.array([1.0, 0, 0])), [1, 0, 0], atol=1e-12)
-        assert np.allclose(geo.outward_normal(ball, np.array([0, -1.0, 0])), [0, -1, 0], atol=1e-12)
+        nu = geo.outward_normal(ball, np.array([[1.0, 0, 0], [0, -1.0, 0]]))
+        assert np.allclose(nu, [[1, 0, 0], [0, -1, 0]], atol=1e-12)
 
     def test_ellipsoid_normal(self):
         # normalize grad of x^2/4 + y^2 + z^2 - 1 at (2,0,0)
         dom = geo.ConvexDomain.ellipsoid([0, 0, 0], [2, 1, 1])
-        assert np.allclose(geo.outward_normal(dom, np.array([2.0, 0, 0])), [1, 0, 0], atol=1e-12)
+        assert np.allclose(geo.outward_normal(dom, np.array([[2.0, 0, 0]])), [[1, 0, 0]], atol=1e-12)
 
     def test_normal_unit_length(self, ball):
         rng = np.random.default_rng(7)
@@ -83,7 +112,7 @@ class TestNormalsAndClassification:
 
     def test_not_on_boundary(self, ball):
         with pytest.raises(NotOnBoundary):
-            geo.outward_normal(ball, np.array([0.5, 0, 0]))
+            geo.outward_normal(ball, np.array([[0.5, 0, 0]]))
 
 
 class TestEscapeTime:
@@ -167,14 +196,14 @@ class TestEscapeTime:
 class TestBallClosedForm:
     def test_center(self):
         omega = np.array([0.6, 0.8, 0.0])
-        t, g = geo.ball_escape_closed_form(np.zeros(3), omega)
-        assert t == pytest.approx(1.0, abs=1e-14)
-        assert np.allclose(g, omega, atol=1e-14)
+        t, g = geo.ball_escape_closed_form(np.zeros((1, 3)), omega)
+        assert t[0] == pytest.approx(1.0, abs=1e-14)
+        assert np.allclose(g[0], omega, atol=1e-14)
 
     def test_half_radius(self):
-        t, g = geo.ball_escape_closed_form(np.array([0.5, 0, 0]), np.array([1.0, 0, 0]))
-        assert t == pytest.approx(1.5, abs=1e-14)
-        assert np.allclose(g, [1.0, 0, 0], atol=1e-14)
+        t, g = geo.ball_escape_closed_form(np.array([[0.5, 0, 0]]), np.array([1.0, 0, 0]))
+        assert t[0] == pytest.approx(1.5, abs=1e-14)
+        assert np.allclose(g[0], [1.0, 0, 0], atol=1e-14)
 
     def test_gradient_vs_central_differences(self):
         rng = np.random.default_rng(23)
@@ -204,7 +233,7 @@ class TestBallClosedForm:
 
     def test_gradient_undefined_on_boundary(self):
         with pytest.raises(GradientUndefinedOnBoundary):
-            geo.ball_escape_closed_form(np.array([1.0, 0, 0]), np.array([0.0, 0, 1.0]))
+            geo.ball_escape_closed_form(np.array([[1.0, 0, 0]]), np.array([0.0, 0, 1.0]))
 
     def test_implicit_gradient_matches_closed_form(self):
         dom = geo.ConvexDomain.unit_ball()
@@ -220,7 +249,7 @@ class TestBallClosedForm:
 
         dom = geo.ConvexDomain.unit_ball()
         with pytest.raises(GradientUnavailable):
-            geo.escape_time_gradient(dom, np.array([1.0, 0, 0]), np.array([0.0, 0, 1.0]))
+            geo.escape_time_gradient(dom, np.array([[1.0, 0, 0]]), np.array([0.0, 0, 1.0]))
 
 
 class TestBacktrack:

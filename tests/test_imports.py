@@ -2,8 +2,8 @@
 scipy.ndimage and scipy.sparse at its first sweep and gives the same field
 as in any other process.  No package module keeps an import it does not
 use or a private module-level name that the package never loads, every
-error class is raised somewhere, and every parameter default is passed by
-some caller."""
+error class is raised somewhere and expected by some test, and every
+parameter default is passed by some caller."""
 
 import ast
 import io
@@ -209,8 +209,24 @@ def test_every_parameter_default_is_passed_by_some_call():
     assert unset == []
 
 
+def _expected_by_tests() -> set:
+    """The names (bare or the last attribute) that the first argument of a
+    ``pytest.raises`` call under ``tests/`` names, alone or in a tuple."""
+    expected = set()
+    for path in (SRC.parent / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "raises" and node.args):
+                first = node.args[0]
+                for exc in first.elts if isinstance(first, ast.Tuple) else [first]:
+                    if isinstance(exc, (ast.Name, ast.Attribute)):
+                        expected.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
+    return expected
+
+
 def test_every_error_class_is_raised():
-    # RayTransError is the base that callers catch; every subclass needs a raise site
+    # RayTransError is the base that callers catch; every subclass needs a
+    # raise site in the package and a test that expects it
     errors = ast.parse((SRC / "raytrans" / "errors.py").read_text())
     defined = {n.name for n in errors.body if isinstance(n, ast.ClassDef)} - {"RayTransError"}
     raised = set()
@@ -222,3 +238,4 @@ def test_every_error_class_is_raised():
                     raised.add(exc.id)
     assert defined
     assert sorted(defined - raised) == []
+    assert sorted(defined - _expected_by_tests()) == []
