@@ -301,48 +301,53 @@ def _first_by_rank(keys, ranks):
 class _TapTube:
     """The box offsets, relative to the ray start, that the spline taps of
     the rays of one ``RaySystem`` on the grid's interior nodes can touch
-    (the "tube"), and the taps of the full-panel nodes that all its rays
-    share.
+    (the "tube"), the taps of the full-panel nodes that all its rays share,
+    and the lattice coordinates of the last-panel nodes of all its rays.
 
     Full-panel node k sits at the lattice offset d_k = -s_k omega / h from
     its ray start on every ray, so its 64 taps and their offsets form row k
     of one table ``G`` (full-panel nodes x tube).  Last-panel nodes have
-    their own offsets.  The tube is ordered by the first node that touches
-    each offset: full-panel node k at rank 2k, the last-panel nodes of the
-    rays with n full-panel nodes at rank 2n - 1, so the offsets of the rays
-    of one panel-count group are the first ``width(n)`` of the tube.
-    Offsets are keyed in the smallest box that holds every base cell offset
-    widened by the taps, from its corner ``lo``.
+    their own offsets: ``last`` holds their lattice coordinates (3, rays x
+    nodes_per_panel), one coordinate-major batch over the rays ``rays`` of
+    every panel-count group in turn, and ``last_keys`` the keys of their
+    base cells; ``n_fulls`` holds the full-panel nodes per ray of each
+    group.  The tube is ordered by the first node that touches each
+    offset: full-panel node k at rank 2k, the last-panel nodes of the rays
+    with n full-panel nodes at rank 2n - 1, so the offsets of the rays of
+    one panel-count group are the first ``width(n)`` of the tube.  Offsets
+    are keyed in the smallest box that holds every base cell offset widened
+    by the taps, from its corner ``lo``.
 
     Full-panel node k of a ray is kept where the clamp is set at the ray
     start shifted by the integer floor(d_k + 1/2) (``near``, a padded flat
-    offset).  This is ``_in_clamp`` on the node's own coordinates except
-    where d_k is within their round-off of a half-integer on some axis, and
-    for a node just outside the box whose nearest node is a set face node:
-    it is kept, and its taps fold into the box from within ``_PAD``."""
+    offset; ``keep``).  This is ``_in_clamp`` on the node's own coordinates
+    except where d_k is within their round-off of a half-integer on some
+    axis, and for a node just outside the box whose nearest node is a set
+    face node: it is kept, and its taps fold into the box from within
+    ``_PAD``."""
 
     def __init__(self, grid: GridSpec, omega: np.ndarray, quad: RayQuadrature, groups: list):
-        self.nq = nq = quad.nodes_per_panel
-        self.start = np.array(np.unravel_index(grid.interior_idx, grid.shape))   # (3, n_points)
-        n_full = max((flat.shape[0] // sel.size - nq for sel, flat, _ in groups), default=0)
+        nq = quad.nodes_per_panel
+        start = np.array(np.unravel_index(grid.interior_idx, grid.shape))   # (3, n_points)
+        self.n_fulls = n_fulls = [flat.shape[0] // sel.size - nq for sel, flat, _ in groups]
+        n_full = max(n_fulls)
         d = (-(quad.full_nodes(n_full // nq).reshape(-1)[:, None] * omega) / grid.h).T
         # an offset below the round-off of a lattice coordinate, such as that
         # of a direction component of 1e-16 that should be 0, is 0
         d[np.abs(d) <= max(grid.shape) * np.finfo(float).eps] = 0.0
         cell = np.floor(d)
         taps = _tensor_taps(d - cell)
-        bases, ranks = [cell.astype(np.intp)], [2 * np.arange(n_full)]
-        for sel, flat, _ in groups:
-            per_ray = flat.shape[0] // sel.size
-            last = np.empty((3, sel.size, nq))
-            last[...] = np.moveaxis(flat.reshape(sel.size, per_ray, 3)[:, per_ray - nq:], -1, 0)
-            bases.append(self.relative_cells(np.floor(_lattice_rows(grid, last.reshape(3, -1).T)),
-                                             np.repeat(sel, nq)))
-            ranks.append(np.full(sel.size * nq, 2 * (per_ray - nq) - 1))
-        bases, ranks = np.concatenate(bases, axis=1), np.concatenate(ranks)
+        self.rays = np.concatenate([sel for sel, _, _ in groups])
+        last = np.concatenate([flat.T.reshape(3, sel.size, -1)[:, :, -nq:] for sel, flat, _ in groups], axis=1)
+        self.last = _lattice_rows(grid, last.reshape(3, -1).T)
+        last_cells = np.floor(self.last).astype(np.intp) - start[:, np.repeat(self.rays, nq)]
+        bases = np.concatenate([cell.astype(np.intp), last_cells], axis=1)
+        ranks = np.concatenate([2 * np.arange(n_full)]
+                               + [np.full(sel.size * nq, 2 * n - 1) for (sel, _, _), n in zip(groups, n_fulls)])
         self.lo = bases.min(axis=1) - 1
         span = bases.max(axis=1) + 3 - self.lo
         self.key_strides = np.array([span[1] * span[2], span[2], 1])
+        self.last_keys = self.keys(last_cells)
         base_keys, base_ranks = _first_by_rank(self.keys(bases), ranks)
         a = np.arange(4) - 1
         self.deltas = self.key_strides @ np.stack(np.meshgrid(a, a, a, indexing="ij")).reshape(3, -1)
@@ -360,7 +365,7 @@ class _TapTube:
         strides = np.array([padded[1] * padded[2], padded[2], 1])
         offsets = np.array(np.unravel_index(tube, tuple(span))) + self.lo[:, None]
         self.offset = _flat_index(strides, offsets)
-        self.padded_start = _flat_index(strides, self.start + _PAD)
+        self.padded_start = _flat_index(strides, start + _PAD)
         self.near = _flat_index(strides, np.floor(d + 0.5).astype(np.intp))
         self.mirror = _mirror_map(grid.shape)
 
@@ -368,27 +373,34 @@ class _TapTube:
         """Keys of the box offsets (3, n)."""
         return _flat_index(self.key_strides, offsets - self.lo[:, None])
 
-    def keep(self, grid: GridSpec, clamp: np.ndarray, padded: np.ndarray, rays: np.ndarray,
-             nodes: np.ndarray):
-        """The keep flags on ``clamp`` (``padded`` the mask padded by
-        ``_PAD`` nodes and raveled) of the nodes (n_rays, per_ray, 3) of the
-        rays ``rays`` of one panel-count group: those of the full-panel nodes
-        (n_rays, n_full), read from ``padded`` at their shifted nearest
-        nodes, and the lattice coordinates (3, n_rays * nodes_per_panel) and
-        ``_in_clamp`` flags of the last-panel nodes, one coordinate-major
-        batch."""
-        n_full = nodes.shape[1] - self.nq
-        c = _lattice_rows(grid, np.moveaxis(nodes[:, n_full:], -1, 0).reshape(3, -1).T)
-        return padded[self.padded_start[rays][:, None] + self.near[None, :n_full]], c, _in_clamp(c, clamp)
-
-    def relative_cells(self, cells, rays):
-        """The base cells (3, m) of m nodes on the rays ``rays`` (m,),
-        relative to their ray starts."""
-        return cells.astype(np.intp) - self.start[:, rays]
+    def keep(self, padded: np.ndarray, rays: np.ndarray, n_full: int) -> np.ndarray:
+        """The keep flags (n_rays, n_full) of the full-panel nodes of the
+        rays ``rays`` with n_full full-panel nodes, read from ``padded`` (the
+        clamp padded by ``_PAD`` nodes and raveled) at their shifted nearest
+        nodes."""
+        return padded[self.padded_start[rays][:, None] + self.near[None, :n_full]]
 
     def width(self, n_full: int) -> int:
         """Tube offsets of the rays with n_full full-panel nodes."""
         return int(np.searchsorted(self.rank, 2 * n_full))
+
+
+def _merged_segments(sizes):
+    """Lists of consecutive segments (group, lo, hi) of the groups of
+    ``sizes`` rays, each segment of at most ``_OPERATOR_CHUNK`` rays of one
+    group (its rays lo:hi), merged into lists of at most ``_OPERATOR_CHUNK``
+    rays."""
+    merged, n = [], 0
+    for i, size in enumerate(sizes):
+        for lo in range(0, size, _OPERATOR_CHUNK):
+            hi = min(lo + _OPERATOR_CHUNK, size)
+            if n + hi - lo > _OPERATOR_CHUNK:
+                yield merged
+                merged, n = [], 0
+            merged.append((i, lo, hi))
+            n += hi - lo
+    if merged:
+        yield merged
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,25 +430,34 @@ class RaySystem:
 
     def _operator_chunks(self, grid: GridSpec, clamp: np.ndarray):
         """(points, entries per point, box indices, weights) of the rows of
-        ``sweep_operator``, one chunk of at most ``_OPERATOR_CHUNK`` rays of
-        a panel-count group at a time.
+        ``sweep_operator``, one chunk of at most ``_OPERATOR_CHUNK`` rays at
+        a time.
 
-        A node counts only if the clamp keeps it (``_TapTube.keep``): a
-        full-panel node where the clamp at its ray start shifted by floor(d_k
-        + 1/2) is set, a last-panel node by ``_in_clamp`` on its own
-        coordinates.  Its weight times the tensor cubic B-spline taps goes to
-        the 4 x 4 x 4 box indices from floor(c) - 1, folded into the box by
-        ``_mirror_map``.  The rows of a chunk are formed in ``_TapTube``
-        offsets: the full-panel nodes as one product of their kept weights
-        with the shared tap table, the last-panel nodes by a ``bincount`` of
-        their own taps.  Exact zeros are dropped, so every box index is one
-        a kept node touches, within ``_PAD`` of the box.  A row keeps a box
-        index twice where the mirror folds a tap onto an index it already
-        has: the apply sums both, and merging them would cost a sort.  The
-        points must be the grid's interior nodes, so that every ray starts
-        at a lattice node, and no full-panel node may lie as far as
-        ``_PAD`` - 1/2 spacings outside the box (nodes in the domain lie in
-        it)."""
+        A node counts only if the clamp keeps it: a full-panel node where
+        the clamp at its ray start shifted by floor(d_k + 1/2) is set
+        (``_TapTube.keep``, gathered once per panel-count group), a
+        last-panel node by ``_in_clamp`` on its own coordinates (one call
+        on the ``_TapTube.last`` batch).  Its weight times the tensor cubic
+        B-spline taps goes to the 4 x 4 x 4 box indices from floor(c) - 1,
+        folded into the box by ``_mirror_map``.  The rays are cut into
+        segments of at most ``_OPERATOR_CHUNK`` rays of one panel-count
+        group (``_merged_segments``), and consecutive segments are merged
+        into chunks of at most ``_OPERATOR_CHUNK`` rays.  A chunk's rows
+        are formed in ``_TapTube`` offsets, in one dense block as wide as
+        its widest segment's tube: the full-panel nodes of each segment as
+        one product of their kept weights with the shared tap table, the
+        last-panel nodes of the chunk by one ``bincount`` of their own taps.
+        Each segment's product has exactly the operands of a build that
+        takes one segment at a time, and ``bincount`` adds a row's own taps
+        in the same order, so every row has that build's bits (one
+        zero-padded product per chunk would round some rows differently).
+        Exact zeros are dropped, so every box index is one a kept node
+        touches, within ``_PAD`` of the box.  A row keeps a box index twice
+        where the mirror folds a tap onto an index it already has: the
+        apply sums both, and merging them would cost a sort.  The points
+        must be the grid's interior nodes, so that every ray starts at a
+        lattice node, and no full-panel node may lie as far as ``_PAD`` -
+        1/2 spacings outside the box (nodes in the domain lie in it)."""
         if self.n_points != grid.n_interior:
             raise ValueError("a sweep operator needs a ray system on the grid's interior nodes")
         if not self.groups:
@@ -450,29 +471,37 @@ class RaySystem:
         tube = _TapTube(grid, self.omega, self.quad, self.groups)
         mirror = tube.mirror.astype(np.min_scalar_type(int(np.prod(grid.shape)) - 1))
         padded = np.pad(clamp, _PAD).reshape(-1)
-        for sel, flat, w in self.groups:
-            per_ray = flat.shape[0] // sel.size
-            n_full = per_ray - nq
-            width = tube.width(n_full)
-            for lo in range(0, sel.size, _OPERATOR_CHUNK):
-                hi = min(lo + _OPERATOR_CHUNK, sel.size)
-                rays = sel[lo:hi]
-                keep, c, keep_last = tube.keep(grid, clamp, padded, rays,
-                                               flat[lo * per_ray:hi * per_ray].reshape(rays.size, per_ray, 3))
-                rows = (w[lo:hi, :-1].reshape(rays.size, n_full) * keep) @ tube.G[:n_full, :width]
-                # the taps of a dropped last-panel node would add only zeros
-                last = np.flatnonzero(keep_last)
-                ray = last // nq
-                c = c[:, last]
-                cells = np.floor(c)
-                taps = _tensor_taps(c - cells, w[lo:hi, -1].reshape(-1)[last])
-                idx = (tube.lookup[tube.keys(tube.relative_cells(cells, rays[ray]))[None, :] + tube.deltas[:, None]]
-                       + width * ray[None, :])
-                rows += np.bincount(idx.reshape(-1), taps.reshape(-1), rows.size).reshape(rows.shape)
-                nz = rows != 0.0
-                counts = np.count_nonzero(nz, axis=1)
-                at = (tube.padded_start[rays][:, None] + tube.offset[None, :width])[nz]
-                yield rays[counts > 0], counts[counts > 0], mirror[at], rows[nz]
+        keep_last = _in_clamp(tube.last, clamp)
+        w_last = np.concatenate([w[:, -1].reshape(-1) for _, _, w in self.groups])
+        widths = [tube.width(n_full) for n_full in tube.n_fulls]
+        p0 = 0
+        for segments in _merged_segments([sel.size for sel, _, _ in self.groups]):
+            p1 = p0 + sum(hi - lo for _, lo, hi in segments)
+            rays = tube.rays[p0:p1]
+            width = max(widths[i] for i, _, _ in segments)
+            block = np.zeros((p1 - p0, width))
+            r = 0
+            for i, lo, hi in segments:
+                sel, _, w = self.groups[i]
+                n_full, cols = tube.n_fulls[i], widths[i]
+                if lo == 0:   # a group's segments come in order
+                    keep = tube.keep(padded, sel, n_full)
+                block[r:r + hi - lo, :cols] = (w[lo:hi, :-1].reshape(hi - lo, n_full) * keep[lo:hi]) \
+                    @ tube.G[:n_full, :cols]
+                r += hi - lo
+            # the taps of a dropped last-panel node would add only zeros
+            last = np.flatnonzero(keep_last[p0 * nq:p1 * nq])
+            ray = last // nq
+            last += p0 * nq
+            c = tube.last[:, last]
+            taps = _tensor_taps(c - np.floor(c), w_last[last])
+            idx = tube.lookup[tube.last_keys[last][None, :] + tube.deltas[:, None]] + width * ray[None, :]
+            block += np.bincount(idx.reshape(-1), taps.reshape(-1), block.size).reshape(block.shape)
+            nz = block != 0.0
+            counts = np.count_nonzero(nz, axis=1)
+            at = (tube.padded_start[rays][:, None] + tube.offset[None, :width])[nz]
+            yield rays[counts > 0], counts[counts > 0], mirror[at], block[nz]
+            p0 = p1
 
     def sweep_operator(self, grid: GridSpec, clamp: np.ndarray,
                        max_bytes: float = math.inf) -> Optional[SweepOperator]:

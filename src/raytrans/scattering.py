@@ -38,7 +38,7 @@ from .fields import (
     sample_field,
     sup_norm_estimate,
 )
-from .geometry import ConvexDomain, escape_times
+from .geometry import TANGENT_TOL, ConvexDomain, escape_times, outward_normal
 
 _CACHE_BYTES = 512 * 2**20
 
@@ -596,11 +596,7 @@ def lift_values(g: Callable, lam: float, domain: ConvexDomain, xs, omega,
     vals = np.exp(-lam * T) * _node_values(g(y, omega, E), y, "g", "point", lambda: _where(omega, E))
     zero_t = T <= 1e-12
     if np.any(zero_t):
-        grad = domain.level_gradient(xs[zero_t])
-        nrm = np.linalg.norm(grad, axis=1)
-        dots = np.einsum("j,ij->i", omega, grad / np.maximum(nrm, 1e-300)[:, None])
-        from .geometry import TANGENT_TOL
-
+        dots = np.einsum("j,ij->i", omega, outward_normal(domain, xs[zero_t]))
         tang = np.abs(dots) <= TANGENT_TOL
         sub = np.flatnonzero(zero_t)[tang]
         vals[sub] = 0.0

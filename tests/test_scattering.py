@@ -860,14 +860,19 @@ class TestSweepOperator:
         shifted, (full-panel, last-panel) own)."""
         tube = at._TapTube(grid, system.omega, system.quad, system.groups)
         padded = np.pad(clamp, at._PAD).reshape(-1)
+        keep_last = at._in_clamp(tube.last, clamp)
+        nq = system.quad.nodes_per_panel
+        p = 0
         for sel, flat, _ in system.groups:
             nodes = flat.reshape(sel.size, -1, 3)
-            keep, c, keep_last = tube.keep(grid, clamp, padded, sel, nodes)
-            n_full = keep.shape[1]
+            n_full = nodes.shape[1] - nq
+            keep = tube.keep(padded, sel, n_full)
+            last = slice(p * nq, (p + sel.size) * nq)
+            p += sel.size
             own = at._in_clamp(at._lattice_rows(grid, flat), clamp).reshape(sel.size, -1)
-            assert keep.dtype == bool
-            assert c.tobytes() == at._lattice_rows(grid, nodes[:, n_full:].reshape(-1, 3)).tobytes()
-            yield (keep, keep_last), (own[:, :n_full], own[:, n_full:].reshape(-1))
+            assert keep.dtype == bool and keep.shape == (sel.size, n_full)
+            assert tube.last[:, last].tobytes() == at._lattice_rows(grid, nodes[:, n_full:].reshape(-1, 3)).tobytes()
+            yield (keep, keep_last[last]), (own[:, :n_full], own[:, n_full:].reshape(-1))
 
     @classmethod
     def _node_flags(cls, grid, clamp, system):
@@ -969,6 +974,182 @@ class TestSweepOperator:
         fewer = ray_system(coeffs, ball, g.coords[:-1], g.sphere_nodes[0], 0.0, quad)
         with pytest.raises(ValueError, match="on the grid's interior nodes"):
             fewer.sweep(g, clamp, np.ones(g.shape))
+
+
+class _PerGroupTube:
+    """``attenuation._TapTube`` of the build that took one panel-count
+    group at a time, frozen as the reference of ``TestMergedChunks``: it
+    forms the last-panel lattice coordinates group by group, and again for
+    each chunk in ``keep``."""
+
+    def __init__(self, grid, omega, quad, groups):
+        self.nq = nq = quad.nodes_per_panel
+        self.start = np.array(np.unravel_index(grid.interior_idx, grid.shape))
+        n_full = max((flat.shape[0] // sel.size - nq for sel, flat, _ in groups), default=0)
+        d = (-(quad.full_nodes(n_full // nq).reshape(-1)[:, None] * omega) / grid.h).T
+        d[np.abs(d) <= max(grid.shape) * np.finfo(float).eps] = 0.0
+        cell = np.floor(d)
+        taps = at._tensor_taps(d - cell)
+        bases, ranks = [cell.astype(np.intp)], [2 * np.arange(n_full)]
+        for sel, flat, _ in groups:
+            per_ray = flat.shape[0] // sel.size
+            last = np.empty((3, sel.size, nq))
+            last[...] = np.moveaxis(flat.reshape(sel.size, per_ray, 3)[:, per_ray - nq:], -1, 0)
+            bases.append(self.relative_cells(np.floor(at._lattice_rows(grid, last.reshape(3, -1).T)),
+                                             np.repeat(sel, nq)))
+            ranks.append(np.full(sel.size * nq, 2 * (per_ray - nq) - 1))
+        bases, ranks = np.concatenate(bases, axis=1), np.concatenate(ranks)
+        self.lo = bases.min(axis=1) - 1
+        span = bases.max(axis=1) + 3 - self.lo
+        self.key_strides = np.array([span[1] * span[2], span[2], 1])
+        base_keys, base_ranks = at._first_by_rank(self.keys(bases), ranks)
+        a = np.arange(4) - 1
+        self.deltas = self.key_strides @ np.stack(np.meshgrid(a, a, a, indexing="ij")).reshape(3, -1)
+        tube, self.rank = at._first_by_rank((base_keys[None, :] + self.deltas[:, None]).reshape(-1),
+                                            np.tile(base_ranks, 64))
+        self.lookup = np.full(int(np.prod(span)), -1, dtype=np.intp)
+        self.lookup[tube] = np.arange(tube.size)
+        self.G = np.zeros((n_full, tube.size))
+        if n_full:
+            self.G[np.arange(n_full)[:, None], self.lookup[self.keys(cell.astype(np.intp))[:, None]
+                                                          + self.deltas[None, :]]] = taps.T
+        padded = np.array(grid.shape) + 2 * at._PAD
+        strides = np.array([padded[1] * padded[2], padded[2], 1])
+        offsets = np.array(np.unravel_index(tube, tuple(span))) + self.lo[:, None]
+        self.offset = at._flat_index(strides, offsets)
+        self.padded_start = at._flat_index(strides, self.start + at._PAD)
+        self.near = at._flat_index(strides, np.floor(d + 0.5).astype(np.intp))
+        self.mirror = at._mirror_map(grid.shape)
+
+    def keys(self, offsets):
+        return at._flat_index(self.key_strides, offsets - self.lo[:, None])
+
+    def keep(self, grid, clamp, padded, rays, nodes):
+        n_full = nodes.shape[1] - self.nq
+        c = at._lattice_rows(grid, np.moveaxis(nodes[:, n_full:], -1, 0).reshape(3, -1).T)
+        return padded[self.padded_start[rays][:, None] + self.near[None, :n_full]], c, at._in_clamp(c, clamp)
+
+    def relative_cells(self, cells, rays):
+        return cells.astype(np.intp) - self.start[:, rays]
+
+    def width(self, n_full):
+        return int(np.searchsorted(self.rank, 2 * n_full))
+
+
+def _per_group_chunks(system, grid, clamp):
+    """``RaySystem._operator_chunks`` as it was before the merged chunks,
+    frozen as the reference: one chunk, and one dense block, per (group,
+    at most ``_OPERATOR_CHUNK`` rays) segment."""
+    if not system.groups:
+        return
+    nq = system.quad.nodes_per_panel
+    tube = _PerGroupTube(grid, system.omega, system.quad, system.groups)
+    mirror = tube.mirror.astype(np.min_scalar_type(int(np.prod(grid.shape)) - 1))
+    padded = np.pad(clamp, at._PAD).reshape(-1)
+    for sel, flat, w in system.groups:
+        per_ray = flat.shape[0] // sel.size
+        n_full = per_ray - nq
+        width = tube.width(n_full)
+        for lo in range(0, sel.size, at._OPERATOR_CHUNK):
+            hi = min(lo + at._OPERATOR_CHUNK, sel.size)
+            rays = sel[lo:hi]
+            keep, c, keep_last = tube.keep(grid, clamp, padded, rays,
+                                           flat[lo * per_ray:hi * per_ray].reshape(rays.size, per_ray, 3))
+            rows = (w[lo:hi, :-1].reshape(rays.size, n_full) * keep) @ tube.G[:n_full, :width]
+            last = np.flatnonzero(keep_last)
+            ray = last // nq
+            c = c[:, last]
+            cells = np.floor(c)
+            taps = at._tensor_taps(c - cells, w[lo:hi, -1].reshape(-1)[last])
+            idx = (tube.lookup[tube.keys(tube.relative_cells(cells, rays[ray]))[None, :] + tube.deltas[:, None]]
+                   + width * ray[None, :])
+            rows += np.bincount(idx.reshape(-1), taps.reshape(-1), rows.size).reshape(rows.shape)
+            nz = rows != 0.0
+            counts = np.count_nonzero(nz, axis=1)
+            box = (tube.padded_start[rays][:, None] + tube.offset[None, :width])[nz]
+            yield rays[counts > 0], counts[counts > 0], mirror[box], rows[nz]
+
+
+class TestMergedChunks:
+    """The build merges consecutive (group, at most ``_OPERATOR_CHUNK``-ray)
+    segments into chunks of at most ``_OPERATOR_CHUNK`` rays, one dense
+    block each, and keeps one product per segment: its operators have the
+    bits of the per-group build."""
+
+    # (n_spatial, n_polar, n_azimuth, panels per unit length, _OPERATOR_CHUNK):
+    # a group spans several chunks; chunks span several groups; the grids
+    # of configs/scattering_ball.json and configs/csda_sweep.json
+    @pytest.mark.parametrize("dims", [(11, 2, 4, 12, 7), (17, 4, 8, 12, 256), (13, 4, 8, 16, 256),
+                                      (21, 2, 4, 12, 256)])
+    def test_merged_chunks_equal_the_per_group_build(self, ball, ray_system, monkeypatch, dims):
+        monkeypatch.setattr(at, "_OPERATOR_CHUNK", dims[4])
+        g = GridSpec(ball, dims[0], dims[1], dims[2], EnergyInterval(0.0, 1.0), 1)
+        quad = at.RayQuadrature(dims[3], 4)
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: 0.3 + 0.1 * x[:, 0], shift=1.0)
+        r = np.linalg.norm(g.coords, axis=1)
+        clamps = [np.ones(g.shape, dtype=bool),
+                  sc._support_clamp(g.embed(np.where(r < 0.5, 1.0, 0.0)) != 0.0),
+                  np.random.default_rng(47).random(g.shape) < 0.5]
+        merged = at.RaySystem._operator_chunks
+        chunks = []
+
+        def spied(system, grid, clamp):
+            for chunk in merged(system, grid, clamp):
+                chunks.append(chunk[0])
+                yield chunk
+
+        spans, split = [], 0   # groups per chunk; groups in more than one chunk
+        for j in range(g.n_omega):
+            system = ray_system(coeffs, ball, g.coords, g.sphere_nodes[j], 0.0, quad, T=g.escape_cache()[:, j])
+            group = np.empty(g.n_interior, dtype=np.intp)
+            for i, (sel, _, _) in enumerate(system.groups):
+                group[sel] = i
+            for clamp in clamps:
+                with monkeypatch.context() as m:
+                    m.setattr(at.RaySystem, "_operator_chunks", _per_group_chunks)
+                    ref = system.sweep_operator(g, clamp)
+                    m.setattr(at.RaySystem, "_operator_chunks", spied)
+                    chunks.clear()
+                    op = system.sweep_operator(g, clamp)
+                for name in ("rows", "starts", "cols", "data"):
+                    new, old = getattr(op, name), getattr(ref, name)
+                    assert new.dtype == old.dtype and new.shape == old.shape
+                    assert new.tobytes() == old.tobytes()
+                assert op.data.size > 0
+                assert all(rays.size <= at._OPERATOR_CHUNK for rays in chunks)
+                per_chunk = [np.unique(group[rays]) for rays in chunks]
+                spans += [groups.size for groups in per_chunk]
+                split += np.count_nonzero(np.bincount(np.concatenate(per_chunk)) > 1)
+        assert split > 0 if dims[4] == 7 else max(spans) >= 2
+
+    def test_build_holds_its_transients_per_chunk(self, ball):
+        # the grid and quadrature of configs/csda_sweep.json.  Peak traced
+        # bytes of one build beyond the operator it returns: 7.44-7.52 MB
+        # for the per-group build (the chunk list and its concatenation),
+        # 20.9-21.1 MB when the last-panel taps of a whole direction are
+        # formed at once
+        import tracemalloc
+
+        g = GridSpec(ball, 21, 2, 4, EnergyInterval(0.0, 1.0), 1)
+        quad = at.RayQuadrature(12, 4)
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.6), shift=0.0)
+        cache = sc.SweepCache(g, quad)
+        clamp = np.ones(g.shape, dtype=bool)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            for j in range(g.n_omega):
+                system, _ = cache.system(j, cache.nodes(j), coeffs, 0.0, sc._cache_counts())
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                op = system.sweep_operator(g, clamp)
+                peak = tracemalloc.get_traced_memory()[1] - base
+                assert op.nbytes > 7e6
+                assert peak - op.nbytes <= 8.5e6
+        finally:
+            if not tracing:
+                tracemalloc.stop()
 
 
 class TestLift:

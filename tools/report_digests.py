@@ -170,6 +170,16 @@ def check_bodies(expected: dict, got: dict) -> bool:
     return ok
 
 
+def check_against(path: Path, digests: dict) -> bool:
+    """Print to stderr each name whose digest differs from the one in the
+    digest file ``path`` (or is in only one of them).  True if none does."""
+    expected = dict(line.split()[::-1] for line in path.read_text().splitlines() if line.strip())
+    bad = sorted(name for name in expected.keys() | digests.keys() if expected.get(name) != digests.get(name))
+    for name in bad:
+        print(f"differs: {name}: expected {expected.get(name)}, got {digests.get(name)}", file=sys.stderr)
+    return not bad
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", type=Path, help="digest file to compare with")
@@ -187,11 +197,7 @@ def main(argv=None) -> int:
     if args.bodies is not None:
         ok = check_bodies(json.loads(args.bodies.read_text()), bodies)
     if args.against is not None:
-        expected = dict(line.split()[::-1] for line in args.against.read_text().splitlines() if line.strip())
-        bad = sorted(name for name in expected.keys() | digests.keys() if expected.get(name) != digests.get(name))
-        for name in bad:
-            print(f"differs: {name}: expected {expected.get(name)}, got {digests.get(name)}", file=sys.stderr)
-        ok = ok and not bad
+        ok = check_against(args.against, digests) and ok
     return 0 if ok else 1
 
 
