@@ -121,8 +121,11 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     source iterations; the inflow condition is enforced by the
     characteristic integral itself (and checked by ``inflow_trace_sup``).
     The steps share one ``SweepCache``: a direction's attenuation weights,
-    kernel sweep operators and lattice-source pieces are built again only
-    when their inputs change, and are freed when the march returns.
+    kernel sweep operators and lattice-source operator are built again only
+    when their inputs change, and are freed when the march returns.  The
+    first step's lattice source is zero and builds nothing; from the second
+    step on, each direction applies one lattice-source operator while
+    sigma_eff repeats.
     Returns the transformed field on the companion march grid.
     """
     _check_stopping(coeffs)

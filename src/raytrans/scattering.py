@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,7 +65,7 @@ class _CacheBudget:
 def _cache_counts() -> dict:
     return {"operators_built": 0, "operators_reused": 0, "operator_entries": 0,
             "operator_bytes": 0, "sweeps_rebuilt": 0, "ray_nodes": 0,
-            "ray_weights_reused": 0, "lattice_pieces": 0, "kernel_columns": 0}
+            "ray_weights_reused": 0, "lattice_operators": 0, "kernel_columns": 0}
 
 
 @dataclass
@@ -76,7 +77,7 @@ class IterationReport:
     that streamed their operator because it was over budget, the ray nodes
     placed (those sweeps included), the (direction, energy) pairs whose
     attenuation weights came from the cache at set-up, the lattice-source
-    pieces formed, kept or streamed, and the kernel columns evaluated (a
+    operators formed, kept or streamed, and the kernel columns evaluated (a
     column the budget did not keep at each use).  ``rate_bound`` caps the
     contraction rate by c_kernel / (shift - c_sigma) + 0.05, with the two
     terms of the m = 0 threshold the solve checked (NaN if it checked none).
@@ -302,8 +303,7 @@ class _WeightSet:
         self.kept = False           # whether the cache holds (and charged) the set
         self.nbytes = 0             # bytes charged for the set and its operators
         self.kernel_ops = {}        # packed clamp bits -> SweepOperator
-        self.pieces = []            # lattice-source operator pieces
-        self.covered = None         # box mask of the nodes the pieces cover
+        self.lattice_op = None      # lattice-source SweepOperator, if kept
         self.used = True            # used by the current solve
 
     def matches(self, sigma: list) -> bool:
@@ -321,8 +321,8 @@ class SweepCache:
     placed again on every use, with the same bits, and never stored.  For
     each distinct sigma + shift at those nodes (compared bitwise) the cache
     keeps the attenuation weights, the kernel sweep operators keyed by their
-    clamp bits, and the lattice-source operator as pieces that together
-    cover the nodes of a growing clamp.  Everything kept, and the kernel
+    clamp bits, and the lattice-source operator on ``lattice_clamp``, the
+    clamp of the whole mask.  Everything kept, and the kernel
     columns of the solve, is charged to one ``_CACHE_BYTES`` budget; what
     does not fit is used once and dropped, and an operator that does not
     fit is never built whole but streamed (``_kept_operator``).  A cache
@@ -339,6 +339,11 @@ class SweepCache:
         T = grid.escape_cache()
         self.T = T if t_cap is None else np.minimum(T, t_cap)
         self._sets = {}
+
+    @cached_property
+    def lattice_clamp(self) -> np.ndarray:
+        """The ``_support_clamp`` of the grid mask, the clamp of every lattice source."""
+        return _support_clamp(self.grid.mask)
 
     def serves(self, grid: GridSpec, quad: RayQuadrature) -> bool:
         return grid is self.grid and quad == self.quad
@@ -424,40 +429,25 @@ class SweepCache:
 
     def lattice_integral(self, ws: _WeightSet, system: RaySystem, slab: np.ndarray,
                          counts: dict) -> np.ndarray:
-        """``system``'s ray integrals of the clamped cubic spline of a lattice
-        slab (the ``_grid_interp_factory`` interpolant): the sum of the
-        applies of the pieces of ``ws`` on the spline coefficients.  When the
-        slab's ``_support_clamp`` holds every node the pieces cover, one
-        piece is formed for the nodes it adds, and streamed if it does not
-        fit; otherwise the pieces are dropped and formed again."""
+        """``system``'s ray integrals of the cubic spline of a lattice slab on
+        ``lattice_clamp``: the apply of the operator ``ws`` keeps or builds
+        and keeps now, streamed (``RaySystem.sweep``) if it does not fit; an
+        all-zero slab gives exact zeros with nothing built or applied.  Unlike
+        a kernel sweep, the clamp is not the slab's own support: no march
+        property reads a lattice source's support margin, and energy
+        causality stays exact because a zero slab integrates to exact zeros."""
+        grid = self.grid
+        if not slab.any():
+            return np.zeros(grid.n_interior)
         from scipy import ndimage
 
-        grid = self.grid
-        box = grid.embed(slab)
-        clamp = _support_clamp(box != 0.0)
-        if ws.covered is None or np.any(ws.covered & ~clamp):
-            dropped = sum(p.nbytes for p in ws.pieces)
-            self.budget.give(dropped)
-            ws.nbytes -= dropped
-            ws.pieces = []
-            ws.covered = np.zeros(grid.shape, dtype=bool)
-        sweeps = [piece.apply for piece in ws.pieces]
-        new = clamp & ~ws.covered
-        if new.any():
-            counts["lattice_pieces"] += 1
-            piece = self._kept_operator(ws, system, new)
-            if piece is None:
-                sweeps.append(lambda coef: system.sweep(grid, new, coef))
-            else:
-                ws.pieces.append(piece)
-                ws.covered |= new
-                sweeps.append(piece.apply)
-        out = np.zeros(grid.n_interior)
-        if sweeps:
-            coef = ndimage.spline_filter(box, order=3, mode="constant")
-            for sweep in sweeps:
-                out += sweep(coef)
-        return out
+        coef = ndimage.spline_filter(grid.embed(slab), order=3, mode="constant")
+        if ws.lattice_op is None:
+            counts["lattice_operators"] += 1
+            ws.lattice_op = self._kept_operator(ws, system, self.lattice_clamp)
+            if ws.lattice_op is None:
+                return system.sweep(grid, self.lattice_clamp, coef)
+        return ws.lattice_op.apply(coef)
 
     def end_direction(self, j: int) -> None:
         """The set-up looks up no more weights of direction j: in a cache held
@@ -507,7 +497,7 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     if over budget, with the same arithmetic.  Stops
     when the sup change between iterates falls below tol.  ``grid_source``
     adds a lattice source of shape (n_x, n_omega, n_E), integrated once
-    through the cache's lattice-source pieces; ``check_threshold`` verifies
+    through the cache's lattice-source operators; ``check_threshold`` verifies
     C > C'' first, with the kernel columns the solve uses (callers with
     their own solvability criterion, like the energy marcher, disable it;
     the report keeps the ``rate_bound`` of the threshold).
@@ -582,7 +572,8 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
 def lift_values(g: Callable, lam: float, domain: ConvexDomain, xs, omega,
                 E: float) -> np.ndarray:
     """Inflow boundary data extended along characteristics:
-    exp(-lam * t) g(x - t omega, omega, E) with t the exit time.
+    exp(-lam * t) g(x - t omega, omega, E) with t the exit time (the
+    quadric closed form, so x - t omega is on the boundary to round-off).
 
     Tangential phase points (zero exit time off the inflow set) get the
     conventional value zero.  The values of g are checked by
@@ -592,7 +583,6 @@ def lift_values(g: Callable, lam: float, domain: ConvexDomain, xs, omega,
     omega = np.asarray(omega, dtype=float).reshape(3)
     T = escape_times(domain, xs, omega)
     y = xs - T[:, None] * omega
-    y = domain.project_to_boundary(y)
     vals = np.exp(-lam * T) * _node_values(g(y, omega, E), y, "g", "point", lambda: _where(omega, E))
     zero_t = T <= 1e-12
     if np.any(zero_t):

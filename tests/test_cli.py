@@ -74,11 +74,11 @@ class TestRunScenario:
         assert counts["operator_entries"] > 0
         assert counts["ray_nodes"] > 0
         assert counts["operators_reused"] == counts["ray_weights_reused"] == 0
-        assert counts["lattice_pieces"] == 0
+        assert counts["lattice_operators"] == 0
         assert counts["kernel_columns"] == 8
         body = report.to_json(include_timings=False)
         for key in ("sweep_cache", "operator_entries", "ray_nodes", "operators_reused",
-                    "ray_weights_reused", "lattice_pieces", "kernel_columns"):
+                    "ray_weights_reused", "lattice_operators", "kernel_columns"):
             assert key not in body
 
     def test_rate_cap_takes_the_threshold_of_the_solve(self, tmp_path, monkeypatch):
@@ -129,21 +129,21 @@ class TestRunScenario:
         names = {p["name"]: p for p in report.properties}
         assert names["cutoff_energy_trace"]["pass"]
         assert names["inflow_trace"]["pass"]
-        # the run's march and the sweep's march at dE/2: weights built once
-        # per direction and march, lattice-source pieces only while the
-        # clamp grows, per-step iterations in timings
+        # the run's march and the sweep's march at dE/2: weights and one
+        # lattice-source operator built once per direction and march,
+        # per-step iterations in timings
         counts = report.timings["sweep_cache"]
         steps = report.iteration["steps"]
         all_steps = steps + 2 * steps
         assert counts["ray_weights_reused"] == 8 * (all_steps - 2)
-        assert 0 < counts["lattice_pieces"] <= 8 * (all_steps - 2)
+        assert counts["lattice_operators"] == 8 * 2
         assert len(report.timings["step_iterations"]) == steps
         assert sum(report.timings["step_iterations"]) == report.iteration["inner_iterations"]
         halving = report.timings["halving_step_iterations"]
         assert halving[0] == report.timings["step_iterations"]
         assert len(halving[1]) == 2 * steps and min(halving[1]) > 0
         body = report.to_json(include_timings=False)
-        for key in ("step_iterations", "ray_weights_reused", "lattice_pieces", "operators_reused"):
+        for key in ("step_iterations", "ray_weights_reused", "lattice_operators", "operators_reused"):
             assert key not in body
 
     def test_halving_sweep_reuses_the_configured_step(self, monkeypatch):

@@ -300,7 +300,7 @@ class TestSolveScattering:
         part, rep_part = sc.solve_scattering(f, coeffs, g, quad, tol=1e-9)
         assert rep_part.cache == dict(operators_built=6, operators_reused=6, operator_entries=334344,
                                       operator_bytes=3366720, sweeps_rebuilt=48, ray_nodes=1055264,
-                                      ray_weights_reused=8, lattice_pieces=0, kernel_columns=16)
+                                      ray_weights_reused=8, lattice_operators=0, kernel_columns=16)
         monkeypatch.setattr(sc, "_CACHE_BYTES", 0)
         clamps = []
         kernel_clamp = sc._kernel_clamp
@@ -325,7 +325,7 @@ class TestSolveScattering:
         # with no budget nothing is kept, so no operator is built or reused
         assert rep_uncached.cache == dict(operators_built=0, operators_reused=0, operator_entries=0,
                                           operator_bytes=0, sweeps_rebuilt=192, ray_nodes=3768800,
-                                          ray_weights_reused=0, lattice_pieces=0,
+                                          ray_weights_reused=0, lattice_operators=0,
                                           kernel_columns=len(kernel_calls) // g.n_omega)
         assert rep_uncached.cache["sweeps_rebuilt"] == n_sweeps * rep_uncached.iterations
         # nodes are placed once per direction, and again for every rebuilt sweep
@@ -344,19 +344,18 @@ class TestSolveScattering:
         # the march's cache counts and (sweep_operator calls, operators it
         # completed, sweep calls) at each budget: within budget nothing is
         # rebuilt; at 4 MiB some directions keep their weights or operators.
-        # The lattice pieces within budget follow the slab supports, which
-        # count round-off residue of order 1e-20 as support, so they move
-        # with the summation order of the sweeps
+        # The first step's lattice source is zero; within budget each
+        # direction then builds one lattice-source operator and keeps it
         expected = {
             sc._CACHE_BYTES: (dict(operators_built=8, operators_reused=40, operator_entries=689202,
                                    operator_bytes=6940276, sweeps_rebuilt=0, ray_nodes=1655904,
-                                   ray_weights_reused=40, lattice_pieces=9, kernel_columns=48), (17, 17, 0)),
+                                   ray_weights_reused=40, lattice_operators=8, kernel_columns=48), (16, 16, 0)),
             4 * 2**20: (dict(operators_built=2, operators_reused=10, operator_entries=172522,
                              operator_bytes=1737316, sweeps_rebuilt=288, ray_nodes=11581920,
-                             ray_weights_reused=20, lattice_pieces=40, kernel_columns=48), (34, 2, 328)),
+                             ray_weights_reused=20, lattice_operators=40, kernel_columns=48), (34, 2, 328)),
             0: (dict(operators_built=0, operators_reused=0, operator_entries=0,
                      operator_bytes=0, sweeps_rebuilt=384, ray_nodes=14903136,
-                     ray_weights_reused=0, lattice_pieces=40, kernel_columns=432), (0, 0, 424)),
+                     ray_weights_reused=0, lattice_operators=40, kernel_columns=432), (0, 0, 424)),
         }
         fields = []
         for budget, (counts, spied) in expected.items():
@@ -372,7 +371,7 @@ class TestSolveScattering:
     def test_set_up_keeps_every_operator_it_completes(self, ball, quad, monkeypatch):
         # the cache builds an operator only to keep it: the build stops at
         # the first chunk over budget, and the kernel sweep or lattice-source
-        # piece that does not fit streams through ``RaySystem.sweep``
+        # operator that does not fit streams through ``RaySystem.sweep``
         g = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 2)
         coeffs = CoefficientSet(
             sigma_t=lambda x, w, E: 0.2 + 0.1 * E + 0.1 * x[:, 0],
@@ -392,15 +391,15 @@ class TestSolveScattering:
             psi, rep = sc.solve_scattering(f, coeffs, g, quad, tol=1e-10, grid_source=lattice, cache=cache)
             fields.append(psi.values)
             sets = [ws for sets in cache._sets.values() for ws in sets]
-            pieces = [p for ws in sets for p in ws.pieces]
-            kept = [op for ws in sets for op in ws.kernel_ops.values()] + pieces
+            lattice_ops = [ws.lattice_op for ws in sets if ws.lattice_op is not None]
+            kept = [op for ws in sets for op in ws.kernel_ops.values()] + lattice_ops
             assert len(kept) == n_kept
             assert sorted(map(id, calls["completed"])) == sorted(map(id, kept))
-            assert rep.cache["operators_built"] == len(kept) - len(pieces)
-            # one sweep per streamed lattice piece, and per kernel sweep rebuilt
-            streamed = rep.cache["lattice_pieces"] - len(pieces)
+            assert rep.cache["operators_built"] == len(kept) - len(lattice_ops)
+            # one sweep per streamed lattice operator, and per kernel sweep rebuilt
+            streamed = rep.cache["lattice_operators"] - len(lattice_ops)
             assert calls["sweep"] == rep.cache["sweeps_rebuilt"] + streamed
-        assert streamed == rep.cache["lattice_pieces"] == g.n_omega * g.n_energy
+        assert streamed == rep.cache["lattice_operators"] == g.n_omega * g.n_energy
         assert calls["sweep_operator"] == 0
         assert all(np.array_equal(fields[0], other) for other in fields[1:])
 
@@ -582,41 +581,67 @@ class TestSweepOperator:
         monkeypatch.setattr(at, "_OPERATOR_CHUNK", 7)
         _kernel_sweep(g, coeffs, quad, 3, 1, rng)
 
-    def test_lattice_pieces_match_the_interpolant(self, ball, quad, monkeypatch):
+    def test_one_lattice_operator_per_weight_set(self, ball, quad, monkeypatch):
         g = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 1)
         coeffs = CoefficientSet(sigma_t=lambda x, w, E: 0.3 + 0.2 * x[:, 0], shift=1.0)
         r = np.linalg.norm(g.coords, axis=1)
-        # (support radius, pieces built): growing, repeated, growing,
-        # shrinking (start again), empty (start again), growing
-        steps = [(0.0, 0), (0.3, 1), (0.5, 1), (0.5, 0), (0.9, 1), (0.4, 1), (0.0, 0), (0.6, 1)]
+        clamp = sc._support_clamp(g.mask).astype(np.uint8)
+        # empty, growing, repeated, growing, shrinking, empty, growing supports
+        radii = [0.0, 0.3, 0.5, 0.5, 0.9, 0.4, 0.0, 0.6]
+        calls = _spy_sweeps(monkeypatch)
+
+        def reference(system, slab):
+            # the cubic spline of the slab, clamped to the whole mask's clamp
+            filt = ndimage.spline_filter(g.embed(slab), order=3, mode="constant")
+
+            def interp(pts):
+                c = ((pts - g.origin) / g.h).T
+                return ndimage.map_coordinates(filt, c, order=3, prefilter=False,
+                                               mode="constant", cval=0.0) \
+                    * ndimage.map_coordinates(clamp, c, order=0, mode="constant", cval=0)
+            return system.integrate_interp(interp)
 
         def march(budget):
             monkeypatch.setattr(sc, "_CACHE_BYTES", budget)
             cache = sc.SweepCache(g, quad)
             rng = np.random.default_rng(9)
-            for radius, built in steps:
+            for radius in radii:
                 for j in (0, 3):
                     counts = sc._cache_counts()
                     slab = np.where(r < radius, rng.uniform(0.5, 1.5, g.n_interior), 0.0)
                     system, ws = cache.system(j, cache.nodes(j), coeffs, 0.0, counts)
+                    calls.update(sweep_operator=0, completed=[], sweep=0)
                     out = cache.lattice_integral(ws, system, slab, counts)
-                    ref = system.integrate_interp(sc._grid_interp_factory(g, slab))
-                    assert np.max(np.abs(out - ref)) <= self.REL_TOL * np.max(np.abs(ref), initial=0.0)
-                    yield radius, built, counts, ws
+                    if radius == 0.0:
+                        # a zero slab: exact zeros, nothing built or applied
+                        assert np.array_equal(out, np.zeros(g.n_interior))
+                        assert calls == dict(sweep_operator=0, completed=[], sweep=0)
+                        assert counts["lattice_operators"] == 0
+                    else:
+                        ref = reference(system, slab)
+                        assert np.max(np.abs(out - ref)) <= self.REL_TOL * np.max(np.abs(ref))
+                    yield radius, counts, ws
                 cache.end_setup()
             kept = sum(ws.nbytes for sets in cache._sets.values() for ws in sets)
             assert cache.budget.left == budget - kept
 
-        for i, (_, built, counts, ws) in enumerate(march(sc._CACHE_BYTES)):
-            assert counts["lattice_pieces"] == built
+        # within budget, the first non-zero slab of each direction builds
+        # the one operator its weight set keeps; every later slab applies it
+        first = radii.index(0.3)
+        for i, (radius, counts, ws) in enumerate(march(sc._CACHE_BYTES)):
+            built = i // 2 == first
+            assert counts["lattice_operators"] == built
+            assert (calls["sweep_operator"], len(calls["completed"])) == (built, built)
+            assert calls["sweep"] == 0
             assert counts["ray_weights_reused"] == (i >= 2)
-            assert ws.kept
-        # over budget, each step builds one piece for its whole clamp,
-        # applies it and drops it
-        for radius, _, counts, ws in march(0):
-            assert counts["lattice_pieces"] == (radius > 0.0)
+            assert ws.kept and (ws.lattice_op is not None) == (i // 2 >= first)
+        # over budget, every non-zero slab streams its operator, and the
+        # weight set holds nothing
+        for radius, counts, ws in march(0):
+            assert counts["lattice_operators"] == calls["sweep"] == (radius > 0.0)
+            assert calls["sweep_operator"] == 0
             assert counts["ray_weights_reused"] == 0
-            assert not ws.kept and ws.pieces == []
+            assert not ws.kept and ws.lattice_op is None and ws.nbytes == 0
 
     def test_cache_keeps_the_sets_the_last_solve_used(self, ball, quad, ray_system):
         g = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 1)
@@ -787,7 +812,7 @@ class TestSweepOperator:
         op, _ = self._assert_matches_reference(system, g, clamp)
         assert op.cols.dtype == np.uint32 and op.data.size > 0
 
-    @pytest.mark.parametrize("case", ["full_clamp", "kernel_clamp", "lattice_piece", "single_panels",
+    @pytest.mark.parametrize("case", ["full_clamp", "kernel_clamp", "ring_clamp", "single_panels",
                                       "ellipsoid_mirror"])
     def test_build_matches_the_per_node_reference_on_each_kind_of_clamp(self, ray_system, case):
         domain = ConvexDomain.unit_ball()
@@ -799,7 +824,7 @@ class TestSweepOperator:
         r = np.linalg.norm(g.coords - domain.center, axis=1)
         box = lambda radius: g.embed(np.where(r < radius, 1.0, 0.0)) != 0.0
         clamp = {"kernel_clamp": sc._support_clamp(box(0.4)),
-                 "lattice_piece": sc._support_clamp(box(0.6)) & ~sc._support_clamp(box(0.3))}.get(
+                 "ring_clamp": sc._support_clamp(box(0.6)) & ~sc._support_clamp(box(0.3))}.get(
                      case, np.ones(g.shape, dtype=bool))
         top = np.array(g.shape)[:, None] - 1
         for j in (1, 2, 6):
