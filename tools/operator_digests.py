@@ -1,8 +1,9 @@
 """SHA-256 digests of every sweep operator the solver builds.
 
-Runs the benchmark's ``scatter_mms`` problem (seed 101) and the configs
-``scattering_ball`` and ``csda_sweep`` (seed 0) from this checkout's
-``src`` in a temporary directory, and prints one line per operator that
+Runs the benchmark's ``scatter_mms`` problem (seed 101), the configs
+``scattering_ball`` and ``csda_sweep`` (seed 0) and a CSDA march with
+scattering (``scattering_march``) from this checkout's ``src`` in a
+temporary directory, and prints one line per operator that
 ``RaySystem.sweep_operator`` returns, named by its run and its place in
 build order: the SHA-256 of its rows, starts, cols and data, each with its
 dtype and shape.  A build stopped over budget returns no operator and gets
@@ -36,14 +37,33 @@ import numpy as np  # noqa: E402
 
 from perfbench import workloads  # noqa: E402
 from raytrans import attenuation as at  # noqa: E402
-from raytrans import cli  # noqa: E402
+from raytrans import cli, csda  # noqa: E402
+from raytrans.catalog import smooth_bump  # noqa: E402
+from raytrans.fields import CoefficientSet, EnergyInterval, GridSpec  # noqa: E402
+from raytrans.geometry import ConvexDomain  # noqa: E402
 from report_digests import check_against  # noqa: E402
+
+
+def scattering_march(out) -> None:
+    """A 13^3, 2x4-direction CSDA march with a bump kernel of radius 0.5
+    and dE = 0.05, within the cache budget: its kernel sweeps and its
+    lattice sources build operators on different clamps, 8 of each."""
+    grid = GridSpec(ConvexDomain.unit_ball(), 13, 2, 4, EnergyInterval(0.0, 0.3), 3)
+    coeffs = CoefficientSet(
+        sigma_t=lambda x, w, E: np.full(len(x), 0.4),
+        scatter=lambda x, wi, wo, E: 0.5 / (4.0 * np.pi) * smooth_bump(np.linalg.norm(x, axis=1), 0.5),
+        stopping=lambda x, E: -np.ones(len(np.atleast_2d(x))), kappa=1.0, shift=0.0,
+    )
+    f = lambda x, w, E: smooth_bump(np.linalg.norm(x, axis=1), 0.45) * (1.0 + 0.8 * np.cos(3.0 * E))
+    csda.march_energy(f, coeffs, grid, at.RayQuadrature(12, 4), dE=0.05, tol=1e-12)
+
 
 RUNS = {
     "scatter_mms": lambda out: workloads.build("scatter_mms", 101).solve(),
     "scattering_ball": lambda out: cli.run_scenario(ROOT / "configs" / "scattering_ball.json",
                                                     out_dir=str(out), seed=0),
     "csda_sweep": lambda out: cli.run_scenario(ROOT / "configs" / "csda_sweep.json", out_dir=str(out), seed=0),
+    "scattering_march": scattering_march,
 }
 
 
