@@ -272,6 +272,7 @@ def _run_csda(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: RunRepo
     report.iteration = {"steps": rep.steps, "inner_iterations": rep.inner_iterations}
     report.timings["sweep_cache"] = rep.cache
     report.timings["step_iterations"] = rep.step_iterations
+    report.timings["step_residuals"] = rep.step_residuals
     report.properties.append(PropertyResult("cutoff_energy_trace", rep.final_slice_sup < 1e-12,
                                             rep.final_slice_sup, 1e-12).as_dict())
     report.properties.append(PropertyResult("inflow_trace", rep.inflow_trace_sup < 1e-10,
@@ -281,7 +282,7 @@ def _run_csda(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: RunRepo
         base_dE = dE if dE is not None else grid.interval.length / 8.0
         ref = csda.explicit_csda_grid(f, float(sig_block["value"]), grid, quad)
         nref = nm.h_norm(ref, 0)
-        errs, iterations, counts = [], [], Counter(rep.cache)
+        errs, iterations, residuals, counts = [], [], [], Counter(rep.cache)
         for step in (base_dE, base_dE / 2.0):
             # the march above already solved the configured step
             sol, step_rep = fld, rep
@@ -289,11 +290,13 @@ def _run_csda(cfg: dict, grid: GridSpec, coeffs: CoefficientSet, report: RunRepo
                 sol, step_rep = csda.solve_csda(f, coeffs, grid, quad, dE=step, tol=tol)
                 counts.update(step_rep.cache)
             iterations.append(step_rep.step_iterations)
+            residuals.append(step_rep.step_residuals)
             err = nm.h_norm(sol.with_values(sol.values - ref.values), 0) / nref
             errs.append({"dE": float(step), "l2_rel_error": float(err)})
         report.norms["halving_sweep"] = errs
         report.timings["sweep_cache"] = dict(counts)
         report.timings["halving_step_iterations"] = iterations
+        report.timings["halving_step_residuals"] = residuals
         ratio = errs[1]["l2_rel_error"] / errs[0]["l2_rel_error"]
         report.properties.append(PropertyResult("halving_error_ratio", 0.4 <= ratio <= 0.6,
                                                 ratio, 0.6).as_dict())

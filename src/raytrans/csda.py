@@ -48,6 +48,7 @@ class MarchReport:
     inflow_trace_sup: float
     cache: dict = field(default_factory=dict)   # IterationReport.cache summed over steps
     step_iterations: list = field(default_factory=list)   # inner iterations of each step
+    step_residuals: list = field(default_factory=list)    # residual history of each step
 
 
 @dataclass(frozen=True)
@@ -120,12 +121,12 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     with coefficients frozen at the step energy, in at most ``_MAX_ITER``
     source iterations; the inflow condition is enforced by the
     characteristic integral itself (and checked by ``inflow_trace_sup``).
-    The steps share one ``SweepCache``: a direction's attenuation weights,
-    kernel sweep operators and lattice-source operator are built again only
-    when their inputs change, and are freed when the march returns.  The
-    first step's lattice source is zero and builds nothing; from the second
-    step on, each direction applies one lattice-source operator while
-    sigma_eff repeats.
+    The steps share one ``SweepCache``: a direction's attenuation weights
+    and sweep operators are built again only when their inputs change, and
+    are freed when the march returns.  The first step's lattice source is
+    zero and builds nothing; from the second step on, each direction applies
+    one lattice-source operator while sigma_eff repeats (its kernel sweep's
+    if their clamps are equal).
     Returns the transformed field on the companion march grid.
     """
     _check_stopping(coeffs)
@@ -168,7 +169,7 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
 
     phi = np.zeros((mgrid.n_interior, mgrid.n_omega, n_steps + 1))
     sweep_cache = SweepCache(slice_grid, step_quad, t_cap)
-    step_iterations = []
+    step_iterations, step_residuals = [], []
     cache = Counter()
     trace_sup = 0.0
     prev = phi[:, :, 0]
@@ -199,6 +200,7 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
         prev = out.values[:, :, 0]
         phi[:, :, n] = prev
         step_iterations.append(rep.iterations)
+        step_residuals.append(rep.residual_history)
         cache.update(rep.cache)
         trace_sup = max(trace_sup, inflow_trace_sup(src, eff, mgrid, quad, mesh, 0.0))
         if snapshot_cb is not None:
@@ -207,7 +209,7 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     report = MarchReport(steps=n_steps, inner_iterations=sum(step_iterations),
                          final_slice_sup=float(np.max(np.abs(phi[:, :, 0]))),
                          inflow_trace_sup=trace_sup, cache=dict(cache),
-                         step_iterations=step_iterations)
+                         step_iterations=step_iterations, step_residuals=step_residuals)
     return DiscreteField(phi, mgrid), report
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,22 +65,22 @@ class _CacheBudget:
 def _cache_counts() -> dict:
     return {"operators_built": 0, "operators_reused": 0, "operator_entries": 0,
             "operator_bytes": 0, "sweeps_rebuilt": 0, "ray_nodes": 0,
-            "ray_weights_reused": 0, "lattice_operators": 0, "kernel_columns": 0}
+            "ray_weights_reused": 0, "kernel_columns": 0}
 
 
 @dataclass
 class IterationReport:
     """Contraction record of one source-iteration run.
 
-    ``cache`` counts the kernel sweep operators built (and so kept) and
-    reused in the ``SweepCache``, their stored entries and bytes, the sweeps
-    that streamed their operator because it was over budget, the ray nodes
-    placed (those sweeps included), the (direction, energy) pairs whose
-    attenuation weights came from the cache at set-up, the lattice-source
-    operators formed, kept or streamed, and the kernel columns evaluated (a
-    column the budget did not keep at each use).  ``rate_bound`` caps the
-    contraction rate by c_kernel / (shift - c_sigma) + 0.05, with the two
-    terms of the m = 0 threshold the solve checked (NaN if it checked none).
+    ``cache`` counts the sweep operators (of kernel sweeps and lattice
+    sources alike) built, and so kept, and reused in the ``SweepCache``,
+    their stored entries and bytes, the sweeps streamed over budget, the
+    ray nodes placed (again for each streamed kernel sweep), the (direction,
+    energy) pairs whose attenuation weights came from the cache at set-up,
+    and the kernel columns evaluated (a column the budget did not keep at
+    each use).  ``rate_bound`` caps the contraction rate by c_kernel /
+    (shift - c_sigma) + 0.05, with the two terms of the m = 0 threshold the
+    solve checked (NaN if it checked none).
     """
 
     iterations: int = 0
@@ -295,15 +295,14 @@ def _mapped(arrays: list) -> list:
 
 class _WeightSet:
     """Attenuation weights of one direction for one sigma + shift at its ray
-    nodes, with the sweep operators built from them."""
+    nodes, with the table of the sweep operators built from them."""
 
     def __init__(self, sigma: list, weights: list):
         self.sigma = sigma          # per panel-count group, compared bitwise
         self.weights = weights      # per panel-count group
         self.kept = False           # whether the cache holds (and charged) the set
         self.nbytes = 0             # bytes charged for the set and its operators
-        self.kernel_ops = {}        # packed clamp bits -> SweepOperator
-        self.lattice_op = None      # lattice-source SweepOperator, if kept
+        self.ops = {}               # packed clamp bits -> SweepOperator
         self.used = True            # used by the current solve
 
     def matches(self, sigma: list) -> bool:
@@ -320,15 +319,15 @@ class SweepCache:
     lattice with the exit times (capped at ``t_cap``) and ``quad``; they are
     placed again on every use, with the same bits, and never stored.  For
     each distinct sigma + shift at those nodes (compared bitwise) the cache
-    keeps the attenuation weights, the kernel sweep operators keyed by their
-    clamp bits, and the lattice-source operator on ``lattice_clamp``, the
-    clamp of the whole mask.  Everything kept, and the kernel
-    columns of the solve, is charged to one ``_CACHE_BYTES`` budget; what
-    does not fit is used once and dropped, and an operator that does not
-    fit is never built whole but streamed (``_kept_operator``).  A cache
-    ``across_solves`` (a march's) holds what it keeps in memory maps of its
-    own (``_mapped``); one held by a single solve drops a direction's
-    weights once its energies are done.
+    keeps the attenuation weights and one table of sweep operators keyed by
+    their packed clamp bits, shared by kernel sweeps (on ``_kernel_clamp``)
+    and lattice sources (on ``lattice_clamp``) through ``sweep``.
+    Everything kept, and the kernel columns of the solve, is charged to one
+    ``_CACHE_BYTES`` budget; what does not fit is used once and dropped, and
+    an operator that does not fit is never built whole but streamed
+    (``_operator``).  A cache ``across_solves`` (a march's) holds what it
+    keeps in memory maps of its own (``_mapped``); one held by a single
+    solve drops a direction's weights once its energies are done.
     """
 
     def __init__(self, grid: GridSpec, quad: RayQuadrature, t_cap: Optional[float] = None,
@@ -342,7 +341,8 @@ class SweepCache:
 
     @cached_property
     def lattice_clamp(self) -> np.ndarray:
-        """The ``_support_clamp`` of the grid mask, the clamp of every lattice source."""
+        """The ``_support_clamp`` of the grid mask, the clamp of every lattice
+        source: no march property reads a lattice source's support margin."""
         return _support_clamp(self.grid.mask)
 
     def serves(self, grid: GridSpec, quad: RayQuadrature) -> bool:
@@ -353,21 +353,6 @@ class SweepCache:
         ``_ray_groups``."""
         return [(sel, pts, width) for sel, _, pts, width in
                 _ray_groups(self.grid.coords, self.grid.sphere_nodes[j], self.T[:, j], self.quad)]
-
-    def _kept_operator(self, ws: _WeightSet, system: RaySystem,
-                       clamp: np.ndarray) -> Optional[SweepOperator]:
-        """The sweep operator of ``system`` on ``clamp`` as the kept set
-        ``ws`` holds it, charged to the budget.  None, the one decision to
-        stream it, if ``ws`` is not kept (nothing is built) or the operator
-        does not fit (its build stops at the first chunk over the bytes left)."""
-        op = system.sweep_operator(self.grid, clamp, self.budget.left) if ws.kept else None
-        if op is None:
-            return None
-        self.budget.take(op.nbytes)
-        ws.nbytes += op.nbytes
-        if self.across_solves:
-            op = SweepOperator(op.n_points, *_mapped([op.rows, op.starts, op.cols, op.data]))
-        return op
 
     def system(self, j: int, nodes: list, coeffs: CoefficientSet, E: float,
                counts: Optional[dict] = None) -> tuple[RaySystem, _WeightSet]:
@@ -396,58 +381,70 @@ class SweepCache:
         groups = [(sel, pts.reshape(-1, 3), w) for (sel, pts, _), w in zip(nodes, ws.weights)]
         return RaySystem(omega, E, self.grid.n_interior, groups, self.quad), ws
 
-    def kernel_sweep(self, ws: _WeightSet, system: RaySystem, applier: _KernelApplier,
-                     coeffs: CoefficientSet, j: int, k: int, counts: dict) -> Callable:
-        """The kernel sweep of ``system`` (direction j, energy node k): a
-        map from spline coefficients to ray integrals.  It applies the
-        operator ``ws`` keeps for the same clamp bits, or one built and kept
-        now; if that does not fit, every call places the nodes, forms the
-        ray system and streams the operator (``RaySystem.sweep``) on the
-        clamp unpacked from those bits."""
-        clamp = _kernel_clamp(applier, j, k)
+    def form(self, j: int, coeffs: CoefficientSet, E: float, counts: dict) -> RaySystem:
+        """The ray system of direction j at energy E formed again, its nodes
+        placed again (and counted in ``counts``)."""
+        s = self.system(j, self.nodes(j), coeffs, E)[0]
+        counts["ray_nodes"] += s.n_nodes
+        return s
+
+    def _operator(self, ws: _WeightSet, system: RaySystem, clamp: np.ndarray,
+                  counts: dict) -> Optional[SweepOperator]:
+        """The sweep operator of ``system`` on ``clamp`` in the table of
+        ``ws``, or built now, kept there and charged to the budget.  None,
+        the one decision to stream, if ``ws`` is not kept (nothing is built)
+        or the operator does not fit (its build stops at the first chunk
+        over the bytes left)."""
         key = np.packbits(clamp).tobytes()
-        op = ws.kernel_ops.get(key)
+        op = ws.ops.get(key)
         if op is not None:
             counts["operators_reused"] += 1
-            return op.apply
-        op = self._kept_operator(ws, system, clamp)
-        if op is not None:
-            ws.kernel_ops[key] = op
-            counts["operators_built"] += 1
-            counts["operator_entries"] += op.data.size
-            counts["operator_bytes"] += op.nbytes
-            return op.apply
-        E, grid = system.E, self.grid
+            return op
+        op = system.sweep_operator(self.grid, clamp, self.budget.left) if ws.kept else None
+        if op is None:
+            return None
+        self.budget.take(op.nbytes)
+        ws.nbytes += op.nbytes
+        if self.across_solves:
+            op = SweepOperator(op.n_points, *_mapped([op.rows, op.starts, op.cols, op.data]))
+        ws.ops[key] = op
+        counts["operators_built"] += 1
+        counts["operator_entries"] += op.data.size
+        counts["operator_bytes"] += op.nbytes
+        return op
 
-        def stream(coef: np.ndarray) -> np.ndarray:
-            s = self.system(j, self.nodes(j), coeffs, E)[0]
-            counts["ray_nodes"] += s.n_nodes
+    def sweep(self, ws: _WeightSet, system: RaySystem, clamp: np.ndarray, counts: dict,
+              form: Optional[Callable[[], RaySystem]] = None) -> Callable[[np.ndarray], np.ndarray]:
+        """The sweep of ``system`` on ``clamp``: the map from a lattice slab
+        (n_interior,) to the ray integrals of its cubic spline.
+
+        An all-zero slab gives exact zeros, with nothing filtered, built or
+        applied.  Any other slab's spline coefficients go through the
+        operator of ``_operator``, taken at that slab, or, if it decides to
+        stream, through ``RaySystem.sweep`` of ``system`` (a sweep rebuilt).
+        With ``form``, for a sweep used after set-up, the operator is taken
+        now, and a stream goes through the ray system ``form()`` forms again."""
+        grid, bits = self.grid, np.packbits(clamp)
+        if form is None:
+            take = lambda: self._operator(ws, system, clamp, counts)
+            form = lambda: system
+        else:
+            op = self._operator(ws, system, clamp, counts)
+            take = lambda: op
+
+        def integrals(slab: np.ndarray) -> np.ndarray:
+            if not slab.any():
+                return np.zeros(grid.n_interior)
+            from scipy import ndimage
+
+            coef = ndimage.spline_filter(grid.embed(slab), order=3, mode="constant")
+            kept = take()
+            if kept is not None:
+                return kept.apply(coef)
             counts["sweeps_rebuilt"] += 1
-            bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=grid.mask.size)
-            return s.sweep(grid, bits.view(bool).reshape(grid.shape), coef)
-        return stream
-
-    def lattice_integral(self, ws: _WeightSet, system: RaySystem, slab: np.ndarray,
-                         counts: dict) -> np.ndarray:
-        """``system``'s ray integrals of the cubic spline of a lattice slab on
-        ``lattice_clamp``: the apply of the operator ``ws`` keeps or builds
-        and keeps now, streamed (``RaySystem.sweep``) if it does not fit; an
-        all-zero slab gives exact zeros with nothing built or applied.  Unlike
-        a kernel sweep, the clamp is not the slab's own support: no march
-        property reads a lattice source's support margin, and energy
-        causality stays exact because a zero slab integrates to exact zeros."""
-        grid = self.grid
-        if not slab.any():
-            return np.zeros(grid.n_interior)
-        from scipy import ndimage
-
-        coef = ndimage.spline_filter(grid.embed(slab), order=3, mode="constant")
-        if ws.lattice_op is None:
-            counts["lattice_operators"] += 1
-            ws.lattice_op = self._kept_operator(ws, system, self.lattice_clamp)
-            if ws.lattice_op is None:
-                return system.sweep(grid, self.lattice_clamp, coef)
-        return ws.lattice_op.apply(coef)
+            unpacked = np.unpackbits(bits, count=grid.mask.size).view(bool).reshape(grid.shape)
+            return form().sweep(grid, unpacked, coef)
+        return integrals
 
     def end_direction(self, j: int) -> None:
         """The set-up looks up no more weights of direction j: in a cache held
@@ -489,21 +486,18 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     once for all its energies, and its attenuation weights and sweep
     operators come from ``cache`` (a ``SweepCache`` on this grid and
     ``quad``, shared by the steps of an energy march, whose ``t_cap`` also
-    serves the solve; a new one that keeps no weights if None).  The sweep of each (direction, energy) is a
-    ``SweepOperator`` on the cubic spline coefficients of the scattered
-    slab, clamped to the ``_support_clamp`` of the kernel's non-zero rows
-    there (which holds the support of every scattered slab), as
-    ``SweepCache.kernel_sweep`` returns it: kept, or streamed on every call
-    if over budget, with the same arithmetic.  Stops
+    serves the solve; a new one that keeps no weights if None).  Each
+    (direction, energy) sweeps the scattered slab with ``SweepCache.sweep``
+    on the ``_support_clamp`` of the kernel's non-zero rows there (which
+    holds the support of every scattered slab): a kept operator, or a sweep
+    streamed on every call if over budget, with the same arithmetic.  Stops
     when the sup change between iterates falls below tol.  ``grid_source``
     adds a lattice source of shape (n_x, n_omega, n_E), integrated once
-    through the cache's lattice-source operators; ``check_threshold`` verifies
+    through the same ``SweepCache.sweep`` on ``lattice_clamp``; ``check_threshold`` verifies
     C > C'' first, with the kernel columns the solve uses (callers with
     their own solvability criterion, like the energy marcher, disable it;
     the report keeps the ``rate_bound`` of the threshold).
     """
-    from scipy import ndimage
-
     if cache is None:
         cache = SweepCache(grid, quad, across_solves=False)
     elif not cache.serves(grid, quad):
@@ -529,9 +523,10 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
                 cache.end_direction(j)
             psi_fix[:, j, k] = s.integrate_callable(f)
             if grid_source is not None:
-                psi_fix[:, j, k] += cache.lattice_integral(ws, s, grid_source[:, j, k], counts)
+                psi_fix[:, j, k] += cache.sweep(ws, s, cache.lattice_clamp, counts)(grid_source[:, j, k])
             if applier is not None:
-                sweeps[j, k] = cache.kernel_sweep(ws, s, applier, coeffs, j, k, counts)
+                sweeps[j, k] = cache.sweep(ws, s, _kernel_clamp(applier, j, k), counts,
+                                           partial(cache.form, j, coeffs, s.E, counts))
             del s
         del nodes
     cache.end_setup()
@@ -546,8 +541,7 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
             for k in range(grid.n_energy):
                 scattered = applier.apply_slice(psi[:, :, k], k)
                 for j in range(grid.n_omega):
-                    coef = ndimage.spline_filter(grid.embed(scattered[:, j]), order=3, mode="constant")
-                    new[:, j, k] += sweeps[j, k](coef)
+                    new[:, j, k] += sweeps[j, k](scattered[:, j])
         resid = float(np.max(np.abs(new - psi)))
         report.residual_history.append(resid)
         report.iterations = it + 1
@@ -557,7 +551,7 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
             break
     if applier is not None:
         applier.release()
-        counts["kernel_columns"] = applier.columns
+        counts["kernel_columns"] += applier.columns
     report.finish()
     if not report.converged:
         raise MaxIterationsExceeded(

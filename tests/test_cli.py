@@ -74,11 +74,11 @@ class TestRunScenario:
         assert counts["operator_entries"] > 0
         assert counts["ray_nodes"] > 0
         assert counts["operators_reused"] == counts["ray_weights_reused"] == 0
-        assert counts["lattice_operators"] == 0
+        assert counts.keys() == sc._cache_counts().keys()
         assert counts["kernel_columns"] == 8
         body = report.to_json(include_timings=False)
         for key in ("sweep_cache", "operator_entries", "ray_nodes", "operators_reused",
-                    "ray_weights_reused", "lattice_operators", "kernel_columns"):
+                    "ray_weights_reused", "sweeps_rebuilt", "kernel_columns"):
             assert key not in body
 
     def test_rate_cap_takes_the_threshold_of_the_solve(self, tmp_path, monkeypatch):
@@ -130,20 +130,27 @@ class TestRunScenario:
         assert names["cutoff_energy_trace"]["pass"]
         assert names["inflow_trace"]["pass"]
         # the run's march and the sweep's march at dE/2: weights and one
-        # lattice-source operator built once per direction and march,
-        # per-step iterations in timings
+        # lattice-source operator built once per direction and march (the
+        # first step's source is zero) and applied at every later step,
+        # per-step iterations and residuals in timings
         counts = report.timings["sweep_cache"]
         steps = report.iteration["steps"]
         all_steps = steps + 2 * steps
         assert counts["ray_weights_reused"] == 8 * (all_steps - 2)
-        assert counts["lattice_operators"] == 8 * 2
+        assert counts["operators_built"] == 8 * 2
+        assert counts["operators_reused"] == 8 * (all_steps - 2 * 2)
         assert len(report.timings["step_iterations"]) == steps
         assert sum(report.timings["step_iterations"]) == report.iteration["inner_iterations"]
         halving = report.timings["halving_step_iterations"]
         assert halving[0] == report.timings["step_iterations"]
         assert len(halving[1]) == 2 * steps and min(halving[1]) > 0
+        residuals = report.timings["halving_step_residuals"]
+        assert residuals[0] == report.timings["step_residuals"]
+        for iterations, histories in zip(halving, residuals):
+            assert [len(h) for h in histories] == iterations
         body = report.to_json(include_timings=False)
-        for key in ("step_iterations", "ray_weights_reused", "lattice_operators", "operators_reused"):
+        for key in ("step_iterations", "step_residuals", "ray_weights_reused", "operators_built",
+                    "operators_reused"):
             assert key not in body
 
     def test_halving_sweep_reuses_the_configured_step(self, monkeypatch):

@@ -299,12 +299,15 @@ class TestSolveCsda:
             sols[dE] = psi
             assert rep.final_slice_sup < 1e-12 and rep.inflow_trace_sup < 1e-10
             # sigma_eff and the kernel clamp repeat at every step: each
-            # direction builds its weights and its kernel operator once
+            # direction builds its weights and its kernel operator once, and
+            # at the second step its lattice-source operator on another clamp
             reused = grid.n_omega * (rep.steps - 1)
-            assert rep.cache["operators_built"] == grid.n_omega
-            assert rep.cache["operators_reused"] == rep.cache["ray_weights_reused"] == reused
+            assert rep.cache["operators_built"] == 2 * grid.n_omega
+            assert rep.cache["ray_weights_reused"] == reused
+            assert rep.cache["operators_reused"] == reused + grid.n_omega * (rep.steps - 2)
             assert len(rep.step_iterations) == rep.steps
             assert sum(rep.step_iterations) == rep.inner_iterations
+            assert [len(h) for h in rep.step_residuals] == rep.step_iterations
         ref = sols[L / 16]
         e1 = h_norm(sols[L / 4].with_values(sols[L / 4].values - ref.values), 0)
         e2 = h_norm(sols[L / 8].with_values(sols[L / 8].values - ref.values), 0)

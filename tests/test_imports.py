@@ -2,8 +2,9 @@
 scipy.ndimage and scipy.sparse at its first sweep and gives the same field
 as in any other process.  No package module keeps an import it does not
 use or a private module-level name that the package never loads, every
-error class is raised somewhere and expected by some test, and every
-parameter default is passed by some caller."""
+error class is raised somewhere and expected by some test, every
+parameter default is passed by some caller, and every sweep-cache counter
+is counted."""
 
 import ast
 import io
@@ -124,6 +125,20 @@ def test_every_private_module_name_is_loaded_in_the_package():
     exempt = _patched_by_string()
     assert "_grid_interp_factory" in exempt
     assert sorted(d for d in defined if d.split(":")[1] not in loaded | exempt) == []
+
+
+def test_every_cache_counter_is_counted():
+    # ``IterationReport.cache`` starts from ``_cache_counts()``: a key that
+    # no code adds to, or a key added to that it lacks, is a stale counter
+    from raytrans.scattering import _cache_counts
+
+    counted = set()
+    for path in sorted((SRC / "raytrans").glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Subscript) \
+                    and isinstance(n.target.slice, ast.Constant) and isinstance(n.target.slice.value, str):
+                counted.add(n.target.slice.value)
+    assert counted == set(_cache_counts())
 
 
 # reached only through run_suite's table, each with the seed run_suite takes

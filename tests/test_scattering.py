@@ -299,8 +299,8 @@ class TestSolveScattering:
         monkeypatch.setattr(sc, "_CACHE_BYTES", 4 * 2**20)
         part, rep_part = sc.solve_scattering(f, coeffs, g, quad, tol=1e-9)
         assert rep_part.cache == dict(operators_built=6, operators_reused=6, operator_entries=334344,
-                                      operator_bytes=3366720, sweeps_rebuilt=48, ray_nodes=1055264,
-                                      ray_weights_reused=8, lattice_operators=0, kernel_columns=16)
+                                      operator_bytes=3366720, sweeps_rebuilt=44, ray_nodes=979888,
+                                      ray_weights_reused=8, kernel_columns=16)
         monkeypatch.setattr(sc, "_CACHE_BYTES", 0)
         clamps = []
         kernel_clamp = sc._kernel_clamp
@@ -322,15 +322,16 @@ class TestSolveScattering:
         assert rep_cached.cache["operators_built"] == g.n_omega
         assert rep_cached.cache["operators_reused"] == rep_cached.cache["ray_weights_reused"] == reused
         assert rep_cached.cache["sweeps_rebuilt"] == 0
-        # with no budget nothing is kept, so no operator is built or reused
+        # with no budget nothing is kept, so no operator is built or reused;
+        # the first iterate is zero, and a zero slab is not swept
         assert rep_uncached.cache == dict(operators_built=0, operators_reused=0, operator_entries=0,
-                                          operator_bytes=0, sweeps_rebuilt=192, ray_nodes=3768800,
-                                          ray_weights_reused=0, lattice_operators=0,
+                                          operator_bytes=0, sweeps_rebuilt=176, ray_nodes=3467296,
+                                          ray_weights_reused=0,
                                           kernel_columns=len(kernel_calls) // g.n_omega)
-        assert rep_uncached.cache["sweeps_rebuilt"] == n_sweeps * rep_uncached.iterations
+        assert rep_uncached.cache["sweeps_rebuilt"] == n_sweeps * (rep_uncached.iterations - 1)
         # nodes are placed once per direction, and again for every rebuilt sweep
         assert rep_uncached.cache["ray_nodes"] == \
-            rep_cached.cache["ray_nodes"] * (1 + g.n_energy * rep_uncached.iterations)
+            rep_cached.cache["ray_nodes"] * (1 + g.n_energy * (rep_uncached.iterations - 1))
 
     def test_march_over_budget_streams_its_sweeps(self, ball, quad, monkeypatch):
         grid = GridSpec(ball, 13, 2, 4, EnergyInterval(0.0, 0.3), 3)
@@ -344,19 +345,26 @@ class TestSolveScattering:
         # the march's cache counts and (sweep_operator calls, operators it
         # completed, sweep calls) at each budget: within budget nothing is
         # rebuilt; at 4 MiB some directions keep their weights or operators.
-        # The first step's lattice source is zero; within budget each
-        # direction then builds one lattice-source operator and keeps it
+        # The first step's lattice source and first iterate are zero, and a
+        # zero slab is not swept; within budget each direction then builds
+        # one kernel and one lattice-source operator and keeps them
         expected = {
-            sc._CACHE_BYTES: (dict(operators_built=8, operators_reused=40, operator_entries=689202,
-                                   operator_bytes=6940276, sweeps_rebuilt=0, ray_nodes=1655904,
-                                   ray_weights_reused=40, lattice_operators=8, kernel_columns=48), (16, 16, 0)),
+            sc._CACHE_BYTES: (dict(operators_built=16, operators_reused=72, operator_entries=1593088,
+                                   operator_bytes=16036864, sweeps_rebuilt=0, ray_nodes=1655904,
+                                   ray_weights_reused=40, kernel_columns=48), (16, 16, 0)),
             4 * 2**20: (dict(operators_built=2, operators_reused=10, operator_entries=172522,
-                             operator_bytes=1737316, sweeps_rebuilt=288, ray_nodes=11581920,
-                             ray_weights_reused=20, lattice_operators=40, kernel_columns=48), (34, 2, 328)),
+                             operator_bytes=1737316, sweeps_rebuilt=322, ray_nodes=11375128,
+                             ray_weights_reused=20, kernel_columns=48), (34, 2, 322)),
             0: (dict(operators_built=0, operators_reused=0, operator_entries=0,
-                     operator_bytes=0, sweeps_rebuilt=384, ray_nodes=14903136,
-                     ray_weights_reused=0, lattice_operators=40, kernel_columns=432), (0, 0, 424)),
+                     operator_bytes=0, sweeps_rebuilt=416, ray_nodes=14627152,
+                     ray_weights_reused=0, kernel_columns=432), (0, 0, 416)),
         }
+        # with no budget, the 6 steps place each direction's nodes once, and
+        # only a streamed kernel sweep places them again: the 40 lattice
+        # sources of steps 2-6 stream through the ray systems of set-up
+        per_step = expected[sc._CACHE_BYTES][0]["ray_nodes"] // 6
+        kernel_streams = expected[0][0]["sweeps_rebuilt"] - grid.n_omega * 5
+        assert expected[0][0]["ray_nodes"] == per_step * (6 + kernel_streams // grid.n_omega)
         fields = []
         for budget, (counts, spied) in expected.items():
             monkeypatch.setattr(sc, "_CACHE_BYTES", budget)
@@ -367,6 +375,41 @@ class TestSolveScattering:
             assert rep.cache == counts
             assert (calls["sweep_operator"], len(calls["completed"]), calls["sweep"]) == spied
         assert all(np.array_equal(fields[0], other) for other in fields[1:])
+
+    def test_kernel_sweep_and_lattice_source_share_one_operator(self, ball, quad, monkeypatch):
+        # an isotropic kernel is non-zero on every interior node, so its
+        # clamp has the bits of ``lattice_clamp``: each direction's weight
+        # set builds one operator and serves its kernel sweeps and its
+        # lattice sources with it
+        grid = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 0.3), 3)
+        coeffs = CoefficientSet(
+            sigma_t=lambda x, w, E: np.full(len(x), 0.4),
+            scatter=build_scatter({"name": "isotropic", "sigma_s": 0.3}),
+            stopping=lambda x, E: -np.ones(len(np.atleast_2d(x))), kappa=1.0, shift=0.0,
+        )
+        f = lambda x, w, E: smooth_bump(np.linalg.norm(x, axis=1), 0.45) * (1.0 + 0.8 * np.cos(3.0 * E))
+        served = []
+        operator = sc.SweepCache._operator
+
+        def spied(cache, ws, system, clamp, counts):
+            op = operator(cache, ws, system, clamp, counts)
+            served.append((ws, clamp is cache.lattice_clamp, op))
+            return op
+
+        monkeypatch.setattr(sc.SweepCache, "_operator", spied)
+        phi, rep = csda.march_energy(f, coeffs, grid, quad, dE=0.1, tol=1e-12)
+        assert rep.cache["operators_built"] == grid.n_omega
+        sets = {id(ws): ws for ws, _, _ in served}
+        assert len(sets) == grid.n_omega
+        for ws in sets.values():
+            [op] = ws.ops.values()
+            assert {(lattice, id(got)) for w, lattice, got in served if w is ws} == \
+                {(False, id(op)), (True, id(op))}
+        monkeypatch.setattr(sc, "_CACHE_BYTES", 0)
+        streamed, rep_streamed = csda.march_energy(f, coeffs, grid, quad, dE=0.1, tol=1e-12)
+        assert rep_streamed.cache["operators_built"] == 0
+        assert rep_streamed.step_iterations == rep.step_iterations
+        assert np.array_equal(phi.values, streamed.values)
 
     def test_set_up_keeps_every_operator_it_completes(self, ball, quad, monkeypatch):
         # the cache builds an operator only to keep it: the build stops at
@@ -391,15 +434,16 @@ class TestSolveScattering:
             psi, rep = sc.solve_scattering(f, coeffs, g, quad, tol=1e-10, grid_source=lattice, cache=cache)
             fields.append(psi.values)
             sets = [ws for sets in cache._sets.values() for ws in sets]
-            lattice_ops = [ws.lattice_op for ws in sets if ws.lattice_op is not None]
-            kept = [op for ws in sets for op in ws.kernel_ops.values()] + lattice_ops
+            kept = [op for ws in sets for op in ws.ops.values()]
             assert len(kept) == n_kept
             assert sorted(map(id, calls["completed"])) == sorted(map(id, kept))
-            assert rep.cache["operators_built"] == len(kept) - len(lattice_ops)
-            # one sweep per streamed lattice operator, and per kernel sweep rebuilt
-            streamed = rep.cache["lattice_operators"] - len(lattice_ops)
-            assert calls["sweep"] == rep.cache["sweeps_rebuilt"] + streamed
-        assert streamed == rep.cache["lattice_operators"] == g.n_omega * g.n_energy
+            assert rep.cache["operators_built"] == len(kept)
+            # one sweep per streamed lattice source and kernel sweep
+            assert calls["sweep"] == rep.cache["sweeps_rebuilt"]
+        # with no budget every lattice source streams, and so does every
+        # kernel sweep after the first iterate's zero slabs
+        n_sweeps = g.n_omega * g.n_energy
+        assert rep.cache["sweeps_rebuilt"] == n_sweeps + n_sweeps * (rep.iterations - 1)
         assert calls["sweep_operator"] == 0
         assert all(np.array_equal(fields[0], other) for other in fields[1:])
 
@@ -611,12 +655,12 @@ class TestSweepOperator:
                     slab = np.where(r < radius, rng.uniform(0.5, 1.5, g.n_interior), 0.0)
                     system, ws = cache.system(j, cache.nodes(j), coeffs, 0.0, counts)
                     calls.update(sweep_operator=0, completed=[], sweep=0)
-                    out = cache.lattice_integral(ws, system, slab, counts)
+                    out = cache.sweep(ws, system, cache.lattice_clamp, counts)(slab)
                     if radius == 0.0:
                         # a zero slab: exact zeros, nothing built or applied
                         assert np.array_equal(out, np.zeros(g.n_interior))
                         assert calls == dict(sweep_operator=0, completed=[], sweep=0)
-                        assert counts["lattice_operators"] == 0
+                        assert counts["operators_built"] == counts["operators_reused"] == 0
                     else:
                         ref = reference(system, slab)
                         assert np.max(np.abs(out - ref)) <= self.REL_TOL * np.max(np.abs(ref))
@@ -630,18 +674,19 @@ class TestSweepOperator:
         first = radii.index(0.3)
         for i, (radius, counts, ws) in enumerate(march(sc._CACHE_BYTES)):
             built = i // 2 == first
-            assert counts["lattice_operators"] == built
+            assert counts["operators_built"] == built
+            assert counts["operators_reused"] == (i // 2 > first and radius > 0.0)
             assert (calls["sweep_operator"], len(calls["completed"])) == (built, built)
-            assert calls["sweep"] == 0
+            assert calls["sweep"] == counts["sweeps_rebuilt"] == 0
             assert counts["ray_weights_reused"] == (i >= 2)
-            assert ws.kept and (ws.lattice_op is not None) == (i // 2 >= first)
+            assert ws.kept and len(ws.ops) == (i // 2 >= first)
         # over budget, every non-zero slab streams its operator, and the
         # weight set holds nothing
         for radius, counts, ws in march(0):
-            assert counts["lattice_operators"] == calls["sweep"] == (radius > 0.0)
+            assert counts["sweeps_rebuilt"] == calls["sweep"] == (radius > 0.0)
             assert calls["sweep_operator"] == 0
             assert counts["ray_weights_reused"] == 0
-            assert not ws.kept and ws.lattice_op is None and ws.nbytes == 0
+            assert not ws.kept and not ws.ops and ws.nbytes == 0
 
     def test_cache_keeps_the_sets_the_last_solve_used(self, ball, quad, ray_system):
         g = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 1)
@@ -658,7 +703,7 @@ class TestSweepOperator:
                 for (sel, flat, w), (sel_f, flat_f, w_f) in zip(system.groups, fresh.groups):
                     assert np.array_equal(sel, sel_f) and np.array_equal(flat, flat_f)
                     assert np.array_equal(w, w_f)
-                cache.lattice_integral(ws, system, slab, counts)
+                cache.sweep(ws, system, cache.lattice_clamp, counts)(slab)
             cache.end_setup()
             assert all(len(sets) == 1 for sets in cache._sets.values())
             kept = sum(ws.nbytes for sets in cache._sets.values() for ws in sets)
