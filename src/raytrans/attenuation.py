@@ -385,6 +385,23 @@ class _TapTube:
         return int(np.searchsorted(self.rank, 2 * n_full))
 
 
+def _heap_arrays(specs: list) -> list:
+    """Empty heap arrays of the (dtype, size) ``specs``."""
+    return [np.empty(size, dtype) for dtype, size in specs]
+
+
+def _cut(a: np.ndarray, n: int) -> np.ndarray:
+    """The first n entries of ``a``.  An array that owns its memory is
+    shrunk in place (``ndarray.resize``, a realloc to a smaller size), so
+    no spare capacity stays allocated; a view, such as one into a memory
+    map, is cut as a view: the map's untouched tail never becomes
+    resident."""
+    if a.flags.owndata:
+        a.resize(n, refcheck=False)
+        return a
+    return a[:n]
+
+
 def _merged_segments(sizes):
     """Lists of consecutive segments (group, lo, hi) of the groups of
     ``sizes`` rays, each segment of at most ``_OPERATOR_CHUNK`` rays of one
@@ -428,7 +445,28 @@ class RaySystem:
     def integrate_interp(self, interp: Callable) -> np.ndarray:
         return _weighted_sums(self.n_points, self.groups, interp, self.omega, self.E)
 
-    def _operator_chunks(self, grid: GridSpec, clamp: np.ndarray):
+    def _tap_tube(self, grid: GridSpec) -> Optional[_TapTube]:
+        """The ``_TapTube`` of the system on ``grid`` (None if it has no
+        rays), once its points are checked to be the grid's interior nodes."""
+        if self.n_points != grid.n_interior:
+            raise ValueError("a sweep operator needs a ray system on the grid's interior nodes")
+        if not self.groups:
+            return None
+        nq = self.quad.nodes_per_panel
+        first = self.quad.full_nodes(1)[0, 0] * self.omega
+        for sel, flat, _ in self.groups:
+            if flat.shape[0] > sel.size * nq and not np.array_equal(
+                    flat[::flat.shape[0] // sel.size], grid.coords[sel] - first):
+                raise ValueError("the ray system's points are not the grid's interior nodes")
+        return _TapTube(grid, self.omega, self.quad, self.groups)
+
+    def _entry_bound(self, tube: _TapTube) -> int:
+        """A bound on the operator's entries: rays x ``_TapTube.width``
+        summed over the panel-count groups, since every tap of a ray with
+        n full-panel nodes lies in the first width(n) tube offsets."""
+        return sum(sel.size * tube.width(n_full) for (sel, _, _), n_full in zip(self.groups, tube.n_fulls))
+
+    def _operator_chunks(self, grid: GridSpec, clamp: np.ndarray, tube: Optional[_TapTube] = None):
         """(points, entries per point, box indices, weights) of the rows of
         ``sweep_operator``, one chunk of at most ``_OPERATOR_CHUNK`` rays at
         a time.
@@ -457,18 +495,14 @@ class RaySystem:
         apply sums both, and merging them would cost a sort.  The points
         must be the grid's interior nodes, so that every ray starts at a
         lattice node, and no full-panel node may lie as far as ``_PAD`` -
-        1/2 spacings outside the box (nodes in the domain lie in it)."""
-        if self.n_points != grid.n_interior:
-            raise ValueError("a sweep operator needs a ray system on the grid's interior nodes")
-        if not self.groups:
-            return
+        1/2 spacings outside the box (nodes in the domain lie in it).
+        ``tube`` is the system's ``_tap_tube(grid)``, formed here if not
+        given."""
+        if tube is None:
+            tube = self._tap_tube(grid)
+            if tube is None:
+                return
         nq = self.quad.nodes_per_panel
-        first = self.quad.full_nodes(1)[0, 0] * self.omega
-        for sel, flat, _ in self.groups:
-            if flat.shape[0] > sel.size * nq and not np.array_equal(
-                    flat[::flat.shape[0] // sel.size], grid.coords[sel] - first):
-                raise ValueError("the ray system's points are not the grid's interior nodes")
-        tube = _TapTube(grid, self.omega, self.quad, self.groups)
         mirror = tube.mirror.astype(np.min_scalar_type(int(np.prod(grid.shape)) - 1))
         padded = np.pad(clamp, _PAD).reshape(-1)
         keep_last = _in_clamp(tube.last, clamp)
@@ -503,28 +537,41 @@ class RaySystem:
             yield rays[counts > 0], counts[counts > 0], mirror[at], block[nz]
             p0 = p1
 
-    def sweep_operator(self, grid: GridSpec, clamp: np.ndarray,
-                       max_bytes: float = math.inf) -> Optional[SweepOperator]:
+    def sweep_operator(self, grid: GridSpec, clamp: np.ndarray, max_bytes: float = math.inf,
+                       alloc: Optional[Callable[[list], list]] = None) -> Optional[SweepOperator]:
         """``integrate_interp`` of the cubic spline interpolant of a lattice
         box, clamped to the box mask ``clamp`` by ``_TapTube.keep``, as a
         ``SweepOperator`` on the spline coefficients ``spline_filter(box,
-        order=3, mode="constant")``: its chunks concatenated.  The build stops
+        order=3, mode="constant")``: its chunks in order.  The build stops
         with None at the first chunk that takes the operator's ``nbytes`` (an
-        int32 row and start per point) over ``max_bytes``."""
-        none = np.zeros(0, dtype=np.intp)
+        int32 row and start per point) over ``max_bytes``.
+
+        Each chunk is written straight into the operator's arrays, sized to
+        a bound: a row per ray of the system and ``_entry_bound`` entries.
+        ``alloc`` takes the (dtype, size) of the rows, starts, columns and
+        weights and returns arrays of those sizes (``SweepCache`` passes one
+        memory map per operator); by default they are heap arrays.  Once
+        built, each is cut to the operator by ``_cut``: no entry is copied
+        again."""
+        tube = self._tap_tube(grid)
         col_type = np.min_scalar_type(int(np.prod(grid.shape)) - 1)
-        chunks = [(none, none, none.astype(col_type), np.zeros(0))]
-        nbytes = 0
-        for chunk in self._operator_chunks(grid, clamp):
-            nbytes += 8 * chunk[0].size + chunk[2].nbytes + chunk[3].nbytes
+        n_rays, n_entries = (0, 0) if tube is None else (tube.rays.size, self._entry_bound(tube))
+        arrays = (alloc or _heap_arrays)([(np.int32, n_rays), (np.int32, n_rays),
+                                          (col_type, n_entries), (np.float64, n_entries)])
+        rows, starts, cols, data = arrays
+        r = e = nbytes = 0
+        for chunk_rows, counts, chunk_cols, chunk_data in self._operator_chunks(grid, clamp, tube):
+            nbytes += 8 * chunk_rows.size + chunk_cols.nbytes + chunk_data.nbytes
             if nbytes > max_bytes:
                 return None
-            chunks.append(chunk)
-        rows, counts, cols, data = zip(*chunks)
-        counts = np.concatenate(counts)
-        return SweepOperator(self.n_points, np.concatenate(rows).astype(np.int32),
-                             (np.cumsum(counts) - counts).astype(np.int32),
-                             np.concatenate(cols), np.concatenate(data))
+            r1, e1 = r + chunk_rows.size, e + chunk_data.size
+            rows[r:r1] = chunk_rows
+            starts[r:r1] = np.cumsum(counts) - counts + e
+            cols[e:e1] = chunk_cols
+            data[e:e1] = chunk_data
+            r, e = r1, e1
+            del chunk_rows, counts, chunk_cols, chunk_data   # before the next chunk is formed
+        return SweepOperator(self.n_points, *(_cut(a, n) for a, n in zip(arrays, (r, r, e, e))))
 
     def sweep(self, grid: GridSpec, clamp: np.ndarray, coef: np.ndarray) -> np.ndarray:
         """``sweep_operator(grid, clamp).apply(coef)`` bit for bit, each chunk

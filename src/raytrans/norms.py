@@ -76,7 +76,13 @@ def h_inner(psi: DiscreteField, v: DiscreteField, m: int) -> float:
 
 @dataclass(frozen=True)
 class TraceField:
-    """Boundary-restricted field values with surface quadrature data."""
+    """Boundary-restricted field values with surface quadrature data.
+
+    ``trace_from_callable`` and ``trace_from_grid_field`` store both arrays
+    direction-major, (n_omega, n_surf, n_energy) and (n_omega, n_surf), and
+    hand them out as ``np.moveaxis`` views of the shapes below, so the
+    per-direction slabs ``values[:, j, :]`` and ``dots[:, j]`` that fill and
+    read them are contiguous."""
 
     values: np.ndarray        # (n_surf, n_omega, n_energy)
     dots: np.ndarray          # (n_surf, n_omega) omega . nu(y)
@@ -94,18 +100,25 @@ class TraceField:
         return np.ones_like(self.dots, dtype=bool)
 
 
+def _direction_dots(mesh: SurfaceMesh, grid: GridSpec) -> np.ndarray:
+    """omega_j . nu(y) direction-major (n_omega, n_surf): the bits of
+    ``mesh.normals @ grid.sphere_nodes.T``, transposed in place of a product
+    in the other order, which may round differently."""
+    return np.ascontiguousarray((mesh.normals @ grid.sphere_nodes.T).T)
+
+
 def trace_from_callable(field: Callable, grid: GridSpec, side: Optional[BoundarySide],
                         subdivisions: int = 3) -> TraceField:
     """Sample a callable field on the boundary quadrature mesh, checked by
     ``_node_values``."""
     mesh = triangulate_boundary(grid.domain, subdivisions)
-    dots = mesh.normals @ grid.sphere_nodes.T
-    vals = np.empty((mesh.points.shape[0], grid.n_omega, grid.n_energy))
+    dots = _direction_dots(mesh, grid)
+    vals = np.empty((grid.n_omega, mesh.points.shape[0], grid.n_energy))
     for j, omega in enumerate(grid.sphere_nodes):
         for k, E in enumerate(grid.energy_nodes.tolist()):
-            vals[:, j, k] = _node_values(field(mesh.points, omega, E), mesh.points, "field", "point",
+            vals[j, :, k] = _node_values(field(mesh.points, omega, E), mesh.points, "field", "point",
                                          lambda: _where(omega, E))
-    return TraceField(vals, dots, mesh, grid, side)
+    return TraceField(np.moveaxis(vals, 0, 1), dots.T, mesh, grid, side)
 
 
 def _pullin_samples(grid: GridSpec, box: np.ndarray, points: np.ndarray,
@@ -133,13 +146,13 @@ def trace_from_grid_field(psi: DiscreteField, side: Optional[BoundarySide]) -> T
     """Extrapolate a grid field to the boundary mesh (second order inward)."""
     grid = psi.grid
     mesh = triangulate_boundary(grid.domain, _SUBDIVISIONS)
-    dots = mesh.normals @ grid.sphere_nodes.T
-    vals = np.empty((mesh.points.shape[0], grid.n_omega, grid.n_energy))
+    dots = _direction_dots(mesh, grid)
+    vals = np.empty((grid.n_omega, mesh.points.shape[0], grid.n_energy))
     for k in range(grid.n_energy):
         box = grid.embed(psi.values[:, :, k])
         for j in range(grid.n_omega):
-            vals[:, j, k] = _pullin_samples(grid, box[..., j], mesh.points, mesh.normals)
-    return TraceField(vals, dots, mesh, grid, side)
+            vals[j, :, k] = _pullin_samples(grid, box[..., j], mesh.points, mesh.normals)
+    return TraceField(np.moveaxis(vals, 0, 1), dots.T, mesh, grid, side)
 
 
 def trace_norm(tr: TraceField, weighting: str = "plain") -> float:

@@ -270,26 +270,31 @@ def _kernel_clamp(applier: _KernelApplier, j: int, k: int) -> np.ndarray:
     return _support_clamp(support)
 
 
-def _mapped(arrays: list) -> list:
-    """Copies of ``arrays`` in one anonymous memory map of their own.
+def _map_arrays(specs: list) -> list:
+    """Empty arrays of the (dtype, shape) ``specs`` in one anonymous memory
+    map of their own.
 
     A march keeps its cache while every step's builds allocate and free
     large temporaries around it; kept in the allocator's heap, the cached
     arrays pin it, and once the march drops them the heap stays resident
     as holes.  A map of their own goes back to the system when the last
-    copy is dropped."""
-    starts = np.cumsum([0] + [-(-a.nbytes // 64) * 64 for a in arrays])
+    array in it is dropped, and pages of it never written never become
+    resident."""
+    sizes = [int(np.prod(shape)) * np.dtype(dtype).itemsize for dtype, shape in specs]
+    starts = np.cumsum([0] + [-(-n // 64) * 64 for n in sizes])
     if starts[-1] == 0:
-        return list(arrays)
+        return [np.empty(shape, dtype) for dtype, shape in specs]
     buf = memoryview(mmap.mmap(-1, int(starts[-1])))
-    out = []
-    for a, start in zip(arrays, starts):
-        if a.size == 0:
-            out.append(a)
-            continue
-        copy = np.frombuffer(buf, dtype=a.dtype, count=a.size, offset=int(start)).reshape(a.shape)
+    return [np.frombuffer(buf, dtype=dtype, count=n // np.dtype(dtype).itemsize, offset=int(start)).reshape(shape)
+            for (dtype, shape), n, start in zip(specs, sizes, starts)]
+
+
+def _mapped(arrays: list) -> list:
+    """Copies of the weight-set ``arrays`` in one memory map of their own
+    (``_map_arrays``); a kept sweep operator is built in its map instead."""
+    out = _map_arrays([(a.dtype, a.shape) for a in arrays])
+    for copy, a in zip(out, arrays):
         copy[...] = a
-        out.append(copy)
     return out
 
 
@@ -326,8 +331,11 @@ class SweepCache:
     ``_CACHE_BYTES`` budget; what does not fit is used once and dropped, and
     an operator that does not fit is never built whole but streamed
     (``_operator``).  A cache ``across_solves`` (a march's) holds what it
-    keeps in memory maps of its own (``_mapped``); one held by a single
-    solve drops a direction's weights once its energies are done.
+    keeps in memory maps of its own: each kept operator is built straight
+    into one map (``_map_arrays``), and each kept weight set is copied into
+    one (``_mapped``).  One held by a single solve builds its operators
+    into heap arrays, shrunk in place once built, and drops a direction's
+    weights once its energies are done.
     """
 
     def __init__(self, grid: GridSpec, quad: RayQuadrature, t_cap: Optional[float] = None,
@@ -394,19 +402,19 @@ class SweepCache:
         ``ws``, or built now, kept there and charged to the budget.  None,
         the one decision to stream, if ``ws`` is not kept (nothing is built)
         or the operator does not fit (its build stops at the first chunk
-        over the bytes left)."""
+        over the bytes left).  A cache ``across_solves`` has it built in a
+        memory map of its own."""
         key = np.packbits(clamp).tobytes()
         op = ws.ops.get(key)
         if op is not None:
             counts["operators_reused"] += 1
             return op
-        op = system.sweep_operator(self.grid, clamp, self.budget.left) if ws.kept else None
+        alloc = _map_arrays if self.across_solves else None
+        op = system.sweep_operator(self.grid, clamp, self.budget.left, alloc) if ws.kept else None
         if op is None:
             return None
         self.budget.take(op.nbytes)
         ws.nbytes += op.nbytes
-        if self.across_solves:
-            op = SweepOperator(op.n_points, *_mapped([op.rows, op.starts, op.cols, op.data]))
         ws.ops[key] = op
         counts["operators_built"] += 1
         counts["operator_entries"] += op.data.size

@@ -70,6 +70,24 @@ class TestTraceNorm:
         expect = np.sqrt(4 * np.pi * np.pi)
         assert abs(nm.trace_norm(tr) - expect) / expect < 0.01
 
+    def test_traces_are_stored_direction_major(self, grid):
+        # each direction's slab of values and dots is contiguous, and the
+        # norms have the bits of those of row-major copies
+        f = lambda p, w, E: 1.0 + p[:, 0] * w[2] + E
+        fld = sample_field(f, grid)
+        for tr in (nm.trace_from_callable(f, grid, BoundarySide.INFLOW),
+                   nm.trace_from_grid_field(fld, BoundarySide.INFLOW)):
+            n_surf = tr.mesh.points.shape[0]
+            assert tr.values.shape == (n_surf, grid.n_omega, grid.n_energy)
+            assert tr.dots.shape == (n_surf, grid.n_omega)
+            assert tr.dots.tobytes() == (tr.mesh.normals @ grid.sphere_nodes.T).tobytes()
+            for j in range(grid.n_omega):
+                assert tr.values[:, j, :].flags.c_contiguous and tr.dots[:, j].flags.c_contiguous
+            copy = nm.TraceField(np.ascontiguousarray(tr.values), np.ascontiguousarray(tr.dots), tr.mesh, grid,
+                                 BoundarySide.INFLOW)
+            for weighting in ("plain", "tau"):
+                assert nm.trace_norm(tr, weighting) == nm.trace_norm(copy, weighting)
+
     def test_tau_weighted_bounded_by_diameter(self, grid):
         tr = nm.trace_from_callable(lambda p, w, E: np.ones(len(p)), grid, BoundarySide.INFLOW)
         plain = nm.trace_norm(tr, "plain")

@@ -1106,10 +1106,11 @@ class _PerGroupTube:
         return int(np.searchsorted(self.rank, 2 * n_full))
 
 
-def _per_group_chunks(system, grid, clamp):
+def _per_group_chunks(system, grid, clamp, tube=None):
     """``RaySystem._operator_chunks`` as it was before the merged chunks,
     frozen as the reference: one chunk, and one dense block, per (group,
-    at most ``_OPERATOR_CHUNK`` rays) segment."""
+    at most ``_OPERATOR_CHUNK`` rays) segment.  It forms its own tube and
+    ignores ``tube``."""
     if not system.groups:
         return
     nq = system.quad.nodes_per_panel
@@ -1140,6 +1141,48 @@ def _per_group_chunks(system, grid, clamp):
             yield rays[counts > 0], counts[counts > 0], mirror[box], rows[nz]
 
 
+def _concatenated_operator(system, grid, clamp):
+    """``RaySystem.sweep_operator`` as it was before the in-place build,
+    frozen as the reference: its chunks kept in a list, then concatenated."""
+    none = np.zeros(0, dtype=np.intp)
+    col_type = np.min_scalar_type(int(np.prod(grid.shape)) - 1)
+    chunks = [(none, none, none.astype(col_type), np.zeros(0))] + list(system._operator_chunks(grid, clamp))
+    rows, counts, cols, data = zip(*chunks)
+    counts = np.concatenate(counts)
+    return at.SweepOperator(system.n_points, np.concatenate(rows).astype(np.int32),
+                            (np.cumsum(counts) - counts).astype(np.int32),
+                            np.concatenate(cols), np.concatenate(data))
+
+
+def _buffer(a):
+    """The object at the end of an array's chain of bases: the array itself
+    if it owns its memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a if a.base is None else a.base
+
+
+def _held_numpy_bytes(build):
+    """``build()`` and the bytes of numpy data it allocated and still holds,
+    as tracemalloc traces them."""
+    import tracemalloc
+
+    def traced():
+        domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        return sum(t.size for t in tracemalloc.take_snapshot().filter_traces([domain]).traces)
+
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = traced()
+        out = build()
+        return out, traced() - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 class TestMergedChunks:
     """The build merges consecutive (group, at most ``_OPERATOR_CHUNK``-ray)
     segments into chunks of at most ``_OPERATOR_CHUNK`` rays, one dense
@@ -1149,22 +1192,30 @@ class TestMergedChunks:
     # (n_spatial, n_polar, n_azimuth, panels per unit length, _OPERATOR_CHUNK):
     # a group spans several chunks; chunks span several groups; the grids
     # of configs/scattering_ball.json and configs/csda_sweep.json
-    @pytest.mark.parametrize("dims", [(11, 2, 4, 12, 7), (17, 4, 8, 12, 256), (13, 4, 8, 16, 256),
-                                      (21, 2, 4, 12, 256)])
-    def test_merged_chunks_equal_the_per_group_build(self, ball, ray_system, monkeypatch, dims):
+    DIMS = [(11, 2, 4, 12, 7), (17, 4, 8, 12, 256), (13, 4, 8, 16, 256), (21, 2, 4, 12, 256)]
+    COEFFS = CoefficientSet(sigma_t=lambda x, w, E: 0.3 + 0.1 * x[:, 0], shift=1.0)
+
+    @staticmethod
+    def _set_up(ball, monkeypatch, dims):
+        """The grid, quadrature and clamps (all set, a ball's support clamp,
+        random) of one case of ``DIMS``, with its ``_OPERATOR_CHUNK``."""
         monkeypatch.setattr(at, "_OPERATOR_CHUNK", dims[4])
         g = GridSpec(ball, dims[0], dims[1], dims[2], EnergyInterval(0.0, 1.0), 1)
-        quad = at.RayQuadrature(dims[3], 4)
-        coeffs = CoefficientSet(sigma_t=lambda x, w, E: 0.3 + 0.1 * x[:, 0], shift=1.0)
         r = np.linalg.norm(g.coords, axis=1)
         clamps = [np.ones(g.shape, dtype=bool),
                   sc._support_clamp(g.embed(np.where(r < 0.5, 1.0, 0.0)) != 0.0),
                   np.random.default_rng(47).random(g.shape) < 0.5]
+        return g, at.RayQuadrature(dims[3], 4), clamps
+
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_merged_chunks_equal_the_per_group_build(self, ball, ray_system, monkeypatch, dims):
+        g, quad, clamps = self._set_up(ball, monkeypatch, dims)
+        coeffs = self.COEFFS
         merged = at.RaySystem._operator_chunks
         chunks = []
 
-        def spied(system, grid, clamp):
-            for chunk in merged(system, grid, clamp):
+        def spied(system, grid, clamp, tube=None):
+            for chunk in merged(system, grid, clamp, tube):
                 chunks.append(chunk[0])
                 yield chunk
 
@@ -1192,10 +1243,54 @@ class TestMergedChunks:
                 split += np.count_nonzero(np.bincount(np.concatenate(per_chunk)) > 1)
         assert split > 0 if dims[4] == 7 else max(spans) >= 2
 
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_operators_are_built_in_their_final_arrays(self, ball, monkeypatch, dims):
+        # a march's cache builds each kept operator in one memory map of its
+        # own, and copies only weight sets into maps; a solve's cache builds
+        # into heap arrays cut to the operator, with no spare capacity
+        import mmap
+
+        g, quad, clamps = self._set_up(ball, monkeypatch, dims)
+        copied = []
+        mapped = sc._mapped
+
+        def spied(arrays):
+            copied.append(len(arrays))
+            return mapped(arrays)
+
+        monkeypatch.setattr(sc, "_mapped", spied)
+        for across in (True, False):
+            cache = sc.SweepCache(g, quad, across_solves=across)
+            counts, groups = sc._cache_counts(), []
+            for j in range(g.n_omega):
+                system, ws = cache.system(j, cache.nodes(j), self.COEFFS, 0.0, counts)
+                groups.append(len(system.groups))
+                for clamp in clamps:
+                    ref = _concatenated_operator(system, g, clamp)
+                    op, held = _held_numpy_bytes(lambda: cache._operator(ws, system, clamp, counts))
+                    arrays = [op.rows, op.starts, op.cols, op.data]
+                    for new, old in zip(arrays, [ref.rows, ref.starts, ref.cols, ref.data]):
+                        assert new.dtype == old.dtype and new.shape == old.shape
+                        assert new.tobytes() == old.tobytes()
+                    assert op.data.size > 0 and ws.ops[np.packbits(clamp).tobytes()] is op
+                    if across:
+                        maps = {id(_buffer(a).obj) for a in arrays}
+                        assert len(maps) == 1 and isinstance(_buffer(op.data).obj, mmap.mmap)
+                        assert held == 0
+                    else:
+                        assert all(a.flags.owndata and a.base is None for a in arrays)
+                        assert held == op.nbytes
+            assert counts["operators_built"] == g.n_omega * len(clamps)
+            assert copied == ([2 * n for n in groups] if across else [])
+            copied.clear()
+
     def test_build_holds_its_transients_per_chunk(self, ball):
         # the grid and quadrature of configs/csda_sweep.json.  Peak traced
-        # bytes of one build beyond the operator it returns: 7.44-7.52 MB
-        # for the per-group build (the chunk list and its concatenation),
+        # bytes of one build beyond the operator it returns: 6.85-8.18 MB
+        # for the build in place (the tube, one chunk's transients, and the
+        # heap arrays at their bound, 25-40 % more entries than the operator
+        # keeps: tracemalloc counts the tail the build never writes),
+        # 7.44-7.52 MB for the chunk list and its concatenation,
         # 20.9-21.1 MB when the last-panel taps of a whole direction are
         # formed at once
         import tracemalloc

@@ -1,9 +1,11 @@
 import time
+import weakref
 
 import pytest
 
+from raytrans import norms as nm
 from raytrans.errors import ConfigError
-from raytrans.verify import SUITES, geometry_suite, run_suite
+from raytrans.verify import SUITES, geometry_suite, norms_suite, run_suite
 
 
 class TestSuites:
@@ -36,3 +38,24 @@ class TestSuites:
 
     def test_suite_names_exported(self):
         assert "all" in SUITES and "geometry" in SUITES
+
+    def test_norms_suite_drops_its_trace_before_going_on(self, monkeypatch):
+        # the trace of the inflow-norm property (63 MB: 5120 points x 512
+        # directions x 2 energies) and its arrays are dead by the time the
+        # suite goes on to the Green residual
+        refs, alive = [], []
+        trace, green = nm.trace_from_callable, nm.green_residual
+
+        def traced(*args, **kwargs):
+            tr = trace(*args, **kwargs)
+            refs.extend(weakref.ref(a) for a in (tr, tr.values.base, tr.dots.base))
+            return tr
+
+        def residual(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return green(*args, **kwargs)
+
+        monkeypatch.setattr(nm, "trace_from_callable", traced)
+        monkeypatch.setattr(nm, "green_residual", residual)
+        assert all(r.passed for r in norms_suite(seed=0))
+        assert alive == [[False, False, False]]
