@@ -24,7 +24,7 @@ from .attenuation import RayQuadrature, _ray_groups, _source_integrals, solve_at
 from .errors import InsufficientEnergyResolution, ShiftTooSmall, StoppingPowerViolation
 from .fields import CoefficientSet, DiscreteField, EnergyInterval, GridSpec, _node_values, _where
 from .geometry import ConvexDomain, SurfaceMesh, escape_times, triangulate_boundary
-from .scattering import SweepCache, apply_scatter, solve_scattering
+from .scattering import SweepCache, _cache_counts, apply_scatter, solve_scattering
 
 _FD_STEP = 1e-5      # step of compatibility_check's central differences in space
 _COMPAT_TOL = 1e-6   # residual bound of compatibility_check
@@ -118,15 +118,27 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
         omega.grad phi + [Sigma^ + a^ (C - 1/dE)] phi - K^ phi
             = (-a^/dE) phi_prev + exp(C E') f^
 
-    with coefficients frozen at the step energy, in at most ``_MAX_ITER``
-    source iterations; the inflow condition is enforced by the
-    characteristic integral itself (and checked by ``inflow_trace_sup``).
-    The steps share one ``SweepCache``: a direction's attenuation weights
-    and sweep operators are built again only when their inputs change, and
-    are freed when the march returns.  The first step's lattice source is
-    zero and builds nothing; from the second step on, each direction applies
-    one lattice-source operator while sigma_eff repeats (its kernel sweep's
-    if their clamps are equal).
+    with coefficients frozen at the step energy; the inflow condition is
+    enforced by the characteristic integral itself (and checked by
+    ``inflow_trace_sup``).  The march makes one ``SweepCache``, so the
+    lattice clamp and the capped exit times are formed once, and every
+    (direction, step) forms its fixed part with ``SweepCache.fixed``: the
+    ray integrals of the step source plus the previous slice as a lattice
+    source, zero on the first step and building nothing.
+
+    With a kernel the march is step-major: each step is a ``solve_scattering``
+    of at most ``_MAX_ITER`` source iterations on the shared cache, which
+    builds a direction's attenuation weights and sweep operators again only
+    when their inputs change, and one lattice-source operator per direction
+    while sigma_eff repeats (its kernel sweep's if their clamps are equal).
+    Without one, nothing couples directions: each direction places its ray
+    nodes once and marches through all the steps, and its weights and
+    operators are dropped, their bytes returned to the budget, before the
+    next direction starts.  A step's report is then that of a kernel-free
+    source iteration: its residual is the largest change max|fix - prev|
+    over the directions, and its residual history [r] if r < tol, else
+    [r, 0.0].  ``inflow_trace_sup`` and ``snapshot_cb`` run once per step,
+    in step order (after all the directions without a kernel).
     Returns the transformed field on the companion march grid.
     """
     _check_stopping(coeffs)
@@ -167,48 +179,75 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     mesh = triangulate_boundary(grid.domain, 2)
     slice_grid = _march_grid(grid, 0)
 
-    phi = np.zeros((mgrid.n_interior, mgrid.n_omega, n_steps + 1))
-    sweep_cache = SweepCache(slice_grid, step_quad, t_cap)
-    step_iterations, step_residuals = [], []
-    cache = Counter()
-    trace_sup = 0.0
-    prev = phi[:, :, 0]
-    for n in range(1, n_steps + 1):
-        Ep = n * step
-        Ehat = Em - Ep
+    def problem(n):
+        """The effective coefficients and weighted source of step n."""
+        Ehat = Em - n * step
 
-        def sigma_eff(xs, omega, E, _Ehat=Ehat):
-            a = np.asarray(coeffs.stopping(np.atleast_2d(xs), _Ehat), dtype=float)
-            s = np.asarray(coeffs.sigma_t(xs, omega, _Ehat), dtype=float)
+        def sigma_eff(xs, omega, E):
+            a = np.asarray(coeffs.stopping(np.atleast_2d(xs), Ehat), dtype=float)
+            s = np.asarray(coeffs.sigma_t(xs, omega, Ehat), dtype=float)
             return s + a * (C - 1.0 / step)
 
         scatter_eff = None
         if coeffs.scatter is not None:
-            def scatter_eff(xs, wi, wo, E, _Ehat=Ehat):
-                return coeffs.scatter(xs, wi, wo, _Ehat)
+            def scatter_eff(xs, wi, wo, E):
+                return coeffs.scatter(xs, wi, wo, Ehat)
 
-        weight = math.exp(C * Ep)
+        weight = math.exp(C * (n * step))
 
-        def src(xs, omega, E, _Ehat=Ehat, _w=weight):
-            return _w * np.asarray(f(xs, omega, _Ehat), dtype=float)
+        def src(xs, omega, E):
+            return weight * np.asarray(f(xs, omega, Ehat), dtype=float)
 
-        eff = CoefficientSet(sigma_t=sigma_eff, scatter=scatter_eff, shift=0.0)
-        lattice = ((-stopping[n] / step)[:, None] * prev)[:, :, None]
-        out, rep = solve_scattering(src, eff, slice_grid, step_quad, tol=tol, max_iter=_MAX_ITER,
-                                    check_threshold=False, grid_source=lattice,
-                                    psi0=prev[:, :, None], cache=sweep_cache)
-        prev = out.values[:, :, 0]
-        phi[:, :, n] = prev
-        step_iterations.append(rep.iterations)
-        step_residuals.append(rep.residual_history)
-        cache.update(rep.cache)
+        return CoefficientSet(sigma_t=sigma_eff, scatter=scatter_eff, shift=0.0), src
+
+    problems = [None] + [problem(n) for n in range(1, n_steps + 1)]
+    phi = np.zeros((mgrid.n_interior, mgrid.n_omega, n_steps + 1))
+    sweep_cache = SweepCache(slice_grid, step_quad, t_cap)
+    counts = Counter(_cache_counts())
+    step_iterations, step_residuals = [], []
+    trace_sup = 0.0
+
+    def finish_step(n, history):
+        nonlocal trace_sup
+        step_iterations.append(len(history))
+        step_residuals.append(history)
+        eff, src = problems[n]
         trace_sup = max(trace_sup, inflow_trace_sup(src, eff, mgrid, quad, mesh, 0.0))
         if snapshot_cb is not None:
-            snapshot_cb(MarchState(Ep, prev, step))
+            snapshot_cb(MarchState(n * step, phi[:, :, n], step))
+
+    if coeffs.scatter is not None:
+        for n in range(1, n_steps + 1):
+            eff, src = problems[n]
+            prev = phi[:, :, n - 1]
+            lattice = ((-stopping[n] / step)[:, None] * prev)[:, :, None]
+            out, rep = solve_scattering(src, eff, slice_grid, step_quad, tol=tol, max_iter=_MAX_ITER,
+                                        check_threshold=False, grid_source=lattice,
+                                        psi0=prev[:, :, None], cache=sweep_cache)
+            phi[:, :, n] = out.values[:, :, 0]
+            counts.update(rep.cache)
+            finish_step(n, rep.residual_history)
+    else:
+        E = float(slice_grid.energy_nodes[0])
+        resid = [0.0] * (n_steps + 1)
+        for j in range(mgrid.n_omega):
+            nodes = sweep_cache.nodes(j)
+            counts["ray_nodes"] += sum(pts.size // 3 for _, pts, _ in nodes)
+            for n in range(1, n_steps + 1):
+                eff, src = problems[n]
+                prev = phi[:, j, n - 1]
+                fix = sweep_cache.fixed(j, nodes, eff, E, src, (-stopping[n] / step) * prev, counts)[0]
+                resid[n] = max(resid[n], float(np.max(np.abs(fix - prev))))
+                phi[:, j, n] = fix
+                sweep_cache.end_setup(j)
+            del nodes
+            sweep_cache.drop(j)
+        for n in range(1, n_steps + 1):
+            finish_step(n, [resid[n]] if resid[n] < tol else [resid[n], 0.0])
 
     report = MarchReport(steps=n_steps, inner_iterations=sum(step_iterations),
                          final_slice_sup=float(np.max(np.abs(phi[:, :, 0]))),
-                         inflow_trace_sup=trace_sup, cache=dict(cache),
+                         inflow_trace_sup=trace_sup, cache=dict(counts),
                          step_iterations=step_iterations, step_residuals=step_residuals)
     return DiscreteField(phi, mgrid), report
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EmptyTrace, OrderTooHigh
 from .fields import DiscreteField, GridSpec, _node_values, _where, multi_indices
-from .geometry import BoundarySide, SurfaceMesh, escape_times, triangulate_boundary
+from .geometry import TANGENT_TOL, BoundarySide, SurfaceMesh, escape_times, triangulate_boundary
 
 _MAX_SPATIAL_ORDER = 3
 _FD_STEP = 1e-4        # step of boundary_h_norm's one-sided differences of a callable
@@ -90,14 +90,15 @@ class TraceField:
     grid: GridSpec
     side: Optional[BoundarySide]
 
-    def selection(self) -> np.ndarray:
-        from .geometry import TANGENT_TOL
 
-        if self.side is BoundarySide.INFLOW:
-            return self.dots < -TANGENT_TOL
-        if self.side is BoundarySide.OUTFLOW:
-            return self.dots > TANGENT_TOL
-        return np.ones_like(self.dots, dtype=bool)
+def _selection(dots: np.ndarray, side: Optional[BoundarySide]) -> np.ndarray:
+    """The boundary quadrature points of ``side`` (all if None) by their
+    omega . nu values ``dots``."""
+    if side is BoundarySide.INFLOW:
+        return dots < -TANGENT_TOL
+    if side is BoundarySide.OUTFLOW:
+        return dots > TANGENT_TOL
+    return np.ones_like(dots, dtype=bool)
 
 
 def _direction_dots(mesh: SurfaceMesh, grid: GridSpec) -> np.ndarray:
@@ -155,25 +156,59 @@ def trace_from_grid_field(psi: DiscreteField, side: Optional[BoundarySide]) -> T
     return TraceField(np.moveaxis(vals, 0, 1), dots.T, mesh, grid, side)
 
 
-def trace_norm(tr: TraceField, weighting: str = "plain") -> float:
-    """T2 norm of a trace: plain uses |omega.nu|, tau adds the chord length."""
-    sel = tr.selection()
-    if not np.any(sel):
+def trace_norm(tr: TraceField | Callable, *args, **kwargs) -> float:
+    """T2 norm of a trace, ``trace_norm(tr, weighting="plain")`` of a
+    ``TraceField``: plain uses |omega.nu|, tau adds the chord length.
+
+    ``tr`` may instead be a callable field, ``trace_norm(field, grid, side,
+    subdivisions=3, weighting="plain")``: the norm of ``trace_from_callable(
+    field, grid, side, subdivisions)`` bit for bit, each direction's values
+    sampled (and checked by ``_node_values``) as its term is summed, so the
+    (n_surf, n_omega, n_energy) values are never held.  The omega . nu
+    values are the columns of the one product ``mesh.normals @
+    grid.sphere_nodes.T``, whose bits a trace's ``dots`` have.  An empty
+    selection raises ``EmptyTrace`` before any field value is sampled.
+    """
+    if callable(tr):
+        return _callable_trace_norm(tr, *args, **kwargs)
+    return _trace_sum(tr.grid, tr.mesh, tr.dots, tr.side, lambda j: tr.values[:, j, :], *args, **kwargs)
+
+
+def _callable_trace_norm(field: Callable, grid: GridSpec, side: Optional[BoundarySide],
+                         subdivisions: int = 3, weighting: str = "plain") -> float:
+    mesh = triangulate_boundary(grid.domain, subdivisions)
+
+    def values(j):
+        omega = grid.sphere_nodes[j]
+        vals = np.empty((mesh.points.shape[0], grid.n_energy))
+        for k, E in enumerate(grid.energy_nodes.tolist()):
+            vals[:, k] = _node_values(field(mesh.points, omega, E), mesh.points, "field", "point",
+                                      lambda: _where(omega, E))
+        return vals
+
+    return _trace_sum(grid, mesh, mesh.normals @ grid.sphere_nodes.T, side, values, weighting)
+
+
+def _trace_sum(grid: GridSpec, mesh: SurfaceMesh, dots: np.ndarray, side: Optional[BoundarySide],
+               values: Callable[[int], np.ndarray], weighting: str = "plain") -> float:
+    """``trace_norm`` of the values (n_surf, n_energy) that ``values(j)``
+    gives for each direction j, summed one direction at a time."""
+    if not any(np.any(_selection(dots[:, j], side)) for j in range(grid.n_omega)):
         raise EmptyTrace("trace restriction selected no boundary quadrature point")
     if weighting not in ("plain", "tau"):
         raise ValueError("weighting must be 'plain' or 'tau'")
     total = 0.0
-    for j in range(tr.grid.n_omega):
-        w = np.abs(tr.dots[:, j]) * sel[:, j]
+    for j in range(grid.n_omega):
+        w = np.abs(dots[:, j]) * _selection(dots[:, j], side)
         if weighting == "tau":
-            omega = tr.grid.sphere_nodes[j]
-            fwd = escape_times(tr.grid.domain, tr.mesh.points, -omega)
-            bwd = escape_times(tr.grid.domain, tr.mesh.points, omega)
+            omega = grid.sphere_nodes[j]
+            fwd = escape_times(grid.domain, mesh.points, -omega)
+            bwd = escape_times(grid.domain, mesh.points, omega)
             # tau_- is the forward chord from inflow points, tau_+ the
             # backward chord from outflow points; both vanish tangentially.
-            w = w * np.where(tr.dots[:, j] < 0.0, fwd, bwd)
-        quad = (tr.mesh.areas * w * tr.grid.sphere_weights[j])[:, None] * tr.grid.energy_weights[None, :]
-        total += float(np.sum(quad * tr.values[:, j, :] ** 2))
+            w = w * np.where(dots[:, j] < 0.0, fwd, bwd)
+        quad = (mesh.areas * w * grid.sphere_weights[j])[:, None] * grid.energy_weights[None, :]
+        total += float(np.sum(quad * values(j) ** 2))
     return float(np.sqrt(total))
 
 

@@ -317,8 +317,10 @@ class _WeightSet:
 
 class SweepCache:
     """Ray weights and sweep operators of each direction, kept across the
-    solves of one energy march (``march_energy`` makes one and passes it to
-    every step) or within one solve.
+    solves of one energy march (``march_energy`` makes one per march: a march
+    with a kernel passes it to every step, a kernel-free one marches each
+    direction through all its steps and drops that direction's sets
+    (``drop``) before the next) or within one solve.
 
     The ray nodes of direction j are those ``_ray_groups`` places on the
     lattice with the exit times (capped at ``t_cap``) and ``quad``; they are
@@ -454,6 +456,30 @@ class SweepCache:
             return form().sweep(grid, unpacked, coef)
         return integrals
 
+    def fixed(self, j: int, nodes: list, coeffs: CoefficientSet, E: float, f: Callable,
+              lattice: Optional[np.ndarray], counts: dict,
+              last: bool = False) -> tuple[np.ndarray, RaySystem, _WeightSet]:
+        """The fixed part of one (direction j, energy E) of a solve, with its
+        ray system and weight set: the ray integrals of the analytic source
+        f on ``nodes`` plus, unless ``lattice`` is None, the sweep of that
+        lattice slab (n_interior,) on ``lattice_clamp``.  ``last`` marks
+        direction j's last lookup of a set-up (``end_direction`` before the
+        integrals).  The one body of ``solve_scattering``'s set-up and of a
+        kernel-free march step."""
+        s, ws = self.system(j, nodes, coeffs, E, counts)
+        if last:
+            self.end_direction(j)
+        out = s.integrate_callable(f)
+        if lattice is not None:
+            out += self.sweep(ws, s, self.lattice_clamp, counts)(lattice)
+        return out, s, ws
+
+    def drop(self, j: int) -> None:
+        """A march is done with direction j: drop its weight sets and their
+        operators, returning their bytes."""
+        for ws in self._sets.pop(j, []):
+            self.budget.give(ws.nbytes)
+
     def end_direction(self, j: int) -> None:
         """The set-up looks up no more weights of direction j: in a cache held
         by one solve, drop them (its operators stay, and so do the weights of
@@ -468,10 +494,11 @@ class SweepCache:
             ws.nbytes -= nbytes
             ws.sigma = ws.weights = None
 
-    def end_setup(self) -> None:
+    def end_setup(self, j: Optional[int] = None) -> None:
         """Drop the weight sets the solve just set up did not use, returning
-        their bytes, and mark the others unused for the next solve."""
-        for sets in self._sets.values():
+        their bytes, and mark the others unused for the next solve; only
+        those of direction j if given (one step of a direction-major march)."""
+        for sets in (self._sets.values() if j is None else [self._sets.get(j, [])]):
             for ws in sets:
                 if not ws.used:
                     self.budget.give(ws.nbytes)
@@ -526,12 +553,9 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
         nodes = cache.nodes(j)
         counts["ray_nodes"] += sum(pts.size // 3 for _, pts, _ in nodes)
         for k in range(grid.n_energy):
-            s, ws = cache.system(j, nodes, coeffs, float(grid.energy_nodes[k]), counts)
-            if k == grid.n_energy - 1:
-                cache.end_direction(j)
-            psi_fix[:, j, k] = s.integrate_callable(f)
-            if grid_source is not None:
-                psi_fix[:, j, k] += cache.sweep(ws, s, cache.lattice_clamp, counts)(grid_source[:, j, k])
+            psi_fix[:, j, k], s, ws = cache.fixed(j, nodes, coeffs, float(grid.energy_nodes[k]), f,
+                                                  None if grid_source is None else grid_source[:, j, k],
+                                                  counts, last=k == grid.n_energy - 1)
             if applier is not None:
                 sweeps[j, k] = cache.sweep(ws, s, _kernel_clamp(applier, j, k), counts,
                                            partial(cache.form, j, coeffs, s.E, counts))

@@ -455,3 +455,194 @@ class TestCompatibility:
             csda.compatibility_check(wide, z3, 0, grid)
         with pytest.raises(CoefficientShapeError, match=r"F returned shape \((\d+), 2\) for \1 points"):
             csda.compatibility_check(z3, wide, 1, grid)
+
+
+def _step_major_march(f, coeffs, grid, quad, dE=None, tol=1e-10, snapshot_cb=None):
+    """The kernel-free ``march_energy`` that ran step-major, frozen as the
+    reference of ``TestDirectionMajorMarch``: every step is a
+    ``solve_scattering`` over all the directions on the march's one cache,
+    so each direction's weights and operators stay kept across the steps,
+    and its ray nodes are placed again at each step."""
+    from collections import Counter
+
+    from raytrans import scattering as sc
+    from raytrans.geometry import triangulate_boundary
+
+    n_steps = csda._steps_for(grid, dE)
+    Em, step, C = grid.interval.Em, grid.interval.length / n_steps, coeffs.shift
+    mgrid = csda._march_grid(grid, n_steps)
+    stopping = [csda._stopping_values(coeffs, mgrid.coords, Em - n * step, "grid node")
+                for n in range(n_steps + 1)]
+    sig_min = min(float(np.min(coeffs.sigma_t(mgrid.coords, omega, Em - n * step) + stopping[n] * (C - 1.0 / step)))
+                  for n in range(n_steps + 1) for omega in mgrid.sphere_nodes)
+    step_quad = RayQuadrature(max(quad.panels_per_unit_length, int(np.ceil(sig_min / 2.0))), quad.nodes_per_panel)
+    mesh = triangulate_boundary(grid.domain, 2)
+    slice_grid = csda._march_grid(grid, 0)
+    phi = np.zeros((mgrid.n_interior, mgrid.n_omega, n_steps + 1))
+    sweep_cache = sc.SweepCache(slice_grid, step_quad, 38.0 / sig_min)
+    step_iterations, step_residuals = [], []
+    cache = Counter()
+    trace_sup = 0.0
+    prev = phi[:, :, 0]
+    for n in range(1, n_steps + 1):
+        Ep = n * step
+        Ehat = Em - Ep
+
+        def sigma_eff(xs, omega, E, _Ehat=Ehat):
+            a = np.asarray(coeffs.stopping(np.atleast_2d(xs), _Ehat), dtype=float)
+            s = np.asarray(coeffs.sigma_t(xs, omega, _Ehat), dtype=float)
+            return s + a * (C - 1.0 / step)
+
+        weight = np.exp(C * Ep)
+
+        def src(xs, omega, E, _Ehat=Ehat, _w=weight):
+            return _w * np.asarray(f(xs, omega, _Ehat), dtype=float)
+
+        eff = CoefficientSet(sigma_t=sigma_eff, shift=0.0)
+        lattice = ((-stopping[n] / step)[:, None] * prev)[:, :, None]
+        out, rep = sc.solve_scattering(src, eff, slice_grid, step_quad, tol=tol, max_iter=csda._MAX_ITER,
+                                       check_threshold=False, grid_source=lattice,
+                                       psi0=prev[:, :, None], cache=sweep_cache)
+        prev = out.values[:, :, 0]
+        phi[:, :, n] = prev
+        step_iterations.append(rep.iterations)
+        step_residuals.append(rep.residual_history)
+        cache.update(rep.cache)
+        trace_sup = max(trace_sup, csda.inflow_trace_sup(src, eff, mgrid, quad, mesh, 0.0))
+        if snapshot_cb is not None:
+            snapshot_cb(csda.MarchState(Ep, prev, step))
+    report = csda.MarchReport(steps=n_steps, inner_iterations=sum(step_iterations),
+                              final_slice_sup=float(np.max(np.abs(phi[:, :, 0]))),
+                              inflow_trace_sup=trace_sup, cache=dict(cache),
+                              step_iterations=step_iterations, step_residuals=step_residuals)
+    return DiscreteField(phi, mgrid), report
+
+
+class TestDirectionMajorMarch:
+    """A kernel-free march runs each direction through all its steps before
+    the next: its field, report and snapshots have the bits of the
+    step-major loop, and it holds one direction's weights and operators at
+    a time."""
+
+    @staticmethod
+    def _problem(ball, zero_source):
+        # sigma switches between the second and third steps, so each
+        # direction keeps one weight set for two steps and then another
+        grid = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 0.4), 3)
+        coeffs = CoefficientSet(
+            sigma_t=lambda x, w, E: 0.4 + 0.1 * x[:, 0] + (0.2 if E > 0.15 else 0.0),
+            stopping=unit_stopping, kappa=1.0, shift=0.5,
+        )
+        if zero_source:
+            f = lambda x, w, E: np.zeros(len(np.atleast_2d(x)))
+        else:
+            f = lambda x, w, E: smooth_bump(np.linalg.norm(np.atleast_2d(x) - 0.1 * w, axis=1), 0.5) \
+                * (1.0 + 0.8 * np.cos(3.0 * np.asarray(E)))
+        return grid, coeffs, f
+
+    @pytest.mark.parametrize("zero_source", [False, True])
+    def test_march_equals_the_step_major_loop(self, ball, quad, zero_source):
+        grid, coeffs, f = self._problem(ball, zero_source)
+        runs = []
+        for march in (_step_major_march, csda.march_energy):
+            snapshots = []
+            phi, rep = march(f, coeffs, grid, quad, dE=0.1, tol=1e-10,
+                             snapshot_cb=lambda state: snapshots.append(
+                                 (state.E_current, state.step, state.phi.copy())))
+            runs.append((phi, rep, snapshots))
+        (ref, ref_rep, ref_snaps), (phi, rep, snaps) = runs
+        assert phi.values.tobytes() == ref.values.tobytes()
+        for name in ("steps", "inner_iterations", "step_iterations", "step_residuals",
+                     "final_slice_sup", "inflow_trace_sup"):
+            assert getattr(rep, name) == getattr(ref_rep, name), name
+        assert len(snaps) == len(ref_snaps) == rep.steps
+        for (E, step, values), (E_ref, step_ref, values_ref) in zip(snaps, ref_snaps):
+            assert (E, step) == (E_ref, step_ref)
+            assert values.tobytes() == values_ref.tobytes()
+        # the nodes of a direction are placed once per march, not per step;
+        # every other count is the step-major loop's
+        assert rep.cache["ray_nodes"] * rep.steps == ref_rep.cache["ray_nodes"]
+        assert {k: v for k, v in rep.cache.items() if k != "ray_nodes"} == \
+            {k: v for k, v in ref_rep.cache.items() if k != "ray_nodes"}
+        if zero_source:
+            # a zero slab builds nothing: one iteration of residual 0 per step
+            assert rep.step_residuals == [[0.0]] * rep.steps
+            assert rep.cache["operators_built"] == 0
+        else:
+            # every step's first residual is at least tol: two iterations
+            assert rep.step_iterations == [2] * rep.steps
+            assert all(h[0] >= 1e-10 and h[1] == 0.0 for h in rep.step_residuals)
+            # steps 2 and 3 build a lattice-source operator for their new
+            # weight set, step 4 reuses step 3's
+            assert (rep.cache["operators_built"], rep.cache["operators_reused"],
+                    rep.cache["ray_weights_reused"]) == (2 * grid.n_omega, grid.n_omega, 2 * grid.n_omega)
+
+    @staticmethod
+    def _csda_sweep(ball, n):
+        """The problem of configs/csda_sweep.json on an n^3 lattice."""
+        from raytrans.catalog import build_source
+
+        grid = GridSpec(ball, n, 2, 4, EnergyInterval(0.0, 0.3), 3)
+        coeffs = CoefficientSet(sigma_t=lambda x, w, E: np.full(len(x), 0.6),
+                                stopping=unit_stopping, kappa=1.0, shift=0.0)
+        f = build_source({"name": "bump_cos_energy", "amplitude": 1.0, "radius": 0.45, "freq": 3.0})
+        return grid, coeffs, f
+
+    def test_budget_fits_a_direction_at_a_time(self, ball, quad, monkeypatch):
+        # at 6 MiB one direction's weights and operator fit, all eight do
+        # not: the step-major loop keeps one operator and streams the other
+        # directions' lattice sources, the direction-major march keeps each
+        # operator while its direction marches
+        from raytrans import scattering as sc
+
+        grid, coeffs, f = self._csda_sweep(ball, 13)
+        monkeypatch.setattr(sc, "_CACHE_BYTES", 6 * 2**20)
+        ref, ref_rep = _step_major_march(f, coeffs, grid, quad, dE=0.075)
+        phi, rep = csda.march_energy(f, coeffs, grid, quad, dE=0.075)
+        assert rep.cache["operator_bytes"] > sc._CACHE_BYTES
+        assert (ref_rep.cache["operators_built"], ref_rep.cache["sweeps_rebuilt"]) == (1, 21)
+        assert (rep.cache["operators_built"], rep.cache["sweeps_rebuilt"]) == (grid.n_omega, 0)
+        assert phi.values.tobytes() == ref.values.tobytes()
+        assert rep.step_residuals == ref_rep.step_residuals
+
+    def test_one_direction_is_held_at_a_time(self, ball, quad, monkeypatch):
+        # weakrefs on every weight set, weight array and operator the cache
+        # builds: when a direction looks up its weights, no other
+        # direction's are alive.  The step-major loop holds all of them.
+        import gc
+        import weakref
+
+        from raytrans import scattering as sc
+
+        grid, coeffs, f = self._problem(ball, zero_source=False)
+        system, operator = sc.SweepCache.system, sc.SweepCache._operator
+        built, others, ops = [], [], []
+
+        def alive(j):
+            gc.collect()
+            return {k for k, ref in built if k != j and ref() is not None}
+
+        def spied_system(cache, j, *args, **kwargs):
+            others.append(alive(j))
+            s, ws = system(cache, j, *args, **kwargs)
+            built.extend((j, weakref.ref(a)) for a in [ws] + ws.weights)
+            return s, ws
+
+        def spied_operator(cache, ws, *args, **kwargs):
+            op = operator(cache, ws, *args, **kwargs)
+            if op is not None:
+                j = next(k for k, ref in built if ref() is ws)
+                built.append((j, weakref.ref(op)))
+                ops.append(j)
+            return op
+
+        monkeypatch.setattr(sc.SweepCache, "system", spied_system)
+        monkeypatch.setattr(sc.SweepCache, "_operator", spied_operator)
+        csda.march_energy(f, coeffs, grid, quad, dE=0.1)
+        assert len(others) == grid.n_omega * 4
+        assert sorted(set(ops)) == list(range(grid.n_omega))
+        assert all(not held for held in others)
+        assert alive(None) == set()
+        built.clear(), others.clear()
+        _step_major_march(f, coeffs, grid, quad, dE=0.1)
+        assert len(others[-1]) == grid.n_omega - 1

@@ -4,7 +4,7 @@ import pytest
 from raytrans import norms as nm
 from raytrans.errors import CoefficientShapeError, EmptyTrace, NonFiniteValue
 from raytrans.fields import EnergyInterval, GridSpec, sample_field
-from raytrans.geometry import BoundarySide, ConvexDomain
+from raytrans.geometry import BoundarySide, ConvexDomain, SurfaceMesh
 
 VOL = 4 * np.pi / 3  # unit ball volume
 X1_SQ = 4 * np.pi / 15  # integral of x1^2 over the unit ball
@@ -99,6 +99,50 @@ class TestTraceNorm:
         object.__setattr__(tr, "dots", np.abs(tr.dots))
         with pytest.raises(EmptyTrace):
             nm.trace_norm(tr)
+
+    @pytest.mark.parametrize("side", [BoundarySide.INFLOW, BoundarySide.OUTFLOW, None])
+    def test_callable_norm_equals_the_norm_of_its_trace(self, grid, side, monkeypatch):
+        f = lambda p, w, E: 1.0 + p[:, 0] * w[2] + E
+        for subdivisions in (2, 3):
+            for weighting in ("plain", "tau"):
+                tr = nm.trace_from_callable(f, grid, side, subdivisions)
+                assert nm.trace_norm(f, grid, side, subdivisions, weighting=weighting) == \
+                    nm.trace_norm(tr, weighting)
+        # a mesh whose normals vanish has no inflow or outflow point: both
+        # paths raise EmptyTrace there, and agree on the whole boundary
+        mesh = nm.triangulate_boundary(grid.domain, 2)
+        flat = SurfaceMesh(mesh.points, mesh.areas, np.zeros_like(mesh.normals))
+        monkeypatch.setattr(nm, "triangulate_boundary", lambda domain, subdivisions: flat)
+        if side is None:
+            assert nm.trace_norm(f, grid, side, 2) == nm.trace_norm(nm.trace_from_callable(f, grid, side, 2)) == 0.0
+        else:
+            for norm in (lambda: nm.trace_norm(f, grid, side, 2),
+                         lambda: nm.trace_norm(nm.trace_from_callable(f, grid, side, 2))):
+                with pytest.raises(EmptyTrace):
+                    norm()
+
+    def test_callable_norm_holds_no_trace(self):
+        # the grid of the norms suite's inflow-norm property: its trace
+        # values (5120 points x 512 directions x 2 energies) take 42 MB, the
+        # one omega . nu product 21 MB
+        import tracemalloc
+
+        g = GridSpec(ConvexDomain.unit_ball(), 9, 16, 32, EnergyInterval(0.0, 1.0), 2)
+        f = lambda p, w, E: np.ones(len(p))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            value = nm.trace_norm(f, g, BoundarySide.INFLOW, subdivisions=4)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        expect = np.sqrt(4 * np.pi * np.pi)
+        assert abs(value - expect) / expect < 0.01
+        assert 5120 * 512 * 8 <= peak < 25e6
 
     def test_callable_is_checked(self, grid):
         with pytest.raises(NonFiniteValue, match=r"field is inf at point \[.*\] \(direction \[.*\], energy 0\)"):
