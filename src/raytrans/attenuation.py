@@ -385,23 +385,6 @@ class _TapTube:
         return int(np.searchsorted(self.rank, 2 * n_full))
 
 
-def _heap_arrays(specs: list) -> list:
-    """Empty heap arrays of the (dtype, size) ``specs``."""
-    return [np.empty(size, dtype) for dtype, size in specs]
-
-
-def _cut(a: np.ndarray, n: int) -> np.ndarray:
-    """The first n entries of ``a``.  An array that owns its memory is
-    shrunk in place (``ndarray.resize``, a realloc to a smaller size), so
-    no spare capacity stays allocated; a view, such as one into a memory
-    map, is cut as a view: the map's untouched tail never becomes
-    resident."""
-    if a.flags.owndata:
-        a.resize(n, refcheck=False)
-        return a
-    return a[:n]
-
-
 def _merged_segments(sizes):
     """Lists of consecutive segments (group, lo, hi) of the groups of
     ``sizes`` rays, each segment of at most ``_OPERATOR_CHUNK`` rays of one
@@ -537,8 +520,8 @@ class RaySystem:
             yield rays[counts > 0], counts[counts > 0], mirror[at], block[nz]
             p0 = p1
 
-    def sweep_operator(self, grid: GridSpec, clamp: np.ndarray, max_bytes: float = math.inf,
-                       alloc: Optional[Callable[[list], list]] = None) -> Optional[SweepOperator]:
+    def sweep_operator(self, grid: GridSpec, clamp: np.ndarray,
+                       max_bytes: float = math.inf) -> Optional[SweepOperator]:
         """``integrate_interp`` of the cubic spline interpolant of a lattice
         box, clamped to the box mask ``clamp`` by ``_TapTube.keep``, as a
         ``SweepOperator`` on the spline coefficients ``spline_filter(box,
@@ -546,18 +529,16 @@ class RaySystem:
         with None at the first chunk that takes the operator's ``nbytes`` (an
         int32 row and start per point) over ``max_bytes``.
 
-        Each chunk is written straight into the operator's arrays, sized to
-        a bound: a row per ray of the system and ``_entry_bound`` entries.
-        ``alloc`` takes the (dtype, size) of the rows, starts, columns and
-        weights and returns arrays of those sizes (``SweepCache`` passes one
-        memory map per operator); by default they are heap arrays.  Once
-        built, each is cut to the operator by ``_cut``: no entry is copied
-        again."""
+        Each chunk is written straight into the operator's four heap arrays,
+        allocated at a bound: a row per ray of the system and
+        ``_entry_bound`` entries.  Once built, each is shrunk in place to
+        the operator (``ndarray.resize``, a realloc to a smaller size), so no
+        entry is copied again and no spare capacity stays allocated."""
         tube = self._tap_tube(grid)
         col_type = np.min_scalar_type(int(np.prod(grid.shape)) - 1)
         n_rays, n_entries = (0, 0) if tube is None else (tube.rays.size, self._entry_bound(tube))
-        arrays = (alloc or _heap_arrays)([(np.int32, n_rays), (np.int32, n_rays),
-                                          (col_type, n_entries), (np.float64, n_entries)])
+        arrays = [np.empty(n_rays, np.int32), np.empty(n_rays, np.int32),
+                  np.empty(n_entries, col_type), np.empty(n_entries, np.float64)]
         rows, starts, cols, data = arrays
         r = e = nbytes = 0
         for chunk_rows, counts, chunk_cols, chunk_data in self._operator_chunks(grid, clamp, tube):
@@ -571,7 +552,9 @@ class RaySystem:
             data[e:e1] = chunk_data
             r, e = r1, e1
             del chunk_rows, counts, chunk_cols, chunk_data   # before the next chunk is formed
-        return SweepOperator(self.n_points, *(_cut(a, n) for a, n in zip(arrays, (r, r, e, e))))
+        for a, n in zip(arrays, (r, r, e, e)):
+            a.resize(n, refcheck=False)
+        return SweepOperator(self.n_points, *arrays)
 
     def sweep(self, grid: GridSpec, clamp: np.ndarray, coef: np.ndarray) -> np.ndarray:
         """``sweep_operator(grid, clamp).apply(coef)`` bit for bit, each chunk

@@ -231,8 +231,7 @@ def march_energy(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
         E = float(slice_grid.energy_nodes[0])
         resid = [0.0] * (n_steps + 1)
         for j in range(mgrid.n_omega):
-            nodes = sweep_cache.nodes(j)
-            counts["ray_nodes"] += sum(pts.size // 3 for _, pts, _ in nodes)
+            nodes = sweep_cache.nodes(j, counts)
             for n in range(1, n_steps + 1):
                 eff, src = problems[n]
                 prev = phi[:, j, n - 1]

@@ -115,11 +115,21 @@ def trace_from_callable(field: Callable, grid: GridSpec, side: Optional[Boundary
     mesh = triangulate_boundary(grid.domain, subdivisions)
     dots = _direction_dots(mesh, grid)
     vals = np.empty((grid.n_omega, mesh.points.shape[0], grid.n_energy))
-    for j, omega in enumerate(grid.sphere_nodes):
-        for k, E in enumerate(grid.energy_nodes.tolist()):
-            vals[j, :, k] = _node_values(field(mesh.points, omega, E), mesh.points, "field", "point",
-                                         lambda: _where(omega, E))
+    for j in range(grid.n_omega):
+        vals[j] = _direction_samples(field, grid, mesh, j)
     return TraceField(np.moveaxis(vals, 0, 1), dots.T, mesh, grid, side)
+
+
+def _direction_samples(field: Callable, grid: GridSpec, mesh: SurfaceMesh, j: int) -> np.ndarray:
+    """The values (n_surf, n_energy) of a callable field at the points of
+    ``mesh`` for direction j, checked by ``_node_values``: the one sampler
+    of ``trace_from_callable`` and of ``trace_norm`` of a callable."""
+    omega = grid.sphere_nodes[j]
+    vals = np.empty((mesh.points.shape[0], grid.n_energy))
+    for k, E in enumerate(grid.energy_nodes.tolist()):
+        vals[:, k] = _node_values(field(mesh.points, omega, E), mesh.points, "field", "point",
+                                  lambda: _where(omega, E))
+    return vals
 
 
 def _pullin_samples(grid: GridSpec, box: np.ndarray, points: np.ndarray,
@@ -177,16 +187,8 @@ def trace_norm(tr: TraceField | Callable, *args, **kwargs) -> float:
 def _callable_trace_norm(field: Callable, grid: GridSpec, side: Optional[BoundarySide],
                          subdivisions: int = 3, weighting: str = "plain") -> float:
     mesh = triangulate_boundary(grid.domain, subdivisions)
-
-    def values(j):
-        omega = grid.sphere_nodes[j]
-        vals = np.empty((mesh.points.shape[0], grid.n_energy))
-        for k, E in enumerate(grid.energy_nodes.tolist()):
-            vals[:, k] = _node_values(field(mesh.points, omega, E), mesh.points, "field", "point",
-                                      lambda: _where(omega, E))
-        return vals
-
-    return _trace_sum(grid, mesh, mesh.normals @ grid.sphere_nodes.T, side, values, weighting)
+    return _trace_sum(grid, mesh, mesh.normals @ grid.sphere_nodes.T, side,
+                      lambda j: _direction_samples(field, grid, mesh, j), weighting)
 
 
 def _trace_sum(grid: GridSpec, mesh: SurfaceMesh, dots: np.ndarray, side: Optional[BoundarySide],

@@ -11,7 +11,6 @@ bound.
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Optional
@@ -270,34 +269,6 @@ def _kernel_clamp(applier: _KernelApplier, j: int, k: int) -> np.ndarray:
     return _support_clamp(support)
 
 
-def _map_arrays(specs: list) -> list:
-    """Empty arrays of the (dtype, shape) ``specs`` in one anonymous memory
-    map of their own.
-
-    A march keeps its cache while every step's builds allocate and free
-    large temporaries around it; kept in the allocator's heap, the cached
-    arrays pin it, and once the march drops them the heap stays resident
-    as holes.  A map of their own goes back to the system when the last
-    array in it is dropped, and pages of it never written never become
-    resident."""
-    sizes = [int(np.prod(shape)) * np.dtype(dtype).itemsize for dtype, shape in specs]
-    starts = np.cumsum([0] + [-(-n // 64) * 64 for n in sizes])
-    if starts[-1] == 0:
-        return [np.empty(shape, dtype) for dtype, shape in specs]
-    buf = memoryview(mmap.mmap(-1, int(starts[-1])))
-    return [np.frombuffer(buf, dtype=dtype, count=n // np.dtype(dtype).itemsize, offset=int(start)).reshape(shape)
-            for (dtype, shape), n, start in zip(specs, sizes, starts)]
-
-
-def _mapped(arrays: list) -> list:
-    """Copies of the weight-set ``arrays`` in one memory map of their own
-    (``_map_arrays``); a kept sweep operator is built in its map instead."""
-    out = _map_arrays([(a.dtype, a.shape) for a in arrays])
-    for copy, a in zip(out, arrays):
-        copy[...] = a
-    return out
-
-
 class _WeightSet:
     """Attenuation weights of one direction for one sigma + shift at its ray
     nodes, with the table of the sweep operators built from them."""
@@ -316,11 +287,11 @@ class _WeightSet:
 
 
 class SweepCache:
-    """Ray weights and sweep operators of each direction, kept across the
-    solves of one energy march (``march_energy`` makes one per march: a march
-    with a kernel passes it to every step, a kernel-free one marches each
-    direction through all its steps and drops that direction's sets
-    (``drop``) before the next) or within one solve.
+    """Ray weights and sweep operators of each direction, kept within one
+    solve or across the solves of one energy march (``march_energy`` makes
+    one per march: a march with a kernel passes it to every step, a
+    kernel-free one marches each direction through all its steps and drops
+    that direction's sets (``drop``) before the next).
 
     The ray nodes of direction j are those ``_ray_groups`` places on the
     lattice with the exit times (capped at ``t_cap``) and ``quad``; they are
@@ -332,18 +303,14 @@ class SweepCache:
     Everything kept, and the kernel columns of the solve, is charged to one
     ``_CACHE_BYTES`` budget; what does not fit is used once and dropped, and
     an operator that does not fit is never built whole but streamed
-    (``_operator``).  A cache ``across_solves`` (a march's) holds what it
-    keeps in memory maps of its own: each kept operator is built straight
-    into one map (``_map_arrays``), and each kept weight set is copied into
-    one (``_mapped``).  One held by a single solve builds its operators
-    into heap arrays, shrunk in place once built, and drops a direction's
-    weights once its energies are done.
+    (``_operator``).  A kept weight set stays in the arrays it was formed
+    in, and a kept operator in the heap arrays ``RaySystem.sweep_operator``
+    builds it in.  Only a set-up keeps weight sets (``system``, not
+    ``form``), and a solve drops those of a cache it made (``end_direction``).
     """
 
-    def __init__(self, grid: GridSpec, quad: RayQuadrature, t_cap: Optional[float] = None,
-                 across_solves: bool = True):
+    def __init__(self, grid: GridSpec, quad: RayQuadrature, t_cap: Optional[float] = None):
         self.grid, self.quad = grid, quad
-        self.across_solves = across_solves
         self.budget = _CacheBudget()
         T = grid.escape_cache()
         self.T = T if t_cap is None else np.minimum(T, t_cap)
@@ -355,35 +322,26 @@ class SweepCache:
         source: no march property reads a lattice source's support margin."""
         return _support_clamp(self.grid.mask)
 
-    def serves(self, grid: GridSpec, quad: RayQuadrature) -> bool:
-        return grid is self.grid and quad == self.quad
-
-    def nodes(self, j: int) -> list:
+    def nodes(self, j: int, counts: Optional[dict] = None) -> list:
         """(sel, nodes, width) of each panel-count group of direction j, from
-        ``_ray_groups``."""
-        return [(sel, pts, width) for sel, _, pts, width in
-                _ray_groups(self.grid.coords, self.grid.sphere_nodes[j], self.T[:, j], self.quad)]
+        ``_ray_groups``; the nodes placed are counted in ``counts`` if given."""
+        nodes = [(sel, pts, width) for sel, _, pts, width in
+                 _ray_groups(self.grid.coords, self.grid.sphere_nodes[j], self.T[:, j], self.quad)]
+        if counts is not None:
+            counts["ray_nodes"] += sum(pts.size // 3 for _, pts, _ in nodes)
+        return nodes
 
-    def system(self, j: int, nodes: list, coeffs: CoefficientSet, E: float,
-               counts: Optional[dict] = None) -> tuple[RaySystem, _WeightSet]:
+    def _system(self, j: int, nodes: list, coeffs: CoefficientSet, E: float,
+                counts: Optional[dict] = None) -> tuple[RaySystem, _WeightSet]:
         """The ray system of direction j at energy E on ``nodes``, with the
-        cached weights if sigma + shift at the nodes equals a kept set's
-        (counted in ``counts`` if given)."""
+        kept weight set whose sigma + shift at the nodes is bitwise this one
+        (its reuse counted in ``counts`` if given), or a new set, not kept."""
         omega = self.grid.sphere_nodes[j]
         sigma = [_node_sigma(coeffs, pts, omega, E) for _, pts, _ in nodes]
-        sets = self._sets.setdefault(j, [])
-        ws = next((s for s in sets if s.matches(sigma)), None)
+        ws = next((s for s in self._sets.get(j, []) if s.matches(sigma)), None)
         if ws is None:
-            weights = [_ray_geometry(sig, width, self.quad)[0] for sig, (_, _, width) in zip(sigma, nodes)]
-            nbytes = sum(a.nbytes for a in sigma + weights)
-            kept = self.budget.take(nbytes)
-            if kept and self.across_solves:
-                both = _mapped(sigma + weights)
-                sigma, weights = both[:len(sigma)], both[len(sigma):]
-            ws = _WeightSet(sigma, weights)
-            if kept:
-                ws.kept, ws.nbytes = True, nbytes
-                sets.append(ws)
+            ws = _WeightSet(sigma, [_ray_geometry(sig, width, self.quad)[0]
+                                    for sig, (_, _, width) in zip(sigma, nodes)])
         else:
             ws.used = True
             if counts is not None:
@@ -391,12 +349,23 @@ class SweepCache:
         groups = [(sel, pts.reshape(-1, 3), w) for (sel, pts, _), w in zip(nodes, ws.weights)]
         return RaySystem(omega, E, self.grid.n_interior, groups, self.quad), ws
 
+    def system(self, j: int, nodes: list, coeffs: CoefficientSet, E: float,
+               counts: Optional[dict] = None) -> tuple[RaySystem, _WeightSet]:
+        """``_system``, a new weight set kept if it fits the budget."""
+        s, ws = self._system(j, nodes, coeffs, E, counts)
+        if not ws.kept:
+            nbytes = sum(a.nbytes for a in ws.sigma + ws.weights)
+            if self.budget.take(nbytes):
+                ws.kept, ws.nbytes = True, nbytes
+                self._sets.setdefault(j, []).append(ws)
+        return s, ws
+
     def form(self, j: int, coeffs: CoefficientSet, E: float, counts: dict) -> RaySystem:
-        """The ray system of direction j at energy E formed again, its nodes
-        placed again (and counted in ``counts``)."""
-        s = self.system(j, self.nodes(j), coeffs, E)[0]
-        counts["ray_nodes"] += s.n_nodes
-        return s
+        """The ray system of direction j at energy E formed again after
+        set-up, its nodes placed again (and counted in ``counts``): with a
+        kept weight set that matches, or with weights formed now and not
+        kept."""
+        return self._system(j, self.nodes(j, counts), coeffs, E)[0]
 
     def _operator(self, ws: _WeightSet, system: RaySystem, clamp: np.ndarray,
                   counts: dict) -> Optional[SweepOperator]:
@@ -404,15 +373,13 @@ class SweepCache:
         ``ws``, or built now, kept there and charged to the budget.  None,
         the one decision to stream, if ``ws`` is not kept (nothing is built)
         or the operator does not fit (its build stops at the first chunk
-        over the bytes left).  A cache ``across_solves`` has it built in a
-        memory map of its own."""
+        over the bytes left)."""
         key = np.packbits(clamp).tobytes()
         op = ws.ops.get(key)
         if op is not None:
             counts["operators_reused"] += 1
             return op
-        alloc = _map_arrays if self.across_solves else None
-        op = system.sweep_operator(self.grid, clamp, self.budget.left, alloc) if ws.kept else None
+        op = system.sweep_operator(self.grid, clamp, self.budget.left) if ws.kept else None
         if op is None:
             return None
         self.budget.take(op.nbytes)
@@ -463,9 +430,9 @@ class SweepCache:
         ray system and weight set: the ray integrals of the analytic source
         f on ``nodes`` plus, unless ``lattice`` is None, the sweep of that
         lattice slab (n_interior,) on ``lattice_clamp``.  ``last`` marks
-        direction j's last lookup of a set-up (``end_direction`` before the
-        integrals).  The one body of ``solve_scattering``'s set-up and of a
-        kernel-free march step."""
+        direction j's last lookup in the set-up of a solve that made this
+        cache (``end_direction`` before the integrals).  The one body of
+        ``solve_scattering``'s set-up and of a kernel-free march step."""
         s, ws = self.system(j, nodes, coeffs, E, counts)
         if last:
             self.end_direction(j)
@@ -481,14 +448,11 @@ class SweepCache:
             self.budget.give(ws.nbytes)
 
     def end_direction(self, j: int) -> None:
-        """The set-up looks up no more weights of direction j: in a cache held
-        by one solve, drop them (its operators stay, and so do the weights of
-        ray systems already handed out); a sweep over budget forms them again."""
-        if self.across_solves:
-            return
+        """The set-up of a solve that made this cache looks up no more weights
+        of direction j: drop them, returning their bytes (its operators stay,
+        and so do the weights of ray systems already handed out); a sweep over
+        budget forms them again (``form``)."""
         for ws in self._sets.get(j, []):
-            if ws.sigma is None:
-                continue
             nbytes = sum(a.nbytes for a in ws.sigma + ws.weights)
             self.budget.give(nbytes)
             ws.nbytes -= nbytes
@@ -521,7 +485,8 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     once for all its energies, and its attenuation weights and sweep
     operators come from ``cache`` (a ``SweepCache`` on this grid and
     ``quad``, shared by the steps of an energy march, whose ``t_cap`` also
-    serves the solve; a new one that keeps no weights if None).  Each
+    serves the solve, and keeps its weights for the next step; if None, a
+    new one that drops each direction's weights once it is set up).  Each
     (direction, energy) sweeps the scattered slab with ``SweepCache.sweep``
     on the ``_support_clamp`` of the kernel's non-zero rows there (which
     holds the support of every scattered slab): a kept operator, or a sweep
@@ -533,9 +498,10 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     their own solvability criterion, like the energy marcher, disable it;
     the report keeps the ``rate_bound`` of the threshold).
     """
-    if cache is None:
-        cache = SweepCache(grid, quad, across_solves=False)
-    elif not cache.serves(grid, quad):
+    own = cache is None
+    if own:
+        cache = SweepCache(grid, quad)
+    elif cache.grid is not grid or cache.quad != quad:
         raise ValueError("the sweep cache was made for another grid or quadrature")
     applier = (_KernelApplier(coeffs.scatter, grid, cache.budget)
                if coeffs.scatter is not None else None)
@@ -550,12 +516,11 @@ def solve_scattering(f: Callable, coeffs: CoefficientSet, grid: GridSpec,
     sweeps = {}
     psi_fix = np.empty(grid.phase_shape)
     for j in range(grid.n_omega):
-        nodes = cache.nodes(j)
-        counts["ray_nodes"] += sum(pts.size // 3 for _, pts, _ in nodes)
+        nodes = cache.nodes(j, counts)
         for k in range(grid.n_energy):
             psi_fix[:, j, k], s, ws = cache.fixed(j, nodes, coeffs, float(grid.energy_nodes[k]), f,
                                                   None if grid_source is None else grid_source[:, j, k],
-                                                  counts, last=k == grid.n_energy - 1)
+                                                  counts, last=own and k == grid.n_energy - 1)
             if applier is not None:
                 sweeps[j, k] = cache.sweep(ws, s, _kernel_clamp(applier, j, k), counts,
                                            partial(cache.form, j, coeffs, s.E, counts))

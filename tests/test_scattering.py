@@ -426,12 +426,14 @@ class TestSolveScattering:
         lattice = bump[:, None, None] * np.linspace(0.5, 1.5, g.n_omega * g.n_energy).reshape(
             1, g.n_omega, g.n_energy)
         calls = _spy_sweeps(monkeypatch)
+        made = _spy_caches(monkeypatch)
         fields = []
         for budget, n_kept in ((sc._CACHE_BYTES, 32), (2 * 2**20, 8), (0, 0)):
             monkeypatch.setattr(sc, "_CACHE_BYTES", budget)
             calls.update(sweep_operator=0, completed=[], sweep=0)
-            cache = sc.SweepCache(g, quad, across_solves=False)
-            psi, rep = sc.solve_scattering(f, coeffs, g, quad, tol=1e-10, grid_source=lattice, cache=cache)
+            psi, rep = sc.solve_scattering(f, coeffs, g, quad, tol=1e-10, grid_source=lattice)
+            [cache] = made
+            made.clear()
             fields.append(psi.values)
             sets = [ws for sets in cache._sets.values() for ws in sets]
             kept = [op for ws in sets for op in ws.ops.values()]
@@ -446,6 +448,74 @@ class TestSolveScattering:
         assert rep.cache["sweeps_rebuilt"] == n_sweeps + n_sweeps * (rep.iterations - 1)
         assert calls["sweep_operator"] == 0
         assert all(np.array_equal(fields[0], other) for other in fields[1:])
+
+    def test_a_sweep_formed_after_set_up_keeps_no_weight_set(self, ball, quad, monkeypatch):
+        # the 4 MiB problem of test_cache_budgets_do_not_change_the_answer:
+        # its streamed kernel sweeps form their ray systems again after
+        # set-up, and the solve's cache keeps none of the weight sets formed
+        g = GridSpec(ball, 11, 2, 4, EnergyInterval(0.0, 1.0), 2)
+        sigma_s = lambda x: 0.5 * smooth_bump(np.linalg.norm(x, axis=1), 0.75)
+        coeffs = CoefficientSet(
+            sigma_t=lambda x, w, E: np.full(len(x), 0.1),
+            scatter=lambda x, wi, wo, E: ISO * (1.0 + 0.5 * (wi @ wo) + 0.2 * E) * sigma_s(x),
+            shift=0.9,
+        )
+        f = lambda x, w, E: smooth_bump(np.linalg.norm(x - 0.1 * w, axis=1), 0.6)
+        monkeypatch.setattr(sc, "_CACHE_BYTES", 4 * 2**20)
+        kept_sets = lambda cache: [ws for sets in cache._sets.values() for ws in sets]
+        after_setup, formed = [], []
+        end_setup, form = sc.SweepCache.end_setup, sc.SweepCache.form
+
+        def spied_end_setup(cache, j=None):
+            end_setup(cache, j)
+            after_setup.append(kept_sets(cache))
+
+        monkeypatch.setattr(sc.SweepCache, "end_setup", spied_end_setup)
+        monkeypatch.setattr(sc.SweepCache, "form", lambda *args: formed.append(1) or form(*args))
+        made = _spy_caches(monkeypatch)
+        _, rep = sc.solve_scattering(f, coeffs, g, quad, tol=1e-9)
+        [cache], [held] = made, after_setup
+        assert len(formed) == rep.cache["sweeps_rebuilt"] == 44
+        assert len(held) == 8
+        assert list(map(id, kept_sets(cache))) == list(map(id, held))
+
+    def test_only_a_solve_that_made_its_cache_drops_the_weights(self, ball, quad, monkeypatch):
+        # once a direction is set up, a solve's own cache returns its weight
+        # bytes to the budget and keeps the operators; a cache passed in (a
+        # march's) keeps the weights for the next solve
+        g = GridSpec(ball, 9, 2, 4, EnergyInterval(0.0, 1.0), 2)
+        coeffs = CoefficientSet(
+            sigma_t=lambda x, w, E: 0.2 + 0.1 * E + 0.1 * x[:, 0],
+            scatter=lambda x, wi, wo, E: 0.4 * ISO * smooth_bump(np.linalg.norm(x, axis=1), 0.7),
+            shift=1.0,
+        )
+        f = lambda x, w, E: smooth_bump(np.linalg.norm(x - 0.1 * w, axis=1), 0.6)
+        dropped = []
+        end_setup = sc.SweepCache.end_setup
+
+        def spied(cache, j=None):
+            end_setup(cache, j)
+            dropped.append([ws.sigma is None and ws.weights is None
+                            for sets in cache._sets.values() for ws in sets])
+
+        monkeypatch.setattr(sc.SweepCache, "end_setup", spied)
+        made = _spy_caches(monkeypatch)
+        psi, rep = sc.solve_scattering(f, coeffs, g, quad, tol=1e-10)
+        passed = sc.SweepCache(g, quad)
+        psi_passed, rep_passed = sc.solve_scattering(f, coeffs, g, quad, tol=1e-10, cache=passed)
+        assert np.array_equal(psi.values, psi_passed.values) and rep.cache == rep_passed.cache
+        # sigma moves with E: one weight set per (direction, energy)
+        n_sets = g.n_omega * g.n_energy
+        assert dropped == [[True] * n_sets, [False] * n_sets]
+        for cache, holds_weights in ((made[0], False), (passed, True)):
+            sets = [ws for sets in cache._sets.values() for ws in sets]
+            assert len(sets) == n_sets
+            for ws in sets:
+                ops = sum(op.nbytes for op in ws.ops.values())
+                weights = sum(a.nbytes for a in ws.sigma + ws.weights) if holds_weights else 0
+                assert ops > 0 and ws.nbytes == ops + weights
+            # the kernel columns went back when the solve returned
+            assert sc._CACHE_BYTES - cache.budget.left == sum(ws.nbytes for ws in sets)
 
     @pytest.mark.parametrize("sigma_has_E", [False, True])
     def test_energy_nodes_share_ray_nodes_and_weights(self, ball, quad, monkeypatch, ray_system,
@@ -552,6 +622,15 @@ def _spy_sweeps(monkeypatch) -> dict:
     monkeypatch.setattr(at.RaySystem, "sweep_operator", spied_build)
     monkeypatch.setattr(at.RaySystem, "sweep", spied_sweep)
     return calls
+
+
+def _spy_caches(monkeypatch) -> list:
+    """The ``SweepCache`` objects ``scattering`` makes from now on, in order
+    (a solve's own cache among them)."""
+    made = []
+    make = sc.SweepCache
+    monkeypatch.setattr(sc, "SweepCache", lambda *args: made.append(make(*args)) or made[-1])
+    return made
 
 
 def _kernel_sweep(grid, coeffs, quad, j, k, slab_rng):
@@ -1154,14 +1233,6 @@ def _concatenated_operator(system, grid, clamp):
                             np.concatenate(cols), np.concatenate(data))
 
 
-def _buffer(a):
-    """The object at the end of an array's chain of bases: the array itself
-    if it owns its memory."""
-    while isinstance(a.base, np.ndarray):
-        a = a.base
-    return a if a.base is None else a.base
-
-
 def _held_numpy_bytes(build):
     """``build()`` and the bytes of numpy data it allocated and still holds,
     as tracemalloc traces them."""
@@ -1245,44 +1316,35 @@ class TestMergedChunks:
 
     @pytest.mark.parametrize("dims", DIMS)
     def test_operators_are_built_in_their_final_arrays(self, ball, monkeypatch, dims):
-        # a march's cache builds each kept operator in one memory map of its
-        # own, and copies only weight sets into maps; a solve's cache builds
-        # into heap arrays cut to the operator, with no spare capacity
-        import mmap
-
+        # the cache keeps each weight set in the arrays it was formed in, and
+        # builds each kept operator into heap arrays cut to the operator,
+        # with no spare capacity
         g, quad, clamps = self._set_up(ball, monkeypatch, dims)
-        copied = []
-        mapped = sc._mapped
-
-        def spied(arrays):
-            copied.append(len(arrays))
-            return mapped(arrays)
-
-        monkeypatch.setattr(sc, "_mapped", spied)
-        for across in (True, False):
-            cache = sc.SweepCache(g, quad, across_solves=across)
-            counts, groups = sc._cache_counts(), []
-            for j in range(g.n_omega):
-                system, ws = cache.system(j, cache.nodes(j), self.COEFFS, 0.0, counts)
-                groups.append(len(system.groups))
-                for clamp in clamps:
-                    ref = _concatenated_operator(system, g, clamp)
-                    op, held = _held_numpy_bytes(lambda: cache._operator(ws, system, clamp, counts))
-                    arrays = [op.rows, op.starts, op.cols, op.data]
-                    for new, old in zip(arrays, [ref.rows, ref.starts, ref.cols, ref.data]):
-                        assert new.dtype == old.dtype and new.shape == old.shape
-                        assert new.tobytes() == old.tobytes()
-                    assert op.data.size > 0 and ws.ops[np.packbits(clamp).tobytes()] is op
-                    if across:
-                        maps = {id(_buffer(a).obj) for a in arrays}
-                        assert len(maps) == 1 and isinstance(_buffer(op.data).obj, mmap.mmap)
-                        assert held == 0
-                    else:
-                        assert all(a.flags.owndata and a.base is None for a in arrays)
-                        assert held == op.nbytes
-            assert counts["operators_built"] == g.n_omega * len(clamps)
-            assert copied == ([2 * n for n in groups] if across else [])
-            copied.clear()
+        formed = []
+        for name in ("_node_sigma", "_ray_geometry"):
+            def spied(*args, _form=getattr(sc, name)):
+                formed.append(_form(*args))
+                return formed[-1]
+            monkeypatch.setattr(sc, name, spied)
+        cache = sc.SweepCache(g, quad)
+        counts = sc._cache_counts()
+        for j in range(g.n_omega):
+            formed.clear()
+            system, ws = cache.system(j, cache.nodes(j), self.COEFFS, 0.0, counts)
+            n = len(system.groups)
+            assert ws.kept and len(formed) == 2 * n
+            assert all(a is b for a, b in zip(ws.sigma + ws.weights, formed[:n] + [w for w, _ in formed[n:]]))
+            for clamp in clamps:
+                ref = _concatenated_operator(system, g, clamp)
+                op, held = _held_numpy_bytes(lambda: cache._operator(ws, system, clamp, counts))
+                arrays = [op.rows, op.starts, op.cols, op.data]
+                for new, old in zip(arrays, [ref.rows, ref.starts, ref.cols, ref.data]):
+                    assert new.dtype == old.dtype and new.shape == old.shape
+                    assert new.tobytes() == old.tobytes()
+                assert op.data.size > 0 and ws.ops[np.packbits(clamp).tobytes()] is op
+                assert all(a.flags.owndata and a.base is None for a in arrays)
+                assert held == op.nbytes
+        assert counts["operators_built"] == g.n_omega * len(clamps)
 
     def test_build_holds_its_transients_per_chunk(self, ball):
         # the grid and quadrature of configs/csda_sweep.json.  Peak traced
